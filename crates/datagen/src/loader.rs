@@ -286,9 +286,14 @@ mod tests {
     use crate::io::{write_checkins_tsv, write_edges_tsv};
     use crate::profile::DatasetProfile;
 
+    /// A temp path no other call in this process returns, so tests
+    /// running on parallel threads never share a file.
     fn tmp(name: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let call = NEXT.fetch_add(1, Ordering::Relaxed);
         let mut p = std::env::temp_dir();
-        p.push(format!("sc_loader_{}_{name}", std::process::id()));
+        p.push(format!("sc_loader_{}_{call}_{name}", std::process::id()));
         p
     }
 

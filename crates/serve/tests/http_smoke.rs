@@ -146,6 +146,26 @@ fn endpoints_answer_and_backpressure_bites() {
 }
 
 #[test]
+fn deeply_nested_body_is_refused_and_the_server_keeps_serving() {
+    let data = dataset();
+    let server = Server::start(engine(&data), ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // 100 KB of `[` nests far past the parser's cap. Unbounded, the
+    // recursion would overflow an HTTP thread's stack and abort the
+    // whole process.
+    let (status, body) = request(addr, "POST", "/events", &"[".repeat(100_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"queued\":0"), "{body}");
+
+    server.shutdown();
+}
+
+#[test]
 fn restored_server_reports_byte_identically() {
     let data = dataset();
     let dir = std::env::temp_dir().join(format!("dita-serve-smoke-{}", std::process::id()));

@@ -369,6 +369,60 @@ mod tests {
     }
 
     #[test]
+    fn array_body_of_200_kinds_roundtrips() {
+        // The shape of a batched `POST /events` body: every kind, with
+        // fractional coordinates and non-empty friend lists and histories.
+        use sc_types::CheckIn;
+        let at = |i: u32| Location::new(f64::from(i) * 0.137 - 11.0, 1.0 / f64::from(i + 3));
+        let kinds: Vec<EventKind> = (0..200u32)
+            .map(|i| match i % 4 {
+                0 => EventKind::TaskArrival {
+                    task: Task::with_categories(
+                        TaskId::new(i),
+                        at(i),
+                        TimeInstant::at(i64::from(i / 24), i64::from(i % 24)),
+                        Duration::hours(3),
+                        vec![CategoryId::new(i % 7), CategoryId::new(i % 11 + 7)],
+                    ),
+                    venue: VenueId::new(i * 3),
+                },
+                1 => EventKind::WorkerArrival {
+                    worker: Worker::new(WorkerId::new(i), at(i), 5.0 + f64::from(i) / 7.0),
+                },
+                2 => {
+                    let mut history = History::new();
+                    for k in 0..i % 5 {
+                        history.push(CheckIn::at(
+                            WorkerId::new(i),
+                            VenueId::new(k),
+                            at(k),
+                            TimeInstant::at(0, i64::from(k)),
+                            vec![CategoryId::new(k)],
+                        ));
+                    }
+                    EventKind::WorkerNew {
+                        worker: Worker::new(WorkerId::new(1_000 + i), at(i), 10.0),
+                        friends: (0..i % 6).map(WorkerId::new).collect(),
+                        history,
+                    }
+                }
+                _ => EventKind::WorkerDeparture {
+                    worker: WorkerId::new(i),
+                },
+            })
+            .collect();
+        let body = Value::Array(kinds.iter().map(Serialize::to_value).collect()).to_json_string();
+        let Value::Array(items) = serde::json::parse(&body).unwrap() else {
+            panic!("a body of events parses to an array");
+        };
+        let back: Vec<EventKind> = items
+            .iter()
+            .map(|item| <EventKind as serde::Deserialize>::from_value(item).unwrap())
+            .collect();
+        assert_eq!(back, kinds);
+    }
+
+    #[test]
     fn bare_kind_parses_without_ordering_stamp() {
         // The HTTP front accepts bare kinds and stamps (round, seq) at
         // the queue, so `EventKind` must parse standalone.
