@@ -3,7 +3,7 @@
 use crate::eligibility::EligibilityMatrix;
 use crate::graph::AssignmentGraph;
 use crate::oracle::InfluenceOracle;
-use sc_graph::{Dinic, ShortestPathEngine};
+use sc_graph::Dinic;
 use sc_types::{Assignment, AssignmentPair, Instance};
 use std::fmt;
 
@@ -68,16 +68,10 @@ pub struct AssignInput<'a> {
     pub task_entropy: Option<&'a [f64]>,
     /// Thread budget for the scoring passes (eligibility construction
     /// in [`run`] and the per-pair influence scan) and for the MCMF
-    /// engine's batched candidate searches. Results are bit-identical
+    /// solver's batched candidate searches. Results are bit-identical
     /// at any value — shards are contiguous index ranges merged in
     /// order — so this trades wall time only. Defaults to 1.
     pub threads: usize,
-    /// The shortest-path engine the MCMF-backed algorithms (IA / EIA /
-    /// DIA) solve with. Every engine returns the same assignment (the
-    /// tie-break jitter makes the optimum unique); the ablation
-    /// references only change wall time. Defaults to
-    /// [`ShortestPathEngine::Dijkstra`].
-    pub solver: ShortestPathEngine,
 }
 
 impl<'a> AssignInput<'a> {
@@ -88,7 +82,6 @@ impl<'a> AssignInput<'a> {
             influence,
             task_entropy: None,
             threads: 1,
-            solver: ShortestPathEngine::default(),
         }
     }
 
@@ -109,14 +102,6 @@ impl<'a> AssignInput<'a> {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Selects the MCMF shortest-path engine (assignments are identical
-    /// under every engine; see [`AssignInput::solver`]).
-    #[must_use]
-    pub fn with_solver(mut self, solver: ShortestPathEngine) -> Self {
-        self.solver = solver;
         self
     }
 }
@@ -155,9 +140,9 @@ pub fn run_scored(
 
 /// Solver-phase telemetry from one [`run_scored_with_stats`] call.
 /// Zero for the non-flow algorithms (MI, greedy) and for MTA (Dinic
-/// does not count augmentations). Deterministic facts of the instance
-/// and the chosen engine — but *engine-dependent* (batching collapses
-/// passes), so round-report equality must never compare them.
+/// does not count augmentations). Deterministic facts of the instance,
+/// identical at every thread budget; round drivers keep them in their
+/// perf split, beside the phase timings, not in the round report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Shortest-path search passes the MCMF solve ran.
@@ -260,22 +245,23 @@ const JITTER_QUANTUM: f64 = 1.0 / (1u64 << 37) as f64;
 /// (≈ `1.9e-6 ..= 3.8e-6`).
 ///
 /// The influence cost models produce *exact* ties (every zero-influence
-/// pair costs exactly `1.0`), and on a tied plateau different exact
-/// engines may legitimately pick different optimal assignments. Adding
-/// a unique sub-`1e-5` perturbation per pair makes the min-cost optimum
-/// unique, so every exact engine — and every thread budget — returns
-/// the same assignment byte for byte (the cross-engine determinism
-/// suite pins this). Three properties make the separation real rather
-/// than wishful:
+/// pair costs exactly `1.0`), and on a tied plateau several optimal
+/// assignments exist; which one a solve returns would then hang on
+/// heap and commit order. Adding a unique sub-`1e-5` perturbation per
+/// pair makes the min-cost optimum unique, so the assignment depends
+/// only on the instance and every thread budget returns it byte for
+/// byte (the solver determinism suite pins this). Three properties make
+/// the separation real rather than wishful:
 ///
 /// * **Lattice-quantized.** Jitters are exact dyadic multiples of
 ///   [`JITTER_QUANTUM`], so on a plateau (equal bases, which are the
 ///   only pairs the jitter must separate) distinct path costs differ
-///   by ≥ one quantum — far above the engines' `1e-13` comparison
+///   by ≥ one quantum — far above the solver's `1e-13` comparison
 ///   tolerances. A full-granularity random jitter fails here: two
 ///   near-optimal matchings can land within the solver tolerance of
-///   each other, and the batched Dijkstra engine will then commit a
-///   "tight" path that SPFA's exact relaxation rejects.
+///   each other, and the batched augmentation will then commit a
+///   "tight" path that is not the exact optimum, which the flow
+///   certificate rejects.
 /// * **Bijective.** The scramble is a 4-round Feistel permutation of
 ///   the low 18 bits of the pair index, so any two pairs (below `2¹⁸`)
 ///   get *provably distinct* offsets — no birthday collisions.
@@ -336,7 +322,6 @@ fn mcmf_assign(
             };
             base + tie_jitter(pi)
         },
-        input.solver,
         input.threads,
     );
     let (result, chosen) = graph.solve();

@@ -7,7 +7,7 @@
 //! maximum flows encodes the influence objective.
 
 use crate::eligibility::EligibilityMatrix;
-use sc_graph::{CertificateError, FlowResult, MinCostMaxFlow, ShortestPathEngine};
+use sc_graph::{CertificateError, FlowResult, MinCostMaxFlow};
 
 /// A solved or unsolved assignment graph.
 #[derive(Debug)]
@@ -22,21 +22,18 @@ pub struct AssignmentGraph {
 impl AssignmentGraph {
     /// Builds the graph from an eligibility matrix; `pair_cost` supplies
     /// the cost of each worker→task edge (indexed as in
-    /// [`EligibilityMatrix::pairs`]). Solves with the default engine on
-    /// one thread; see [`AssignmentGraph::build_with`].
+    /// [`EligibilityMatrix::pairs`]). Solves on one thread; see
+    /// [`AssignmentGraph::build_with`].
     pub fn build(matrix: &EligibilityMatrix, pair_cost: impl FnMut(usize) -> f64) -> Self {
-        Self::build_with(matrix, pair_cost, ShortestPathEngine::default(), 1)
+        Self::build_with(matrix, pair_cost, 1)
     }
 
-    /// [`AssignmentGraph::build`] with an explicit shortest-path engine
-    /// and a thread budget for the Dijkstra engine's batched candidate
-    /// searches. The solved assignment is identical for every engine
-    /// and budget (the solvers are exact and the cost jitter upstream
-    /// makes the optimum unique); the knobs trade wall time only.
+    /// [`AssignmentGraph::build`] with a thread budget for the solver's
+    /// batched candidate searches. The solved assignment is identical
+    /// at every budget, which trades wall time only.
     pub fn build_with(
         matrix: &EligibilityMatrix,
         mut pair_cost: impl FnMut(usize) -> f64,
-        engine: ShortestPathEngine,
         threads: usize,
     ) -> Self {
         let n_workers = matrix.n_workers();
@@ -44,9 +41,7 @@ impl AssignmentGraph {
         // Layout: 0 = source, 1..=W workers, W+1..=W+S tasks, last = sink.
         let source = 0usize;
         let sink = n_workers + n_tasks + 1;
-        let mut flow = MinCostMaxFlow::new(sink + 1)
-            .with_engine(engine)
-            .with_threads(threads);
+        let mut flow = MinCostMaxFlow::new(sink + 1).with_threads(threads);
 
         for wi in 0..n_workers {
             flow.add_edge(source, 1 + wi, 1, 0.0);
@@ -226,28 +221,24 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_solves_identically() {
+    fn thread_budgets_solve_identically() {
         let inst = instance();
         let matrix = EligibilityMatrix::build(&inst);
         // All pairs tied at cost 1.0 plus a deterministic jitter-like
-        // offset: every exact engine must return the same matching.
+        // offset: every thread budget must return the same matching.
         let costs = [1.0 + 3e-7, 1.0 + 1e-7, 1.0 + 4e-7, 1.0 + 2e-7];
-        let reference: Option<(FlowResult, Vec<(u32, u32)>)> = None;
-        let mut reference = reference;
-        for engine in ShortestPathEngine::ALL {
-            for threads in [1usize, 4] {
-                let mut g = AssignmentGraph::build_with(&matrix, |pi| costs[pi], engine, threads);
-                let (result, mut chosen) = g.solve();
-                g.verify(&result).expect("flow certificate");
-                chosen.sort_unstable();
-                match &reference {
-                    Some((r0, c0)) => {
-                        assert_eq!(result.flow, r0.flow, "{}", engine.label());
-                        assert!((result.cost - r0.cost).abs() < 1e-9, "{}", engine.label());
-                        assert_eq!(&chosen, c0, "{} at {threads} threads", engine.label());
-                    }
-                    None => reference = Some((result, chosen)),
+        let mut reference: Option<(FlowResult, Vec<(u32, u32)>)> = None;
+        for threads in [1usize, 4] {
+            let mut g = AssignmentGraph::build_with(&matrix, |pi| costs[pi], threads);
+            let (result, mut chosen) = g.solve();
+            g.verify(&result).expect("flow certificate");
+            chosen.sort_unstable();
+            match &reference {
+                Some((r0, c0)) => {
+                    assert_eq!(&result, r0, "{threads} threads");
+                    assert_eq!(&chosen, c0, "{threads} threads");
                 }
+                None => reference = Some((result, chosen)),
             }
         }
     }

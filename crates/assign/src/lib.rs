@@ -58,4 +58,3 @@ pub use delta::{DeltaStats, EligibilityState};
 pub use eligibility::{EligibilityMatrix, EligiblePair};
 pub use graph::AssignmentGraph;
 pub use oracle::{InfluenceFn, InfluenceOracle, ZeroInfluence};
-pub use sc_graph::ShortestPathEngine;

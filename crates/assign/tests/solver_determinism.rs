@@ -1,21 +1,20 @@
-//! Cross-engine × thread-budget determinism suite.
+//! Thread-budget determinism suite for the MCMF solve.
 //!
 //! The repo's determinism contract says an assignment is a pure
-//! function of the instance: no engine choice, thread budget, or
-//! execution order may leak into results. This suite pins the
-//! strongest form of that claim for the MCMF solve — full
-//! `run_scored` assignments **byte-identical** across
-//! `Dijkstra`/`Spfa`/`BellmanFord` and across thread budgets
-//! 1/2/4/8 — on instances engineered to be tie-heavy (the
-//! zero-influence plateau where every pair costs exactly 1.0 before
-//! jitter), which is exactly where engines would diverge without the
+//! function of the instance: no thread budget or execution order may
+//! leak into results. This suite pins the strongest form of that claim
+//! for the MCMF solve — full `run_scored` assignments
+//! **byte-identical** across thread budgets 1/2/4/8 — on instances
+//! engineered to be tie-heavy (the zero-influence plateau where every
+//! pair costs exactly 1.0 before jitter), which is exactly where heap
+//! and commit order would pick among several optima without the
 //! per-pair tie-break jitter. Runs in the release-CI determinism job.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use sc_assign::{
     run_scored, score_pairs, AlgorithmKind, AssignInput, EligibilityMatrix, InfluenceFn,
-    ShortestPathEngine, ZeroInfluence,
+    ZeroInfluence,
 };
 use sc_types::{
     Assignment, CategoryId, Duration, Instance, Location, Task, TaskId, TimeInstant, Worker,
@@ -64,8 +63,8 @@ fn clustered_instance(seed: u64, n_workers: usize, n_tasks: usize) -> Instance {
     Instance::new(TimeInstant::at(0, 7), workers, tasks)
 }
 
-/// Runs `kind` under every engine and every thread budget; asserts all
-/// 12 assignments are byte-identical and returns the reference.
+/// Runs `kind` under every thread budget; asserts all 4 assignments
+/// are byte-identical and returns the reference.
 fn assert_invariant(
     kind: AlgorithmKind,
     instance: &Instance,
@@ -74,37 +73,30 @@ fn assert_invariant(
     label: &str,
 ) -> Assignment {
     let matrix = EligibilityMatrix::build(instance);
-    let mut reference: Option<(ShortestPathEngine, usize, Assignment)> = None;
-    for engine in ShortestPathEngine::ALL {
-        for threads in THREAD_BUDGETS {
-            let mut input = AssignInput::new(instance, oracle)
-                .with_threads(threads)
-                .with_solver(engine);
-            if let Some(e) = entropy {
-                input = input.with_entropy(e);
-            }
-            let influences = score_pairs(&input, &matrix);
-            let assignment = run_scored(kind, &input, &matrix, &influences);
-            match &reference {
-                Some((e0, t0, a0)) => assert_eq!(
-                    &assignment,
-                    a0,
-                    "{label}/{kind}: {} @ {threads} threads diverged from {} @ {t0}",
-                    engine.label(),
-                    e0.label(),
-                ),
-                None => reference = Some((engine, threads, assignment)),
-            }
+    let mut reference: Option<(usize, Assignment)> = None;
+    for threads in THREAD_BUDGETS {
+        let mut input = AssignInput::new(instance, oracle).with_threads(threads);
+        if let Some(e) = entropy {
+            input = input.with_entropy(e);
+        }
+        let influences = score_pairs(&input, &matrix);
+        let assignment = run_scored(kind, &input, &matrix, &influences);
+        match &reference {
+            Some((t0, a0)) => assert_eq!(
+                &assignment, a0,
+                "{label}/{kind}: {threads} threads diverged from {t0}",
+            ),
+            None => reference = Some((threads, assignment)),
         }
     }
-    reference.unwrap().2
+    reference.unwrap().1
 }
 
 /// The tie-plateau worst case: zero influence everywhere means every
 /// pair costs exactly 1.0 before jitter — without the tie-break the
-/// engines would legitimately return different optimal matchings.
+/// solve would return one of several optimal matchings.
 #[test]
-fn zero_influence_plateau_is_engine_and_thread_invariant() {
+fn zero_influence_plateau_is_thread_invariant() {
     for seed in [1u64, 2, 3] {
         let instance = clustered_instance(seed, 40, 30);
         let a = assert_invariant(
@@ -121,7 +113,7 @@ fn zero_influence_plateau_is_engine_and_thread_invariant() {
 /// Mixed-influence instances (some structure, frequent partial ties)
 /// across the three MCMF-backed algorithms.
 #[test]
-fn mcmf_algorithms_are_engine_and_thread_invariant() {
+fn mcmf_algorithms_are_thread_invariant() {
     // Coarsely quantized influence: collisions are common, so partial
     // tie plateaus appear alongside genuine cost structure.
     let oracle =
@@ -136,31 +128,24 @@ fn mcmf_algorithms_are_engine_and_thread_invariant() {
     }
 }
 
-/// The ablation engines must agree with the production engine on the
-/// *number* of solver passes only up to batching (Dijkstra passes ≤
-/// augmentations); what they must agree on exactly is the assignment.
-/// This pins the telemetry split as well: identical assignments with
-/// engine-dependent pass counts.
+/// Under the tie-break jitter every path cost is unique, so each
+/// search pass finds exactly one tight path: one pass per augmentation
+/// plus the final pass that finds none, at every thread budget.
 #[test]
-fn pass_telemetry_differs_while_assignments_match() {
+fn one_pass_per_augmentation_under_jitter() {
     use sc_assign::run_scored_with_stats;
     let instance = clustered_instance(11, 40, 30);
     let matrix = EligibilityMatrix::build(&instance);
-    let mut results = Vec::new();
-    for engine in ShortestPathEngine::ALL {
-        let input = AssignInput::new(&instance, &ZeroInfluence).with_solver(engine);
+    for threads in THREAD_BUDGETS {
+        let input = AssignInput::new(&instance, &ZeroInfluence).with_threads(threads);
         let influences = score_pairs(&input, &matrix);
         let (a, stats) = run_scored_with_stats(AlgorithmKind::Ia, &input, &matrix, &influences);
-        results.push((engine, a, stats));
-    }
-    let (_, a0, s0) = &results[0];
-    assert_eq!(results[0].0, ShortestPathEngine::Dijkstra);
-    for (engine, a, stats) in &results[1..] {
-        assert_eq!(a, a0, "{} assignment diverged", engine.label());
-        // Label-correcting engines pay one pass per augmentation; the
-        // batched engine never pays more.
-        assert_eq!(stats.passes, stats.augmentations + 1, "{}", engine.label());
-        assert_eq!(stats.augmentations, s0.augmentations);
-        assert!(s0.passes <= stats.passes);
+        assert!(!a.is_empty(), "plateau instance must assign something");
+        assert_eq!(stats.augmentations, a.len(), "{threads} threads");
+        assert_eq!(
+            stats.passes,
+            stats.augmentations + 1,
+            "{threads} threads: passes batched on a jittered instance"
+        );
     }
 }

@@ -77,7 +77,6 @@ fn config(threads: usize) -> DitaConfig {
             target_sets: 0,
             incremental: true,
         },
-        solver: Default::default(),
         seed: 0xD17A_0005,
     }
 }
@@ -150,8 +149,8 @@ fn main() {
 
     // --- Fold-in cost vs the full retrain it replaces. -----------------
     // Re-train on the slice, then time folding each late worker into a
-    // fresh copy of the trained state — the exact work
-    // `OnlineEngine::worker_arrives_new` does per arrival.
+    // fresh copy of the trained state — the exact work an
+    // `EventKind::WorkerNew` event does per arrival.
     eprintln!("[bench_replay] measuring fold-in vs full retrain…");
     let slice = data.training_slice(day).expect("slice");
     let cfg = config(threads);

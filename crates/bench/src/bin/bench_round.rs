@@ -24,16 +24,13 @@
 //! * on a host with ≥ 4 cores, 4 rebuild threads still deliver the
 //!   ≥ 2× intra-round parallel speedup PR 4 established.
 //!
-//! A second grid A/Bs the **flow solver** itself on a contested
-//! workload — cohort barely above the task demand, wide eligibility
-//! radius — where nearly every augmentation reroutes earlier
-//! assignments and the MCMF solve dominates the round. It asserts
-//! byte-identical reports across engines, that the batched engine
-//! never pays more search passes than single-path SSP, and that the
-//! Dijkstra solve phase is ≥ 1.5× faster than SPFA at 1 thread (early
-//! exit at the sink: only the wavefront cheaper than the augmenting
-//! path is settled, while the label-correcting baseline relaxes the
-//! whole graph to quiescence every pass).
+//! A second grid times the **flow solver** on a contested workload —
+//! cohort barely above the task demand, wide eligibility radius —
+//! where nearly every augmentation reroutes earlier assignments and
+//! the MCMF solve dominates the round, at 1 and 4 threads. It asserts
+//! byte-identical reports across the two thread budgets and that the
+//! batched augmentation never pays more search passes than one per
+//! augmentation plus the final no-path pass.
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_round
@@ -48,10 +45,7 @@
 
 #![forbid(unsafe_code)]
 
-use sc_core::{
-    AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism,
-    ShortestPathEngine,
-};
+use sc_core::{AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
 use sc_sim::{scripted_event, EngineBuilder, EventKind, NetworkMode, PipelineMode, RoundReport};
@@ -75,7 +69,7 @@ struct Script {
     phi: f64,
     /// Worker radius: bounds eligible-pair density, i.e. how much of a
     /// round the MCMF solve is. The reuse grid keeps it small (5 km) to
-    /// isolate the cache/delta phases; the solver A/B widens it so the
+    /// isolate the cache/delta phases; the solver grid widens it so the
     /// solve phase is worth measuring.
     radius_km: f64,
     seed: u64,
@@ -102,7 +96,6 @@ fn drive(
     data: &SyntheticDataset,
     threads: usize,
     incremental: bool,
-    solver: ShortestPathEngine,
     script: Script,
 ) -> (Vec<f64>, Vec<RoundReport>) {
     let Script {
@@ -115,7 +108,6 @@ fn drive(
     } = script;
     let mut pipeline = base.clone();
     pipeline.set_threads(Parallelism::Fixed(threads));
-    pipeline.set_solver(solver);
     let config = OnlineConfig {
         incremental,
         ..OnlineConfig::default()
@@ -217,7 +209,6 @@ fn main() {
         &data,
         1,
         true,
-        ShortestPathEngine::default(),
         Script {
             rounds: 2,
             ..script
@@ -230,14 +221,7 @@ fn main() {
             let mut best_total = f64::INFINITY;
             let mut best = (Vec::new(), Vec::new());
             for _ in 0..reps.max(1) {
-                let (walls, reports) = drive(
-                    &base,
-                    &data,
-                    threads,
-                    incremental,
-                    ShortestPathEngine::default(),
-                    script,
-                );
+                let (walls, reports) = drive(&base, &data, threads, incremental, script);
                 let total: f64 = walls.iter().sum();
                 if total < best_total {
                     best_total = total;
@@ -316,20 +300,15 @@ fn main() {
         );
     }
 
-    // --- Solver A/B: the MCMF engine itself. ---------------------------
+    // --- Solver grid: the MCMF solve itself. ---------------------------
     // A contested workload: the cohort barely exceeds the tasks per
     // round and a wide radius makes most pairs eligible, so nearly
     // every augmentation reroutes earlier assignments through long
     // residual chains — the regime where the solve phase dominates a
-    // round and the engine choice matters. (The reuse grid above is the
-    // opposite: an abundant cohort and a tight radius keep the solve
-    // small to isolate the cache/delta phases.) The same stream is
-    // replayed per engine. Bellman–Ford is excluded: it is the
-    // O(V·E)-per-pass ablation reference (benches/ablations.rs covers
-    // it at toy sizes) and would dominate the bench wall clock without
-    // informing the production choice. Reports must agree
-    // engine-for-engine — the solver may only change wall time and
-    // pass counts, never an assignment.
+    // round. (The reuse grid above is the opposite: an abundant cohort
+    // and a tight radius keep the solve small to isolate the
+    // cache/delta phases.) Reports must agree across thread budgets —
+    // the budget may only change wall time, never an assignment.
     let solver_script = Script {
         cohort: 900,
         tasks_per_round: 800,
@@ -338,7 +317,6 @@ fn main() {
         ..script
     };
     struct SolverRun {
-        solver: ShortestPathEngine,
         threads: usize,
         round_ms: f64,
         solve_ms: f64,
@@ -347,15 +325,11 @@ fn main() {
         reports: Vec<RoundReport>,
     }
     let mut solver_runs: Vec<SolverRun> = Vec::new();
-    for &(solver, threads) in &[
-        (ShortestPathEngine::Dijkstra, 1usize),
-        (ShortestPathEngine::Dijkstra, 4),
-        (ShortestPathEngine::Spfa, 1),
-    ] {
+    for threads in [1usize, 4] {
         let mut best_total = f64::INFINITY;
         let mut best = (Vec::new(), Vec::new());
         for _ in 0..reps.max(1) {
-            let (walls, reports) = drive(&base, &data, threads, true, solver, solver_script);
+            let (walls, reports) = drive(&base, &data, threads, true, solver_script);
             let total: f64 = walls.iter().sum();
             if total < best_total {
                 best_total = total;
@@ -365,13 +339,11 @@ fn main() {
         let (_, reports) = best;
         let solve_ms = steady_mean(&reports, |x| x.solve_ms);
         eprintln!(
-            "[bench_round] solver {:>8} × {threads} thread(s): \
+            "[bench_round] solver × {threads} thread(s): \
              {:.2} ms/round, {solve_ms:.2} ms solve",
-            solver.label(),
             best_total / solver_script.rounds as f64
         );
         solver_runs.push(SolverRun {
-            solver,
             threads,
             round_ms: best_total / solver_script.rounds as f64,
             solve_ms,
@@ -387,42 +359,26 @@ fn main() {
     );
     for run in &solver_runs[1..] {
         assert_eq!(
-            run.reports,
-            solver_runs[0].reports,
-            "round reports diverged at solver={} threads={} — the engine \
+            run.reports, solver_runs[0].reports,
+            "round reports diverged at threads={} — the thread budget \
              leaked into results",
-            run.solver.label(),
             run.threads
         );
     }
-    // The batched engine never pays more search passes than single-path
-    // SSP (one per augmentation plus the final no-path pass). On this
-    // workload the tie-break jitter makes every path cost unique, so
-    // exactly one path is tight per pass and the bound is met with
-    // equality — batching only engages on tie plateaus, which the
-    // jitter excludes by design (the mcmf unit suite pins the strict
-    // `passes < augmentations` case on a jitter-free plateau). The
-    // honest win here is the ≥ 1.5× solve-phase floor vs SPFA at
-    // 1 thread, where the gap is purely algorithmic.
-    let dijkstra1 = &solver_runs[0];
-    let spfa1 = solver_runs
-        .iter()
-        .find(|r| r.solver == ShortestPathEngine::Spfa)
-        .unwrap();
+    // The batched augmentation never pays more search passes than one
+    // per augmentation plus the final no-path pass. On this workload
+    // the tie-break jitter makes every path cost unique, so exactly one
+    // path is tight per pass and the bound is met with equality —
+    // batching only engages on tie plateaus, which the jitter excludes
+    // by design (the mcmf unit suite pins the strict
+    // `passes < augmentations` case on a jitter-free plateau).
+    let solver1 = &solver_runs[0];
     assert!(
-        dijkstra1.passes <= dijkstra1.augmentations + 1.0,
-        "batched engine paid more passes than single-path SSP: \
+        solver1.passes <= solver1.augmentations + 1.0,
+        "batched solver paid more passes than augmentations + 1: \
          {:.0} passes for {:.0} augmentations",
-        dijkstra1.passes,
-        dijkstra1.augmentations
-    );
-    let solver_speedup = spfa1.solve_ms / dijkstra1.solve_ms;
-    assert!(
-        solver_speedup >= 1.5,
-        "dijkstra solve phase only {solver_speedup:.2}× faster than spfa \
-         at 1 thread ({:.2} ms vs {:.2} ms) — below the 1.5× floor",
-        dijkstra1.solve_ms,
-        spfa1.solve_ms
+        solver1.passes,
+        solver1.augmentations
     );
 
     let run_rows: Vec<String> = runs
@@ -458,20 +414,15 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"solver\": \"{}\", \"threads\": {}, \"round_ms\": {:.3}, \
+                "    {{\"threads\": {}, \"round_ms\": {:.3}, \
                  \"solve_ms\": {:.3}, \"passes_per_round\": {:.1}, \
                  \"augmentations_per_round\": {:.1}}}",
-                r.solver.label(),
-                r.threads,
-                r.round_ms,
-                r.solve_ms,
-                r.passes,
-                r.augmentations,
+                r.threads, r.round_ms, r.solve_ms, r.passes, r.augmentations,
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"incremental_round_pipeline\",\n  \"population\": {population},\n  \"worker_cohort\": {cohort},\n  \"tasks_per_round\": {tasks_per_round},\n  \"rounds\": {rounds},\n  \"venues\": {},\n  \"pool_sets\": {},\n  \"reps\": {reps},\n  \"host_threads\": {host_threads},\n  \"assigned_total\": {assigned},\n  \"reports_identical_across_threads\": true,\n  \"reports_identical_across_modes\": true,\n  \"steady_state_incremental_speedup_at_1_thread\": {incremental_speedup:.3},\n  \"incremental_speedup_floor_enforced\": true,\n  \"rebuild_speedup_at_4_threads\": {parallel_speedup:.3},\n  \"parallel_speedup_floor_enforced\": {enforce_parallel_floor},\n  \"runs\": [\n{}\n  ],\n  \"solver_ab\": {{\n  \"worker_cohort\": {},\n  \"tasks_per_round\": {},\n  \"rounds\": {},\n  \"radius_km\": {:.1},\n  \"reports_identical_across_solvers\": true,\n  \"spfa_vs_dijkstra_solve_speedup_at_1_thread\": {solver_speedup:.3},\n  \"solver_speedup_floor_enforced\": true,\n  \"runs\": [\n{}\n  ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"incremental_round_pipeline\",\n  \"population\": {population},\n  \"worker_cohort\": {cohort},\n  \"tasks_per_round\": {tasks_per_round},\n  \"rounds\": {rounds},\n  \"venues\": {},\n  \"pool_sets\": {},\n  \"reps\": {reps},\n  \"host_threads\": {host_threads},\n  \"assigned_total\": {assigned},\n  \"reports_identical_across_threads\": true,\n  \"reports_identical_across_modes\": true,\n  \"steady_state_incremental_speedup_at_1_thread\": {incremental_speedup:.3},\n  \"incremental_speedup_floor_enforced\": true,\n  \"rebuild_speedup_at_4_threads\": {parallel_speedup:.3},\n  \"parallel_speedup_floor_enforced\": {enforce_parallel_floor},\n  \"runs\": [\n{}\n  ],\n  \"contested_solve\": {{\n  \"worker_cohort\": {},\n  \"tasks_per_round\": {},\n  \"rounds\": {},\n  \"radius_km\": {:.1},\n  \"reports_identical_across_threads\": true,\n  \"runs\": [\n{}\n  ]\n  }}\n}}\n",
         profile.n_venues,
         base.model().pool().n_sets(),
         run_rows.join(",\n"),

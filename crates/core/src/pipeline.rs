@@ -5,7 +5,7 @@ use crate::model::InfluenceModel;
 use crate::scorer::{InfluenceScorer, InfluenceVariant, ScorerCache};
 use sc_assign::{
     run_scored_with_stats, run_with_matrix, score_pairs, AlgorithmKind, AssignInput, DeltaStats,
-    EligibilityMatrix, EligibilityState, ShortestPathEngine,
+    EligibilityMatrix, EligibilityState,
 };
 use sc_influence::SocialNetwork;
 use sc_types::{Assignment, HistoryStore, Instance, VenueId};
@@ -114,15 +114,6 @@ impl DitaBuilder {
         self
     }
 
-    /// Overrides the MCMF shortest-path engine (see
-    /// [`crate::DitaConfig::solver`]). Assignments are bit-identical
-    /// under every engine; the ablation references trade wall time only.
-    #[must_use]
-    pub fn solver(mut self, solver: ShortestPathEngine) -> Self {
-        self.config.solver = solver;
-        self
-    }
-
     /// Overrides the online-maintenance configuration (round length,
     /// rotation quantum, eviction horizon). Ignored by batch sweeps;
     /// the online engine reads it off the trained pipeline.
@@ -174,11 +165,10 @@ pub struct RoundPerf {
     /// Cache entries resident after warming.
     pub cache_entries: usize,
     /// Shortest-path search passes the MCMF solve ran (0 for non-flow
-    /// algorithms). Engine-dependent — batching collapses passes — so
-    /// report equality must never compare it.
+    /// algorithms).
     pub solve_passes: usize,
     /// Augmenting paths the MCMF solve committed (0 for non-flow
-    /// algorithms). Engine-dependent like `solve_passes`.
+    /// algorithms).
     pub solve_augmentations: usize,
     /// Eligibility-delta shape (zeroed on the rebuild path).
     pub delta: DeltaStats,
@@ -279,19 +269,6 @@ impl DitaPipeline {
         self.model.set_threads(threads);
     }
 
-    /// The MCMF shortest-path engine `assign*` calls solve with
-    /// ([`crate::DitaConfig::solver`]).
-    pub fn solver(&self) -> ShortestPathEngine {
-        self.model.config().solver
-    }
-
-    /// Re-targets the MCMF engine of this trained pipeline (see
-    /// [`InfluenceModel::set_solver`]): solve wall time changes,
-    /// assignments never do.
-    pub fn set_solver(&mut self, solver: ShortestPathEngine) {
-        self.model.set_solver(solver);
-    }
-
     /// Folds a previously-unseen worker into the trained model without
     /// retraining (see [`InfluenceModel::fold_in_worker`]): topic
     /// fold-in for affinity, a fitted willingness entry, and an
@@ -337,9 +314,7 @@ impl DitaPipeline {
     pub fn assign(&self, instance: &Instance, kind: AlgorithmKind) -> Assignment {
         let scorer = self.scorer();
         let (threads, matrix) = self.prepare(&scorer, instance);
-        let input = AssignInput::new(instance, &scorer)
-            .with_threads(threads)
-            .with_solver(self.solver());
+        let input = AssignInput::new(instance, &scorer).with_threads(threads);
         run_with_matrix(kind, &input, &matrix)
     }
 
@@ -357,8 +332,7 @@ impl DitaPipeline {
         let entropies = self.model.task_entropies(task_venues);
         let input = AssignInput::new(instance, &scorer)
             .with_entropy(&entropies)
-            .with_threads(threads)
-            .with_solver(self.solver());
+            .with_threads(threads);
         run_with_matrix(kind, &input, &matrix)
     }
 
@@ -424,8 +398,7 @@ impl DitaPipeline {
         let entropies = self.model.task_entropies(task_venues);
         let input = AssignInput::new(instance, &scorer)
             .with_entropy(&entropies)
-            .with_threads(threads)
-            .with_solver(self.solver());
+            .with_threads(threads);
 
         let t = Instant::now();
         let influences = score_pairs(&input, &matrix);
@@ -445,9 +418,7 @@ impl DitaPipeline {
     pub fn assign_variant(&self, instance: &Instance, variant: InfluenceVariant) -> Assignment {
         let scorer = self.scorer_variant(variant);
         let (threads, matrix) = self.prepare(&scorer, instance);
-        let input = AssignInput::new(instance, &scorer)
-            .with_threads(threads)
-            .with_solver(self.solver());
+        let input = AssignInput::new(instance, &scorer).with_threads(threads);
         run_with_matrix(AlgorithmKind::Ia, &input, &matrix)
     }
 
@@ -469,9 +440,7 @@ impl DitaPipeline {
         kinds
             .iter()
             .map(|&kind| {
-                let mut input = AssignInput::new(instance, &scorer)
-                    .with_threads(threads)
-                    .with_solver(self.solver());
+                let mut input = AssignInput::new(instance, &scorer).with_threads(threads);
                 if let Some(e) = &entropies {
                     input = input.with_entropy(e);
                 }

@@ -10,53 +10,42 @@
 //! after the final augmentation the flow is maximum and its cost is
 //! minimal among maximum flows.
 //!
-//! Three interchangeable engines find those cheapest paths:
+//! The cheapest paths come from a Johnson-style **potential-based
+//! Dijkstra** over reduced costs `c_π(u→v) = c(u→v) + π(u) − π(v)`,
+//! valid because every entered cost is non-negative (the assignment
+//! costs `1/(if+1)` always are) so the all-zero initial potential is
+//! feasible. One search pass settles nodes through a deterministic
+//! binary heap keyed `(distance, node id)` and **stops the moment the
+//! sink settles** — with warm potentials only a small wavefront around
+//! the cheapest path is ever touched. The potential update truncates
+//! labels at `dist(t)` (`π(v) += min(dist(v), dist(t))`, unreached
+//! nodes take the full `dist(t)`), which keeps reduced costs
+//! non-negative under early exit; afterwards every cheapest path is
+//! *tight* (all reduced costs exactly zero), and a **batched
+//! multi-source augmentation** phase routes every tight source in one
+//! go: a backward BFS from the sink over tight residual edges gates
+//! which unsaturated tight source edges can possibly yield a path, then
+//! per surviving source an independent read-only zero-search finds a
+//! tight path to the sink (the searches shard over `sc_stats::par` once
+//! the batch is wide enough), then candidates commit sequentially in
+//! fixed `(cost, source-id)` order — all candidates of one pass share
+//! the same cost, so the order degenerates to source-edge id — skipping
+//! any path a previous commit saturated. Augmenting only along tight
+//! paths keeps the potentials feasible (the reverse of a tight edge is
+//! itself tight), which is the invariant [`verify`] certifies, so any
+//! number of commits per pass preserves optimality. The result is a
+//! pure function of the input network: thread budgets change wall time
+//! only, never the flow.
 //!
-//! * [`ShortestPathEngine::Dijkstra`] (default) — Johnson-style
-//!   **potential-based Dijkstra** over reduced costs
-//!   `c_π(u→v) = c(u→v) + π(u) − π(v)`, valid because every entered
-//!   cost is non-negative (the assignment costs `1/(if+1)` always are)
-//!   so the all-zero initial potential is feasible. One search pass
-//!   settles nodes through a deterministic binary heap keyed
-//!   `(distance, node id)` and **stops the moment the sink settles** —
-//!   with warm potentials only a small wavefront around the cheapest
-//!   path is ever touched, which is the structural edge over the
-//!   label-correcting references (they relax the whole graph to
-//!   quiescence every pass). The potential update truncates labels at
-//!   `dist(t)` (`π(v) += min(dist(v), dist(t))`, unreached nodes take
-//!   the full `dist(t)`), which keeps reduced costs non-negative under
-//!   early exit; afterwards every cheapest path is *tight* (all
-//!   reduced costs exactly zero), and a **batched multi-source
-//!   augmentation** phase routes every tight source in one go: a
-//!   backward BFS from the sink over tight residual edges gates which
-//!   unsaturated tight source edges can possibly yield a path, then
-//!   per surviving source an independent read-only zero-search finds a
-//!   tight path to the sink (the searches shard over `sc_stats::par`
-//!   once the batch is wide enough), then candidates commit
-//!   sequentially in fixed `(cost, source-id)` order — all candidates
-//!   of one pass share the same cost, so the order degenerates to
-//!   source-edge id — skipping any path a previous commit saturated.
-//!   Augmenting only along tight paths keeps the potentials feasible
-//!   (the reverse of a tight edge is itself tight), which is the
-//!   invariant [`verify`] certifies, so any number of commits per pass
-//!   preserves optimality. The result is a pure function of the input
-//!   network: thread budgets change wall time only, never the flow.
-//! * [`ShortestPathEngine::Spfa`] — the label-correcting queue-based
-//!   Bellman–Ford this solver shipped with; kept as the ablation
-//!   baseline the `bench_round` solver A/B measures against.
-//! * [`ShortestPathEngine::BellmanFord`] — textbook Bellman–Ford, the
-//!   slow reference for the `mcmf_spfa_vs_bf` ablation bench.
-//!
-//! All engines walk the same **CSR adjacency** ([`MinCostMaxFlow`]
-//! flattens edge lists into `first`/`adj` arrays once per solve), in
-//! the same per-node edge order (ascending edge id), so the ablation
-//! references differ from the production engine only algorithmically.
+//! Searches walk a **CSR adjacency** ([`MinCostMaxFlow`] flattens edge
+//! lists into `first`/`adj` arrays once per solve) in ascending edge-id
+//! order per node.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Tolerance for floating-point cost comparisons during
-/// label-correcting relaxation (SPFA / Bellman–Ford).
+/// Tolerance for floating-point cost comparisons during the
+/// certificate's Bellman–Ford relaxation in [`verify`].
 const COST_EPS: f64 = 1e-13;
 
 /// Tolerance under which a residual edge's reduced cost counts as
@@ -68,8 +57,7 @@ const COST_EPS: f64 = 1e-13;
 /// value silently degrades the batched engine into an *approximate*
 /// solver: it commits paths whose true cost exceeds the optimum by up
 /// to the slack, which the flow certificate rejects as a negative
-/// residual cycle and which diverges from the exact label-correcting
-/// references.
+/// residual cycle and which diverges from the exact oracle.
 const TIGHT_EPS: f64 = 1e-13;
 
 /// Minimum number of tight source edges before the per-source
@@ -77,49 +65,6 @@ const TIGHT_EPS: f64 = 1e-13;
 /// overhead dominates the (cheap) searches. Candidates are identical
 /// either way — shards merge in source order.
 const BATCH_SHARD_THRESHOLD: usize = 64;
-
-/// Which engine finds augmenting paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum ShortestPathEngine {
-    /// Potential-based Dijkstra with deterministic batched multi-source
-    /// augmentation (see the module docs) — the production engine.
-    #[default]
-    Dijkstra,
-    /// Queue-based Bellman–Ford (SPFA); the pre-Dijkstra production
-    /// engine, kept as the solver A/B baseline.
-    Spfa,
-    /// Textbook Bellman–Ford, kept for the ablation bench.
-    BellmanFord,
-}
-
-impl ShortestPathEngine {
-    /// Every engine, in the order ablation sweeps report them.
-    pub const ALL: [ShortestPathEngine; 3] = [
-        ShortestPathEngine::Dijkstra,
-        ShortestPathEngine::Spfa,
-        ShortestPathEngine::BellmanFord,
-    ];
-
-    /// Stable lowercase label (CLI flag values, bench JSON keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            ShortestPathEngine::Dijkstra => "dijkstra",
-            ShortestPathEngine::Spfa => "spfa",
-            ShortestPathEngine::BellmanFord => "bellman-ford",
-        }
-    }
-
-    /// Parses a [`ShortestPathEngine::label`] (CLI `--solver` values);
-    /// accepts `bf` as shorthand for `bellman-ford`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "dijkstra" => Some(ShortestPathEngine::Dijkstra),
-            "spfa" => Some(ShortestPathEngine::Spfa),
-            "bellman-ford" | "bf" => Some(ShortestPathEngine::BellmanFord),
-            _ => None,
-        }
-    }
-}
 
 /// Result of an MCMF run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,14 +75,12 @@ pub struct FlowResult {
     pub cost: f64,
     /// Augmenting paths used.
     pub augmentations: usize,
-    /// Shortest-path search passes run. Label-correcting engines pay
-    /// one pass per augmentation (plus the final no-path pass); the
-    /// Dijkstra engine commits a whole batch of tight paths per pass,
+    /// Shortest-path search passes run, including the final pass that
+    /// finds no path. Each pass commits a whole batch of tight paths,
     /// so on tie plateaus `passes` drops below `augmentations` and the
     /// gap measures how much the batching saved. When every path cost
     /// is unique (the production case under tie-break jitter) exactly
-    /// one path is tight per pass and the counts match the
-    /// label-correcting engines'.
+    /// one path is tight per pass, so `passes == augmentations + 1`.
     pub passes: usize,
 }
 
@@ -155,7 +98,6 @@ pub struct MinCostMaxFlow {
     /// triggers a rebuild at the next solve.
     csr_edges: usize,
     n: usize,
-    engine: ShortestPathEngine,
     threads: usize,
 }
 
@@ -170,25 +112,14 @@ impl MinCostMaxFlow {
             adj: Vec::new(),
             csr_edges: usize::MAX,
             n,
-            engine: ShortestPathEngine::default(),
             threads: 1,
         }
     }
 
-    /// Selects the shortest-path engine (production default:
-    /// [`ShortestPathEngine::Dijkstra`]; the others are ablation
-    /// references).
-    #[must_use]
-    pub fn with_engine(mut self, engine: ShortestPathEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the thread budget the Dijkstra engine's batched candidate
-    /// searches shard over (clamped to at least 1). Results are
-    /// bit-identical at any value — candidates are generated from a
-    /// read-only snapshot and committed in fixed source order — so this
-    /// trades wall time only. Label-correcting engines ignore it.
+    /// Sets the thread budget the batched candidate searches shard over
+    /// (clamped to at least 1). Results are bit-identical at any value
+    /// — candidates are generated from a read-only snapshot and
+    /// committed in fixed source order — so this trades wall time only.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -272,79 +203,6 @@ impl MinCostMaxFlow {
         self.csr_edges = m;
     }
 
-    /// Shortest-path distances and predecessor edges from `s` on the
-    /// residual graph (label-correcting engines). Returns `None` when
-    /// `t` is unreachable.
-    fn shortest_path(&self, s: usize, t: usize) -> Option<(Vec<f64>, Vec<u32>)> {
-        match self.engine {
-            ShortestPathEngine::Spfa => self.spfa(s, t),
-            ShortestPathEngine::BellmanFord => self.bellman_ford(s, t),
-            ShortestPathEngine::Dijkstra => unreachable!("dijkstra runs its own loop"),
-        }
-    }
-
-    fn spfa(&self, s: usize, t: usize) -> Option<(Vec<f64>, Vec<u32>)> {
-        let mut dist = vec![f64::INFINITY; self.n];
-        let mut pred = vec![u32::MAX; self.n];
-        let mut in_queue = vec![false; self.n];
-        let mut queue = VecDeque::new();
-        dist[s] = 0.0;
-        queue.push_back(s);
-        in_queue[s] = true;
-        while let Some(u) = queue.pop_front() {
-            in_queue[u] = false;
-            let du = dist[u];
-            for &e in self.row(u) {
-                let e = e as usize;
-                if self.cap[e] <= 0 {
-                    continue;
-                }
-                let v = self.to[e] as usize;
-                let nd = du + self.cost[e];
-                if nd + COST_EPS < dist[v] {
-                    dist[v] = nd;
-                    pred[v] = e as u32;
-                    if !in_queue[v] {
-                        in_queue[v] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        dist[t].is_finite().then_some((dist, pred))
-    }
-
-    fn bellman_ford(&self, s: usize, t: usize) -> Option<(Vec<f64>, Vec<u32>)> {
-        let mut dist = vec![f64::INFINITY; self.n];
-        let mut pred = vec![u32::MAX; self.n];
-        dist[s] = 0.0;
-        for _round in 0..self.n {
-            let mut changed = false;
-            for u in 0..self.n {
-                if !dist[u].is_finite() {
-                    continue;
-                }
-                for &e in self.row(u) {
-                    let e = e as usize;
-                    if self.cap[e] <= 0 {
-                        continue;
-                    }
-                    let v = self.to[e] as usize;
-                    let nd = dist[u] + self.cost[e];
-                    if nd + COST_EPS < dist[v] {
-                        dist[v] = nd;
-                        pred[v] = e as u32;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        dist[t].is_finite().then_some((dist, pred))
-    }
-
     /// Runs min-cost max-flow from `s` to `t`.
     pub fn run(&mut self, s: usize, t: usize) -> FlowResult {
         assert!(s < self.n && t < self.n, "node out of range");
@@ -357,51 +215,7 @@ impl MinCostMaxFlow {
             };
         }
         self.ensure_csr();
-        match self.engine {
-            ShortestPathEngine::Dijkstra => self.run_dijkstra(s, t),
-            _ => self.run_label_correcting(s, t),
-        }
-    }
-
-    /// Classic successive shortest paths: one label-correcting search
-    /// per augmentation.
-    fn run_label_correcting(&mut self, s: usize, t: usize) -> FlowResult {
-        let mut flow = 0i64;
-        let mut cost = 0.0f64;
-        let mut augmentations = 0usize;
-        let mut passes = 0usize;
-        loop {
-            passes += 1;
-            let Some((dist, pred)) = self.shortest_path(s, t) else {
-                break;
-            };
-            // Bottleneck along the predecessor chain.
-            let mut bottleneck = i64::MAX;
-            let mut v = t;
-            while v != s {
-                let e = pred[v] as usize;
-                bottleneck = bottleneck.min(self.cap[e]);
-                v = self.tail(e);
-            }
-            debug_assert!(bottleneck > 0);
-            // Apply.
-            let mut v = t;
-            while v != s {
-                let e = pred[v] as usize;
-                self.cap[e] -= bottleneck;
-                self.cap[e ^ 1] += bottleneck;
-                v = self.tail(e);
-            }
-            flow += bottleneck;
-            cost += dist[t] * bottleneck as f64;
-            augmentations += 1;
-        }
-        FlowResult {
-            flow,
-            cost,
-            augmentations,
-            passes,
-        }
+        self.run_dijkstra(s, t)
     }
 
     /// Reduced cost of residual edge `e` under potentials `pot`.
@@ -414,9 +228,7 @@ impl MinCostMaxFlow {
     /// the moment `t` settles: returns `dist(t)` (`∞` when `t` is
     /// unreachable). Only the wavefront strictly cheaper than the
     /// augmenting path is settled — with warm potentials that is a
-    /// small neighborhood of the path, which is where this engine beats
-    /// the label-correcting references (they must relax the whole graph
-    /// to quiescence every pass). Two further prunes keep the heap
+    /// small neighborhood of the path. Two further prunes keep the heap
     /// small: the per-node potential is hoisted out of the edge scan,
     /// and labels above the tentative `dist(t)` upper bound are never
     /// pushed (such nodes cannot lie on a cheapest `s → t` path). The
@@ -738,28 +550,6 @@ impl MinCostMaxFlow {
     }
 }
 
-/// Runs the same network under two engines and returns
-/// `(result_a, result_b, flows_agree)` where `flows_agree` is true iff
-/// the routed flow matches **edge for edge** (not just in total). The
-/// differential suites and the `bench_round` solver A/B use this to
-/// pin cross-engine agreement.
-pub fn run_pair(
-    net: &MinCostMaxFlow,
-    s: usize,
-    t: usize,
-    a: ShortestPathEngine,
-    b: ShortestPathEngine,
-) -> (FlowResult, FlowResult, bool) {
-    let mut ga = net.clone().with_engine(a);
-    let mut gb = net.clone().with_engine(b);
-    let ra = ga.run(s, t);
-    let rb = gb.run(s, t);
-    let agree = (0..net.to.len())
-        .step_by(2)
-        .all(|e| ga.flow_on(e) == gb.flow_on(e));
-    (ra, rb, agree)
-}
-
 /// Heap key for the deterministic Dijkstra: orders by distance, ties
 /// broken by node id — the fixed tie-break that makes settle order a
 /// pure function of the residual network.
@@ -832,8 +622,8 @@ impl std::fmt::Display for CertificateError {
 }
 
 /// Certifies that a solved network holds a **min-cost max-flow** from
-/// `s` to `t` matching `result` — independent of which engine produced
-/// it. Checks, in order:
+/// `s` to `t` matching `result` — independent of how the flow was
+/// produced. Checks, in order:
 ///
 /// 1. **capacity bounds** — every residual capacity is non-negative
 ///    (equivalently `0 ≤ flow(e) ≤ cap(e)` per forward edge);
@@ -962,64 +752,41 @@ pub fn verify(
 mod tests {
     use super::*;
 
-    fn run_engines(
-        build: impl Fn() -> MinCostMaxFlow,
-        s: usize,
-        t: usize,
-    ) -> Vec<(ShortestPathEngine, FlowResult)> {
-        ShortestPathEngine::ALL
-            .into_iter()
-            .map(|engine| {
-                let mut g = build().with_engine(engine);
-                let r = g.run(s, t);
-                verify(&g, s, t, &r, 1e-9)
-                    .unwrap_or_else(|e| panic!("{} certificate: {e}", engine.label()));
-                (engine, r)
-            })
-            .collect()
+    /// Solves `g` and checks the flow certificate.
+    fn solve_verified(mut g: MinCostMaxFlow, s: usize, t: usize) -> (MinCostMaxFlow, FlowResult) {
+        let r = g.run(s, t);
+        verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("certificate: {e}"));
+        (g, r)
     }
 
     #[test]
     fn prefers_cheap_path() {
         // Two disjoint unit paths; only one unit of demand can't happen —
         // max flow is 2, but the cheap path must carry flow first.
-        let build = || {
-            let mut g = MinCostMaxFlow::new(4);
-            g.add_edge(0, 1, 1, 1.0);
-            g.add_edge(1, 3, 1, 1.0);
-            g.add_edge(0, 2, 1, 10.0);
-            g.add_edge(2, 3, 1, 10.0);
-            g
-        };
-        for (engine, r) in run_engines(build, 0, 3) {
-            assert_eq!(r.flow, 2, "{}", engine.label());
-            assert!((r.cost - 22.0).abs() < 1e-9, "{}", engine.label());
-        }
+        let mut g = MinCostMaxFlow::new(4);
+        g.add_edge(0, 1, 1, 1.0);
+        g.add_edge(1, 3, 1, 1.0);
+        g.add_edge(0, 2, 1, 10.0);
+        g.add_edge(2, 3, 1, 10.0);
+        let (_, r) = solve_verified(g, 0, 3);
+        assert_eq!(r.flow, 2);
+        assert!((r.cost - 22.0).abs() < 1e-9);
     }
 
     #[test]
     fn max_flow_takes_priority_over_cost() {
         // Routing greedily by cost alone would block the second unit;
         // MCMF must still find flow = 2 (reusing residual edges).
-        let build = || {
-            let mut g = MinCostMaxFlow::new(4);
-            g.add_edge(0, 1, 1, 0.0);
-            g.add_edge(0, 2, 1, 5.0);
-            g.add_edge(1, 2, 1, 0.0);
-            g.add_edge(1, 3, 1, 9.0);
-            g.add_edge(2, 3, 2, 1.0);
-            g
-        };
-        for (engine, r) in run_engines(build, 0, 3) {
-            assert_eq!(r.flow, 2, "{}", engine.label());
-            // Optimal: 0->1->2->3 (1.0) + 0->2->3 (6.0) = 7.0
-            assert!(
-                (r.cost - 7.0).abs() < 1e-9,
-                "{}: {}",
-                engine.label(),
-                r.cost
-            );
-        }
+        let mut g = MinCostMaxFlow::new(4);
+        g.add_edge(0, 1, 1, 0.0);
+        g.add_edge(0, 2, 1, 5.0);
+        g.add_edge(1, 2, 1, 0.0);
+        g.add_edge(1, 3, 1, 9.0);
+        g.add_edge(2, 3, 2, 1.0);
+        let (_, r) = solve_verified(g, 0, 3);
+        assert_eq!(r.flow, 2);
+        // Optimal: 0->1->2->3 (1.0) + 0->2->3 (6.0) = 7.0
+        assert!((r.cost - 7.0).abs() < 1e-9, "{}", r.cost);
     }
 
     #[test]
@@ -1027,35 +794,29 @@ mod tests {
         // 2 workers, 2 tasks. w0 can do both (costs 0.1, 0.9),
         // w1 only task0 (cost 0.2). Max cardinality 2 forces w0->t1.
         let (s, w0, w1, t0, t1, t) = (0, 1, 2, 3, 4, 5);
-        let build = move || {
-            let mut g = MinCostMaxFlow::new(6);
-            g.add_edge(s, w0, 1, 0.0);
-            g.add_edge(s, w1, 1, 0.0);
-            g.add_edge(w0, t0, 1, 0.1);
-            g.add_edge(w0, t1, 1, 0.9);
-            g.add_edge(w1, t0, 1, 0.2);
-            g.add_edge(t0, t, 1, 0.0);
-            g.add_edge(t1, t, 1, 0.0);
-            g
-        };
-        for (engine, r) in run_engines(build, s, t) {
-            assert_eq!(r.flow, 2, "{}", engine.label());
-            assert!((r.cost - 1.1).abs() < 1e-9, "{}", engine.label());
-        }
+        let mut g = MinCostMaxFlow::new(6);
+        g.add_edge(s, w0, 1, 0.0);
+        g.add_edge(s, w1, 1, 0.0);
+        g.add_edge(w0, t0, 1, 0.1);
+        g.add_edge(w0, t1, 1, 0.9);
+        g.add_edge(w1, t0, 1, 0.2);
+        g.add_edge(t0, t, 1, 0.0);
+        g.add_edge(t1, t, 1, 0.0);
+        let (_, r) = solve_verified(g, s, t);
+        assert_eq!(r.flow, 2);
+        assert!((r.cost - 1.1).abs() < 1e-9);
     }
 
     #[test]
     fn flow_on_reconstructs_assignment() {
         let (s, w0, t0, t) = (0, 1, 2, 3);
-        for engine in ShortestPathEngine::ALL {
-            let mut g = MinCostMaxFlow::new(4).with_engine(engine);
-            g.add_edge(s, w0, 1, 0.0);
-            let e = g.add_edge(w0, t0, 1, 0.3);
-            g.add_edge(t0, t, 1, 0.0);
-            let r = g.run(s, t);
-            assert_eq!(r.flow, 1);
-            assert_eq!(g.flow_on(e), 1);
-        }
+        let mut g = MinCostMaxFlow::new(4);
+        g.add_edge(s, w0, 1, 0.0);
+        let e = g.add_edge(w0, t0, 1, 0.3);
+        g.add_edge(t0, t, 1, 0.0);
+        let (g, r) = solve_verified(g, s, t);
+        assert_eq!(r.flow, 1);
+        assert_eq!(g.flow_on(e), 1);
     }
 
     #[test]
@@ -1079,38 +840,30 @@ mod tests {
 
     #[test]
     fn capacities_above_one() {
-        let build = || {
-            let mut g = MinCostMaxFlow::new(3);
-            g.add_edge(0, 1, 5, 2.0);
-            g.add_edge(1, 2, 3, 1.0);
-            g
-        };
-        for (engine, r) in run_engines(build, 0, 2) {
-            assert_eq!(r.flow, 3, "{}", engine.label());
-            assert!((r.cost - 9.0).abs() < 1e-9, "{}", engine.label());
-        }
+        let mut g = MinCostMaxFlow::new(3);
+        g.add_edge(0, 1, 5, 2.0);
+        g.add_edge(1, 2, 3, 1.0);
+        let (_, r) = solve_verified(g, 0, 2);
+        assert_eq!(r.flow, 3);
+        assert!((r.cost - 9.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_cost_network_is_pure_maxflow() {
-        let build = || {
-            let mut g = MinCostMaxFlow::new(4);
-            g.add_edge(0, 1, 2, 0.0);
-            g.add_edge(0, 2, 2, 0.0);
-            g.add_edge(1, 3, 2, 0.0);
-            g.add_edge(2, 3, 1, 0.0);
-            g
-        };
-        for (engine, r) in run_engines(build, 0, 3) {
-            assert_eq!(r.flow, 3, "{}", engine.label());
-            assert_eq!(r.cost, 0.0, "{}", engine.label());
-        }
+        let mut g = MinCostMaxFlow::new(4);
+        g.add_edge(0, 1, 2, 0.0);
+        g.add_edge(0, 2, 2, 0.0);
+        g.add_edge(1, 3, 2, 0.0);
+        g.add_edge(2, 3, 1, 0.0);
+        let (_, r) = solve_verified(g, 0, 3);
+        assert_eq!(r.flow, 3);
+        assert_eq!(r.cost, 0.0);
     }
 
     #[test]
     fn batching_needs_fewer_passes_than_augmentations() {
         // A wide tie plateau: 6 workers, 6 tasks, every pair cost 1.0.
-        // The Dijkstra engine must route the whole plateau in O(1)
+        // The solver must route the whole plateau in O(1)
         // passes while still finding all 6 units.
         let n = 6usize;
         let (s, t) = (0, 2 * n + 1);
@@ -1246,7 +999,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_random_instances() {
+    fn certificate_holds_on_random_instances() {
         use rand::rngs::SmallRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(99);
@@ -1264,38 +1017,18 @@ mod tests {
             let n = n_left + n_right + 2;
             let s = 0;
             let t = n - 1;
-            let build = |engine| {
-                let mut g = MinCostMaxFlow::new(n).with_engine(engine);
-                for l in 0..n_left {
-                    g.add_edge(s, 1 + l, 1, 0.0);
-                }
-                for r in 0..n_right {
-                    g.add_edge(1 + n_left + r, t, 1, 0.0);
-                }
-                for &(l, r, c) in &edges {
-                    g.add_edge(1 + l, 1 + n_left + r, 1, c);
-                }
-                g
-            };
-            let mut first: Option<FlowResult> = None;
-            for engine in ShortestPathEngine::ALL {
-                let mut g = build(engine);
-                let r = g.run(s, t);
-                verify(&g, s, t, &r, 1e-9)
-                    .unwrap_or_else(|e| panic!("case {case} {}: {e}", engine.label()));
-                if let Some(f) = first {
-                    assert_eq!(r.flow, f.flow, "case {case} {}", engine.label());
-                    assert!(
-                        (r.cost - f.cost).abs() < 1e-6,
-                        "case {case} {}: {} vs {}",
-                        engine.label(),
-                        r.cost,
-                        f.cost
-                    );
-                } else {
-                    first = Some(r);
-                }
+            let mut g = MinCostMaxFlow::new(n);
+            for l in 0..n_left {
+                g.add_edge(s, 1 + l, 1, 0.0);
             }
+            for r in 0..n_right {
+                g.add_edge(1 + n_left + r, t, 1, 0.0);
+            }
+            for &(l, r, c) in &edges {
+                g.add_edge(1 + l, 1 + n_left + r, 1, c);
+            }
+            let r = g.run(s, t);
+            verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("case {case}: {e}"));
         }
     }
 }

@@ -1,16 +1,16 @@
-//! Exact-oracle differential suite for the MCMF engines.
+//! Exact-oracle differential suite for the MCMF solver.
 //!
 //! A bitmask dynamic program computes the *provably optimal*
 //! (max-cardinality, then min-cost) assignment for unit-capacity
 //! bipartite instances up to 8×8 — small enough for `O(T · 2^W · W)`
 //! exhaustion, large enough to exercise multi-pass augmentation,
-//! contested workers, and tie plateaus. Every [`ShortestPathEngine`]
+//! contested workers, and tie plateaus. On every instance the solver
 //! must reproduce the oracle's `(flow, cost)` exactly, pass the
-//! [`verify`] flow certificate after solving, and agree with every
-//! other engine **edge for edge** through [`run_pair`].
+//! [`verify`] flow certificate after solving, and route the same flow
+//! **edge for edge** at thread budgets 1, 2, 4 and 8.
 
 use proptest::prelude::*;
-use sc_graph::{run_pair, verify, FlowResult, MinCostMaxFlow, ShortestPathEngine};
+use sc_graph::{verify, MinCostMaxFlow};
 
 /// A unit-capacity bipartite assignment instance: `workers` on the
 /// left, `tasks` on the right, eligible pairs with non-negative costs.
@@ -98,38 +98,41 @@ impl Instance {
     }
 }
 
-fn solve(inst: &Instance, engine: ShortestPathEngine) -> (MinCostMaxFlow, FlowResult) {
-    let (g, s, t, _) = inst.network();
-    let mut g = g.with_engine(engine);
-    let r = g.run(s, t);
-    verify(&g, s, t, &r, 1e-9)
-        .unwrap_or_else(|e| panic!("{} flow certificate failed: {e}", engine.label()));
-    (g, r)
-}
-
 fn assert_matches_oracle(inst: &Instance) {
     let (want_flow, want_cost) = inst.oracle();
-    for engine in ShortestPathEngine::ALL {
-        let (_, r) = solve(inst, engine);
-        assert_eq!(
-            r.flow,
-            want_flow,
-            "{}: flow {} vs oracle {want_flow} on {inst:?}",
-            engine.label(),
-            r.flow
-        );
-        assert!(
-            (r.cost - want_cost).abs() < 1e-6,
-            "{}: cost {} vs oracle {want_cost} on {inst:?}",
-            engine.label(),
-            r.cost
-        );
+    let (base, s, t, pair_edges) = inst.network();
+    let mut g1 = base.clone().with_threads(1);
+    let r1 = g1.run(s, t);
+    verify(&g1, s, t, &r1, 1e-9).unwrap_or_else(|e| panic!("flow certificate failed: {e}"));
+    assert_eq!(
+        r1.flow, want_flow,
+        "flow {} vs oracle {want_flow} on {inst:?}",
+        r1.flow
+    );
+    assert!(
+        (r1.cost - want_cost).abs() < 1e-6,
+        "cost {} vs oracle {want_cost} on {inst:?}",
+        r1.cost
+    );
+    // Candidates come from read-only snapshots and commit in fixed
+    // source order, so the budget can only change wall time.
+    for threads in [2usize, 4, 8] {
+        let mut g = base.clone().with_threads(threads);
+        let r = g.run(s, t);
+        assert_eq!(r, r1, "result diverged at {threads} threads on {inst:?}");
+        for &e in &pair_edges {
+            assert_eq!(
+                g.flow_on(e),
+                g1.flow_on(e),
+                "pair edge {e} diverged at {threads} threads on {inst:?}"
+            );
+        }
     }
 }
 
 /// Strategy: random unit-capacity bipartite network, ≤ `max_side` per
 /// side, distinct pairs, costs drawn from a lattice that manufactures
-/// exact ties (the hard case for deterministic engines).
+/// exact ties (the hard case for a deterministic solver).
 fn instance(max_side: usize) -> impl Strategy<Value = Instance> {
     (1..=max_side, 1..=max_side)
         .prop_flat_map(|(nw, nt)| {
@@ -154,54 +157,12 @@ fn instance(max_side: usize) -> impl Strategy<Value = Instance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every engine reproduces the oracle's (flow, cost) on random
-    /// 8×8-or-smaller instances, and every solve passes the
-    /// certificate checker.
+    /// The solver reproduces the oracle's (flow, cost) on random
+    /// 8×8-or-smaller instances, every solve passes the certificate
+    /// checker, and the routed flow is identical at every thread budget.
     #[test]
-    fn engines_match_exact_oracle(inst in instance(8)) {
+    fn solver_matches_exact_oracle(inst in instance(8)) {
         assert_matches_oracle(&inst);
-    }
-
-    /// All engine pairs agree edge-for-edge on the routed flow. The
-    /// cost lattice above produces genuine ties, so this also documents
-    /// that SSP-family engines resolve ties identically when the
-    /// cheapest solution is unique per edge — and `prop_assume`s away
-    /// the (rare) instances where two optimal assignments exist, which
-    /// the jitter at the assignment layer eliminates in production.
-    #[test]
-    fn engine_pairs_agree_edge_for_edge(inst in instance(6)) {
-        let (g, s, t, _) = inst.network();
-        let (want_flow, want_cost) = inst.oracle();
-        for (i, a) in ShortestPathEngine::ALL.into_iter().enumerate() {
-            for &b in &ShortestPathEngine::ALL[i + 1..] {
-                let (ra, rb, agree) = run_pair(&g, s, t, a, b);
-                prop_assert_eq!(ra.flow, want_flow);
-                prop_assert_eq!(rb.flow, want_flow);
-                prop_assert!((ra.cost - want_cost).abs() < 1e-6);
-                prop_assert!((rb.cost - want_cost).abs() < 1e-6);
-                prop_assume!(agree); // distinct optima: a documented tie
-            }
-        }
-    }
-
-    /// The Dijkstra engine's routed flow is bit-identical at thread
-    /// budgets 1, 2, 4 and 8 — candidates come from read-only
-    /// snapshots and commit in fixed source order, so the budget can
-    /// only change wall time.
-    #[test]
-    fn dijkstra_thread_budgets_agree(inst in instance(8)) {
-        let (base, s, t, pair_edges) = inst.network();
-        let mut g1 = base.clone().with_threads(1);
-        let r1 = g1.run(s, t);
-        for threads in [2usize, 4, 8] {
-            let mut g = base.clone().with_threads(threads);
-            let r = g.run(s, t);
-            prop_assert_eq!(r, r1);
-            for &e in &pair_edges {
-                prop_assert_eq!(g.flow_on(e), g1.flow_on(e),
-                    "pair edge {} diverged at {} threads", e, threads);
-            }
-        }
     }
 }
 

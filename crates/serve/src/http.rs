@@ -18,7 +18,7 @@ use std::net::TcpStream;
 /// 16 MiB is orders of magnitude above any sane batch.
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
-/// Longest accepted single header line, and cap on their count.
+/// Longest accepted request or header line, and cap on header count.
 const MAX_HEADER_BYTES: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
 
@@ -38,7 +38,7 @@ pub struct Request {
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line_capped(&mut reader, &mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -55,14 +55,8 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
     let mut content_length = 0usize;
     for _ in 0..MAX_HEADERS {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_line_capped(&mut reader, &mut header)? == 0 {
             return Ok(None); // peer hung up mid-headers
-        }
-        if header.len() > MAX_HEADER_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "header line too long",
-            ));
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -94,6 +88,21 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
         std::io::ErrorKind::InvalidData,
         "too many headers",
     ))
+}
+
+/// Appends one `\n`-terminated line to `line` and returns its length
+/// (0 at end of stream). At most `MAX_HEADER_BYTES + 1` bytes are read,
+/// so a client that never sends `\n` cannot grow the buffer without
+/// bound; a longer line is `InvalidData`.
+fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<usize> {
+    let n = reader.take(MAX_HEADER_BYTES as u64 + 1).read_line(line)?;
+    if n > MAX_HEADER_BYTES {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "request or header line too long",
+        ));
+    }
+    Ok(n)
 }
 
 /// Writes one `application/json` response and flushes. The connection
@@ -168,5 +177,17 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(roundtrip(&raw).is_err());
+    }
+
+    #[test]
+    fn overlong_lines_are_refused() {
+        let long = "a".repeat(9 * 1024);
+        for raw in [
+            format!("GET /{long} HTTP/1.1\r\n\r\n"),
+            format!("GET / HTTP/1.1\r\nX-Long: {long}\r\n\r\n"),
+        ] {
+            let err = roundtrip(&raw).expect_err("line over the cap");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 }

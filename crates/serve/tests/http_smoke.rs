@@ -42,7 +42,6 @@ fn engine(data: &SyntheticDataset) -> OnlineEngine<'static> {
                 target_sets: 0,
                 incremental: true,
             },
-            solver: Default::default(),
             seed: 5,
         })
         .build(&data.social, &data.histories)

@@ -4,10 +4,8 @@
 //! task postings, worker logins, mid-stream fold-ins, departures — is
 //! one [`Event`]: a typed [`EventKind`] payload stamped with the
 //! `(round, seq)` pair that totally orders it within the engine's
-//! lifetime. [`crate::OnlineEngine::apply`] is the single entry point;
-//! the legacy `task_arrives` / `worker_arrives` / `worker_arrives_new`
-//! / `worker_departs` method family survives only as deprecated
-//! wrappers over it.
+//! lifetime. [`crate::OnlineEngine::apply`] is the single entry point
+//! ([`crate::OnlineEngine::ingest`] stamps and applies in one call).
 //!
 //! Events are serde-able, so the same type is the wire format of the
 //! `dita serve` HTTP front (`sc-serve`), the replay driver's internal
@@ -17,8 +15,7 @@
 //! any thread count") enforceable.
 //!
 //! Every application returns an [`Outcome`]; rejections carry a
-//! [`RejectReason`] instead of the silent `bool` drops of the old
-//! surface.
+//! [`RejectReason`], so no event is dropped silently.
 
 use sc_types::{History, Task, VenueId, Worker, WorkerId};
 use serde::{json::Value, Deserialize, Error, Serialize};
@@ -178,10 +175,8 @@ impl Deserialize for Event {
     }
 }
 
-/// What applying one [`Event`] did — the explicit contract that
-/// replaces the old `ArrivalOutcome` + `task_arrives: bool` +
-/// `worker_departs: bool` trio. Nothing is dropped silently: every
-/// refused event names its [`RejectReason`].
+/// What applying one [`Event`] did. Nothing is dropped silently:
+/// every refused event names its [`RejectReason`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// A new task is open (offered from the next round on).

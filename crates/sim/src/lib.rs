@@ -47,8 +47,6 @@ pub mod table;
 pub use event::{Event, EventKind, Outcome, RejectReason};
 pub use harness::{AblationPoint, ComparisonPoint, ExperimentRunner};
 pub use metrics::MetricsRow;
-#[allow(deprecated)]
-pub use online::{scripted_arrival, ArrivalOutcome};
 pub use online::{
     scripted_event, EngineBuilder, NetworkMode, OnlineEngine, OnlineSummary, PipelineMode,
     RoundReport,

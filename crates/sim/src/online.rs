@@ -110,24 +110,6 @@ pub fn scripted_event(
     }
 }
 
-/// Deprecated tuple form of [`scripted_event`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `scripted_event` and route it through `OnlineEngine::ingest`"
-)]
-pub fn scripted_arrival(
-    data: &SyntheticDataset,
-    seed: u64,
-    id: u32,
-    now: TimeInstant,
-    phi: f64,
-) -> (Task, VenueId) {
-    match scripted_event(data, seed, id, now, phi) {
-        EventKind::TaskArrival { task, venue } => (task, venue),
-        _ => unreachable!("scripted_event only scripts task arrivals"),
-    }
-}
-
 /// Outcome of one assignment round.
 ///
 /// Equality ignores the wall-clock fields (`maintenance_ms` and the
@@ -180,9 +162,7 @@ pub struct RoundReport {
     pub cache_hits: usize,
     /// Distinct task-content keys computed this round (excluded).
     pub cache_misses: usize,
-    /// Shortest-path search passes the MCMF solve ran (excluded:
-    /// engine-dependent — batching collapses passes — while the
-    /// assignment itself is engine-invariant).
+    /// Shortest-path search passes the MCMF solve ran (excluded).
     pub solve_passes: usize,
     /// Augmenting paths the MCMF solve committed (excluded, like
     /// `solve_passes`).
@@ -540,62 +520,14 @@ impl<'a> EngineBuilder<'a> {
     }
 }
 
-/// What happened to an arriving worker — superseded by the richer
-/// [`Outcome`] of the unified `apply(Event)` surface.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Outcome` from `OnlineEngine::apply`/`ingest` instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalOutcome {
-    /// Newly online; the trained influence network knows the worker.
-    Joined,
-    /// Was already online; state (location, radius) refreshed in place.
-    Refreshed,
-    /// Outside the trained population; folded into the live influence
-    /// network ([`OnlineEngine::worker_arrives_new`]) — the worker
-    /// scores non-zero influence from this round on.
-    FoldedIn,
-    /// Outside the trained population and this engine cannot fold in
-    /// (frozen/borrowed, or no social evidence was provided): the
-    /// worker is **not** admitted. Admitting them would only ever
-    /// produce zero-influence assignments — the silent-dead-worker trap
-    /// this variant closes.
-    Rejected,
-}
-
-#[allow(deprecated)]
-impl ArrivalOutcome {
-    /// Whether the worker is online after the call.
-    pub fn is_online(self) -> bool {
-        !matches!(self, ArrivalOutcome::Rejected)
-    }
-
-    /// Whether the call added a worker that was not online before.
-    pub fn is_new(self) -> bool {
-        matches!(self, ArrivalOutcome::Joined | ArrivalOutcome::FoldedIn)
-    }
-
-    /// The [`Outcome`] this legacy value corresponds to (wrappers
-    /// translate in the other direction; this exists for callers mid-
-    /// migration).
-    pub fn from_outcome(outcome: Outcome) -> Self {
-        match outcome {
-            Outcome::WorkerJoined => ArrivalOutcome::Joined,
-            Outcome::WorkerRefreshed => ArrivalOutcome::Refreshed,
-            Outcome::WorkerFoldedIn => ArrivalOutcome::FoldedIn,
-            _ => ArrivalOutcome::Rejected,
-        }
-    }
-}
-
 /// A stateful online assignment engine owning a live [`DitaPipeline`].
 ///
-/// Create it from a trained pipeline and the social network it was
-/// trained on, feed arrivals, and call [`OnlineEngine::run_round`] at
+/// Build it with [`EngineBuilder`] from a trained pipeline and the
+/// social network it was trained on, feed events through
+/// [`OnlineEngine::ingest`], and call [`OnlineEngine::run_round`] at
 /// each time instance. See the module docs for the maintenance and
 /// determinism contracts. Drivers that never maintain the pool can
-/// borrow the pipeline instead via [`OnlineEngine::frozen`].
+/// borrow the pipeline instead via [`PipelineMode::Frozen`].
 #[derive(Debug)]
 pub struct OnlineEngine<'a> {
     pipeline: PipelineMode<'a>,
@@ -635,69 +567,6 @@ pub struct OnlineEngine<'a> {
 }
 
 impl<'a> OnlineEngine<'a> {
-    /// Wraps a trained pipeline into an engine. The maintenance knobs
-    /// come from the pipeline's [`OnlineConfig`]
-    /// (`pipeline.model().config().online`); `net` must be the social
-    /// network the pipeline was trained on.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineBuilder` with `PipelineMode::Owned` + `NetworkMode::Fixed`"
-    )]
-    pub fn new(pipeline: DitaPipeline, net: &'a SocialNetwork) -> Self {
-        EngineBuilder::new()
-            .pipeline(PipelineMode::Owned(Box::new(pipeline)))
-            .network(NetworkMode::Fixed(net))
-            .build()
-    }
-
-    /// Like `new` with an explicit maintenance configuration
-    /// (overrides the one trained into the pipeline).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineBuilder` with `PipelineMode::Owned` + `NetworkMode::Fixed`"
-    )]
-    pub fn with_config(
-        pipeline: DitaPipeline,
-        net: &'a SocialNetwork,
-        config: OnlineConfig,
-    ) -> Self {
-        EngineBuilder::new()
-            .pipeline(PipelineMode::Owned(Box::new(pipeline)))
-            .network(NetworkMode::Fixed(net))
-            .config(config)
-            .build()
-    }
-
-    /// An engine that owns both its pipeline *and* its social network —
-    /// the dynamic-population mode.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineBuilder` with `PipelineMode::Owned` + `NetworkMode::Adaptive`"
-    )]
-    pub fn adaptive(
-        pipeline: DitaPipeline,
-        net: SocialNetwork,
-        config: OnlineConfig,
-    ) -> OnlineEngine<'static> {
-        EngineBuilder::new()
-            .pipeline(PipelineMode::Owned(Box::new(pipeline)))
-            .network(NetworkMode::Adaptive(Box::new(net)))
-            .config(config)
-            .build()
-    }
-
-    /// A zero-copy engine borrowing a frozen pipeline.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineBuilder` with `PipelineMode::Frozen` + `NetworkMode::Fixed`"
-    )]
-    pub fn frozen(pipeline: &'a DitaPipeline, net: &'a SocialNetwork) -> Self {
-        EngineBuilder::new()
-            .pipeline(PipelineMode::Frozen(pipeline))
-            .network(NetworkMode::Fixed(net))
-            .build()
-    }
-
     fn assemble(
         pipeline: PipelineMode<'a>,
         net: NetworkMode<'a>,
@@ -911,61 +780,6 @@ impl<'a> OnlineEngine<'a> {
         self.workers.retain(|w| w.id != id);
         self.reindex_workers();
         Outcome::WorkerDeparted
-    }
-
-    /// Legacy form of [`EventKind::TaskArrival`](crate::EventKind) —
-    /// returns `true` iff the task was newly published.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ingest(EventKind::TaskArrival { .. })` (or `apply` with a stamped `Event`)"
-    )]
-    pub fn task_arrives(&mut self, task: Task, venue: VenueId) -> bool {
-        matches!(
-            self.ingest(EventKind::TaskArrival { task, venue }),
-            Outcome::TaskPublished
-        )
-    }
-
-    /// Legacy form of [`EventKind::WorkerArrival`](crate::EventKind).
-    #[allow(deprecated)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ingest(EventKind::WorkerArrival { .. })` (or `apply` with a stamped `Event`)"
-    )]
-    pub fn worker_arrives(&mut self, worker: Worker) -> ArrivalOutcome {
-        ArrivalOutcome::from_outcome(self.ingest(EventKind::WorkerArrival { worker }))
-    }
-
-    /// Legacy form of [`EventKind::WorkerNew`](crate::EventKind).
-    #[allow(deprecated)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ingest(EventKind::WorkerNew { .. })` (or `apply` with a stamped `Event`)"
-    )]
-    pub fn worker_arrives_new(
-        &mut self,
-        worker: Worker,
-        friends: &[WorkerId],
-        history: &History,
-    ) -> ArrivalOutcome {
-        ArrivalOutcome::from_outcome(self.ingest(EventKind::WorkerNew {
-            worker,
-            friends: friends.to_vec(),
-            history: history.clone(),
-        }))
-    }
-
-    /// Legacy form of [`EventKind::WorkerDeparture`](crate::EventKind)
-    /// — returns whether the worker was online.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ingest(EventKind::WorkerDeparture { .. })` (or `apply` with a stamped `Event`)"
-    )]
-    pub fn worker_departs(&mut self, id: WorkerId) -> bool {
-        matches!(
-            self.ingest(EventKind::WorkerDeparture { worker: id }),
-            Outcome::WorkerDeparted
-        )
     }
 
     /// Rebuilds the id→index map after an order-preserving removal.
@@ -1305,7 +1119,6 @@ mod tests {
                     ..Default::default()
                 },
                 online,
-                solver: Default::default(),
                 seed: 2,
             })
             .build(&dataset.social, &dataset.histories)
@@ -1841,34 +1654,6 @@ mod tests {
             }
             other => panic!("scripted_event must be a task arrival, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_translate_to_the_event_surface() {
-        // The deprecated method family must keep working mid-migration,
-        // returning the old vocabulary for the new outcomes.
-        let (dataset, pipeline) = setup(OnlineConfig::default());
-        let mut engine = OnlineEngine::new(pipeline, &dataset.social);
-        let base = dataset.instance_for_day(0, 0, 3, InstanceOptions::default());
-        let w = base.instance.workers[0].clone();
-        assert_eq!(engine.worker_arrives(w.clone()), ArrivalOutcome::Joined);
-        assert_eq!(engine.worker_arrives(w.clone()), ArrivalOutcome::Refreshed);
-        let ghost = Worker::new(WorkerId::new(10_000), sc_types::Location::ORIGIN, 25.0);
-        assert_eq!(engine.worker_arrives(ghost), ArrivalOutcome::Rejected);
-        let (t, v) = hourly_task(&dataset, 1, TimeInstant::at(0, 9), 3.0);
-        assert!(engine.task_arrives(t.clone(), v), "new task id");
-        assert!(!engine.task_arrives(t, v), "refresh is the old `false`");
-        assert!(engine.worker_departs(w.id));
-        assert!(!engine.worker_departs(w.id), "already gone");
-        assert_eq!(
-            ArrivalOutcome::from_outcome(Outcome::WorkerFoldedIn),
-            ArrivalOutcome::FoldedIn
-        );
-        assert_eq!(
-            ArrivalOutcome::from_outcome(Outcome::Rejected(RejectReason::UnknownWorker)),
-            ArrivalOutcome::Rejected
-        );
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! 2. **replay the day** — a [`ReplayStream`] turns the day's
 //!    check-ins into a deterministic timeline of worker arrivals, task
 //!    postings, departures, and round ticks, consumed round by round by
-//!    an [`OnlineEngine::adaptive`] engine;
+//!    an engine built with [`PipelineMode::Owned`] and
+//!    [`NetworkMode::Adaptive`];
 //! 3. **fold in the unseen** — a worker whose first check-in falls on
 //!    the replay day is outside the trained population; the driver
 //!    assigns them the next dense id and folds them into the live
-//!    influence network ([`OnlineEngine::worker_arrives_new`]) with
+//!    influence network (an [`EventKind::WorkerNew`] event) with
 //!    their social edges (mapped onto already-known workers) and their
 //!    check-in evidence so far, so they earn non-zero influence without
 //!    a retrain.
@@ -262,7 +263,6 @@ mod tests {
                 target_sets: 0,
                 incremental: true,
             },
-            solver: Default::default(),
             seed: 9,
         }
     }

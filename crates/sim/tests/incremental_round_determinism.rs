@@ -41,7 +41,6 @@ fn pipeline(data: &SyntheticDataset, threads: Parallelism, online: OnlineConfig)
                 ..Default::default()
             },
             online,
-            solver: Default::default(),
             seed: 29,
         })
         .build(&data.social, &data.histories)

@@ -35,7 +35,6 @@ fn pipeline(dataset: &SyntheticDataset, threads: Parallelism) -> DitaPipeline {
                 target_sets: 0,
                 incremental: true,
             },
-            solver: Default::default(),
             seed: 9,
         })
         .build(&dataset.social, &dataset.histories)

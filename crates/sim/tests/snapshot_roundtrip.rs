@@ -13,6 +13,7 @@ use sc_sim::{
     OnlineEngine, OnlineSummary, PipelineMode, RoundReport,
 };
 use sc_types::{CheckIn, History, TimeInstant, VenueId, Worker, WorkerId};
+use serde::json::Value;
 
 fn dataset() -> SyntheticDataset {
     let mut profile = DatasetProfile::brightkite_small();
@@ -42,7 +43,6 @@ fn pipeline(data: &SyntheticDataset, threads: Parallelism) -> DitaPipeline {
                 ..Default::default()
             },
             online: ONLINE,
-            solver: Default::default(),
             seed: 31,
         })
         .build(&data.social, &data.histories)
@@ -170,4 +170,47 @@ fn snapshot_text_is_stable_across_a_roundtrip() {
     let restored = snapshot_from_str(&first).unwrap();
     let second = snapshot_to_string(&restored).unwrap();
     assert_eq!(first, second, "snapshot text must be roundtrip-stable");
+}
+
+/// The member `key` of a JSON object.
+fn member_mut<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
+    let Value::Object(fields) = value else {
+        panic!("parent of `{key}` is not an object");
+    };
+    &mut fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no `{key}` member"))
+        .1
+}
+
+#[test]
+fn snapshot_with_the_retired_solver_key_still_restores() {
+    // Version-1 snapshots written while `DitaConfig` still had a
+    // `solver` field carry `"solver": "Dijkstra"` in the model's config
+    // object. Fields are read by name and extra keys are ignored, so
+    // such a snapshot must restore and serve the same next round.
+    let data = dataset();
+    let mut engine = engine(&data, Parallelism::Single);
+    let cohort = data.instance_for_day(0, 0, 40, InstanceOptions::default());
+    for worker in cohort.instance.workers {
+        engine.ingest(EventKind::WorkerArrival { worker });
+    }
+    play_hour(&mut engine, &data, 8);
+
+    let mut envelope = serde::json::parse(&snapshot_to_string(&engine).unwrap()).unwrap();
+    let config = ["engine", "pipeline", "model", "config"]
+        .into_iter()
+        .fold(&mut envelope, member_mut);
+    let Value::Object(fields) = config else {
+        panic!("config is not an object");
+    };
+    assert!(fields.iter().all(|(k, _)| k != "solver"));
+    fields.push(("solver".to_string(), Value::Str("Dijkstra".to_string())));
+    let mut restored =
+        snapshot_from_str(&envelope.to_json_string()).expect("an older snapshot restores");
+    assert_eq!(
+        play_hour(&mut restored, &data, 9),
+        play_hour(&mut engine, &data, 9)
+    );
 }

@@ -18,9 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use dita::core::{
-    AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, ShortestPathEngine,
-};
+use dita::core::{AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig};
 use dita::datagen::{
     io as dio, DatasetProfile, InstanceOptions, LoadedDataset, ReplayEvent, ReplayOptions,
     ReplayStream, SyntheticDataset,
@@ -41,11 +39,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, flags)) = parse(&args) else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let result = match command.as_str() {
+    let result = parse(&args).and_then(|(command, flags)| match command.as_str() {
         "generate" => cmd_generate(&flags),
         "assign" => cmd_assign(&flags),
         "comparison" => cmd_sweep(&flags, false),
@@ -60,7 +54,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
@@ -105,9 +99,6 @@ FLAGS                 applies to            meaning (default)
                                             points, and online maintenance;
                                             0 = one per core; results are
                                             bit-identical at any count (0)
-  --solver E          all but generate      MCMF engine: dijkstra | spfa | bf;
-                                            assignments are identical under
-                                            every engine (dijkstra)
   --verbose           all but generate      print RPO diagnostics
   --out DIR           generate              output directory (data/)
   --day D             assign, simulate      simulated day index (0)
@@ -175,12 +166,23 @@ ENVIRONMENT
   DITA_SCALE=paper|small   sweep scale for the sc-bench figure binaries
   DITA_THREADS=N           thread budget for the sc-bench perf binaries";
 
-fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
-    let command = args.first()?.clone();
+/// Splits `args` into the mode and its `--flag value` pairs. Only the
+/// flags `USAGE` lists are accepted, so a misspelt or retired flag is
+/// an error rather than silently ignored.
+fn parse(args: &[String]) -> Result<(String, HashMap<String, String>), String> {
+    let command = args
+        .first()
+        .ok_or_else(|| format!("no mode given\n{USAGE}"))?
+        .clone();
     let mut flags = HashMap::new();
     let mut i = 1;
     while i < args.len() {
-        let key = args[i].strip_prefix("--")?;
+        let key = args[i]
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unexpected argument '{}'\n{USAGE}", args[i]))?;
+        if !is_listed_flag(key) {
+            return Err(format!("unknown flag --{key} (see dita help)"));
+        }
         // A flag followed by another flag (or nothing) is boolean.
         match args.get(i + 1) {
             Some(v) if !v.starts_with("--") => {
@@ -193,21 +195,21 @@ fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
             }
         }
     }
-    Some((command, flags))
+    Ok((command, flags))
+}
+
+/// Whether `USAGE` has a flag line (`  --name ...`) for `name`.
+fn is_listed_flag(name: &str) -> bool {
+    USAGE
+        .lines()
+        .filter_map(|line| line.strip_prefix("  --"))
+        .any(|line| line.split_whitespace().next() == Some(name))
 }
 
 fn threads_of(flags: &HashMap<String, String>) -> Result<Parallelism, String> {
     match num::<usize>(flags, "threads", 0)? {
         0 => Ok(Parallelism::Auto),
         n => Ok(Parallelism::Fixed(n)),
-    }
-}
-
-fn solver_of(flags: &HashMap<String, String>) -> Result<ShortestPathEngine, String> {
-    match flags.get("solver") {
-        None => Ok(ShortestPathEngine::default()),
-        Some(v) => ShortestPathEngine::parse(v)
-            .ok_or_else(|| format!("unknown solver '{v}' (dijkstra | spfa | bf)")),
     }
 }
 
@@ -268,12 +270,7 @@ fn algorithm_of(flags: &HashMap<String, String>) -> Result<AlgorithmKind, String
     }
 }
 
-fn cli_config(
-    n_workers: usize,
-    seed: u64,
-    threads: Parallelism,
-    solver: ShortestPathEngine,
-) -> DitaConfig {
+fn cli_config(n_workers: usize, seed: u64, threads: Parallelism) -> DitaConfig {
     // Scale the model budget with the dataset so `bk`/`fs` stay usable
     // from the command line.
     let small = n_workers <= 1_000;
@@ -286,7 +283,6 @@ fn cli_config(
             threads,
             ..Default::default()
         },
-        solver,
         seed,
         ..Default::default()
     }
@@ -296,7 +292,6 @@ fn train(
     profile: &DatasetProfile,
     seed: u64,
     threads: Parallelism,
-    solver: ShortestPathEngine,
     verbose: bool,
 ) -> (SyntheticDataset, DitaPipeline) {
     eprintln!(
@@ -305,7 +300,7 @@ fn train(
     );
     let data = SyntheticDataset::generate(profile, seed);
     let pipeline = DitaBuilder::new()
-        .config(cli_config(profile.n_workers, seed, threads, solver))
+        .config(cli_config(profile.n_workers, seed, threads))
         .build(&data.social, &data.histories)
         .expect("training");
     if verbose {
@@ -367,13 +362,7 @@ fn cmd_assign(flags: &HashMap<String, String>) -> Result<(), String> {
         ..Default::default()
     };
 
-    let (data, pipeline) = train(
-        &profile,
-        seed,
-        threads_of(flags)?,
-        solver_of(flags)?,
-        verbose_of(flags),
-    );
+    let (data, pipeline) = train(&profile, seed, threads_of(flags)?, verbose_of(flags));
     let inst = data.instance_for_day(day, n_tasks, n_workers, opts);
     let start = std::time::Instant::now();
     let a = pipeline.assign_with_venues(&inst.instance, &inst.task_venues, algorithm);
@@ -426,7 +415,7 @@ fn cmd_sweep(flags: &HashMap<String, String>, ablation: bool) -> Result<(), Stri
         SweepValues::paper_defaults()
     };
     let threads = threads_of(flags)?;
-    let config = cli_config(profile.n_workers, seed, threads, solver_of(flags)?);
+    let config = cli_config(profile.n_workers, seed, threads);
     // One knob for the whole run: `threads` governs RRR sampling during
     // training (inside `config.rpo`) *and* sweep-point evaluation below.
     let runner = ExperimentRunner::with_threads(&profile, seed, config, threads).days(4);
@@ -507,12 +496,7 @@ fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let data = SyntheticDataset::generate(&profile, seed);
     let pipeline = DitaBuilder::new()
-        .config(cli_config(
-            profile.n_workers,
-            seed,
-            threads,
-            solver_of(flags)?,
-        ))
+        .config(cli_config(profile.n_workers, seed, threads))
         .online(online)
         .build(&data.social, &data.histories)
         .expect("training");
@@ -645,7 +629,7 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
         .iter()
         .filter(|(_, h)| h.records().iter().any(|r| r.arrived.day() < day))
         .count();
-    let mut config = cli_config(slice_size, seed, threads, solver_of(flags)?);
+    let mut config = cli_config(slice_size, seed, threads);
     config.online = online;
     let run = replay_day(&data, day, config, &opts, algorithm).map_err(|e| e.to_string())?;
     let report = &run.report;
@@ -747,12 +731,7 @@ fn serve_engine(flags: &HashMap<String, String>) -> Result<OnlineEngine<'static>
             threads
         );
         let pipeline = DitaBuilder::new()
-            .config(cli_config(
-                slice.social.n_workers(),
-                seed,
-                threads,
-                solver_of(flags)?,
-            ))
+            .config(cli_config(slice.social.n_workers(), seed, threads))
             .online(online)
             .build(&slice.social, &slice.histories)
             .map_err(|e| e.to_string())?;
@@ -765,12 +744,7 @@ fn serve_engine(flags: &HashMap<String, String>) -> Result<OnlineEngine<'static>
         );
         let data = SyntheticDataset::generate(&profile, seed);
         let pipeline = DitaBuilder::new()
-            .config(cli_config(
-                profile.n_workers,
-                seed,
-                threads,
-                solver_of(flags)?,
-            ))
+            .config(cli_config(profile.n_workers, seed, threads))
             .online(online)
             .build(&data.social, &data.histories)
             .map_err(|e| e.to_string())?;
@@ -982,13 +956,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let seed: u64 = num(flags, "seed", 42)?;
     let day: usize = num(flags, "day", 0)?;
     let algorithm = algorithm_of(flags)?;
-    let (data, pipeline) = train(
-        &profile,
-        seed,
-        threads_of(flags)?,
-        solver_of(flags)?,
-        verbose_of(flags),
-    );
+    let (data, pipeline) = train(&profile, seed, threads_of(flags)?, verbose_of(flags));
     let config = DayConfig::default();
     let report = simulate_day(&data, &pipeline, day, &config, algorithm);
     println!("hour  open  online  assigned      AI");
@@ -1011,4 +979,45 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
         report.still_open
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unlisted_flags_are_refused_by_name() {
+        for (line, flag) in [
+            ("assign --solver spfa", "--solver"),
+            ("assign --thread 4", "--thread"),
+            ("serve --verbose --no-such-flag", "--no-such-flag"),
+        ] {
+            let err = parse(&args(line)).expect_err(line);
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn ci_smoke_command_lines_parse() {
+        let fixture = "--edges tests/fixtures/replay_edges.tsv \
+                       --checkins tests/fixtures/replay_checkins.tsv --day 1";
+        for line in [
+            format!("replay {fixture}"),
+            format!("serve {fixture} --threads 1 --addr 127.0.0.1:7311 --snapshot snap.json"),
+            format!("post-replay --addr 127.0.0.1:7311 {fixture} --rounds 3"),
+            format!("post-replay --addr 127.0.0.1:7311 {fixture} --skip-rounds 3"),
+            "serve --restore snap.json --addr 127.0.0.1:7312".to_string(),
+        ] {
+            let (_, flags) = parse(&args(&line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(!flags.is_empty(), "{line}");
+        }
+        let (command, flags) = parse(&args("online --no-incremental --verbose")).unwrap();
+        assert_eq!(command, "online");
+        assert_eq!(flags["no-incremental"], "true");
+        assert_eq!(flags["verbose"], "true");
+    }
 }
