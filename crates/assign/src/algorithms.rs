@@ -67,10 +67,10 @@ pub struct AssignInput<'a> {
     /// when absent.
     pub task_entropy: Option<&'a [f64]>,
     /// Thread budget for the scoring passes (eligibility construction
-    /// in [`run`] and the per-pair influence scan) and for the MCMF
-    /// solver's batched candidate searches. Results are bit-identical
-    /// at any value — shards are contiguous index ranges merged in
-    /// order — so this trades wall time only. Defaults to 1.
+    /// in [`run`] and the per-pair influence scan); the MCMF solve runs
+    /// on one thread. Results are bit-identical at any value — shards
+    /// are contiguous index ranges merged in order — so this trades
+    /// wall time only. Defaults to 1.
     pub threads: usize,
 }
 
@@ -207,24 +207,20 @@ pub fn score_pairs(input: &AssignInput<'_>, matrix: &EligibilityMatrix) -> Vec<f
     sc_stats::par::map_chunked(pairs.len(), threads, |pi| score(&pairs[pi]))
 }
 
+/// Builds the assignment from the chosen pair indices (into
+/// [`EligibilityMatrix::pairs`]), in the order given.
 fn to_assignment(
     input: &AssignInput<'_>,
     matrix: &EligibilityMatrix,
     influences: &[f64],
-    chosen: &[(u32, u32)],
+    chosen: &[usize],
 ) -> Assignment {
-    // Map (worker_idx, task_idx) -> pair index for influence lookup.
-    let mut by_pair = std::collections::HashMap::with_capacity(matrix.n_pairs());
-    for (pi, p) in matrix.pairs().iter().enumerate() {
-        by_pair.insert((p.worker_idx, p.task_idx), pi);
-    }
     let mut assignment = Assignment::new();
-    for &(w, t) in chosen {
-        let pi = by_pair[&(w, t)];
+    for &pi in chosen {
         let pair = matrix.pairs()[pi];
         let ok = assignment.push(AssignmentPair {
-            task: input.instance.tasks[t as usize].id,
-            worker: input.instance.workers[w as usize].id,
+            task: input.instance.tasks[pair.task_idx as usize].id,
+            worker: input.instance.workers[pair.worker_idx as usize].id,
             influence: influences[pi],
             distance_km: pair.distance_km,
         });
@@ -247,21 +243,22 @@ const JITTER_QUANTUM: f64 = 1.0 / (1u64 << 37) as f64;
 /// The influence cost models produce *exact* ties (every zero-influence
 /// pair costs exactly `1.0`), and on a tied plateau several optimal
 /// assignments exist; which one a solve returns would then hang on
-/// heap and commit order. Adding a unique sub-`1e-5` perturbation per
-/// pair makes the min-cost optimum unique, so the assignment depends
-/// only on the instance and every thread budget returns it byte for
-/// byte (the solver determinism suite pins this). Three properties make
-/// the separation real rather than wishful:
+/// the solver's tie-breaking. Adding a unique sub-`1e-5` perturbation
+/// per pair makes the min-cost optimum unique, so the assignment
+/// depends only on the instance, and every scoring thread budget
+/// returns it byte for byte (the solver determinism suite pins this;
+/// the solve itself runs on one thread). Three properties make the
+/// separation real rather than wishful:
 ///
 /// * **Lattice-quantized.** Jitters are exact dyadic multiples of
 ///   [`JITTER_QUANTUM`], so on a plateau (equal bases, which are the
 ///   only pairs the jitter must separate) distinct path costs differ
-///   by ≥ one quantum — far above the solver's `1e-13` comparison
-///   tolerances. A full-granularity random jitter fails here: two
-///   near-optimal matchings can land within the solver tolerance of
-///   each other, and the batched augmentation will then commit a
-///   "tight" path that is not the exact optimum, which the flow
-///   certificate rejects.
+///   by ≥ one quantum — far above accumulated `f64` rounding. Dijkstra's
+///   strict comparisons and the flow certificate's `1e-13` tolerance
+///   therefore see one unique optimum. A full-granularity random jitter
+///   fails here: two near-optimal matchings can land within rounding of
+///   each other, so which one the solve returns hangs on rounding
+///   rather than on the instance.
 /// * **Bijective.** The scramble is a 4-round Feistel permutation of
 ///   the low 18 bits of the pair index, so any two pairs (below `2¹⁸`)
 ///   get *provably distinct* offsets — no birthday collisions.
@@ -306,24 +303,20 @@ fn mcmf_assign(
         _ => &[],
     };
 
-    let mut graph = AssignmentGraph::build_with(
-        matrix,
-        |pi| {
-            let p = &matrix.pairs()[pi];
-            let inf = influences[pi];
-            let base = match model {
-                CostModel::Influence => 1.0 / (inf + 1.0),
-                CostModel::EntropyInfluence => (entropy[p.task_idx as usize] + 1.0) / (inf + 1.0),
-                CostModel::DistanceInfluence => {
-                    let worker = &input.instance.workers[p.worker_idx as usize];
-                    let f = 1.0 - (p.distance_km / worker.radius_km).min(1.0);
-                    1.0 / (f * inf + 1.0)
-                }
-            };
-            base + tie_jitter(pi)
-        },
-        input.threads,
-    );
+    let mut graph = AssignmentGraph::build(matrix, |pi| {
+        let p = &matrix.pairs()[pi];
+        let inf = influences[pi];
+        let base = match model {
+            CostModel::Influence => 1.0 / (inf + 1.0),
+            CostModel::EntropyInfluence => (entropy[p.task_idx as usize] + 1.0) / (inf + 1.0),
+            CostModel::DistanceInfluence => {
+                let worker = &input.instance.workers[p.worker_idx as usize];
+                let f = 1.0 - (p.distance_km / worker.radius_km).min(1.0);
+                1.0 / (f * inf + 1.0)
+            }
+        };
+        base + tie_jitter(pi)
+    });
     let (result, chosen) = graph.solve();
     let stats = SolveStats {
         passes: result.passes,
@@ -360,12 +353,8 @@ fn mta(input: &AssignInput<'_>, matrix: &EligibilityMatrix, influences: &[f64]) 
         .collect();
     dinic.max_flow(source, sink);
 
-    let chosen: Vec<(u32, u32)> = matrix
-        .pairs()
-        .iter()
-        .zip(edge_ids.iter())
-        .filter(|(_, &id)| dinic.flow_on(id) > 0)
-        .map(|(p, _)| (p.worker_idx, p.task_idx))
+    let chosen: Vec<usize> = (0..edge_ids.len())
+        .filter(|&pi| dinic.flow_on(edge_ids[pi]) > 0)
         .collect();
     to_assignment(input, matrix, influences, &chosen)
 }
@@ -393,7 +382,7 @@ fn mi(input: &AssignInput<'_>, matrix: &EligibilityMatrix, influences: &[f64]) -
         }
         worker_used[p.worker_idx as usize] = true;
         task_used[p.task_idx as usize] = true;
-        chosen.push((p.worker_idx, p.task_idx));
+        chosen.push(pi);
     }
     to_assignment(input, matrix, influences, &chosen)
 }
@@ -422,9 +411,8 @@ fn greedy_nearest(
                     .total_cmp(&matrix.pairs()[b].distance_km)
             });
         if let Some(&pi) = best {
-            let p = &matrix.pairs()[pi];
-            worker_used[p.worker_idx as usize] = true;
-            chosen.push((p.worker_idx, p.task_idx));
+            worker_used[matrix.pairs()[pi].worker_idx as usize] = true;
+            chosen.push(pi);
         }
     }
     to_assignment(input, matrix, influences, &chosen)

@@ -13,8 +13,9 @@ use sc_graph::{CertificateError, FlowResult, MinCostMaxFlow};
 #[derive(Debug)]
 pub struct AssignmentGraph {
     flow: MinCostMaxFlow,
-    /// `(worker_idx, task_idx, mcmf edge id)` per available pair.
-    pair_edges: Vec<(u32, u32, usize)>,
+    /// MCMF edge id of each available pair, indexed as in
+    /// [`EligibilityMatrix::pairs`].
+    pair_edges: Vec<usize>,
     n_workers: usize,
     n_tasks: usize,
 }
@@ -22,26 +23,14 @@ pub struct AssignmentGraph {
 impl AssignmentGraph {
     /// Builds the graph from an eligibility matrix; `pair_cost` supplies
     /// the cost of each worker→task edge (indexed as in
-    /// [`EligibilityMatrix::pairs`]). Solves on one thread; see
-    /// [`AssignmentGraph::build_with`].
-    pub fn build(matrix: &EligibilityMatrix, pair_cost: impl FnMut(usize) -> f64) -> Self {
-        Self::build_with(matrix, pair_cost, 1)
-    }
-
-    /// [`AssignmentGraph::build`] with a thread budget for the solver's
-    /// batched candidate searches. The solved assignment is identical
-    /// at every budget, which trades wall time only.
-    pub fn build_with(
-        matrix: &EligibilityMatrix,
-        mut pair_cost: impl FnMut(usize) -> f64,
-        threads: usize,
-    ) -> Self {
+    /// [`EligibilityMatrix::pairs`]).
+    pub fn build(matrix: &EligibilityMatrix, mut pair_cost: impl FnMut(usize) -> f64) -> Self {
         let n_workers = matrix.n_workers();
         let n_tasks = matrix.n_tasks();
         // Layout: 0 = source, 1..=W workers, W+1..=W+S tasks, last = sink.
         let source = 0usize;
         let sink = n_workers + n_tasks + 1;
-        let mut flow = MinCostMaxFlow::new(sink + 1).with_threads(threads);
+        let mut flow = MinCostMaxFlow::new(sink + 1);
 
         for wi in 0..n_workers {
             flow.add_edge(source, 1 + wi, 1, 0.0);
@@ -53,13 +42,12 @@ impl AssignmentGraph {
         for (pi, pair) in matrix.pairs().iter().enumerate() {
             let cost = pair_cost(pi);
             debug_assert!(cost.is_finite() && cost >= 0.0, "bad edge cost {cost}");
-            let id = flow.add_edge(
+            pair_edges.push(flow.add_edge(
                 1 + pair.worker_idx as usize,
                 1 + n_workers + pair.task_idx as usize,
                 1,
                 cost,
-            );
-            pair_edges.push((pair.worker_idx, pair.task_idx, id));
+            ));
         }
 
         AssignmentGraph {
@@ -70,17 +58,14 @@ impl AssignmentGraph {
         }
     }
 
-    /// Solves MCMF and returns `(result, chosen pairs)` where pairs are
-    /// `(worker_idx, task_idx)` carrying flow.
-    pub fn solve(&mut self) -> (FlowResult, Vec<(u32, u32)>) {
+    /// Solves MCMF and returns `(result, chosen)`: the indices into
+    /// [`EligibilityMatrix::pairs`] of the pairs carrying flow, ascending.
+    pub fn solve(&mut self) -> (FlowResult, Vec<usize>) {
         let source = 0;
         let sink = self.n_workers + self.n_tasks + 1;
         let result = self.flow.run(source, sink);
-        let chosen = self
-            .pair_edges
-            .iter()
-            .filter(|&&(_, _, id)| self.flow.flow_on(id) > 0)
-            .map(|&(w, t, _)| (w, t))
+        let chosen = (0..self.pair_edges.len())
+            .filter(|&pi| self.flow.flow_on(self.pair_edges[pi]) > 0)
             .collect();
         (result, chosen)
     }
@@ -146,8 +131,9 @@ mod tests {
         assert_eq!(result.flow, 2);
         assert_eq!(chosen.len(), 2);
         // Each worker and task appears exactly once.
-        let mut ws: Vec<u32> = chosen.iter().map(|&(w, _)| w).collect();
-        let mut ts: Vec<u32> = chosen.iter().map(|&(_, t)| t).collect();
+        let pairs = matrix.pairs();
+        let mut ws: Vec<u32> = chosen.iter().map(|&pi| pairs[pi].worker_idx).collect();
+        let mut ts: Vec<u32> = chosen.iter().map(|&pi| pairs[pi].task_idx).collect();
         ws.sort_unstable();
         ts.sort_unstable();
         assert_eq!(ws, vec![0, 1]);
@@ -162,11 +148,10 @@ mod tests {
         // Make w0->t1 and w1->t0 cheap: the matching must cross.
         let costs = [1.0, 0.1, 0.1, 1.0];
         let mut g = AssignmentGraph::build(&matrix, |pi| costs[pi]);
-        let (result, mut chosen) = g.solve();
+        let (result, chosen) = g.solve();
         g.verify(&result).expect("flow certificate");
-        chosen.sort_unstable();
         assert_eq!(result.flow, 2);
-        assert_eq!(chosen, vec![(0, 1), (1, 0)]);
+        assert_eq!(chosen, vec![1, 2]);
         assert!((result.cost - 0.2).abs() < 1e-9);
     }
 
@@ -201,11 +186,10 @@ mod tests {
         // Pairs: (w0,t0), (w0,t1), (w1,t0). Give (w0,t0) cost 0.
         let costs = [0.0, 5.0, 9.0];
         let mut g = AssignmentGraph::build(&matrix, |pi| costs[pi]);
-        let (result, mut chosen) = g.solve();
+        let (result, chosen) = g.solve();
         g.verify(&result).expect("flow certificate");
-        chosen.sort_unstable();
         assert_eq!(result.flow, 2, "both tasks must be assigned");
-        assert_eq!(chosen, vec![(0, 1), (1, 0)]);
+        assert_eq!(chosen, vec![1, 2]);
     }
 
     #[test]
@@ -221,25 +205,18 @@ mod tests {
     }
 
     #[test]
-    fn thread_budgets_solve_identically() {
+    fn jittered_plateau_returns_the_cheapest_matching() {
         let inst = instance();
         let matrix = EligibilityMatrix::build(&inst);
         // All pairs tied at cost 1.0 plus a deterministic jitter-like
-        // offset: every thread budget must return the same matching.
+        // offset. Both perfect matchings cost 2 + 5e-7 in exact
+        // arithmetic; in `f64` the diagonal one, (w0,t0) + (w1,t1),
+        // sums lower, and it is the one the solve must return.
         let costs = [1.0 + 3e-7, 1.0 + 1e-7, 1.0 + 4e-7, 1.0 + 2e-7];
-        let mut reference: Option<(FlowResult, Vec<(u32, u32)>)> = None;
-        for threads in [1usize, 4] {
-            let mut g = AssignmentGraph::build_with(&matrix, |pi| costs[pi], threads);
-            let (result, mut chosen) = g.solve();
-            g.verify(&result).expect("flow certificate");
-            chosen.sort_unstable();
-            match &reference {
-                Some((r0, c0)) => {
-                    assert_eq!(&result, r0, "{threads} threads");
-                    assert_eq!(&chosen, c0, "{threads} threads");
-                }
-                None => reference = Some((result, chosen)),
-            }
-        }
+        let mut g = AssignmentGraph::build(&matrix, |pi| costs[pi]);
+        let (result, chosen) = g.solve();
+        g.verify(&result).expect("flow certificate");
+        assert_eq!(chosen, vec![0, 3]);
+        assert_eq!(result.cost, costs[0] + costs[3]);
     }
 }

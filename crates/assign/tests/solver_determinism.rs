@@ -1,14 +1,15 @@
-//! Thread-budget determinism suite for the MCMF solve.
+//! Thread-budget determinism suite for the MCMF-backed algorithms.
 //!
 //! The repo's determinism contract says an assignment is a pure
 //! function of the instance: no thread budget or execution order may
-//! leak into results. This suite pins the strongest form of that claim
-//! for the MCMF solve — full `run_scored` assignments
-//! **byte-identical** across thread budgets 1/2/4/8 — on instances
-//! engineered to be tie-heavy (the zero-influence plateau where every
-//! pair costs exactly 1.0 before jitter), which is exactly where heap
-//! and commit order would pick among several optima without the
-//! per-pair tie-break jitter. Runs in the release-CI determinism job.
+//! leak into results. The budget shards the scoring scan that feeds
+//! the (sequential) solve, so this suite pins full `run_scored`
+//! assignments **byte-identical** across scoring budgets 1/2/4/8 — on
+//! instances engineered to be tie-heavy (the zero-influence plateau
+//! where every pair costs exactly 1.0 before jitter), which is exactly
+//! where the solver's tie-breaking would pick among several optima
+//! without the per-pair tie-break jitter. Runs in the release-CI
+//! determinism job.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -128,9 +129,9 @@ fn mcmf_algorithms_are_thread_invariant() {
     }
 }
 
-/// Under the tie-break jitter every path cost is unique, so each
-/// search pass finds exactly one tight path: one pass per augmentation
-/// plus the final pass that finds none, at every thread budget.
+/// Each search pass commits exactly one augmenting path: one pass per
+/// augmentation plus the final pass that finds none, at every thread
+/// budget.
 #[test]
 fn one_pass_per_augmentation_under_jitter() {
     use sc_assign::run_scored_with_stats;
@@ -145,7 +146,7 @@ fn one_pass_per_augmentation_under_jitter() {
         assert_eq!(
             stats.passes,
             stats.augmentations + 1,
-            "{threads} threads: passes batched on a jittered instance"
+            "{threads} threads: not one pass per augmentation"
         );
     }
 }

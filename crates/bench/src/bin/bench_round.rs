@@ -27,10 +27,10 @@
 //! A second grid times the **flow solver** on a contested workload —
 //! cohort barely above the task demand, wide eligibility radius —
 //! where nearly every augmentation reroutes earlier assignments and
-//! the MCMF solve dominates the round, at 1 and 4 threads. It asserts
-//! byte-identical reports across the two thread budgets and that the
-//! batched augmentation never pays more search passes than one per
-//! augmentation plus the final no-path pass.
+//! the MCMF solve dominates the round, at 1 and 4 threads. The solve
+//! is sequential (one augmenting path per search pass) while the
+//! scoring that feeds it shards, so the grid asserts byte-identical
+//! reports across the two thread budgets.
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_round
@@ -365,21 +365,6 @@ fn main() {
             run.threads
         );
     }
-    // The batched augmentation never pays more search passes than one
-    // per augmentation plus the final no-path pass. On this workload
-    // the tie-break jitter makes every path cost unique, so exactly one
-    // path is tight per pass and the bound is met with equality —
-    // batching only engages on tie plateaus, which the jitter excludes
-    // by design (the mcmf unit suite pins the strict
-    // `passes < augmentations` case on a jitter-free plateau).
-    let solver1 = &solver_runs[0];
-    assert!(
-        solver1.passes <= solver1.augmentations + 1.0,
-        "batched solver paid more passes than augmentations + 1: \
-         {:.0} passes for {:.0} augmentations",
-        solver1.passes,
-        solver1.augmentations
-    );
 
     let run_rows: Vec<String> = runs
         .iter()

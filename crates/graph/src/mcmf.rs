@@ -20,22 +20,13 @@
 //! the cheapest path is ever touched. The potential update truncates
 //! labels at `dist(t)` (`π(v) += min(dist(v), dist(t))`, unreached
 //! nodes take the full `dist(t)`), which keeps reduced costs
-//! non-negative under early exit; afterwards every cheapest path is
-//! *tight* (all reduced costs exactly zero), and a **batched
-//! multi-source augmentation** phase routes every tight source in one
-//! go: a backward BFS from the sink over tight residual edges gates
-//! which unsaturated tight source edges can possibly yield a path, then
-//! per surviving source an independent read-only zero-search finds a
-//! tight path to the sink (the searches shard over `sc_stats::par` once
-//! the batch is wide enough), then candidates commit sequentially in
-//! fixed `(cost, source-id)` order — all candidates of one pass share
-//! the same cost, so the order degenerates to source-edge id — skipping
-//! any path a previous commit saturated. Augmenting only along tight
-//! paths keeps the potentials feasible (the reverse of a tight edge is
-//! itself tight), which is the invariant [`verify`] certifies, so any
-//! number of commits per pass preserves optimality. The result is a
-//! pure function of the input network: thread budgets change wall time
-//! only, never the flow.
+//! non-negative under early exit; afterwards the pass's predecessor
+//! chain from `t` back to `s` is a cheapest path with every reduced cost
+//! exactly zero, and the solver augments along it — one path per pass,
+//! the textbook successive-shortest-path step. Augmenting along a tight
+//! path keeps the potentials feasible (the reverse of a tight edge is
+//! itself tight), which is the invariant [`verify`] certifies. The
+//! result is a pure function of the input network.
 //!
 //! Searches walk a **CSR adjacency** ([`MinCostMaxFlow`] flattens edge
 //! lists into `first`/`adj` arrays once per solve) in ascending edge-id
@@ -48,24 +39,6 @@ use std::collections::{BinaryHeap, VecDeque};
 /// certificate's Bellman–Ford relaxation in [`verify`].
 const COST_EPS: f64 = 1e-13;
 
-/// Tolerance under which a residual edge's reduced cost counts as
-/// *tight* (zero) during batched augmentation. Must sit well below the
-/// finest deliberate cost separation (the assignment layer's tie-break
-/// jitter is lattice-quantized at `2⁻³⁷ ≈ 7.3e-12`, so genuinely
-/// distinct plateau paths differ by at least that much) and well above
-/// accumulated `f64` rounding of short path sums (~`1e-15`). A coarser
-/// value silently degrades the batched engine into an *approximate*
-/// solver: it commits paths whose true cost exceeds the optimum by up
-/// to the slack, which the flow certificate rejects as a negative
-/// residual cycle and which diverges from the exact oracle.
-const TIGHT_EPS: f64 = 1e-13;
-
-/// Minimum number of tight source edges before the per-source
-/// zero-searches fan out over worker threads; below this, spawn
-/// overhead dominates the (cheap) searches. Candidates are identical
-/// either way — shards merge in source order.
-const BATCH_SHARD_THRESHOLD: usize = 64;
-
 /// Result of an MCMF run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowResult {
@@ -76,11 +49,8 @@ pub struct FlowResult {
     /// Augmenting paths used.
     pub augmentations: usize,
     /// Shortest-path search passes run, including the final pass that
-    /// finds no path. Each pass commits a whole batch of tight paths,
-    /// so on tie plateaus `passes` drops below `augmentations` and the
-    /// gap measures how much the batching saved. When every path cost
-    /// is unique (the production case under tie-break jitter) exactly
-    /// one path is tight per pass, so `passes == augmentations + 1`.
+    /// finds no path. Each other pass commits exactly one path, so
+    /// `passes == augmentations + 1` on every solve that routes flow.
     pub passes: usize,
 }
 
@@ -98,7 +68,6 @@ pub struct MinCostMaxFlow {
     /// triggers a rebuild at the next solve.
     csr_edges: usize,
     n: usize,
-    threads: usize,
 }
 
 impl MinCostMaxFlow {
@@ -112,18 +81,7 @@ impl MinCostMaxFlow {
             adj: Vec::new(),
             csr_edges: usize::MAX,
             n,
-            threads: 1,
         }
-    }
-
-    /// Sets the thread budget the batched candidate searches shard over
-    /// (clamped to at least 1). Results are bit-identical at any value
-    /// — candidates are generated from a read-only snapshot and
-    /// committed in fixed source order — so this trades wall time only.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Number of nodes.
@@ -331,81 +289,14 @@ impl MinCostMaxFlow {
         f64::INFINITY
     }
 
-    /// Deterministic zero-search: the cheapest-path candidate for one
-    /// tight source edge. Starting *after* `src_edge`, a breadth-first
-    /// walk over tight residual edges (reduced cost ≤ [`TIGHT_EPS`],
-    /// capacity left) looks for `t`; node `s` is never re-entered, so
-    /// the candidate always begins with its own source edge. Fixed CSR
-    /// edge order and first-discovery predecessors make the returned
-    /// edge path a pure function of the residual snapshot.
-    fn zero_path(
-        &self,
-        src_edge: usize,
-        s: usize,
-        t: usize,
-        pot: &[f64],
-        scratch: &mut ZeroSearch,
-    ) -> Option<Vec<u32>> {
-        let start = self.to[src_edge] as usize;
-        scratch.reset();
-        scratch.visit(s, u32::MAX); // never walk back through the source
-        scratch.visit(start, src_edge as u32);
-        scratch.queue.push_back(start as u32);
-        while let Some(u) = scratch.queue.pop_front() {
-            let u = u as usize;
-            if u == t {
-                break;
-            }
-            let pu = pot[u];
-            for &e in self.row(u) {
-                let e = e as usize;
-                if self.cap[e] <= 0 {
-                    continue;
-                }
-                let v = self.to[e] as usize;
-                if scratch.seen(v) || (self.cost[e] + pu - pot[v]).abs() > TIGHT_EPS {
-                    continue;
-                }
-                scratch.visit(v, e as u32);
-                scratch.queue.push_back(v as u32);
-            }
-        }
-        if !scratch.seen(t) {
-            return None;
-        }
-        // Reconstruct src_edge ... t as a forward edge list.
-        let mut path = Vec::new();
-        let mut v = t;
-        while v != s {
-            let e = scratch.pred[v];
-            path.push(e);
-            v = self.tail(e as usize);
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Whether every edge of `path` still has residual capacity.
-    #[inline]
-    fn path_open(&self, path: &[u32]) -> bool {
-        path.iter().all(|&e| self.cap[e as usize] > 0)
-    }
-
-    /// Potential-based Dijkstra with batched multi-source augmentation
-    /// (see the module docs for the full algorithm and its determinism
-    /// argument).
+    /// Successive shortest paths by potential-based Dijkstra (see the
+    /// module docs for the algorithm and its determinism argument).
     fn run_dijkstra(&mut self, s: usize, t: usize) -> FlowResult {
         let n = self.n;
         let mut pot = vec![0.0f64; n];
         let mut dist = vec![f64::INFINITY; n];
         let mut pred = vec![u32::MAX; n];
         let mut heap: BinaryHeap<Reverse<HeapKey>> = BinaryHeap::new();
-        // Persistent generation-stamped scratch: `reach` for the
-        // backward tight-reachability gate, `seq` for sequential
-        // zero-searches and commit-time fallbacks. Allocated once per
-        // solve, not per pass.
-        let mut reach = ZeroSearch::new(n);
-        let mut seq = ZeroSearch::new(n);
         let mut zero: VecDeque<u32> = VecDeque::new();
         let mut flow = 0i64;
         let mut cost = 0.0f64;
@@ -432,114 +323,27 @@ impl MinCostMaxFlow {
                 *p += d.min(dt);
             }
 
-            // Backward tight-reachability from `t`: the set of nodes
-            // with a tight residual path to the sink. A source edge can
-            // only yield a candidate if its head is in this set, so the
-            // (cheap, wavefront-sized) BFS prunes the hopeless
-            // zero-searches — on unique-cost instances typically all
-            // but one. Scanning node v's CSR row and taking each edge's
-            // partner enumerates exactly the residual edges *into* v.
-            reach.reset();
-            reach.visit(t, u32::MAX);
-            reach.queue.push_back(t as u32);
-            while let Some(v) = reach.queue.pop_front() {
-                let v = v as usize;
-                let pv = pot[v];
-                for &g in self.row(v) {
-                    let p = (g ^ 1) as usize;
-                    if self.cap[p] <= 0 {
-                        continue;
-                    }
-                    let u = self.to[g as usize] as usize;
-                    if reach.seen(u) || (self.cost[p] + pot[u] - pv).abs() > TIGHT_EPS {
-                        continue;
-                    }
-                    reach.visit(u, u32::MAX);
-                    reach.queue.push_back(u as u32);
-                }
+            // Augment along the pass's predecessor chain `t → … → s`.
+            let mut bottleneck = i64::MAX;
+            let mut v = t;
+            while v != s {
+                let e = pred[v] as usize;
+                bottleneck = bottleneck.min(self.cap[e]);
+                v = self.tail(e);
             }
-
-            // Candidate generation: one read-only zero-search per
-            // unsaturated tight source edge whose head tight-reaches
-            // `t`, sharded over the thread budget once the batch is
-            // wide enough to amortize the spawns. Shards merge in
-            // source order, so the candidate list is identical at any
-            // budget.
-            let pot_s = pot[s];
-            let tight: Vec<u32> = self
-                .row(s)
-                .iter()
-                .copied()
-                .filter(|&e| {
-                    let e = e as usize;
-                    let v = self.to[e] as usize;
-                    self.cap[e] > 0
-                        && reach.seen(v)
-                        && (self.cost[e] + pot_s - pot[v]).abs() <= TIGHT_EPS
-                })
-                .collect();
-            let candidates: Vec<Option<Vec<u32>>> = if tight.len() >= BATCH_SHARD_THRESHOLD {
-                let this = &*self;
-                let pot_ref = &pot;
-                let tight_ref = &tight;
-                sc_stats::par::map_shards(tight.len(), self.threads, |lo, hi| {
-                    let mut scratch = ZeroSearch::new(n);
-                    (lo..hi)
-                        .map(|i| this.zero_path(tight_ref[i] as usize, s, t, pot_ref, &mut scratch))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                tight
-                    .iter()
-                    .map(|&e| self.zero_path(e as usize, s, t, &pot, &mut seq))
-                    .collect()
-            };
-
-            // Commit phase: fixed (cost, source-id) order — every
-            // candidate of this pass costs the same (tight paths), so
-            // the order degenerates to ascending source-edge id. When a
-            // previous commit saturated a candidate's path, a fresh
-            // sequential zero-search against the *current* residual
-            // state replaces it (augmenting along tight edges only adds
-            // tight reverse edges, so the tight subgraph stays valid).
-            // Sources whose snapshot search already came up empty are
-            // skipped outright — only invalidated candidates earn a
-            // re-search. Both the snapshot candidates and the
-            // sequential fallback are pure functions of the input
-            // network, so the committed flow is identical at every
-            // thread budget.
-            let mut committed = 0usize;
-            for (i, candidate) in candidates.into_iter().enumerate() {
-                let path = match candidate {
-                    Some(p) if self.path_open(&p) => Some(p),
-                    Some(_) => self.zero_path(tight[i] as usize, s, t, &pot, &mut seq),
-                    None => None,
-                };
-                let Some(path) = path else { continue };
-                let mut bottleneck = i64::MAX;
-                for &e in &path {
-                    bottleneck = bottleneck.min(self.cap[e as usize]);
-                }
-                debug_assert!(bottleneck > 0);
-                let mut path_cost = 0.0f64;
-                for &e in &path {
-                    let e = e as usize;
-                    self.cap[e] -= bottleneck;
-                    self.cap[e ^ 1] += bottleneck;
-                    path_cost += self.cost[e];
-                }
-                flow += bottleneck;
-                cost += path_cost * bottleneck as f64;
-                augmentations += 1;
-                committed += 1;
+            debug_assert!(bottleneck > 0);
+            let mut path_cost = 0.0f64;
+            let mut v = t;
+            while v != s {
+                let e = pred[v] as usize;
+                self.cap[e] -= bottleneck;
+                self.cap[e ^ 1] += bottleneck;
+                path_cost += self.cost[e];
+                v = self.tail(e);
             }
-            // The Dijkstra pred chain is itself a tight feasible path,
-            // so a reachable sink always commits at least one — this is
-            // what guarantees termination.
-            debug_assert!(committed > 0, "reachable sink committed no path");
+            flow += bottleneck;
+            cost += path_cost * bottleneck as f64;
+            augmentations += 1;
         }
         FlowResult {
             flow,
@@ -572,42 +376,6 @@ impl Ord for HeapKey {
 impl PartialOrd for HeapKey {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// Reusable scratch for one shard's zero-searches: generation-stamped
-/// visit marks (no per-search clearing) plus predecessor edges.
-struct ZeroSearch {
-    stamp: Vec<u32>,
-    pred: Vec<u32>,
-    queue: VecDeque<u32>,
-    generation: u32,
-}
-
-impl ZeroSearch {
-    fn new(n: usize) -> Self {
-        ZeroSearch {
-            stamp: vec![0; n],
-            pred: vec![u32::MAX; n],
-            queue: VecDeque::new(),
-            generation: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.generation += 1;
-        self.queue.clear();
-    }
-
-    #[inline]
-    fn seen(&self, v: usize) -> bool {
-        self.stamp[v] == self.generation
-    }
-
-    #[inline]
-    fn visit(&mut self, v: usize, pred_edge: u32) {
-        self.stamp[v] = self.generation;
-        self.pred[v] = pred_edge;
     }
 }
 
@@ -861,10 +629,10 @@ mod tests {
     }
 
     #[test]
-    fn batching_needs_fewer_passes_than_augmentations() {
+    fn one_augmentation_per_pass_on_a_plateau() {
         // A wide tie plateau: 6 workers, 6 tasks, every pair cost 1.0.
-        // The solver must route the whole plateau in O(1)
-        // passes while still finding all 6 units.
+        // Every pass routes exactly one of the many cheapest paths, so
+        // the plateau takes one pass per unit plus the final empty one.
         let n = 6usize;
         let (s, t) = (0, 2 * n + 1);
         let mut g = MinCostMaxFlow::new(2 * n + 2);
@@ -883,52 +651,8 @@ mod tests {
         assert_eq!(r.flow, n as i64);
         assert!((r.cost - n as f64).abs() < 1e-9);
         assert_eq!(r.augmentations, n);
-        assert!(
-            r.passes < r.augmentations,
-            "plateau not batched: {} passes for {} augmentations",
-            r.passes,
-            r.augmentations
-        );
+        assert_eq!(r.passes, r.augmentations + 1);
         verify(&g, s, t, &r, 1e-9).unwrap();
-    }
-
-    #[test]
-    fn dijkstra_is_thread_invariant() {
-        // Edge-for-edge identical flow at any thread budget, on a
-        // tie-heavy instance where batching actually kicks in.
-        let n = 9usize;
-        let build = |threads| {
-            let (s, t) = (0, 2 * n + 1);
-            let mut g = MinCostMaxFlow::new(2 * n + 2).with_threads(threads);
-            for w in 0..n {
-                g.add_edge(s, 1 + w, 1, 0.0);
-            }
-            for task in 0..n {
-                g.add_edge(1 + n + task, t, 1, 0.0);
-            }
-            for w in 0..n {
-                for task in 0..n {
-                    let cost = if (w + task) % 3 == 0 { 1.0 } else { 2.0 };
-                    g.add_edge(1 + w, 1 + n + task, 1, cost);
-                }
-            }
-            g
-        };
-        let (s, t) = (0, 2 * n + 1);
-        let mut base = build(1);
-        let base_result = base.run(s, t);
-        for threads in [2usize, 4, 8] {
-            let mut g = build(threads);
-            let r = g.run(s, t);
-            assert_eq!(r, base_result, "result diverged at {threads} threads");
-            for e in (0..g.to.len()).step_by(2) {
-                assert_eq!(
-                    g.flow_on(e),
-                    base.flow_on(e),
-                    "edge {e} flow diverged at {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

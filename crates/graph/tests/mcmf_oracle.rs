@@ -5,9 +5,8 @@
 //! bipartite instances up to 8×8 — small enough for `O(T · 2^W · W)`
 //! exhaustion, large enough to exercise multi-pass augmentation,
 //! contested workers, and tie plateaus. On every instance the solver
-//! must reproduce the oracle's `(flow, cost)` exactly, pass the
-//! [`verify`] flow certificate after solving, and route the same flow
-//! **edge for edge** at thread budgets 1, 2, 4 and 8.
+//! must reproduce the oracle's `(flow, cost)` exactly and pass the
+//! [`verify`] flow certificate after solving.
 
 use proptest::prelude::*;
 use sc_graph::{verify, MinCostMaxFlow};
@@ -23,7 +22,7 @@ struct Instance {
 
 impl Instance {
     /// Node layout shared by every solve: source, workers, tasks, sink.
-    fn network(&self) -> (MinCostMaxFlow, usize, usize, Vec<usize>) {
+    fn network(&self) -> (MinCostMaxFlow, usize, usize) {
         let n = self.workers + self.tasks + 2;
         let (s, t) = (0, n - 1);
         let mut g = MinCostMaxFlow::new(n);
@@ -33,12 +32,10 @@ impl Instance {
         for task in 0..self.tasks {
             g.add_edge(1 + self.workers + task, t, 1, 0.0);
         }
-        let pair_edges = self
-            .edges
-            .iter()
-            .map(|&(w, task, c)| g.add_edge(1 + w, 1 + self.workers + task, 1, c))
-            .collect();
-        (g, s, t, pair_edges)
+        for &(w, task, c) in &self.edges {
+            g.add_edge(1 + w, 1 + self.workers + task, 1, c);
+        }
+        (g, s, t)
     }
 
     /// Exact oracle: max assigned tasks, then min total cost, by
@@ -100,34 +97,19 @@ impl Instance {
 
 fn assert_matches_oracle(inst: &Instance) {
     let (want_flow, want_cost) = inst.oracle();
-    let (base, s, t, pair_edges) = inst.network();
-    let mut g1 = base.clone().with_threads(1);
-    let r1 = g1.run(s, t);
-    verify(&g1, s, t, &r1, 1e-9).unwrap_or_else(|e| panic!("flow certificate failed: {e}"));
+    let (mut g, s, t) = inst.network();
+    let r = g.run(s, t);
+    verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("flow certificate failed: {e}"));
     assert_eq!(
-        r1.flow, want_flow,
+        r.flow, want_flow,
         "flow {} vs oracle {want_flow} on {inst:?}",
-        r1.flow
+        r.flow
     );
     assert!(
-        (r1.cost - want_cost).abs() < 1e-6,
+        (r.cost - want_cost).abs() < 1e-6,
         "cost {} vs oracle {want_cost} on {inst:?}",
-        r1.cost
+        r.cost
     );
-    // Candidates come from read-only snapshots and commit in fixed
-    // source order, so the budget can only change wall time.
-    for threads in [2usize, 4, 8] {
-        let mut g = base.clone().with_threads(threads);
-        let r = g.run(s, t);
-        assert_eq!(r, r1, "result diverged at {threads} threads on {inst:?}");
-        for &e in &pair_edges {
-            assert_eq!(
-                g.flow_on(e),
-                g1.flow_on(e),
-                "pair edge {e} diverged at {threads} threads on {inst:?}"
-            );
-        }
-    }
 }
 
 /// Strategy: random unit-capacity bipartite network, ≤ `max_side` per
@@ -158,8 +140,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The solver reproduces the oracle's (flow, cost) on random
-    /// 8×8-or-smaller instances, every solve passes the certificate
-    /// checker, and the routed flow is identical at every thread budget.
+    /// 8×8-or-smaller instances, and every solve passes the certificate
+    /// checker.
     #[test]
     fn solver_matches_exact_oracle(inst in instance(8)) {
         assert_matches_oracle(&inst);

@@ -114,6 +114,7 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::i
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
         _ => "Unknown",

@@ -33,11 +33,18 @@ use sc_types::TimeInstant;
 use serde::json::Value;
 use serde::Serialize as _;
 use std::collections::VecDeque;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// Deadline on every read and write of a connection. Each HTTP worker
+/// serves one connection at a time, so without it a client that
+/// connects and then stalls would hold a worker indefinitely.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Configuration of a serving process.
 #[derive(Debug, Clone)]
@@ -169,11 +176,21 @@ impl Server {
     }
 }
 
-/// Serves one connection: one request, one response, close.
+/// Serves one connection: one request, one response, close. A request
+/// that stalls past [`IO_TIMEOUT`] gets a best-effort `408`.
 fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let request = match read_request(stream) {
         Ok(Some(r)) => r,
         Ok(None) => return,
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            let _ = write_response(stream, 408, &error_body("request timed out"));
+            return;
+        }
         Err(e) => {
             let body = error_body(&e.to_string());
             let _ = write_response(stream, 400, &body);

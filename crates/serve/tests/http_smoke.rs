@@ -1,20 +1,28 @@
 //! End-to-end smoke of the serving surface over real sockets: every
-//! endpoint, queue backpressure, and the snapshot/restore contract —
-//! a restored process must answer `GET /report` byte-for-byte like the
-//! uninterrupted original after serving the same remaining stream.
+//! endpoint, queue backpressure, slow clients, the snapshot/restore
+//! contract — a restored process must answer `GET /report`
+//! byte-for-byte like the uninterrupted original after serving the same
+//! remaining stream — and trace replay over the wire matching the
+//! in-process replay.
 
+use sc_assign::AlgorithmKind;
 use sc_core::{DitaBuilder, DitaConfig, OnlineConfig, Parallelism};
-use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
+use sc_datagen::{
+    DatasetProfile, InstanceOptions, LoadedDataset, ReplayOptions, ReplayStream, SyntheticDataset,
+};
 use sc_influence::RpoParams;
 use sc_serve::{ServeConfig, Server};
 use sc_sim::{
-    load_snapshot, scripted_event, EngineBuilder, EventKind, NetworkMode, OnlineEngine,
-    PipelineMode,
+    load_snapshot, replay_day, scripted_event, EngineBuilder, EventKind, NetworkMode, OnlineEngine,
+    PipelineMode, ReplayTranslator,
 };
-use sc_types::TimeInstant;
+use sc_types::{CategoryId, CheckIn, HistoryStore, Location, TimeInstant, VenueId, WorkerId};
 use serde::json::Value;
 use serde::Serialize as _;
-use std::net::SocketAddr;
+use std::io::Read as _;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn dataset() -> SyntheticDataset {
     let mut profile = DatasetProfile::brightkite_small();
@@ -229,4 +237,130 @@ fn restored_server_reports_byte_identically() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn idle_connection_does_not_starve_other_clients() {
+    let data = dataset();
+    let server = Server::start(
+        engine(&data),
+        ServeConfig {
+            http_threads: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // A client that connects and sends nothing takes the only HTTP
+    // worker first.
+    let mut idle = TcpStream::connect(addr).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let poll = std::thread::spawn(move || {
+        let _ = tx.send(sc_serve::client::request(addr, "GET", "/healthz", ""));
+    });
+    let (status, body) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("GET /healthz starved by an idle connection")
+        .expect("request");
+    assert_eq!(status, 200, "{body}");
+    poll.join().unwrap();
+
+    // The idle connection was answered with a 408 and closed.
+    idle.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut raw = String::new();
+    idle.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 408"), "{raw}");
+
+    server.shutdown();
+}
+
+/// A 12-worker, two-day trace. Workers 0..=9 are active on both days;
+/// workers 10 and 11 first check in on day 1. Worker 10's only friend
+/// is worker 11, who first checks in two hours after worker 10 does,
+/// so worker 10's first sighting has no known friend.
+fn friendless_first_sighting_trace() -> LoadedDataset {
+    let mut store = HistoryStore::default();
+    let mut push = |w: u32, v: u32, day: i64, hour: i64| {
+        store.push(CheckIn::at(
+            WorkerId::new(w),
+            VenueId::new(v),
+            Location::new(v as f64, 0.0),
+            TimeInstant::at(day, hour),
+            vec![CategoryId::new(v % 4)],
+        ));
+    };
+    for w in 0..10u32 {
+        for day in 0..2i64 {
+            for k in 0..3i64 {
+                push(w, w % 5, day, 8 + k * 3 + (w as i64 % 3));
+            }
+        }
+    }
+    push(10, 2, 1, 10);
+    push(11, 4, 1, 12);
+    push(10, 3, 1, 14);
+    let mut edges: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
+    edges.push((10, 11));
+    edges.push((2, 11));
+    LoadedDataset::from_parts(edges, store, 3).unwrap()
+}
+
+#[test]
+fn wire_replay_matches_in_process_replay() {
+    let data = friendless_first_sighting_trace();
+    let day = 1;
+    let opts = ReplayOptions::default();
+    let config = DitaConfig {
+        n_topics: 4,
+        lda_sweeps: 8,
+        infer_sweeps: 4,
+        rpo: RpoParams {
+            max_sets: 3_000,
+            threads: Parallelism::Single,
+            ..Default::default()
+        },
+        online: OnlineConfig {
+            round_hours: 1,
+            growth_cap: 256,
+            eviction_horizon: 4,
+            target_sets: 0,
+            incremental: true,
+        },
+        seed: 9,
+    };
+    let in_process = replay_day(&data, day, config, &opts, AlgorithmKind::Ia).unwrap();
+
+    let slice = data.training_slice(day).unwrap();
+    let pipeline = DitaBuilder::new()
+        .config(config)
+        .build(&slice.social, &slice.histories)
+        .unwrap();
+    let engine = EngineBuilder::new()
+        .pipeline(PipelineMode::Owned(Box::new(pipeline)))
+        .network(NetworkMode::Adaptive(Box::new(slice.social)))
+        .build();
+    let server = Server::start(engine, ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut translator = ReplayTranslator::new(&data, &opts, slice.to_dense);
+    let stream = ReplayStream::from_dataset(&data, day, &opts).unwrap();
+    for round in stream.rounds() {
+        let events: Vec<EventKind> = round
+            .events
+            .iter()
+            .filter_map(|e| translator.translate(e))
+            .collect();
+        if !events.is_empty() {
+            let (status, body) = request(addr, "POST", "/events", &events_json(&events));
+            assert_eq!(status, 202, "{body}");
+        }
+        let close = format!("{{\"at\": {}}}", round.now.as_seconds());
+        let (status, body) = request(addr, "POST", "/round", &close);
+        assert_eq!(status, 200, "{body}");
+    }
+    let served = server.shutdown();
+
+    assert_eq!(served.summary(), in_process.report.summary);
+    assert_eq!(served.pipeline().model().n_workers(), 12);
 }

@@ -51,7 +51,7 @@ pub use online::{
     scripted_event, EngineBuilder, NetworkMode, OnlineEngine, OnlineSummary, PipelineMode,
     RoundReport,
 };
-pub use replay::{replay_day, ReplayReport, ReplayRoundOutcome, ReplayRun};
+pub use replay::{replay_day, ReplayReport, ReplayRoundOutcome, ReplayRun, ReplayTranslator};
 pub use sc_core::{OnlineConfig, Parallelism};
 pub use snapshot::{
     load_snapshot, save_snapshot, snapshot_from_str, snapshot_to_string, SnapshotError,

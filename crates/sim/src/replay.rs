@@ -14,12 +14,16 @@
 //!    an engine built with [`PipelineMode::Owned`] and
 //!    [`NetworkMode::Adaptive`];
 //! 3. **fold in the unseen** — a worker whose first check-in falls on
-//!    the replay day is outside the trained population; the driver
-//!    assigns them the next dense id and folds them into the live
-//!    influence network (an [`EventKind::WorkerNew`] event) with
-//!    their social edges (mapped onto already-known workers) and their
-//!    check-in evidence so far, so they earn non-zero influence without
-//!    a retrain.
+//!    the replay day is outside the trained population; the
+//!    [`ReplayTranslator`] assigns them the next dense id and folds
+//!    them into the live influence network (an [`EventKind::WorkerNew`]
+//!    event) with their social edges (mapped onto already-known
+//!    workers) and their check-in evidence so far, so they earn
+//!    non-zero influence without a retrain.
+//!
+//! The same [`ReplayTranslator`] feeds `dita post-replay`, which posts
+//! its events to a running `dita serve`, so in-process and wire replay
+//! hand the engine one event stream.
 //!
 //! Determinism: the stream carries no randomness and the engine's
 //! maintenance + scoring are bit-identical at any thread budget, so two
@@ -88,6 +92,98 @@ pub struct ReplayRun {
     pub engine: OnlineEngine<'static>,
 }
 
+/// Translates a trace day's [`ReplayEvent`]s into engine events,
+/// tracking the dense worker ids an owned, adaptive engine gives out.
+///
+/// A check-in of a known worker becomes an
+/// [`EventKind::WorkerArrival`] under their dense id. A first sighting
+/// becomes an [`EventKind::WorkerNew`] under the next dense id, with
+/// the worker's friendships onto already-known workers and their
+/// check-ins up to now as evidence. It keeps that id only when it has
+/// at least one known friend: the engine refuses a friendless fold-in
+/// ([`crate::RejectReason::NoUsableFriends`]) without using an id, so
+/// the worker signs up again at their next check-in. A departure of a
+/// worker the engine never knew translates to nothing.
+#[derive(Debug)]
+pub struct ReplayTranslator<'a> {
+    data: &'a LoadedDataset,
+    opts: &'a ReplayOptions,
+    to_dense: HashMap<WorkerId, WorkerId>,
+    next_dense: usize,
+}
+
+impl<'a> ReplayTranslator<'a> {
+    /// Starts from the trace → dense map of the trained population
+    /// ([`sc_datagen::TrainingSlice::to_dense`]).
+    pub fn new(
+        data: &'a LoadedDataset,
+        opts: &'a ReplayOptions,
+        to_dense: HashMap<WorkerId, WorkerId>,
+    ) -> Self {
+        let next_dense = to_dense.len();
+        ReplayTranslator {
+            data,
+            opts,
+            to_dense,
+            next_dense,
+        }
+    }
+
+    /// The engine event for one trace event.
+    pub fn translate(&mut self, event: &ReplayEvent) -> Option<EventKind> {
+        match event {
+            ReplayEvent::CheckIn {
+                worker,
+                location,
+                at,
+                ..
+            } => {
+                let worker_at = |id| {
+                    Worker::new(id, *location, self.opts.radius_km).with_speed(self.opts.speed_kmh)
+                };
+                if let Some(&dense) = self.to_dense.get(worker) {
+                    return Some(EventKind::WorkerArrival {
+                        worker: worker_at(dense),
+                    });
+                }
+                let dense = WorkerId::from(self.next_dense);
+                let friends: Vec<WorkerId> = self
+                    .data
+                    .social
+                    .informs(worker.raw())
+                    .iter()
+                    .filter_map(|f| self.to_dense.get(&WorkerId::new(*f)).copied())
+                    .collect();
+                let mut history = History::new();
+                for r in self.data.histories.history(*worker).records() {
+                    if r.arrived <= *at {
+                        let mut rec = r.clone();
+                        rec.worker = dense;
+                        history.push(rec);
+                    }
+                }
+                if !friends.is_empty() {
+                    self.to_dense.insert(*worker, dense);
+                    self.next_dense += 1;
+                }
+                Some(EventKind::WorkerNew {
+                    worker: worker_at(dense),
+                    friends,
+                    history,
+                })
+            }
+            ReplayEvent::TaskPosted { task, venue } => Some(EventKind::TaskArrival {
+                task: task.clone(),
+                venue: *venue,
+            }),
+            ReplayEvent::Departure { worker, .. } => self
+                .to_dense
+                .get(worker)
+                .map(|&dense| EventKind::WorkerDeparture { worker: dense }),
+        }
+    }
+}
+
 /// Trains on the trace's past and replays `day` through an adaptive
 /// online engine. `config.online` governs per-round pool maintenance;
 /// `config.rpo.threads` governs every parallel phase (results are
@@ -113,7 +209,7 @@ pub fn replay_day(
         .config(config.online)
         .build();
 
-    let mut to_dense: HashMap<WorkerId, WorkerId> = slice.to_dense;
+    let mut translator = ReplayTranslator::new(data, opts, slice.to_dense);
     let mut folded: Vec<(WorkerId, WorkerId)> = Vec::new();
     let mut rounds = Vec::with_capacity(stream.n_rounds());
 
@@ -122,67 +218,23 @@ pub fn replay_day(
         let mut fold_ins = 0usize;
         let mut rejected = 0usize;
         for event in &round.events {
-            match event {
-                ReplayEvent::CheckIn {
-                    worker,
-                    location,
-                    at,
-                    ..
-                } => {
-                    checkins += 1;
-                    if let Some(&dense) = to_dense.get(worker) {
-                        engine.ingest(EventKind::WorkerArrival {
-                            worker: Worker::new(dense, *location, opts.radius_km)
-                                .with_speed(opts.speed_kmh),
-                        });
-                    } else {
-                        // First sighting of this worker: fold into the
-                        // live network with the evidence observed so
-                        // far (their check-ins up to now) and their
-                        // friendships onto already-known workers.
-                        let dense = WorkerId::from(engine.pipeline().model().n_workers());
-                        let friends: Vec<WorkerId> = data
-                            .social
-                            .informs(worker.raw())
-                            .iter()
-                            .filter_map(|f| to_dense.get(&WorkerId::new(*f)).copied())
-                            .collect();
-                        let mut evidence = History::new();
-                        for r in data.histories.history(*worker).records() {
-                            if r.arrived <= *at {
-                                let mut rec = r.clone();
-                                rec.worker = dense;
-                                evidence.push(rec);
-                            }
-                        }
-                        let arrival = Worker::new(dense, *location, opts.radius_km)
-                            .with_speed(opts.speed_kmh);
-                        match engine.ingest(EventKind::WorkerNew {
-                            worker: arrival,
-                            friends,
-                            history: evidence,
-                        }) {
-                            Outcome::WorkerFoldedIn => {
-                                to_dense.insert(*worker, dense);
-                                folded.push((*worker, dense));
-                                fold_ins += 1;
-                            }
-                            Outcome::Rejected(_) => rejected += 1,
-                            _ => {}
-                        }
-                    }
+            let Some(kind) = translator.translate(event) else {
+                continue;
+            };
+            let first_sighting = match (event, &kind) {
+                (ReplayEvent::CheckIn { worker, .. }, EventKind::WorkerNew { worker: w, .. }) => {
+                    Some((*worker, w.id))
                 }
-                ReplayEvent::TaskPosted { task, venue } => {
-                    engine.ingest(EventKind::TaskArrival {
-                        task: task.clone(),
-                        venue: *venue,
-                    });
+                _ => None,
+            };
+            checkins += usize::from(matches!(event, ReplayEvent::CheckIn { .. }));
+            match (engine.ingest(kind), first_sighting) {
+                (Outcome::WorkerFoldedIn, Some(ids)) => {
+                    folded.push(ids);
+                    fold_ins += 1;
                 }
-                ReplayEvent::Departure { worker, .. } => {
-                    if let Some(&dense) = to_dense.get(worker) {
-                        engine.ingest(EventKind::WorkerDeparture { worker: dense });
-                    }
-                }
+                (Outcome::Rejected(_), Some(_)) => rejected += 1,
+                _ => {}
             }
         }
         let report = engine.run_round(round.now, algorithm);

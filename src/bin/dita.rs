@@ -20,17 +20,18 @@
 
 use dita::core::{AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig};
 use dita::datagen::{
-    io as dio, DatasetProfile, InstanceOptions, LoadedDataset, ReplayEvent, ReplayOptions,
-    ReplayStream, SyntheticDataset,
+    io as dio, DatasetProfile, InstanceOptions, LoadedDataset, ReplayOptions, ReplayStream,
+    SyntheticDataset,
 };
 use dita::influence::{Parallelism, RpoParams};
 use dita::serve::{client, ServeConfig, Server};
 use dita::sim::platform::{simulate_day, DayConfig};
 use dita::sim::{
     load_snapshot, render_table, replay_day, scripted_event, EngineBuilder, EventKind,
-    ExperimentRunner, NetworkMode, OnlineEngine, PipelineMode, SweepAxis, SweepValues,
+    ExperimentRunner, NetworkMode, OnlineEngine, PipelineMode, ReplayTranslator, SweepAxis,
+    SweepValues,
 };
-use dita::types::{History, TimeInstant, Worker, WorkerId};
+use dita::types::TimeInstant;
 use serde::json::Value;
 use serde::Serialize as _;
 use std::collections::HashMap;
@@ -790,12 +791,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `dita post-replay` — the wire twin of `dita replay`: translates one
-/// trace day into `EventKind` batches and drives a running `dita
-/// serve` with them, one `POST /events` + `POST /round` per replay
-/// round. Fold-in candidates are assigned dense ids optimistically, in
-/// first-sighting order — the same order the server assigns them — so
-/// client and server stay aligned; any server-side rejections are
-/// surfaced in the per-round counts.
+/// trace day into `EventKind` batches with the same
+/// [`ReplayTranslator`] `dita replay` ingests from, and drives a
+/// running `dita serve` with them, one `POST /events` + `POST /round`
+/// per replay round. Any server-side rejections are surfaced in the
+/// per-round counts.
 fn cmd_post_replay(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = flags
         .get("addr")
@@ -829,76 +829,16 @@ fn cmd_post_replay(flags: &HashMap<String, String>) -> Result<(), String> {
     let slice = data.training_slice(day).map_err(|e| e.to_string())?;
     let stream = ReplayStream::from_dataset(&data, day, &opts).map_err(|e| e.to_string())?;
 
-    let mut to_dense = slice.to_dense;
-    let mut next_dense = slice.from_dense.len();
+    let mut translator = ReplayTranslator::new(&data, &opts, slice.to_dense);
     let mut posted = 0usize;
     let mut rejected_total = 0usize;
     for (round_idx, round) in stream.rounds().iter().enumerate() {
-        let mut batch: Vec<Value> = Vec::new();
-        for event in &round.events {
-            match event {
-                ReplayEvent::CheckIn {
-                    worker,
-                    location,
-                    at,
-                    ..
-                } => {
-                    if let Some(&dense) = to_dense.get(worker) {
-                        batch.push(
-                            EventKind::WorkerArrival {
-                                worker: Worker::new(dense, *location, opts.radius_km)
-                                    .with_speed(opts.speed_kmh),
-                            }
-                            .to_value(),
-                        );
-                    } else {
-                        // First sighting: mirror the server's dense-id
-                        // assignment (arrival order) and ship the
-                        // evidence observed so far.
-                        let dense = WorkerId::from(next_dense);
-                        let friends: Vec<WorkerId> = data
-                            .social
-                            .informs(worker.raw())
-                            .iter()
-                            .filter_map(|f| to_dense.get(&WorkerId::new(*f)).copied())
-                            .collect();
-                        let mut evidence = History::new();
-                        for r in data.histories.history(*worker).records() {
-                            if r.arrived <= *at {
-                                let mut rec = r.clone();
-                                rec.worker = dense;
-                                evidence.push(rec);
-                            }
-                        }
-                        batch.push(
-                            EventKind::WorkerNew {
-                                worker: Worker::new(dense, *location, opts.radius_km)
-                                    .with_speed(opts.speed_kmh),
-                                friends,
-                                history: evidence,
-                            }
-                            .to_value(),
-                        );
-                        to_dense.insert(*worker, dense);
-                        next_dense += 1;
-                    }
-                }
-                ReplayEvent::TaskPosted { task, venue } => {
-                    batch.push(
-                        EventKind::TaskArrival {
-                            task: task.clone(),
-                            venue: *venue,
-                        }
-                        .to_value(),
-                    );
-                }
-                ReplayEvent::Departure { worker, .. } => {
-                    if let Some(&dense) = to_dense.get(worker) {
-                        batch.push(EventKind::WorkerDeparture { worker: dense }.to_value());
-                    }
-                }
-            }
-        }
+        let batch: Vec<Value> = round
+            .events
+            .iter()
+            .filter_map(|e| translator.translate(e))
+            .map(|kind| kind.to_value())
+            .collect();
         if round_idx < skip {
             continue;
         }
