@@ -38,7 +38,8 @@
 //! merged in order).
 
 use crate::eligibility::{
-    task_grid, worker_row, EligibilityMatrix, EligiblePair, GRID_THRESHOLD, SHARD_THRESHOLD,
+    arrives_in_time, task_grid, worker_row, EligibilityMatrix, EligiblePair, GRID_THRESHOLD,
+    SHARD_THRESHOLD,
 };
 use sc_spatial::GridIndex;
 use sc_types::{Duration, Instance, TimeInstant, Worker};
@@ -346,7 +347,7 @@ impl EligibilityState {
                                 continue; // column removed this round
                             }
                             let task = &instance.tasks[ti as usize];
-                            if instance.now + sp.travel > task.deadline() {
+                            if !arrives_in_time(instance.now, sp.travel, task.deadline()) {
                                 sub.pairs_expired += 1;
                                 continue;
                             }
@@ -435,7 +436,7 @@ impl EligibilityState {
                 continue;
             }
             let travel = Duration::seconds(worker.travel_seconds(&task.location).ceil() as i64);
-            if instance.now + travel > task.deadline() {
+            if !arrives_in_time(instance.now, travel, task.deadline()) {
                 continue;
             }
             out.push(EligiblePair {

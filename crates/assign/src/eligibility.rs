@@ -24,7 +24,7 @@
 //! sharding of its own — the grid already prunes it per worker).
 
 use sc_spatial::GridIndex;
-use sc_types::{Duration, Instance, Worker};
+use sc_types::{Duration, Instance, TimeInstant, Worker};
 
 /// Instances below this |W|·|S| threshold use the direct double loop;
 /// the grid only pays off once the quadratic scan dominates.
@@ -74,6 +74,16 @@ pub(crate) fn task_grid(instance: &Instance) -> Option<GridIndex> {
     })
 }
 
+/// Whether a worker who leaves at `now` and travels for `travel`
+/// arrives by `deadline`. An arrival past the end of representable
+/// time never does: a zero or vanishing speed saturates `travel` at
+/// `i64::MAX` seconds, and the sum must not wrap into the past.
+#[inline]
+pub(crate) fn arrives_in_time(now: TimeInstant, travel: Duration, deadline: TimeInstant) -> bool {
+    now.checked_add(travel)
+        .is_some_and(|arrival| arrival <= deadline)
+}
+
 /// Appends worker `wi`'s eligible pairs to `out` in ascending task
 /// order — the one row body shared by the sequential and sharded
 /// builds (and the delta path's row rebuilds), so their outputs can
@@ -103,7 +113,7 @@ pub(crate) fn worker_row(
             continue;
         }
         let travel = Duration::seconds(worker.travel_seconds(&task.location).ceil() as i64);
-        if instance.now + travel > task.deadline() {
+        if !arrives_in_time(instance.now, travel, task.deadline()) {
             continue;
         }
         out.push(EligiblePair {

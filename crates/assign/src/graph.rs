@@ -4,7 +4,10 @@
 //! Edges: `N_s → wᵢ` (cap 1, cost 0), `wᵢ → sⱼ` for each available pair
 //! (cap 1, cost supplied by the algorithm), `sⱼ → N_d` (cap 1, cost 0).
 //! Maximum flow = maximum number of assignments; minimum cost among
-//! maximum flows encodes the influence objective.
+//! maximum flows encodes the influence objective. [`MinCostMaxFlow`]
+//! is this network with the source and sink implicit, so only the
+//! worker → task edges are entered — one per pair, in pair order, so
+//! an edge id is a pair index.
 
 use crate::eligibility::EligibilityMatrix;
 use sc_graph::{CertificateError, FlowResult, MinCostMaxFlow};
@@ -13,66 +16,35 @@ use sc_graph::{CertificateError, FlowResult, MinCostMaxFlow};
 #[derive(Debug)]
 pub struct AssignmentGraph {
     flow: MinCostMaxFlow,
-    /// MCMF edge id of each available pair, indexed as in
-    /// [`EligibilityMatrix::pairs`].
-    pair_edges: Vec<usize>,
-    n_workers: usize,
-    n_tasks: usize,
 }
 
 impl AssignmentGraph {
     /// Builds the graph from an eligibility matrix; `pair_cost` supplies
     /// the cost of each worker→task edge (indexed as in
-    /// [`EligibilityMatrix::pairs`]).
+    /// [`EligibilityMatrix::pairs`]). Costs must be finite and
+    /// non-negative ([`MinCostMaxFlow::add_edge`] panics otherwise).
     pub fn build(matrix: &EligibilityMatrix, mut pair_cost: impl FnMut(usize) -> f64) -> Self {
-        let n_workers = matrix.n_workers();
-        let n_tasks = matrix.n_tasks();
-        // Layout: 0 = source, 1..=W workers, W+1..=W+S tasks, last = sink.
-        let source = 0usize;
-        let sink = n_workers + n_tasks + 1;
-        let mut flow = MinCostMaxFlow::new(sink + 1);
-
-        for wi in 0..n_workers {
-            flow.add_edge(source, 1 + wi, 1, 0.0);
-        }
-        for ti in 0..n_tasks {
-            flow.add_edge(1 + n_workers + ti, sink, 1, 0.0);
-        }
-        let mut pair_edges = Vec::with_capacity(matrix.n_pairs());
+        let mut flow = MinCostMaxFlow::new(matrix.n_workers(), matrix.n_tasks());
         for (pi, pair) in matrix.pairs().iter().enumerate() {
-            let cost = pair_cost(pi);
-            debug_assert!(cost.is_finite() && cost >= 0.0, "bad edge cost {cost}");
-            pair_edges.push(flow.add_edge(
-                1 + pair.worker_idx as usize,
-                1 + n_workers + pair.task_idx as usize,
-                1,
-                cost,
-            ));
+            flow.add_edge(
+                pair.worker_idx as usize,
+                pair.task_idx as usize,
+                pair_cost(pi),
+            );
         }
-
-        AssignmentGraph {
-            flow,
-            pair_edges,
-            n_workers,
-            n_tasks,
-        }
+        AssignmentGraph { flow }
     }
 
     /// Solves MCMF and returns `(result, chosen)`: the indices into
     /// [`EligibilityMatrix::pairs`] of the pairs carrying flow, ascending.
     pub fn solve(&mut self) -> (FlowResult, Vec<usize>) {
-        let source = 0;
-        let sink = self.n_workers + self.n_tasks + 1;
-        let result = self.flow.run(source, sink);
-        let chosen = (0..self.pair_edges.len())
-            .filter(|&pi| self.flow.flow_on(self.pair_edges[pi]) > 0)
-            .collect();
-        (result, chosen)
+        let result = self.flow.run();
+        (result, self.flow.matched_edges())
     }
 
     /// Number of worker→task edges.
     pub fn n_pair_edges(&self) -> usize {
-        self.pair_edges.len()
+        self.flow.n_edges()
     }
 
     /// Runs the [`sc_graph::verify`] flow certificate against a solved
@@ -81,9 +53,7 @@ impl AssignmentGraph {
     /// witness). A test/debug helper — `result` must come from
     /// [`AssignmentGraph::solve`] on this same graph.
     pub fn verify(&self, result: &FlowResult) -> Result<(), CertificateError> {
-        let source = 0;
-        let sink = self.n_workers + self.n_tasks + 1;
-        sc_graph::verify(&self.flow, source, sink, result, 1e-9)
+        sc_graph::verify(&self.flow, &self.flow.matched_edges(), result, 1e-9)
     }
 }
 

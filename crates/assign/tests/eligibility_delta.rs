@@ -212,3 +212,50 @@ fn reset_forces_full_rebuild() {
     let (_, stats) = state.advance(&inst, 1);
     assert!(stats.full_rebuild);
 }
+
+/// A worker who can never arrive — speed 0, or so slow that the travel
+/// time saturates at `i64::MAX` seconds — is eligible for nothing, on
+/// the build path and on the delta path, where a carried row meets a
+/// newly posted task. `now + travel` used to overflow there: a panic
+/// in debug builds, and a wrap into the past (an eligible pair) in
+/// release. Normal speeds keep their answers: 3 km at 1 km/h misses a
+/// 1-hour deadline, at 30 km/h it makes it.
+#[test]
+fn a_worker_who_never_arrives_is_eligible_for_nothing() {
+    let now = TimeInstant::at(0, 6);
+    let later = now + Duration::minutes(10);
+    let task = |id: u32, at: TimeInstant| {
+        Task::new(
+            TaskId::new(id),
+            Location::new(3.0, 0.0),
+            at,
+            Duration::hours(1),
+            CategoryId::new(0),
+        )
+    };
+    for (speed, want) in [
+        (0.0, [0, 0]),
+        (1e-300, [0, 0]),
+        (1.0, [0, 0]),
+        (30.0, [1, 2]),
+    ] {
+        let worker = Worker::new(WorkerId::new(0), Location::new(0.0, 0.0), 5.0).with_speed(speed);
+        let first = Instance::new(now, vec![worker.clone()], vec![task(0, now)]);
+        let second = Instance::new(later, vec![worker], vec![task(0, now), task(1, later)]);
+        let mut state = EligibilityState::new();
+        for (round, inst) in [first, second].iter().enumerate() {
+            let built = EligibilityMatrix::build(inst);
+            assert_eq!(
+                built.n_pairs(),
+                want[round],
+                "speed {speed} round {round}: build"
+            );
+            let (advanced, stats) = state.advance(inst, 1);
+            assert_eq!(stats.full_rebuild, round == 0);
+            assert_eq!(
+                advanced, built,
+                "speed {speed} round {round}: delta != build"
+            );
+        }
+    }
+}

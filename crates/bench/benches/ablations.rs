@@ -80,23 +80,16 @@ fn assignment_edges(n: usize, degree: usize, seed: u64) -> Vec<(usize, usize, f6
 }
 
 fn solve(n: usize, edges: &[(usize, usize, f64)], quantize: bool) -> f64 {
-    let (s, t) = (2 * n, 2 * n + 1);
-    let mut g = MinCostMaxFlow::new(2 * n + 2);
-    for w in 0..n {
-        g.add_edge(s, w, 1, 0.0);
-    }
-    for task in 0..n {
-        g.add_edge(n + task, t, 1, 0.0);
-    }
+    let mut g = MinCostMaxFlow::new(n, n);
     for &(w, task, cost) in edges {
         let cost = if quantize {
             (cost * 10_000.0).round() / 10_000.0
         } else {
             cost
         };
-        g.add_edge(w, n + task, 1, cost);
+        g.add_edge(w, task, cost);
     }
-    g.run(s, t).cost
+    g.run().cost
 }
 
 fn bench_mcmf_cost_repr(c: &mut Criterion) {

@@ -8,7 +8,8 @@ use sc_graph::{Dinic, MinCostMaxFlow};
 use std::hint::black_box;
 
 /// Random bipartite assignment instance: `n` workers, `n` tasks,
-/// `degree` candidate tasks per worker.
+/// `degree` candidate tasks per worker (a worker may draw a task twice,
+/// which makes parallel edges).
 fn random_instance(n: usize, degree: usize, seed: u64) -> Vec<(usize, usize, f64)> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(n * degree);
@@ -23,18 +24,11 @@ fn random_instance(n: usize, degree: usize, seed: u64) -> Vec<(usize, usize, f64
 }
 
 fn mcmf_solve(n: usize, edges: &[(usize, usize, f64)]) -> (i64, f64) {
-    let (s, t) = (2 * n, 2 * n + 1);
-    let mut g = MinCostMaxFlow::new(2 * n + 2);
-    for w in 0..n {
-        g.add_edge(s, w, 1, 0.0);
-    }
-    for task in 0..n {
-        g.add_edge(n + task, t, 1, 0.0);
-    }
+    let mut g = MinCostMaxFlow::new(n, n);
     for &(w, task, c) in edges {
-        g.add_edge(w, n + task, 1, c);
+        g.add_edge(w, task, c);
     }
-    let r = g.run(s, t);
+    let r = g.run();
     (r.flow, r.cost)
 }
 

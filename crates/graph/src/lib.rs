@@ -9,10 +9,14 @@
 //!   cache-friendly.
 //! * [`traverse`] — BFS/DFS/weakly-connected components.
 //! * [`Dinic`] — max-flow for the influence-agnostic MTA baseline.
-//! * [`MinCostMaxFlow`] — successive-shortest-path min-cost max-flow with
-//!   `f64` costs; the IA/EIA/DIA algorithms of paper Section IV reduce
-//!   their assignment instances to this solver (the paper's
-//!   Ford–Fulkerson + LP step computes the same optimum).
+//! * [`MinCostMaxFlow`] — min-cost max-flow with `f64` costs on the
+//!   unit-capacity bipartite network of paper Figure 4 (workers on the
+//!   left, tasks on the right, source and sink implicit); the IA/EIA/DIA
+//!   algorithms of paper Section IV reduce their assignment instances to
+//!   it (the paper's Ford–Fulkerson + LP step computes the same
+//!   optimum). Successive shortest paths whose passes never visit a
+//!   free worker; [`verify`] certifies a solved matching independently
+//!   of the solver.
 //! * [`HopcroftKarp`] — maximum bipartite matching, used as an
 //!   independent cross-check of the flow-based cardinality.
 

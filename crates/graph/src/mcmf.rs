@@ -1,36 +1,61 @@
-//! Min-cost max-flow with `f64` costs.
+//! Min-cost max-flow on the unit-capacity bipartite assignment network.
 //!
-//! Paper Section IV-A converts an ITA instance into an MCMF problem:
-//! maximize flow from source to sink (the number of assigned tasks —
-//! primary objective), and among all maximum flows pick one with minimum
-//! total cost (costs encode negated, normalized influence — secondary
+//! Paper Section IV-A converts an ITA instance into an MCMF problem on
+//! the network of its Figure 4 — source → workers → tasks → sink, every
+//! capacity 1: maximize flow (the number of assigned tasks — primary
+//! objective), and among all maximum flows pick one with minimum total
+//! cost (costs encode negated, normalized influence — secondary
 //! objective). The paper runs Ford–Fulkerson then a cost-minimizing LP;
-//! the successive-shortest-path family used here computes the same
+//! the successive-shortest-path (SSP) family used here computes the same
 //! optimum: every augmentation routes along a cheapest residual path, so
 //! after the final augmentation the flow is maximum and its cost is
 //! minimal among maximum flows.
 //!
+//! [`MinCostMaxFlow`] is that network and nothing more general: *left*
+//! nodes (workers), *right* nodes (tasks), and one unit-capacity edge
+//! per eligible pair with a finite, non-negative cost. The source and
+//! sink are implicit, so a flow is a matching and an edge carries flow
+//! exactly when it is matched.
+//!
 //! The cheapest paths come from a Johnson-style **potential-based
 //! Dijkstra** over reduced costs `c_π(u→v) = c(u→v) + π(u) − π(v)`,
-//! valid because every entered cost is non-negative (the assignment
-//! costs `1/(if+1)` always are) so the all-zero initial potential is
-//! feasible. One search pass settles nodes through a deterministic
-//! binary heap keyed `(distance, node id)` and **stops the moment the
-//! sink settles** — with warm potentials only a small wavefront around
-//! the cheapest path is ever touched. The potential update truncates
-//! labels at `dist(t)` (`π(v) += min(dist(v), dist(t))`, unreached
-//! nodes take the full `dist(t)`), which keeps reduced costs
-//! non-negative under early exit; afterwards the pass's predecessor
-//! chain from `t` back to `s` is a cheapest path with every reduced cost
-//! exactly zero, and the solver augments along it — one path per pass,
-//! the textbook successive-shortest-path step. Augmenting along a tight
-//! path keeps the potentials feasible (the reverse of a tight edge is
-//! itself tight), which is the invariant [`verify`] certifies. The
-//! result is a pure function of the input network.
+//! valid because every cost is non-negative, so the all-zero initial
+//! potential is feasible. One pass settles nodes through a
+//! deterministic binary heap keyed `(distance, node id)` — left node
+//! `w` has id `w`, right node `j` id `n_left + j` — with a plain FIFO
+//! for the nodes at distance exactly 0, and **stops at the first free
+//! right node it settles**. The potential update truncates labels at
+//! that distance `dt` (`π(v) += min(dist(v), dt)`), which keeps reduced
+//! costs non-negative under early exit; the pass's predecessor chain is
+//! then a cheapest path with every reduced cost exactly zero, and the
+//! solver augments along it — one path per pass, the textbook SSP step.
+//! Augmenting along a tight path keeps the potentials feasible (the
+//! reverse of a tight edge is itself tight), which is the invariant
+//! [`verify`] certifies. The result is a pure function of the network.
 //!
-//! Searches walk a **CSR adjacency** ([`MinCostMaxFlow`] flattens edge
-//! lists into `first`/`adj` arrays once per solve) in ascending edge-id
-//! order per node.
+//! Three facts of SSP on this network keep a pass away from the free
+//! left nodes, which a source-rooted search would rescan every pass:
+//!
+//! 1. **A free left node sits at distance 0 with potential 0**, and a
+//!    matched one never becomes free again. So the cheapest way into
+//!    right node `j` from any free left node is its cheapest still-free
+//!    edge: each right node keeps a forward-only pointer into its edges
+//!    sorted by `(cost, edge id)`, and a pass seeds every right node in
+//!    `O(1)` (amortized) without visiting a free left node.
+//! 2. **Every free right node shares the sink's potential**, so the
+//!    sink's distance is the smallest free right node's, and the pass
+//!    ends at the first free right node it settles.
+//! 3. **Only settled nodes change potential** relative to the sink: an
+//!    unsettled node's potential rises by `dt` like the sink's. The
+//!    solver stores potentials relative to a running `shift` (the sink's
+//!    potential), updates only the settled nodes, and resets labels
+//!    through a list of the nodes the pass touched.
+//!
+//! A pass therefore costs `O(n_right + wavefront)` — the seeds plus the
+//! matched left nodes and right nodes strictly cheaper than the
+//! augmenting path — instead of `O(nodes + the free left nodes'
+//! degree)`. Right nodes have one residual out-edge at most (back to
+//! their matched left node); a matched left node scans its edge row.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -39,10 +64,13 @@ use std::collections::{BinaryHeap, VecDeque};
 /// certificate's Bellman–Ford relaxation in [`verify`].
 const COST_EPS: f64 = 1e-13;
 
+/// "No edge" / "free node" marker in the `u32` edge-id arrays.
+const NONE: u32 = u32::MAX;
+
 /// Result of an MCMF run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowResult {
-    /// Total flow routed (the number of assignments for unit capacities).
+    /// Total flow routed (the number of matched edges).
     pub flow: i64,
     /// Total cost of the routed flow.
     pub cost: f64,
@@ -50,306 +78,381 @@ pub struct FlowResult {
     pub augmentations: usize,
     /// Shortest-path search passes run, including the final pass that
     /// finds no path. Each other pass commits exactly one path, so
-    /// `passes == augmentations + 1` on every solve that routes flow.
+    /// `passes == augmentations + 1` on every solve (an empty network
+    /// runs one pass).
     pub passes: usize,
 }
 
-/// A min-cost max-flow network over `f64` edge costs.
+/// The unit-capacity bipartite assignment network of paper Figure 4,
+/// solved for a min-cost maximum matching with `f64` costs.
 #[derive(Debug, Clone)]
 pub struct MinCostMaxFlow {
-    to: Vec<u32>,
-    cap: Vec<i64>,
+    n_left: usize,
+    n_right: usize,
+    /// Left node of each edge.
+    left: Vec<u32>,
+    /// Right node of each edge.
+    right: Vec<u32>,
+    /// Cost of each edge.
     cost: Vec<f64>,
-    /// CSR row starts into `adj` (`n + 1` entries once built).
-    first: Vec<u32>,
-    /// Edge ids grouped by tail node, ascending within each row.
-    adj: Vec<u32>,
-    /// Edge count `adj` was built at; a mismatch with `to.len()`
-    /// triggers a rebuild at the next solve.
-    csr_edges: usize,
-    n: usize,
+    /// Matched edge of each right node after [`MinCostMaxFlow::run`]
+    /// (`NONE` while free).
+    matched: Vec<u32>,
 }
 
 impl MinCostMaxFlow {
-    /// Creates a network with `n` nodes.
-    pub fn new(n: usize) -> Self {
+    /// Creates a network with `n_left` left nodes (workers) and
+    /// `n_right` right nodes (tasks), and no edges.
+    pub fn new(n_left: usize, n_right: usize) -> Self {
+        assert!(
+            n_left + n_right < NONE as usize,
+            "too many nodes for u32 node ids"
+        );
         MinCostMaxFlow {
-            to: Vec::new(),
-            cap: Vec::new(),
+            n_left,
+            n_right,
+            left: Vec::new(),
+            right: Vec::new(),
             cost: Vec::new(),
-            first: Vec::new(),
-            adj: Vec::new(),
-            csr_edges: usize::MAX,
-            n,
+            matched: vec![NONE; n_right],
         }
     }
 
-    /// Number of nodes.
-    #[inline]
-    pub fn n_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Number of directed edges added (excluding residual reverses).
+    /// Number of edges added.
     #[inline]
     pub fn n_edges(&self) -> usize {
-        self.to.len() / 2
+        self.cost.len()
     }
 
-    /// Adds a directed edge with capacity and non-negative cost; returns
-    /// an edge id usable with [`MinCostMaxFlow::flow_on`].
-    pub fn add_edge(&mut self, u: usize, v: usize, cap: i64, cost: f64) -> usize {
-        assert!(u < self.n && v < self.n, "node out of range");
-        assert!(cap >= 0, "capacity must be non-negative");
-        assert!(cost.is_finite(), "cost must be finite");
-        let id = self.to.len();
-        self.to.push(v as u32);
-        self.cap.push(cap);
+    /// Adds a unit-capacity edge from left node `left` to right node
+    /// `right`; returns its id (edges are numbered in insertion order,
+    /// from 0), usable with [`MinCostMaxFlow::flow_on`]. Parallel edges
+    /// are allowed.
+    ///
+    /// # Panics
+    ///
+    /// If a node is out of range, or `cost` is not finite and ≥ 0 — the
+    /// potential argument of the solver needs non-negative costs.
+    pub fn add_edge(&mut self, left: usize, right: usize, cost: f64) -> usize {
+        assert!(
+            left < self.n_left && right < self.n_right,
+            "node out of range"
+        );
+        assert!(
+            cost.is_finite() && cost >= 0.0,
+            "edge cost must be finite and non-negative, got {cost}"
+        );
+        let id = self.cost.len();
+        assert!(id < NONE as usize, "too many edges for u32 edge ids");
+        self.left.push(left as u32);
+        self.right.push(right as u32);
         self.cost.push(cost);
-        self.to.push(u as u32);
-        self.cap.push(0);
-        self.cost.push(-cost);
         id
     }
 
-    /// Flow routed through edge `id`.
+    /// Flow routed through edge `id`: 1 when the last
+    /// [`MinCostMaxFlow::run`] matched it, else 0.
     pub fn flow_on(&self, id: usize) -> i64 {
-        self.cap[id ^ 1]
+        i64::from(self.matched[self.right[id] as usize] == id as u32)
     }
 
-    /// Tail node of edge `e` (the head of its residual reverse).
-    #[inline]
-    fn tail(&self, e: usize) -> usize {
-        self.to[e ^ 1] as usize
+    /// Ids of the edges carrying flow, ascending.
+    pub fn matched_edges(&self) -> Vec<usize> {
+        (0..self.n_edges())
+            .filter(|&e| self.flow_on(e) > 0)
+            .collect()
     }
 
-    /// The CSR adjacency row of node `u`: edge ids leaving `u`,
-    /// ascending. Valid only after [`MinCostMaxFlow::ensure_csr`].
-    #[inline]
-    fn row(&self, u: usize) -> &[u32] {
-        let lo = self.first[u] as usize;
-        let hi = self.first[u + 1] as usize;
-        &self.adj[lo..hi]
-    }
-
-    /// (Re)builds the flat CSR adjacency when edges were added since
-    /// the last build. A stable counting scatter, so each row lists
-    /// edge ids in ascending order — the same per-node order the old
-    /// `head: Vec<Vec<u32>>` layout produced, now in two cache-friendly
-    /// flat arrays.
-    fn ensure_csr(&mut self) {
-        let m = self.to.len();
-        if self.csr_edges == m {
-            return;
+    /// Solves the network from scratch: a maximum matching, and among
+    /// maximum matchings one of minimum total cost. Successive shortest
+    /// paths, one potential-based Dijkstra pass per augmenting path
+    /// (see the module docs).
+    pub fn run(&mut self) -> FlowResult {
+        let (row_start, row_ids) = group_edges(self.n_left, &self.left);
+        let (col_start, mut col_ids) = group_edges(self.n_right, &self.right);
+        for j in 0..self.n_right {
+            let col = &mut col_ids[col_start[j] as usize..col_start[j + 1] as usize];
+            col.sort_unstable_by(|&a, &b| {
+                self.cost[a as usize]
+                    .total_cmp(&self.cost[b as usize])
+                    .then(a.cmp(&b))
+            });
         }
-        let mut counts = vec![0u32; self.n + 1];
-        for e in 0..m {
-            counts[self.tail(e) + 1] += 1;
-        }
-        for u in 0..self.n {
-            counts[u + 1] += counts[u];
-        }
-        let mut adj = vec![0u32; m];
-        let mut cursor = counts.clone();
-        for e in 0..m {
-            let u = self.tail(e);
-            adj[cursor[u] as usize] = e as u32;
-            cursor[u] += 1;
-        }
-        self.first = counts;
-        self.adj = adj;
-        self.csr_edges = m;
-    }
-
-    /// Runs min-cost max-flow from `s` to `t`.
-    pub fn run(&mut self, s: usize, t: usize) -> FlowResult {
-        assert!(s < self.n && t < self.n, "node out of range");
-        if s == t {
-            return FlowResult {
-                flow: 0,
-                cost: 0.0,
-                augmentations: 0,
-                passes: 0,
-            };
-        }
-        self.ensure_csr();
-        self.run_dijkstra(s, t)
-    }
-
-    /// Reduced cost of residual edge `e` under potentials `pot`.
-    #[inline]
-    fn reduced(&self, e: usize, pot: &[f64]) -> f64 {
-        self.cost[e] + pot[self.tail(e)] - pot[self.to[e] as usize]
-    }
-
-    /// One deterministic Dijkstra pass over reduced costs, terminating
-    /// the moment `t` settles: returns `dist(t)` (`∞` when `t` is
-    /// unreachable). Only the wavefront strictly cheaper than the
-    /// augmenting path is settled — with warm potentials that is a
-    /// small neighborhood of the path. Two further prunes keep the heap
-    /// small: the per-node potential is hoisted out of the edge scan,
-    /// and labels above the tentative `dist(t)` upper bound are never
-    /// pushed (such nodes cannot lie on a cheapest `s → t` path). The
-    /// heap pops by `(distance, node id)` and relaxation requires
-    /// strict improvement, so the label arrays are a pure function of
-    /// the residual network and `pot`.
-    ///
-    /// The **zero layer** — every node whose distance is exactly `0`,
-    /// i.e. the closure of `s` under zero-reduced-cost residual edges —
-    /// settles first through a plain FIFO queue, bypassing the heap
-    /// entirely. On assignment networks the layer holds every free
-    /// worker every pass (their source edges stay tight for the whole
-    /// solve), so this removes the bulk of the heap traffic. Distances
-    /// are unaffected (any settle order within one distance level is
-    /// valid); only equal-cost predecessor ties resolve in FIFO
-    /// discovery order instead of heap order, which is just as
-    /// deterministic.
-    #[allow(clippy::too_many_arguments)]
-    fn dijkstra_pass(
-        &self,
-        s: usize,
-        t: usize,
-        pot: &[f64],
-        dist: &mut [f64],
-        pred: &mut [u32],
-        heap: &mut BinaryHeap<Reverse<HeapKey>>,
-        zero: &mut VecDeque<u32>,
-    ) -> f64 {
-        dist.fill(f64::INFINITY);
-        pred.fill(u32::MAX);
-        heap.clear();
-        zero.clear();
-        dist[s] = 0.0;
-        zero.push_back(s as u32);
-        let mut ub = f64::INFINITY;
-        while let Some(u) = zero.pop_front() {
-            let u = u as usize;
-            if u == t {
-                return 0.0;
-            }
-            let pu = pot[u];
-            for &e in self.row(u) {
-                let e = e as usize;
-                if self.cap[e] <= 0 {
-                    continue;
-                }
-                let v = self.to[e] as usize;
-                // Feasible potentials keep reduced costs non-negative;
-                // clamp the ~1e-16 rounding negatives so Dijkstra's
-                // settled-is-final invariant is exact.
-                let rc = (self.cost[e] + pu - pot[v]).max(0.0);
-                if rc >= dist[v] {
-                    continue;
-                }
-                dist[v] = rc;
-                pred[v] = e as u32;
-                if rc == 0.0 {
-                    zero.push_back(v as u32);
-                } else if rc <= ub {
-                    if v == t {
-                        ub = rc;
-                    }
-                    heap.push(Reverse(HeapKey {
-                        dist: rc,
-                        node: v as u32,
-                    }));
-                }
-            }
-        }
-        while let Some(Reverse(HeapKey { dist: d, node: u })) = heap.pop() {
-            let u = u as usize;
-            if u == t {
-                return d;
-            }
-            if d > dist[u] {
-                continue; // stale heap entry
-            }
-            let pu = pot[u];
-            for &e in self.row(u) {
-                let e = e as usize;
-                if self.cap[e] <= 0 {
-                    continue;
-                }
-                let v = self.to[e] as usize;
-                let rc = (self.cost[e] + pu - pot[v]).max(0.0);
-                let nd = d + rc;
-                if nd < dist[v] && nd <= ub {
-                    dist[v] = nd;
-                    pred[v] = e as u32;
-                    if v == t {
-                        ub = nd;
-                    }
-                    heap.push(Reverse(HeapKey {
-                        dist: nd,
-                        node: v as u32,
-                    }));
-                }
-            }
-        }
-        f64::INFINITY
-    }
-
-    /// Successive shortest paths by potential-based Dijkstra (see the
-    /// module docs for the algorithm and its determinism argument).
-    fn run_dijkstra(&mut self, s: usize, t: usize) -> FlowResult {
-        let n = self.n;
-        let mut pot = vec![0.0f64; n];
-        let mut dist = vec![f64::INFINITY; n];
-        let mut pred = vec![u32::MAX; n];
-        let mut heap: BinaryHeap<Reverse<HeapKey>> = BinaryHeap::new();
-        let mut zero: VecDeque<u32> = VecDeque::new();
-        let mut flow = 0i64;
-        let mut cost = 0.0f64;
-        let mut augmentations = 0usize;
-        let mut passes = 0usize;
-
+        let n = self.n_left + self.n_right;
+        let mut ssp = Ssp {
+            left: &self.left,
+            right: &self.right,
+            cost: &self.cost,
+            n_left: self.n_left,
+            row_start,
+            row_ids,
+            next_free: col_start[..self.n_right].to_vec(),
+            col_start,
+            col_ids,
+            match_left: vec![NONE; self.n_left],
+            match_right: vec![NONE; self.n_right],
+            pot: vec![0.0; n],
+            shift: 0.0,
+            dist: vec![f64::INFINITY; n],
+            pred: vec![NONE; self.n_right],
+            touched: Vec::new(),
+            settled: Vec::new(),
+            zero: VecDeque::new(),
+            heap: BinaryHeap::new(),
+        };
+        let mut result = FlowResult {
+            flow: 0,
+            cost: 0.0,
+            augmentations: 0,
+            passes: 0,
+        };
         loop {
-            passes += 1;
-            let dt = self.dijkstra_pass(s, t, &pot, &mut dist, &mut pred, &mut heap, &mut zero);
-            if !dt.is_finite() {
-                break;
-            }
-            // Make every cheapest path tight. The pass stops the moment
-            // `t` settles, so labels are truncated at `dt = dist(t)`:
-            // `π(v) += min(dist(v), dt)`, with unreached nodes (label
-            // still ∞) taking the full `dt`. This keeps reduced costs
-            // non-negative everywhere — settled nodes (`dist < dt`)
-            // have fully relaxed out-edges; everything else gets the
-            // uniform `dt` increment, which cannot decrease any reduced
-            // cost by more than its head gains — while nodes on the
-            // cheapest path (all settled, labels ≤ dt) become exactly
-            // tight.
-            for (p, &d) in pot.iter_mut().zip(dist.iter()) {
-                *p += d.min(dt);
-            }
-
-            // Augment along the pass's predecessor chain `t → … → s`.
-            let mut bottleneck = i64::MAX;
-            let mut v = t;
-            while v != s {
-                let e = pred[v] as usize;
-                bottleneck = bottleneck.min(self.cap[e]);
-                v = self.tail(e);
-            }
-            debug_assert!(bottleneck > 0);
-            let mut path_cost = 0.0f64;
-            let mut v = t;
-            while v != s {
-                let e = pred[v] as usize;
-                self.cap[e] -= bottleneck;
-                self.cap[e ^ 1] += bottleneck;
-                path_cost += self.cost[e];
-                v = self.tail(e);
-            }
-            flow += bottleneck;
-            cost += path_cost * bottleneck as f64;
-            augmentations += 1;
+            result.passes += 1;
+            let Some(j) = ssp.pass() else { break };
+            result.cost += ssp.augment(j);
+            result.flow += 1;
+            result.augmentations += 1;
         }
-        FlowResult {
-            flow,
-            cost,
-            augmentations,
-            passes,
+        self.matched = ssp.match_right;
+        result
+    }
+}
+
+/// Edge ids grouped by one endpoint, by a stable counting scatter:
+/// node `v`'s edges are `ids[start[v]..start[v + 1]]`, ascending.
+fn group_edges(n: usize, ends: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for &v in ends {
+        start[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut next = start.clone();
+    let mut ids = vec![0u32; ends.len()];
+    for (e, &v) in ends.iter().enumerate() {
+        ids[next[v as usize] as usize] = e as u32;
+        next[v as usize] += 1;
+    }
+    (start, ids)
+}
+
+/// The state of one solve.
+struct Ssp<'a> {
+    left: &'a [u32],
+    right: &'a [u32],
+    cost: &'a [f64],
+    n_left: usize,
+    /// Each left node's edge ids, ascending:
+    /// `row_ids[row_start[w]..row_start[w + 1]]`.
+    row_start: Vec<u32>,
+    row_ids: Vec<u32>,
+    /// Each right node's edge ids sorted by `(cost, edge id)`:
+    /// `col_ids[col_start[j]..col_start[j + 1]]`.
+    col_start: Vec<u32>,
+    col_ids: Vec<u32>,
+    /// Per right node, the position in its column before which every
+    /// edge's left node is matched. Only moves forward: a matched left
+    /// node never becomes free again.
+    next_free: Vec<u32>,
+    /// Matched edge of each left / right node (`NONE` while free).
+    match_left: Vec<u32>,
+    match_right: Vec<u32>,
+    /// Potential minus `shift`, per node id, for right nodes and
+    /// matched left nodes; a free left node's potential is 0.
+    pot: Vec<f64>,
+    /// The sink's potential, which every free right node shares: the
+    /// sum of the passes' path distances.
+    shift: f64,
+    /// Tentative distance per node id; `∞` outside `touched`.
+    dist: Vec<f64>,
+    /// Per right node, the edge its current label arrived by. A matched
+    /// left node's label always arrives by its matched edge.
+    pred: Vec<u32>,
+    /// Node ids labelled this pass.
+    touched: Vec<u32>,
+    /// Node ids settled this pass, before the free right node that
+    /// ended it.
+    settled: Vec<u32>,
+    /// Nodes at distance exactly 0, in discovery order.
+    zero: VecDeque<u32>,
+    heap: BinaryHeap<Reverse<HeapKey>>,
+}
+
+impl Ssp<'_> {
+    /// The cheapest edge into right node `j` whose left node is free.
+    fn cheapest_free_edge(&mut self, j: usize) -> Option<usize> {
+        let end = self.col_start[j + 1];
+        let mut k = self.next_free[j];
+        while k < end
+            && self.match_left[self.left[self.col_ids[k as usize] as usize] as usize] != NONE
+        {
+            k += 1;
+        }
+        self.next_free[j] = k;
+        (k < end).then(|| self.col_ids[k as usize] as usize)
+    }
+
+    /// One deterministic Dijkstra pass over reduced costs. Returns the
+    /// first free right node it settles (the end of a cheapest
+    /// augmenting path), after updating the potentials; `None` when no
+    /// augmenting path exists.
+    ///
+    /// Every right node is seeded from its cheapest free edge. Nodes at
+    /// distance 0 — right nodes with a tight seed and the matched left
+    /// nodes and right nodes tight edges reach from them — settle
+    /// through a FIFO in discovery order, the rest through the heap by
+    /// `(distance, node id)`. Relaxation needs strict improvement, and
+    /// labels above the cheapest free right node's tentative distance
+    /// are never pushed (such nodes cannot settle before the pass
+    /// ends), so the labels are a pure function of the residual network
+    /// and the potentials.
+    fn pass(&mut self) -> Option<usize> {
+        for &v in &self.touched {
+            self.dist[v as usize] = f64::INFINITY;
+        }
+        self.touched.clear();
+        self.settled.clear();
+        self.zero.clear();
+        // The cheapest free right node's tentative distance: an upper
+        // bound on the distance the pass ends at.
+        let mut ub = f64::INFINITY;
+        let mut seeds = std::mem::take(&mut self.heap).into_vec();
+        seeds.clear();
+        for j in 0..self.match_right.len() {
+            let Some(e) = self.cheapest_free_edge(j) else {
+                continue;
+            };
+            let v = self.n_left + j;
+            // Feasible potentials keep reduced costs non-negative; clamp
+            // the ~1e-16 rounding negatives so Dijkstra's
+            // settled-is-final invariant is exact.
+            let d = (self.cost[e] - (self.pot[v] + self.shift)).max(0.0);
+            self.dist[v] = d;
+            self.pred[j] = e as u32;
+            self.touched.push(v as u32);
+            if self.match_right[j] == NONE {
+                ub = ub.min(d);
+            }
+            if d == 0.0 {
+                self.zero.push_back(v as u32);
+            } else {
+                seeds.push(Reverse(HeapKey {
+                    dist: d,
+                    node: v as u32,
+                }));
+            }
+        }
+        self.heap = BinaryHeap::from(seeds);
+
+        let end = loop {
+            let (u, d) = if let Some(u) = self.zero.pop_front() {
+                (u as usize, 0.0)
+            } else if let Some(Reverse(HeapKey { dist, node })) = self.heap.pop() {
+                if dist > self.dist[node as usize] {
+                    continue; // stale heap entry
+                }
+                (node as usize, dist)
+            } else {
+                return None;
+            };
+            if let Some(j) = self.settle(u, d, &mut ub) {
+                break j;
+            }
+        };
+
+        // Make every cheapest path tight: `π(v) += min(dist(v), dt)`.
+        // Unsettled nodes take the full `dt`, like the sink, so their
+        // stored potentials stand; settled ones move by `dist(v) − dt`.
+        let dt = self.dist[self.n_left + end];
+        for &u in &self.settled {
+            let u = u as usize;
+            self.pot[u] += self.dist[u] - dt;
+        }
+        self.shift += dt;
+        Some(end)
+    }
+
+    /// Settles node `u` at distance `d`: returns `u`'s right index if it
+    /// is a free right node, or relaxes its residual out-edges.
+    fn settle(&mut self, u: usize, d: f64, ub: &mut f64) -> Option<usize> {
+        if let Some(j) = u.checked_sub(self.n_left) {
+            let e = self.match_right[j];
+            if e == NONE {
+                return Some(j);
+            }
+            self.settled.push(u as u32);
+            // The one residual edge out of a matched right node: back
+            // along its matched edge.
+            let e = e as usize;
+            let w = self.left[e] as usize;
+            let rc = (-self.cost[e] + self.pot[u] - self.pot[w]).max(0.0);
+            self.relax(w, d + rc, ub);
+        } else {
+            self.settled.push(u as u32);
+            let pu = self.pot[u];
+            let skip = self.match_left[u];
+            let (lo, hi) = (self.row_start[u] as usize, self.row_start[u + 1] as usize);
+            for k in lo..hi {
+                let e = self.row_ids[k];
+                if e == skip {
+                    continue;
+                }
+                let e = e as usize;
+                let v = self.n_left + self.right[e] as usize;
+                let rc = (self.cost[e] + pu - self.pot[v]).max(0.0);
+                if self.relax(v, d + rc, ub) {
+                    self.pred[v - self.n_left] = e as u32;
+                }
+            }
+        }
+        None
+    }
+
+    /// Lowers node `v`'s label to `nd` if that is a strict improvement
+    /// within the bound `ub`, queueing it; returns whether it did.
+    fn relax(&mut self, v: usize, nd: f64, ub: &mut f64) -> bool {
+        if nd >= self.dist[v] || nd > *ub {
+            return false;
+        }
+        if self.dist[v] == f64::INFINITY {
+            self.touched.push(v as u32);
+        }
+        self.dist[v] = nd;
+        if v >= self.n_left && self.match_right[v - self.n_left] == NONE {
+            *ub = nd;
+        }
+        if nd == 0.0 {
+            self.zero.push_back(v as u32);
+        } else {
+            self.heap.push(Reverse(HeapKey {
+                dist: nd,
+                node: v as u32,
+            }));
+        }
+        true
+    }
+
+    /// Flips the augmenting path that ends at free right node `j`,
+    /// walking predecessors back to the free left node it starts at;
+    /// returns the path's cost (forward edges minus reversed ones).
+    fn augment(&mut self, mut j: usize) -> f64 {
+        let mut path_cost = 0.0f64;
+        loop {
+            let e = self.pred[j];
+            path_cost += self.cost[e as usize];
+            let w = self.left[e as usize] as usize;
+            let prev = self.match_left[w];
+            self.match_left[w] = e;
+            self.match_right[j] = e;
+            if prev == NONE {
+                // The path's free left node: potential 0, stored
+                // relative to the shift from now on.
+                self.pot[w] = -self.shift;
+                return path_cost;
+            }
+            path_cost += -self.cost[prev as usize];
+            j = self.right[prev as usize] as usize;
         }
     }
 }
@@ -389,65 +492,73 @@ impl std::fmt::Display for CertificateError {
     }
 }
 
-/// Certifies that a solved network holds a **min-cost max-flow** from
-/// `s` to `t` matching `result` — independent of how the flow was
-/// produced. Checks, in order:
+/// Certifies that the edges `matched` form a **min-cost max-flow** of
+/// `net` matching `result` — independent of how they were produced. It
+/// builds the residual Figure 4 network itself (source, left nodes,
+/// right nodes, sink, with the source and sink residual edges) and
+/// checks, in order:
 ///
-/// 1. **capacity bounds** — every residual capacity is non-negative
-///    (equivalently `0 ≤ flow(e) ≤ cap(e)` per forward edge);
-/// 2. **conservation** — net outflow is `result.flow` at `s`,
-///    `−result.flow` at `t`, zero elsewhere;
-/// 3. **reported totals** — recomputed flow cost matches `result.cost`
-///    within `eps · (1 + |cost|)`;
-/// 4. **maximality** — no residual `s → t` path remains;
+/// 1. **capacity bounds** — every id names an edge, listed once, and no
+///    left or right node carries more than one unit;
+/// 2. **conservation** — the source sends, and the sink receives,
+///    `result.flow` units (every other node passes on what it gets by
+///    construction);
+/// 3. **reported totals** — the matched edges' cost matches
+///    `result.cost` within `eps · (1 + |cost|)`;
+/// 4. **maximality** — no residual source → sink path remains;
 /// 5. **optimality (ε-slack complementary slackness)** — feasible
 ///    potentials exist: Bellman–Ford from an implicit all-zero source
-///    over the residual graph converges without a negative cycle, and
-///    every residual edge then has reduced cost `≥ −eps`. For a flow
-///    that is maximum, this is equivalent to minimum cost among
-///    maximum flows.
+///    over the residual network converges without a negative cycle,
+///    and every residual edge then has reduced cost `≥ −eps`. For a
+///    flow that is maximum, this is equivalent to minimum cost among
+///    maximum flows. A cheaper free left node that could displace a
+///    matched one shows up only as a cycle through the source's
+///    residual edges (and a cheaper free right node through the
+///    sink's).
 ///
 /// `O(n·m)` — a test/debug helper, not a production path. The
 /// differential suites run it after every solve.
 pub fn verify(
     net: &MinCostMaxFlow,
-    s: usize,
-    t: usize,
+    matched: &[usize],
     result: &FlowResult,
     eps: f64,
 ) -> Result<(), CertificateError> {
-    let n = net.n;
-    let m = net.to.len();
+    let (n_left, n_right, m) = (net.n_left, net.n_right, net.n_edges());
     let fail = |msg: String| Err(CertificateError(msg));
 
     // 1. Capacity bounds.
-    for e in 0..m {
-        if net.cap[e] < 0 {
-            return fail(format!("edge {e}: residual capacity {} < 0", net.cap[e]));
+    let mut flows = vec![false; m];
+    let mut left_used = vec![false; n_left];
+    let mut right_used = vec![false; n_right];
+    for &e in matched {
+        if e >= m {
+            return fail(format!("matched edge {e} does not exist"));
         }
+        if flows[e] {
+            return fail(format!("edge {e}: flow 2 exceeds capacity 1"));
+        }
+        flows[e] = true;
+        let (w, j) = (net.left[e] as usize, net.right[e] as usize);
+        if left_used[w] {
+            return fail(format!("left node {w}: source edge carries 2 > capacity 1"));
+        }
+        if right_used[j] {
+            return fail(format!("right node {j}: sink edge carries 2 > capacity 1"));
+        }
+        left_used[w] = true;
+        right_used[j] = true;
     }
 
-    // 2. Conservation + 3. totals, over forward edges (even ids).
-    let mut net_out = vec![0i64; n];
-    let mut total_cost = 0.0f64;
-    for e in (0..m).step_by(2) {
-        let f = net.flow_on(e);
-        net_out[net.tail(e)] += f;
-        net_out[net.to[e] as usize] -= f;
-        total_cost += f as f64 * net.cost[e];
-    }
-    for (v, &out) in net_out.iter().enumerate() {
-        let want = if v == s {
+    // 2. Conservation + 3. totals.
+    if matched.len() as i64 != result.flow {
+        return fail(format!(
+            "source sends {} units, result reports {}",
+            matched.len(),
             result.flow
-        } else if v == t {
-            -result.flow
-        } else {
-            0
-        };
-        if out != want {
-            return fail(format!("node {v}: net outflow {out}, expected {want}"));
-        }
+        ));
     }
+    let total_cost: f64 = matched.iter().map(|&e| net.cost[e]).sum();
     if (total_cost - result.cost).abs() > eps * (1.0 + result.cost.abs()) {
         return fail(format!(
             "cost mismatch: edges sum to {total_cost}, result reports {}",
@@ -455,39 +566,59 @@ pub fn verify(
         ));
     }
 
-    // 4. Maximality: BFS over residual capacity.
+    // The residual Figure 4 network: node 0 is the source, then the
+    // left nodes, the right nodes, and the sink last.
+    let (s, t) = (0usize, n_left + n_right + 1);
+    let n = t + 1;
+    let mut residual: Vec<(usize, usize, f64)> = Vec::with_capacity(n_left + n_right + m);
+    for (w, &used) in left_used.iter().enumerate() {
+        residual.push(if used {
+            (1 + w, s, 0.0)
+        } else {
+            (s, 1 + w, 0.0)
+        });
+    }
+    for (j, &used) in right_used.iter().enumerate() {
+        let v = 1 + n_left + j;
+        residual.push(if used { (t, v, 0.0) } else { (v, t, 0.0) });
+    }
+    for (e, &f) in flows.iter().enumerate() {
+        let (u, v, c) = (
+            1 + net.left[e] as usize,
+            1 + n_left + net.right[e] as usize,
+            net.cost[e],
+        );
+        residual.push(if f { (v, u, -c) } else { (u, v, c) });
+    }
+
+    // 4. Maximality: BFS over the residual network.
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(u, v, _) in &residual {
+        out[u].push(v);
+    }
     let mut reach = vec![false; n];
-    let mut queue = VecDeque::new();
+    let mut queue = VecDeque::from([s]);
     reach[s] = true;
-    queue.push_back(s);
     while let Some(u) = queue.pop_front() {
-        for e in 0..m {
-            if net.tail(e) == u && net.cap[e] > 0 {
-                let v = net.to[e] as usize;
-                if !reach[v] {
-                    reach[v] = true;
-                    queue.push_back(v);
-                }
+        for &v in &out[u] {
+            if !reach[v] {
+                reach[v] = true;
+                queue.push_back(v);
             }
         }
     }
-    if reach[t] && s != t {
+    if reach[t] {
         return fail("an augmenting path remains: flow is not maximum".to_string());
     }
 
-    // 5. Optimality: Bellman–Ford with all-zero initial labels over
+    // 5. Optimality: Bellman–Ford with all-zero initial labels over the
     // residual edges. Convergence within n rounds certifies there is
     // no negative residual cycle and yields feasible potentials.
     let mut pot = vec![0.0f64; n];
     for round in 0..=n {
         let mut changed = false;
-        for e in 0..m {
-            if net.cap[e] <= 0 {
-                continue;
-            }
-            let u = net.tail(e);
-            let v = net.to[e] as usize;
-            let nd = pot[u] + net.cost[e];
+        for &(u, v, c) in &residual {
+            let nd = pot[u] + c;
             if nd + COST_EPS < pot[v] {
                 pot[v] = nd;
                 changed = true;
@@ -500,16 +631,11 @@ pub fn verify(
             return fail("negative residual cycle: flow is not min-cost".to_string());
         }
     }
-    for e in 0..m {
-        if net.cap[e] <= 0 {
-            continue;
-        }
-        let rc = net.reduced(e, &pot);
+    for &(u, v, c) in &residual {
+        let rc = c + pot[u] - pot[v];
         if rc < -eps {
             return fail(format!(
-                "residual edge {e} ({} -> {}) has reduced cost {rc} < -{eps}",
-                net.tail(e),
-                net.to[e]
+                "residual edge {u} -> {v} has reduced cost {rc} < -{eps}"
             ));
         }
     }
@@ -519,111 +645,66 @@ pub fn verify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HopcroftKarp;
 
     /// Solves `g` and checks the flow certificate.
-    fn solve_verified(mut g: MinCostMaxFlow, s: usize, t: usize) -> (MinCostMaxFlow, FlowResult) {
-        let r = g.run(s, t);
-        verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("certificate: {e}"));
+    fn solve_verified(mut g: MinCostMaxFlow) -> (MinCostMaxFlow, FlowResult) {
+        let r = g.run();
+        verify(&g, &g.matched_edges(), &r, 1e-9).unwrap_or_else(|e| panic!("certificate: {e}"));
+        assert_eq!(r.passes, r.augmentations + 1);
         (g, r)
-    }
-
-    #[test]
-    fn prefers_cheap_path() {
-        // Two disjoint unit paths; only one unit of demand can't happen —
-        // max flow is 2, but the cheap path must carry flow first.
-        let mut g = MinCostMaxFlow::new(4);
-        g.add_edge(0, 1, 1, 1.0);
-        g.add_edge(1, 3, 1, 1.0);
-        g.add_edge(0, 2, 1, 10.0);
-        g.add_edge(2, 3, 1, 10.0);
-        let (_, r) = solve_verified(g, 0, 3);
-        assert_eq!(r.flow, 2);
-        assert!((r.cost - 22.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn max_flow_takes_priority_over_cost() {
-        // Routing greedily by cost alone would block the second unit;
-        // MCMF must still find flow = 2 (reusing residual edges).
-        let mut g = MinCostMaxFlow::new(4);
-        g.add_edge(0, 1, 1, 0.0);
-        g.add_edge(0, 2, 1, 5.0);
-        g.add_edge(1, 2, 1, 0.0);
-        g.add_edge(1, 3, 1, 9.0);
-        g.add_edge(2, 3, 2, 1.0);
-        let (_, r) = solve_verified(g, 0, 3);
-        assert_eq!(r.flow, 2);
-        // Optimal: 0->1->2->3 (1.0) + 0->2->3 (6.0) = 7.0
-        assert!((r.cost - 7.0).abs() < 1e-9, "{}", r.cost);
     }
 
     #[test]
     fn unit_bipartite_assignment() {
         // 2 workers, 2 tasks. w0 can do both (costs 0.1, 0.9),
         // w1 only task0 (cost 0.2). Max cardinality 2 forces w0->t1.
-        let (s, w0, w1, t0, t1, t) = (0, 1, 2, 3, 4, 5);
-        let mut g = MinCostMaxFlow::new(6);
-        g.add_edge(s, w0, 1, 0.0);
-        g.add_edge(s, w1, 1, 0.0);
-        g.add_edge(w0, t0, 1, 0.1);
-        g.add_edge(w0, t1, 1, 0.9);
-        g.add_edge(w1, t0, 1, 0.2);
-        g.add_edge(t0, t, 1, 0.0);
-        g.add_edge(t1, t, 1, 0.0);
-        let (_, r) = solve_verified(g, s, t);
+        let mut g = MinCostMaxFlow::new(2, 2);
+        g.add_edge(0, 0, 0.1);
+        let w0_t1 = g.add_edge(0, 1, 0.9);
+        let w1_t0 = g.add_edge(1, 0, 0.2);
+        let (g, r) = solve_verified(g);
         assert_eq!(r.flow, 2);
         assert!((r.cost - 1.1).abs() < 1e-9);
+        assert_eq!(g.matched_edges(), vec![w0_t1, w1_t0]);
     }
 
     #[test]
     fn flow_on_reconstructs_assignment() {
-        let (s, w0, t0, t) = (0, 1, 2, 3);
-        let mut g = MinCostMaxFlow::new(4);
-        g.add_edge(s, w0, 1, 0.0);
-        let e = g.add_edge(w0, t0, 1, 0.3);
-        g.add_edge(t0, t, 1, 0.0);
-        let (g, r) = solve_verified(g, s, t);
+        let mut g = MinCostMaxFlow::new(1, 1);
+        let e = g.add_edge(0, 0, 0.3);
+        assert_eq!(g.flow_on(e), 0, "no flow before the solve");
+        let (g, r) = solve_verified(g);
         assert_eq!(r.flow, 1);
         assert_eq!(g.flow_on(e), 1);
     }
 
     #[test]
     fn no_path_yields_zero() {
-        let mut g = MinCostMaxFlow::new(3);
-        g.add_edge(0, 1, 1, 1.0);
-        let r = g.run(0, 2);
+        // Nodes on both sides, but no edge between them.
+        let mut g = MinCostMaxFlow::new(3, 2);
+        let r = g.run();
         assert_eq!(r.flow, 0);
         assert_eq!(r.cost, 0.0);
         assert_eq!(r.augmentations, 0);
-        verify(&g, 0, 2, &r, 1e-9).unwrap();
-    }
-
-    #[test]
-    fn source_equals_sink() {
-        let mut g = MinCostMaxFlow::new(2);
-        g.add_edge(0, 1, 1, 1.0);
-        let r = g.run(0, 0);
-        assert_eq!(r.flow, 0);
-    }
-
-    #[test]
-    fn capacities_above_one() {
-        let mut g = MinCostMaxFlow::new(3);
-        g.add_edge(0, 1, 5, 2.0);
-        g.add_edge(1, 2, 3, 1.0);
-        let (_, r) = solve_verified(g, 0, 2);
-        assert_eq!(r.flow, 3);
-        assert!((r.cost - 9.0).abs() < 1e-9);
+        assert_eq!(r.passes, 1);
+        verify(&g, &[], &r, 1e-9).unwrap();
     }
 
     #[test]
     fn zero_cost_network_is_pure_maxflow() {
-        let mut g = MinCostMaxFlow::new(4);
-        g.add_edge(0, 1, 2, 0.0);
-        g.add_edge(0, 2, 2, 0.0);
-        g.add_edge(1, 3, 2, 0.0);
-        g.add_edge(2, 3, 1, 0.0);
-        let (_, r) = solve_verified(g, 0, 3);
+        // All costs 0: the solve is a plain maximum matching, so its
+        // flow must equal Hopcroft–Karp's cardinality. Task 0 is wanted
+        // by three workers, task 3 by none.
+        let edges = [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2)];
+        let mut g = MinCostMaxFlow::new(5, 4);
+        let mut hk = HopcroftKarp::new(5, 4);
+        for &(w, task) in &edges {
+            g.add_edge(w, task, 0.0);
+            hk.add_edge(w, task);
+        }
+        let (_, r) = solve_verified(g);
+        assert_eq!(r.flow, hk.solve().0 as i64);
         assert_eq!(r.flow, 3);
         assert_eq!(r.cost, 0.0);
     }
@@ -634,92 +715,108 @@ mod tests {
         // Every pass routes exactly one of the many cheapest paths, so
         // the plateau takes one pass per unit plus the final empty one.
         let n = 6usize;
-        let (s, t) = (0, 2 * n + 1);
-        let mut g = MinCostMaxFlow::new(2 * n + 2);
-        for w in 0..n {
-            g.add_edge(s, 1 + w, 1, 0.0);
-        }
-        for task in 0..n {
-            g.add_edge(1 + n + task, t, 1, 0.0);
-        }
+        let mut g = MinCostMaxFlow::new(n, n);
         for w in 0..n {
             for task in 0..n {
-                g.add_edge(1 + w, 1 + n + task, 1, 1.0);
+                g.add_edge(w, task, 1.0);
             }
         }
-        let r = g.run(s, t);
+        let (_, r) = solve_verified(g);
         assert_eq!(r.flow, n as i64);
         assert!((r.cost - n as f64).abs() < 1e-9);
         assert_eq!(r.augmentations, n);
         assert_eq!(r.passes, r.augmentations + 1);
-        verify(&g, s, t, &r, 1e-9).unwrap();
     }
 
     #[test]
-    fn solve_after_adding_more_edges_rebuilds_csr() {
-        // The CSR must follow the edge list across incremental solves.
-        let mut g = MinCostMaxFlow::new(4);
-        g.add_edge(0, 1, 1, 1.0);
-        g.add_edge(1, 3, 1, 1.0);
-        let r1 = g.run(0, 3);
-        assert_eq!(r1.flow, 1);
-        g.add_edge(0, 2, 1, 1.0);
-        g.add_edge(2, 3, 1, 1.0);
-        let r2 = g.run(0, 3);
-        assert_eq!(r2.flow, 1, "only the new path had residual capacity");
-        assert_eq!(g.flow_on(4), 1);
+    fn parallel_edges_route_through_the_cheapest() {
+        let mut g = MinCostMaxFlow::new(2, 1);
+        g.add_edge(0, 0, 0.5);
+        let cheap = g.add_edge(0, 0, 0.3);
+        g.add_edge(1, 0, 0.4);
+        g.add_edge(0, 0, 0.3); // equal cost, higher id: never preferred
+        let (g, r) = solve_verified(g);
+        assert_eq!(r.flow, 1);
+        assert_eq!(g.matched_edges(), vec![cheap]);
+    }
+
+    #[test]
+    fn costs_the_potentials_cannot_hold_are_refused() {
+        for cost in [-0.5, f64::NAN, f64::INFINITY] {
+            let refused = std::panic::catch_unwind(|| {
+                MinCostMaxFlow::new(1, 1).add_edge(0, 0, cost);
+            });
+            assert!(refused.is_err(), "cost {cost} accepted");
+        }
     }
 
     #[test]
     fn verify_rejects_a_suboptimal_flow() {
-        // Hand-route flow along the expensive path only: conservation
-        // and capacity hold, but a negative residual cycle exposes the
-        // suboptimality.
-        let mut g = MinCostMaxFlow::new(4);
-        let cheap_a = g.add_edge(0, 1, 1, 1.0);
-        let cheap_b = g.add_edge(1, 3, 1, 1.0);
-        let dear_a = g.add_edge(0, 2, 1, 10.0);
-        let dear_b = g.add_edge(2, 3, 1, 10.0);
-        // Manually saturate the expensive path.
-        for e in [dear_a, dear_b] {
-            g.cap[e] -= 1;
-            g.cap[e ^ 1] += 1;
-        }
-        let claimed = FlowResult {
-            flow: 1,
-            cost: 20.0,
-            augmentations: 1,
-            passes: 1,
+        let claim = |flow: i64, cost: f64| FlowResult {
+            flow,
+            cost,
+            augmentations: flow as usize,
+            passes: flow as usize + 1,
         };
-        // Not maximum (the cheap path is still open) *and* not optimal.
-        assert!(verify(&g, 0, 3, &claimed, 1e-9).is_err());
-        // Saturate the cheap path too: now maximum, and also optimal
-        // (both paths carry flow), so the certificate passes.
-        for e in [cheap_a, cheap_b] {
-            g.cap[e] -= 1;
-            g.cap[e ^ 1] += 1;
-        }
-        let claimed = FlowResult {
-            flow: 2,
-            cost: 22.0,
-            augmentations: 2,
-            passes: 2,
-        };
-        verify(&g, 0, 3, &claimed, 1e-9).unwrap();
+        // w0 reaches both tasks (0.1, 0.9), w1 only task 0 (0.2).
+        let mut g = MinCostMaxFlow::new(2, 2);
+        let w0_t0 = g.add_edge(0, 0, 0.1);
+        let w0_t1 = g.add_edge(0, 1, 0.9);
+        let w1_t0 = g.add_edge(1, 0, 0.2);
+        // The greedy edge alone is cheap but not maximum.
+        assert!(verify(&g, &[w0_t0], &claim(1, 0.1), 1e-9).is_err());
+        verify(&g, &[w0_t1, w1_t0], &claim(2, 1.1), 1e-9).unwrap();
+
+        // Maximum but not min-cost: matched w0 at 0.9 while free w1
+        // costs 0.1. The negative cycle runs through the source's
+        // residual edges: s → w1 → t0 → w0 → s.
+        let mut g = MinCostMaxFlow::new(2, 1);
+        let dear = g.add_edge(0, 0, 0.9);
+        let cheap = g.add_edge(1, 0, 0.1);
+        assert!(verify(&g, &[dear], &claim(1, 0.9), 1e-9).is_err());
+        verify(&g, &[cheap], &claim(1, 0.1), 1e-9).unwrap();
+
+        // The mirror image through the sink's residual edges: w0 holds
+        // t0 at 0.9 while free t1 costs it 0.1.
+        let mut g = MinCostMaxFlow::new(1, 2);
+        let dear = g.add_edge(0, 0, 0.9);
+        let cheap = g.add_edge(0, 1, 0.1);
+        assert!(verify(&g, &[dear], &claim(1, 0.9), 1e-9).is_err());
+        verify(&g, &[cheap], &claim(1, 0.1), 1e-9).unwrap();
     }
 
     #[test]
     fn verify_rejects_wrong_totals() {
-        let mut g = MinCostMaxFlow::new(3);
-        g.add_edge(0, 1, 1, 1.0);
-        g.add_edge(1, 2, 1, 1.0);
-        let mut r = g.run(0, 2);
-        verify(&g, 0, 2, &r, 1e-9).unwrap();
+        let mut g = MinCostMaxFlow::new(2, 1);
+        g.add_edge(0, 0, 1.0);
+        g.add_edge(1, 0, 2.0);
+        let mut r = g.run();
+        let matched = g.matched_edges();
+        verify(&g, &matched, &r, 1e-9).unwrap();
         r.cost += 0.5;
-        assert!(verify(&g, 0, 2, &r, 1e-9).is_err());
+        assert!(verify(&g, &matched, &r, 1e-9).is_err());
         r.cost -= 0.5;
         r.flow += 1;
-        assert!(verify(&g, 0, 2, &r, 1e-9).is_err());
+        assert!(verify(&g, &matched, &r, 1e-9).is_err());
+    }
+
+    #[test]
+    fn verify_rejects_overloaded_nodes() {
+        let mut g = MinCostMaxFlow::new(2, 2);
+        let a = g.add_edge(0, 0, 1.0);
+        let b = g.add_edge(0, 1, 1.0);
+        let c = g.add_edge(1, 1, 1.0);
+        let two = FlowResult {
+            flow: 2,
+            cost: 2.0,
+            augmentations: 2,
+            passes: 3,
+        };
+        // An edge listed twice, a worker used twice, a task used twice.
+        assert!(verify(&g, &[a, a], &two, 1e-9).is_err());
+        assert!(verify(&g, &[a, b], &two, 1e-9).is_err());
+        assert!(verify(&g, &[b, c], &two, 1e-9).is_err());
+        assert!(verify(&g, &[3], &two, 1e-9).is_err());
     }
 
     #[test]
@@ -730,29 +827,16 @@ mod tests {
         for case in 0..20 {
             let n_left = rng.random_range(1..6usize);
             let n_right = rng.random_range(1..6usize);
-            let mut edges = Vec::new();
+            let mut g = MinCostMaxFlow::new(n_left, n_right);
             for l in 0..n_left {
                 for r in 0..n_right {
                     if rng.random_bool(0.5) {
-                        edges.push((l, r, rng.random_range(1..100) as f64 / 17.0));
+                        g.add_edge(l, r, rng.random_range(1..100) as f64 / 17.0);
                     }
                 }
             }
-            let n = n_left + n_right + 2;
-            let s = 0;
-            let t = n - 1;
-            let mut g = MinCostMaxFlow::new(n);
-            for l in 0..n_left {
-                g.add_edge(s, 1 + l, 1, 0.0);
-            }
-            for r in 0..n_right {
-                g.add_edge(1 + n_left + r, t, 1, 0.0);
-            }
-            for &(l, r, c) in &edges {
-                g.add_edge(1 + l, 1 + n_left + r, 1, c);
-            }
-            let r = g.run(s, t);
-            verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            let r = g.run();
+            verify(&g, &g.matched_edges(), &r, 1e-9).unwrap_or_else(|e| panic!("case {case}: {e}"));
         }
     }
 }

@@ -54,19 +54,11 @@ fn dinic_flow(case: &BipartiteCase) -> i64 {
 }
 
 fn mcmf_run(case: &BipartiteCase) -> (i64, f64) {
-    let n = case.n_left + case.n_right + 2;
-    let (s, t) = (n - 2, n - 1);
-    let mut g = MinCostMaxFlow::new(n);
-    for l in 0..case.n_left {
-        g.add_edge(s, l, 1, 0.0);
-    }
-    for r in 0..case.n_right {
-        g.add_edge(case.n_left + r, t, 1, 0.0);
-    }
+    let mut g = MinCostMaxFlow::new(case.n_left, case.n_right);
     for &(l, r, c) in &case.edges {
-        g.add_edge(l, case.n_left + r, 1, c);
+        g.add_edge(l, r, c);
     }
-    let res = g.run(s, t);
+    let res = g.run();
     (res.flow, res.cost)
 }
 

@@ -5,11 +5,18 @@
 //! bipartite instances up to 8×8 — small enough for `O(T · 2^W · W)`
 //! exhaustion, large enough to exercise multi-pass augmentation,
 //! contested workers, and tie plateaus. On every instance the solver
-//! must reproduce the oracle's `(flow, cost)` exactly and pass the
+//! must reproduce the oracle's `(flow, cost)` exactly, run one search
+//! pass per augmentation plus the final empty one, and pass the
 //! [`verify`] flow certificate after solving.
+//!
+//! `serving_scale_matches_the_parent` takes the solver to the sizes
+//! the serving workloads solve every round, where the oracle cannot go,
+//! and pins each matched edge set to a recorded fingerprint.
 
 use proptest::prelude::*;
-use sc_graph::{verify, MinCostMaxFlow};
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
+use sc_graph::{verify, HopcroftKarp, MinCostMaxFlow};
 
 /// A unit-capacity bipartite assignment instance: `workers` on the
 /// left, `tasks` on the right, eligible pairs with non-negative costs.
@@ -21,21 +28,14 @@ struct Instance {
 }
 
 impl Instance {
-    /// Node layout shared by every solve: source, workers, tasks, sink.
-    fn network(&self) -> (MinCostMaxFlow, usize, usize) {
-        let n = self.workers + self.tasks + 2;
-        let (s, t) = (0, n - 1);
-        let mut g = MinCostMaxFlow::new(n);
-        for w in 0..self.workers {
-            g.add_edge(s, 1 + w, 1, 0.0);
-        }
-        for task in 0..self.tasks {
-            g.add_edge(1 + self.workers + task, t, 1, 0.0);
-        }
+    /// The assignment network: workers on the left, tasks on the
+    /// right, edge ids in `edges` order.
+    fn network(&self) -> MinCostMaxFlow {
+        let mut g = MinCostMaxFlow::new(self.workers, self.tasks);
         for &(w, task, c) in &self.edges {
-            g.add_edge(1 + w, 1 + self.workers + task, 1, c);
+            g.add_edge(w, task, c);
         }
-        (g, s, t)
+        g
     }
 
     /// Exact oracle: max assigned tasks, then min total cost, by
@@ -97,9 +97,11 @@ impl Instance {
 
 fn assert_matches_oracle(inst: &Instance) {
     let (want_flow, want_cost) = inst.oracle();
-    let (mut g, s, t) = inst.network();
-    let r = g.run(s, t);
-    verify(&g, s, t, &r, 1e-9).unwrap_or_else(|e| panic!("flow certificate failed: {e}"));
+    let mut g = inst.network();
+    let r = g.run();
+    verify(&g, &g.matched_edges(), &r, 1e-9)
+        .unwrap_or_else(|e| panic!("flow certificate failed: {e}"));
+    assert_eq!(r.passes, r.augmentations + 1, "one pass per augmentation");
     assert_eq!(
         r.flow, want_flow,
         "flow {} vs oracle {want_flow} on {inst:?}",
@@ -186,6 +188,14 @@ fn oracle_pinned_instances() {
             tasks: 4,
             edges: vec![],
         },
+        // Competing workers: augmenting one worker at a time lets w0
+        // take task 0 at 0.9 and strands w1; the optimum routes w1 at
+        // 0.1.
+        Instance {
+            workers: 2,
+            tasks: 1,
+            edges: vec![(0, 0, 0.9), (1, 0, 0.1)],
+        },
     ];
     for inst in &cases {
         assert_matches_oracle(inst);
@@ -205,4 +215,94 @@ fn oracle_hand_checks() {
     let (flow, cost) = inst.oracle();
     assert_eq!(flow, 2);
     assert!((cost - 1.1).abs() < 1e-12);
+}
+
+/// The tie-break jitter of `sc_assign`'s cost models, rebuilt here: a
+/// 4-round Feistel bijection of the low 18 bits of the pair index on
+/// the dyadic lattice `2⁻³⁷ · [2¹⁸, 2¹⁹)`, so every pair's offset is
+/// distinct and every optimum unique.
+fn tie_jitter(pi: usize) -> f64 {
+    let x = (pi as u32) & 0x3_FFFF;
+    let (mut l, mut r) = (x >> 9, x & 0x1FF);
+    for round in 1..=4u32 {
+        let mut f = r
+            .wrapping_add(round.wrapping_mul(0x9E37_79B9))
+            .wrapping_mul(0x85EB_CA6B);
+        f ^= f >> 13;
+        let next = l ^ (f & 0x1FF);
+        l = r;
+        r = next;
+    }
+    let k = (1u32 << 18) | (l << 9) | r;
+    f64::from(k) / (1u64 << 37) as f64
+}
+
+/// A serving-shaped instance: each worker draws `degree` tasks (pairs
+/// deduplicated, in worker-major order like an eligibility matrix).
+/// Half the pairs sit on the zero-influence plateau at exactly `1.0`,
+/// the rest on a coarse `1/(1 + k/16)` lattice, each plus its jitter.
+fn serving_instance(workers: usize, tasks: usize, degree: usize, seed: u64) -> Instance {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for w in 0..workers {
+        let mut row: Vec<usize> = (0..degree).map(|_| rng.random_range(0..tasks)).collect();
+        row.sort_unstable();
+        row.dedup();
+        for t in row {
+            let base = if rng.random_bool(0.5) {
+                1.0
+            } else {
+                1.0 / (1.0 + f64::from(rng.random_range(1..=64u32)) / 16.0)
+            };
+            let pi = edges.len();
+            edges.push((w, t, base + tie_jitter(pi)));
+        }
+    }
+    Instance {
+        workers,
+        tasks,
+        edges,
+    }
+}
+
+/// FNV-1a over the little-endian bytes of each edge id.
+fn fnv1a(ids: &[usize]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &id in ids {
+        for b in (id as u64).to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Solves at the sizes of the serving workloads — `contested` (600
+/// workers × 500 tasks at ~25 edges a worker) and `steady` (1,500 ×
+/// 250 at ~4) — and checks each solve against the certificate,
+/// Hopcroft–Karp's cardinality, one pass per augmentation, and the
+/// fingerprint of the matched edge list that the source-rooted solver
+/// this one replaced produced on the same instance.
+#[test]
+fn serving_scale_matches_the_parent() {
+    let cases = [
+        ((600, 500, 25, 1), 0x5382_28ca_bef3_f8dc_u64),
+        ((600, 500, 25, 2), 0xd333_8803_e97d_e6c2),
+        ((1500, 250, 4, 3), 0x32e5_5635_5126_d264),
+        ((1500, 250, 4, 4), 0xcdc3_5704_5097_7e6e),
+    ];
+    for ((workers, tasks, degree, seed), want) in cases {
+        let inst = serving_instance(workers, tasks, degree, seed);
+        let mut g = inst.network();
+        let r = g.run();
+        let matched = g.matched_edges();
+        verify(&g, &matched, &r, 1e-9).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let mut hk = HopcroftKarp::new(workers, tasks);
+        for &(w, t, _) in &inst.edges {
+            hk.add_edge(w, t);
+        }
+        assert_eq!(r.flow, hk.solve().0 as i64, "seed {seed}: cardinality");
+        assert_eq!(r.passes, r.augmentations + 1, "seed {seed}");
+        assert_eq!(fnv1a(&matched), want, "seed {seed}: matched edges moved");
+    }
 }

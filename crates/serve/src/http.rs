@@ -34,8 +34,9 @@ pub struct Request {
 }
 
 /// Reads one request off the stream. `Ok(None)` means the peer closed
-/// the connection before sending a request line.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
+/// the connection before sending a request line. Any byte stream is
+/// safe input: a malformed request is an `Err`, never a panic.
+pub fn read_request(stream: &mut impl Read) -> std::io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     if read_line_capped(&mut reader, &mut line)? == 0 {
@@ -131,6 +132,7 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::i
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::net::TcpListener;
 
     fn roundtrip(raw: &str) -> std::io::Result<Option<Request>> {
@@ -189,6 +191,69 @@ mod tests {
         ] {
             let err = roundtrip(&raw).expect_err("line over the cap");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// A valid `POST /events` request: the seed the mutations start from.
+    fn valid_post() -> Vec<u8> {
+        let body = r#"[{"type":"worker_departure","worker":3},{"type":"worker_arrival","worker":{"id":4,"location":{"x":0.25,"y":0.5},"radius_km":6.5,"speed_kmh":7.5}}]"#;
+        format!(
+            "POST /events HTTP/1.1\r\nHost: dita\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn the_mutation_seed_parses() {
+        let req = read_request(&mut valid_post().as_slice()).unwrap().unwrap();
+        assert_eq!(req.path, "/events");
+        assert!(req.body.starts_with("[{"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes — every byte value, up to 4 KiB — are `Ok`
+        /// or `Err`, never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..=4096)) {
+            if let Ok(Some(req)) = read_request(&mut bytes.as_slice()) {
+                prop_assert!(req.body.len() < bytes.len());
+            }
+        }
+
+        /// A valid request truncated, with one byte flipped, with a
+        /// random `Content-Length` (small or up to one past the cap),
+        /// or with a `\r` dropped is `Ok` or `Err`, never a panic; a
+        /// body that parses is never longer than the cap.
+        #[test]
+        fn mutated_requests_never_panic(
+            mutation in 0u8..4,
+            at in 0usize..4096,
+            byte in 1u8..=255,
+            big in 0usize..=MAX_BODY_BYTES + 1,
+        ) {
+            let mut raw = valid_post();
+            let at = at % raw.len();
+            match mutation {
+                0 => raw.truncate(at),
+                1 => raw[at] ^= byte,
+                2 => {
+                    let length = if byte.is_multiple_of(2) { at } else { big };
+                    let text = String::from_utf8(raw).unwrap();
+                    let (head, rest) = text.split_once("Content-Length: ").unwrap();
+                    let (_, tail) = rest.split_once("\r\n").unwrap();
+                    raw = format!("{head}Content-Length: {length}\r\n{tail}").into_bytes();
+                }
+                _ => {
+                    let crs: Vec<usize> = (0..raw.len()).filter(|&i| raw[i] == b'\r').collect();
+                    raw.remove(crs[at % crs.len()]);
+                }
+            }
+            if let Ok(Some(req)) = read_request(&mut raw.as_slice()) {
+                prop_assert!(req.body.len() <= MAX_BODY_BYTES);
+            }
         }
     }
 }

@@ -33,17 +33,18 @@ use sc_types::TimeInstant;
 use serde::json::Value;
 use serde::Serialize as _;
 use std::collections::VecDeque;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Deadline on every read and write of a connection. Each HTTP worker
-/// serves one connection at a time, so without it a client that
-/// connects and then stalls would hold a worker indefinitely.
+/// Deadline for reading a whole request, and for each write of its
+/// response. Each HTTP worker serves one connection at a time, so
+/// without it a client that connects and then stalls — or trickles a
+/// byte every few seconds — would hold a worker indefinitely.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Configuration of a serving process.
@@ -176,15 +177,37 @@ impl Server {
     }
 }
 
+/// A connection's read side held to one deadline for the whole
+/// request: before every read it sets the socket's read timeout to the
+/// time left, so a client cannot stretch a request by trickling bytes.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 /// Serves one connection: one request, one response, close. A request
-/// that stalls past [`IO_TIMEOUT`] gets a best-effort `408`.
+/// that has not arrived whole within [`IO_TIMEOUT`] gets a best-effort
+/// `408`.
 fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
-    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
-        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
-    {
+    if stream.set_write_timeout(Some(IO_TIMEOUT)).is_err() {
         return;
     }
-    let request = match read_request(stream) {
+    let mut reader = Deadline {
+        stream,
+        until: Instant::now() + IO_TIMEOUT,
+    };
+    let request = match read_request(&mut reader) {
         Ok(Some(r)) => r,
         Ok(None) => return,
         Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -318,7 +341,13 @@ fn post_round(shared: &Shared, body: &str) -> (u16, String) {
             Ok(h) => h,
             Err(e) => return (400, error_body(&e.to_string())),
         };
-        TimeInstant::at(day, hour)
+        match TimeInstant::checked_at(day, hour) {
+            Some(t) => t,
+            None => {
+                let msg = format!("day {day} hour {hour} is past the range of time");
+                return (400, error_body(&msg));
+            }
+        }
     };
     let algorithm = match obj.iter().find(|(k, _)| k == "algorithm") {
         None => shared.algorithm,

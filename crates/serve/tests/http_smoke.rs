@@ -1,10 +1,12 @@
 //! End-to-end smoke of the serving surface over real sockets: every
-//! endpoint, queue backpressure, slow clients, the snapshot/restore
-//! contract — a restored process must answer `GET /report`
-//! byte-for-byte like the uninterrupted original after serving the same
-//! remaining stream — and trace replay over the wire matching the
-//! in-process replay.
+//! endpoint, queue backpressure, slow and trickling clients, numbers
+//! refused at the door, the snapshot/restore contract — a restored
+//! process must answer `GET /report` byte-for-byte like the
+//! uninterrupted original after serving the same remaining stream —
+//! trace replay over the wire matching the in-process replay, and
+//! `POST /events` fuzzed with random bytes and mangled events.
 
+use proptest::prelude::*;
 use sc_assign::AlgorithmKind;
 use sc_core::{DitaBuilder, DitaConfig, OnlineConfig, Parallelism};
 use sc_datagen::{
@@ -16,12 +18,14 @@ use sc_sim::{
     load_snapshot, replay_day, scripted_event, EngineBuilder, EventKind, NetworkMode, OnlineEngine,
     PipelineMode, ReplayTranslator,
 };
-use sc_types::{CategoryId, CheckIn, HistoryStore, Location, TimeInstant, VenueId, WorkerId};
+use sc_types::{
+    CategoryId, CheckIn, History, HistoryStore, Location, TimeInstant, VenueId, Worker, WorkerId,
+};
 use serde::json::Value;
 use serde::Serialize as _;
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 use std::time::Duration;
 
 fn dataset() -> SyntheticDataset {
@@ -274,6 +278,280 @@ fn idle_connection_does_not_starve_other_clients() {
     assert!(raw.starts_with("HTTP/1.1 408"), "{raw}");
 
     server.shutdown();
+}
+
+#[test]
+fn trickling_client_is_cut_off_at_the_request_deadline() {
+    let data = dataset();
+    let server = Server::start(
+        engine(&data),
+        ServeConfig {
+            http_threads: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // A client that sends a valid request one byte a second connects
+    // first, so it takes the only HTTP worker first. Every byte comes
+    // well within a per-read timeout; only a deadline on the whole
+    // request frees the worker before the ~25 s the request would take.
+    let mut slow = TcpStream::connect(addr).unwrap();
+    let trickle = std::thread::spawn(move || {
+        for &byte in b"GET /healthz HTTP/1.1\r\n\r\n" {
+            if slow.write_all(&[byte]).is_err() {
+                return; // cut off
+            }
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    });
+    let (tx, rx) = mpsc::channel();
+    let poll = std::thread::spawn(move || {
+        let _ = tx.send(sc_serve::client::request(addr, "GET", "/healthz", ""));
+    });
+    // The 5 s request deadline, plus slack.
+    let (status, body) = rx
+        .recv_timeout(Duration::from_secs(5 + 3))
+        .expect("GET /healthz starved by a trickling client")
+        .expect("request");
+    assert_eq!(status, 200, "{body}");
+    poll.join().unwrap();
+
+    server.shutdown();
+    // The closed connection fails the trickler's next writes.
+    trickle.join().unwrap();
+}
+
+#[test]
+fn numbers_no_round_can_use_are_refused_at_the_door() {
+    let data = dataset();
+    let server = Server::start(engine(&data), ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let worker = Worker::new(WorkerId::new(3), Location::new(1.25, 2.0), 6.5).with_speed(7.5);
+    let arrival = EventKind::WorkerArrival { worker }
+        .to_value()
+        .to_json_string();
+    let (status, body) = request(addr, "POST", "/events", &arrival);
+    assert_eq!(status, 202, "{body}");
+
+    // A task whose deadline, `published + valid_for` (1 h), is one
+    // second past the range of time.
+    let late = TimeInstant::from_seconds(i64::MAX - 3_599);
+    let overflowing_task = scripted_event(&data, 13, 0, late, 1.0)
+        .to_value()
+        .to_json_string();
+    let refused = [
+        arrival.replace("7.5", "0"),
+        arrival.replace("7.5", "-5"),
+        arrival.replace("6.5", "1e999"),
+        overflowing_task,
+        // One bad event refuses its whole batch.
+        format!("[{arrival},{}]", arrival.replace("7.5", "0")),
+    ];
+    for bad in &refused {
+        let (status, body) = request(addr, "POST", "/events", bad);
+        assert_eq!(status, 400, "{bad}: {body}");
+        assert_eq!(
+            server.queued_events(),
+            1,
+            "{bad}: the queue must not change"
+        );
+    }
+    let (status, body) = request(addr, "POST", "/events", &refused[4]);
+    assert!(body.contains("event 1:"), "{status}: {body}");
+
+    // A round past the range of time is refused before it drains.
+    let round = "{\"day\": 106751991167301, \"hour\": 0}";
+    let (status, body) = request(addr, "POST", "/round", round);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(server.queued_events(), 1);
+
+    // Valid input still goes through.
+    let (status, body) = request(addr, "POST", "/events", &format!("[{arrival}]"));
+    assert_eq!(status, 202, "{body}");
+    assert_eq!(server.queued_events(), 2);
+    let (status, body) = request(addr, "POST", "/round", "{\"day\": 0, \"hour\": 9}");
+    assert_eq!(status, 200, "{body}");
+
+    server.shutdown();
+}
+
+/// One server shared by every fuzz case: the cases only decode and
+/// enqueue. The queue is large, so most batches are accepted (a full
+/// queue's `429` is an allowed answer too). Dropping the handle leaves
+/// the server serving for the rest of the test run.
+fn fuzz_server() -> SocketAddr {
+    static ADDR: OnceLock<SocketAddr> = OnceLock::new();
+    *ADDR.get_or_init(|| {
+        let config = ServeConfig {
+            queue_cap: 1 << 20,
+            ..Default::default()
+        };
+        Server::start(engine(&dataset()), config)
+            .unwrap()
+            .local_addr()
+    })
+}
+
+/// `POST /events` with a raw (possibly non-UTF-8) body; returns the
+/// status.
+fn post_events_raw(addr: SocketAddr, body: &[u8]) -> u16 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "POST /events HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let raw = String::from_utf8_lossy(&raw);
+    raw.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("malformed response: {raw:?}"))
+}
+
+/// Asserts the answer is one the endpoint may give and the process
+/// still serves.
+fn assert_served(addr: SocketAddr, status: u16) {
+    assert!(matches!(status, 202 | 400 | 429), "status {status}");
+    assert_eq!(request(addr, "GET", "/healthz", "").0, 200);
+}
+
+/// A valid event of every kind, as wire values: the templates the
+/// mangled events start from.
+fn event_templates(data: &SyntheticDataset) -> Vec<Value> {
+    let now = TimeInstant::at(0, 9);
+    let mut history = History::new();
+    history.push(CheckIn::at(
+        WorkerId::new(60),
+        VenueId::new(2),
+        Location::new(2.0, 0.0),
+        now,
+        vec![CategoryId::new(1)],
+    ));
+    let mut kinds = cohort_events(data, 0);
+    kinds.truncate(1);
+    kinds.push(scripted_event(data, 13, 0, now, 2.0));
+    kinds.push(EventKind::WorkerNew {
+        worker: Worker::new(WorkerId::new(60), Location::new(1.0, 1.0), 5.0),
+        friends: vec![WorkerId::new(1), WorkerId::new(2)],
+        history,
+    });
+    kinds.push(EventKind::WorkerDeparture {
+        worker: WorkerId::new(3),
+    });
+    kinds.iter().map(|k| k.to_value()).collect()
+}
+
+/// Every object field in `v`, as a path of child positions.
+fn field_paths(v: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    let (children, object): (Vec<&Value>, bool) = match v {
+        Value::Object(fields) => (fields.iter().map(|(_, c)| c).collect(), true),
+        Value::Array(items) => (items.iter().collect(), false),
+        _ => return,
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        if object {
+            out.push(path.clone());
+        }
+        field_paths(child, path, out);
+        path.pop();
+    }
+}
+
+/// Stand-ins for the infinities, which JSON can only spell as an
+/// overflowing literal: replaced by `1e999` / `-1e999` in the body.
+const INF: &str = "@inf@";
+const NEG_INF: &str = "@-inf@";
+
+/// What mutation `k` puts in a field: a wrong type, an extreme integer
+/// or float, an infinity, or nothing (`None`: the field is removed).
+fn replacement(k: usize) -> Option<Value> {
+    let values = [
+        Value::Null,
+        Value::Bool(true),
+        Value::Str("x".to_string()),
+        Value::Array(vec![Value::Int(1)]),
+        Value::Object(vec![]),
+        Value::Int(-1),
+        Value::Int(i128::from(u32::MAX) + 1),
+        Value::Int(i128::from(i64::MAX) + 1),
+        Value::Int(i128::from(i64::MIN) - 1),
+        Value::Int(i128::MAX),
+        Value::Int(i128::MIN),
+        Value::Float(1e308),
+        Value::Float(-1e308),
+        Value::Float(5e-324),
+        Value::Float(-0.0),
+        Value::Float(0.5),
+        Value::Str(INF.to_string()),
+        Value::Str(NEG_INF.to_string()),
+    ];
+    (k < values.len()).then(|| values[k].clone())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random bytes as a `/events` body get an answer, and the
+    /// process keeps serving.
+    #[test]
+    fn events_body_of_random_bytes_gets_an_answer(
+        bytes in prop::collection::vec(0u8..=255, 0..=2048),
+    ) {
+        let addr = fuzz_server();
+        assert_served(addr, post_events_raw(addr, &bytes));
+    }
+
+    /// Event-shaped JSON with one field missing, of the wrong type, or
+    /// holding an extreme number — alone or after a valid event in a
+    /// batch — gets an answer, and the process keeps serving.
+    #[test]
+    fn mangled_events_get_an_answer(
+        template in 0usize..4,
+        field in 0usize..1_000,
+        action in 0usize..19,
+        batch in 0u8..2,
+    ) {
+        static TEMPLATES: OnceLock<Vec<Value>> = OnceLock::new();
+        let templates = TEMPLATES.get_or_init(|| event_templates(&dataset()));
+        let mut event = templates[template].clone();
+        let mut paths = Vec::new();
+        field_paths(&event, &mut Vec::new(), &mut paths);
+        let (last, parents) = paths[field % paths.len()].split_last().unwrap();
+        let mut parent = &mut event;
+        for &i in parents {
+            parent = match parent {
+                Value::Object(fields) => &mut fields[i].1,
+                Value::Array(items) => &mut items[i],
+                _ => unreachable!("paths only descend containers"),
+            };
+        }
+        let Value::Object(fields) = parent else {
+            unreachable!("paths end at object fields");
+        };
+        match replacement(action) {
+            Some(v) => fields[*last].1 = v,
+            None => {
+                fields.remove(*last);
+            }
+        }
+        let mut body = event.to_json_string();
+        if batch == 1 {
+            body = format!("[{},{body}]", templates[0].to_json_string());
+        }
+        let body = body
+            .replace(&format!("\"{INF}\""), "1e999")
+            .replace(&format!("\"{NEG_INF}\""), "-1e999");
+        let addr = fuzz_server();
+        let (status, _) = request(addr, "POST", "/events", &body);
+        assert_served(addr, status);
+    }
 }
 
 /// A 12-worker, two-day trace. Workers 0..=9 are active on both days;

@@ -17,7 +17,7 @@
 //! Every application returns an [`Outcome`]; rejections carry a
 //! [`RejectReason`], so no event is dropped silently.
 
-use sc_types::{History, Task, VenueId, Worker, WorkerId};
+use sc_types::{History, Location, Task, VenueId, Worker, WorkerId};
 use serde::{json::Value, Deserialize, Error, Serialize};
 
 /// A totally ordered ingestion event: `kind` applied as the `seq`-th
@@ -115,23 +115,74 @@ impl EventKind {
 
     fn from_fields(obj: &[(String, Value)]) -> Result<Self, Error> {
         let tag: String = serde::get_field(obj, "type")?;
-        match tag.as_str() {
-            "task_arrival" => Ok(EventKind::TaskArrival {
+        let kind = match tag.as_str() {
+            "task_arrival" => EventKind::TaskArrival {
                 task: serde::get_field(obj, "task")?,
                 venue: serde::get_field(obj, "venue")?,
-            }),
-            "worker_arrival" => Ok(EventKind::WorkerArrival {
+            },
+            "worker_arrival" => EventKind::WorkerArrival {
                 worker: serde::get_field(obj, "worker")?,
-            }),
-            "worker_new" => Ok(EventKind::WorkerNew {
+            },
+            "worker_new" => EventKind::WorkerNew {
                 worker: serde::get_field(obj, "worker")?,
                 friends: serde::get_field(obj, "friends")?,
                 history: serde::get_field(obj, "history")?,
-            }),
-            "worker_departure" => Ok(EventKind::WorkerDeparture {
+            },
+            "worker_departure" => EventKind::WorkerDeparture {
                 worker: serde::get_field(obj, "worker")?,
-            }),
-            other => Err(Error::custom(format!("unknown event type `{other}`"))),
+            },
+            other => return Err(Error::custom(format!("unknown event type `{other}`"))),
+        };
+        kind.check_numbers()?;
+        Ok(kind)
+    }
+
+    /// Refuses the numbers no round can compute with, so a decoded
+    /// event never carries them: a worker who can never arrive
+    /// (`speed_kmh` not finite and > 0), a radius that is not a finite
+    /// distance ≥ 0, a location (worker or task) off the finite plane,
+    /// and a task whose deadline `published + valid_for` is past the
+    /// range of representable time.
+    fn check_numbers(&self) -> Result<(), Error> {
+        let finite_location = |what: &str, l: &Location| {
+            if l.x.is_finite() && l.y.is_finite() {
+                Ok(())
+            } else {
+                Err(Error::custom(format!(
+                    "{what} location must be finite, got ({}, {})",
+                    l.x, l.y
+                )))
+            }
+        };
+        match self {
+            EventKind::TaskArrival { task, .. } => {
+                finite_location("task", &task.location)?;
+                if task.published.checked_add(task.valid_for).is_none() {
+                    return Err(Error::custom(format!(
+                        "task deadline overflows: published {} + valid_for {}",
+                        task.published.as_seconds(),
+                        task.valid_for.as_seconds()
+                    )));
+                }
+                Ok(())
+            }
+            EventKind::WorkerArrival { worker } | EventKind::WorkerNew { worker, .. } => {
+                finite_location("worker", &worker.location)?;
+                if !(worker.speed_kmh.is_finite() && worker.speed_kmh > 0.0) {
+                    return Err(Error::custom(format!(
+                        "worker speed_kmh must be finite and > 0, got {}",
+                        worker.speed_kmh
+                    )));
+                }
+                if !(worker.radius_km.is_finite() && worker.radius_km >= 0.0) {
+                    return Err(Error::custom(format!(
+                        "worker radius_km must be finite and >= 0, got {}",
+                        worker.radius_km
+                    )));
+                }
+                Ok(())
+            }
+            EventKind::WorkerDeparture { .. } => Ok(()),
         }
     }
 }
@@ -415,6 +466,67 @@ mod tests {
             .map(|item| <EventKind as serde::Deserialize>::from_value(item).unwrap())
             .collect();
         assert_eq!(back, kinds);
+    }
+
+    #[test]
+    fn decoding_refuses_numbers_no_round_can_use() {
+        // Decodes `kind`'s wire form with `from` replaced by `to` (JSON
+        // has no infinity literal, but `1e999` parses to one), and
+        // returns the refusal.
+        let refusal = |kind: &EventKind, from: &str, to: &str| {
+            let json = kind.to_value().to_json_string();
+            assert!(json.contains(from), "{json}");
+            let value = serde::json::parse(&json.replace(from, to)).unwrap();
+            match <EventKind as serde::Deserialize>::from_value(&value) {
+                Ok(kind) => panic!("decoded {kind:?}"),
+                Err(e) => e.to_string(),
+            }
+        };
+        let worker = Worker::new(WorkerId::new(4), Location::new(0.25, 0.5), 6.5).with_speed(7.5);
+        let kinds = [
+            EventKind::WorkerArrival {
+                worker: worker.clone(),
+            },
+            EventKind::WorkerNew {
+                worker,
+                friends: vec![WorkerId::new(1)],
+                history: History::new(),
+            },
+        ];
+        for kind in &kinds {
+            let json = kind.to_value().to_json_string();
+            assert!(serde_json::from_str::<EventKind>(&json).is_ok(), "{json}");
+            for (from, to, field) in [
+                ("7.5", "0", "speed_kmh"),
+                ("7.5", "-5", "speed_kmh"),
+                ("7.5", "1e999", "speed_kmh"),
+                ("6.5", "-1", "radius_km"),
+                ("6.5", "1e999", "radius_km"),
+                ("0.25", "-1e999", "location"),
+            ] {
+                let err = refusal(kind, from, to);
+                assert!(err.contains(field), "{from} -> {to}: {err}");
+            }
+        }
+
+        let task = EventKind::TaskArrival {
+            task: Task::new(
+                TaskId::new(1),
+                Location::new(1.25, 2.0),
+                TimeInstant::from_seconds(123_456_789),
+                Duration::hours(1),
+                CategoryId::new(0),
+            ),
+            venue: VenueId::new(0),
+        };
+        let json = task.to_value().to_json_string();
+        // The last second whose deadline is representable decodes…
+        let last = (i64::MAX - 3_600).to_string();
+        assert!(serde_json::from_str::<EventKind>(&json.replace("123456789", &last)).is_ok());
+        // …one later does not.
+        let past = (i64::MAX - 3_599).to_string();
+        assert!(refusal(&task, "123456789", &past).contains("deadline overflows"));
+        assert!(refusal(&task, "1.25", "1e999").contains("location"));
     }
 
     #[test]

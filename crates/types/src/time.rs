@@ -129,6 +129,15 @@ impl TimeInstant {
         TimeInstant(days * SECS_PER_DAY + hours * SECS_PER_HOUR)
     }
 
+    /// [`TimeInstant::at`], or `None` when the instant is past the
+    /// range of representable time.
+    #[inline]
+    pub fn checked_at(days: i64, hours: i64) -> Option<Self> {
+        days.checked_mul(SECS_PER_DAY)?
+            .checked_add(hours.checked_mul(SECS_PER_HOUR)?)
+            .map(TimeInstant)
+    }
+
     /// Seconds since the epoch.
     #[inline]
     pub const fn as_seconds(self) -> i64 {
@@ -253,6 +262,15 @@ mod tests {
         assert_eq!(Duration::minutes(90).to_string(), "90min");
         assert_eq!(Duration::seconds(61).to_string(), "61s");
         assert_eq!(TimeInstant::at(2, 5).to_string(), "d2+05:00:00");
+    }
+
+    #[test]
+    fn checked_at_matches_at_and_detects_overflow() {
+        assert_eq!(TimeInstant::checked_at(3, 7), Some(TimeInstant::at(3, 7)));
+        assert_eq!(TimeInstant::checked_at(-1, 2), Some(TimeInstant::at(-1, 2)));
+        assert_eq!(TimeInstant::checked_at(106_751_991_167_301, 0), None);
+        assert_eq!(TimeInstant::checked_at(0, i64::MAX / 3_600 + 1), None);
+        assert_eq!(TimeInstant::checked_at(106_751_991_167_300, 24), None);
     }
 
     #[test]
