@@ -187,8 +187,8 @@ pub struct DitaPipeline {
     /// The persistent per-task scorer cache (see [`ScorerCache`]):
     /// survives across rounds and across the pool maintenance that
     /// mutably borrows `model` between them. Population-tagged —
-    /// worker fold-in invalidates it wholesale at the next scorer
-    /// bind; rotation/eviction leave it valid.
+    /// after a worker fold-in the next scorer bind extends every entry
+    /// to the grown population; rotation/eviction leave it valid.
     cache: ScorerCache,
 }
 

@@ -24,11 +24,15 @@
 //! Each entry is a pure function of `(task content, frozen LDA +
 //! willingness models, population size)` — see
 //! [`InfluenceModel::task_topics`] / [`InfluenceModel::willingness_all`]
-//! — so the one model mutation that stales entries is population growth
-//! (worker fold-in); pool rotation and eviction never touch cached
-//! quantities because propagation is always read live off the pool.
-//! The cache tags itself with the population it was filled for and
-//! self-clears when a scorer binds it to a grown model.
+//! — and pool rotation and eviction never touch cached quantities
+//! because propagation is always read live off the pool. The one
+//! model mutation an entry must follow is population growth (worker
+//! fold-in): the cache tags itself with the population it was filled
+//! for, and when a scorer binds it to a grown model every resident
+//! entry is **extended** with the new workers' willingness. Topics
+//! depend only on task content and the frozen LDA, and
+//! `willingness_all` is elementwise, so an extended entry equals a
+//! freshly computed one bit for bit.
 //!
 //! The map sits behind a reader-writer lock so the sharded scoring
 //! pass (`sc-assign`'s parallel pair scan) reads it concurrently;
@@ -43,7 +47,7 @@
 use crate::model::InfluenceModel;
 use parking_lot::RwLock;
 use sc_assign::{EligibilityMatrix, InfluenceOracle};
-use sc_types::{Instance, Task, WorkerId};
+use sc_types::{Instance, Location, Task, WorkerId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -84,7 +88,9 @@ impl InfluenceVariant {
     ];
 }
 
-/// Per-task cached quantities.
+/// Per-task cached quantities: the task's topic distribution and one
+/// willingness value per worker of the population the cache is tagged
+/// with.
 struct TaskEntry {
     topics: Vec<f64>,
     willingness: Vec<f64>,
@@ -105,6 +111,13 @@ struct TaskKey {
     cats_a: u64,
     cats_b: u64,
     n_cats: u32,
+}
+
+impl TaskKey {
+    /// The task location, exact: the key holds its coordinate bits.
+    fn location(&self) -> Location {
+        Location::new(f64::from_bits(self.x), f64::from_bits(self.y))
+    }
 }
 
 fn task_key(task: &Task) -> TaskKey {
@@ -150,10 +163,18 @@ pub struct WarmStats {
 /// Interior-mutable behind a reader-writer lock: concurrent scorers
 /// share reads; misses compute outside any lock and first insert wins
 /// (both compute identical bytes). The cache records the population it
-/// was filled for and [`InfluenceScorer::shared`] clears it when the
-/// model has since grown (worker fold-in changes every willingness
-/// vector's length) — the one invalidation event; rotation and
-/// eviction leave entries valid (module docs).
+/// was filled for. When [`InfluenceScorer::shared`] binds it to a model
+/// that has since grown (worker fold-in), each resident entry's
+/// willingness vector is extended with the new workers' values; a
+/// population that shrank clears it. Rotation and eviction leave
+/// entries valid (module docs).
+///
+/// The extension assumes every model the cache is bound to is the
+/// *same* model, grown only by fold-in: the values already resident are
+/// kept, not recomputed. [`crate::DitaPipeline`] upholds this by owning
+/// both the model and its cache, and a cloned or restored pipeline
+/// starts with an empty cache. A caller sharing one cache across
+/// different models must [`ScorerCache::clear`] it in between.
 #[derive(Default)]
 pub struct ScorerCache {
     inner: RwLock<CacheInner>,
@@ -187,19 +208,31 @@ impl ScorerCache {
         self.inner.write().map.clear();
     }
 
-    /// Re-tags the cache for `population`, dropping every entry if the
-    /// resident ones were computed for a different population (their
-    /// willingness vectors would have the wrong length). Called by
-    /// every scorer that binds this cache to a model.
-    fn sync_population(&self, population: usize) {
+    /// Re-tags the cache for `model`'s population. When the model grew
+    /// from `n` to `n' > n` workers, appends `P_wil(w, s)` for `w` in
+    /// `n..n'` to every resident entry — the per-worker evaluator
+    /// `willingness_all` runs, so the extended vector equals a fresh
+    /// one bit for bit. A shrunken population drops every entry (their
+    /// vectors would be too long). Called by every scorer that binds
+    /// this cache to a model.
+    fn sync_population(&self, model: &InfluenceModel) {
+        let population = model.n_workers();
         if self.inner.read().population == population {
             return;
         }
         let mut inner = self.inner.write();
-        if inner.population != population {
+        let old = inner.population;
+        if population > old {
+            for (key, entry) in inner.map.iter_mut() {
+                let loc = key.location();
+                entry
+                    .willingness
+                    .extend((old..population).map(|w| model.willingness(WorkerId::from(w), &loc)));
+            }
+        } else if population < old {
             inner.map.clear();
-            inner.population = population;
         }
+        inner.population = population;
     }
 }
 
@@ -267,7 +300,7 @@ impl<'a> InfluenceScorer<'a> {
     /// cache.
     pub fn with_variant(model: &'a InfluenceModel, variant: InfluenceVariant) -> Self {
         let cache = ScorerCache::new();
-        cache.sync_population(model.n_workers());
+        cache.sync_population(model);
         InfluenceScorer {
             model,
             variant,
@@ -278,10 +311,11 @@ impl<'a> InfluenceScorer<'a> {
     /// Creates a scorer borrowing a long-lived [`ScorerCache`] — entries
     /// computed by this scorer survive it and are re-hit by the next one
     /// bound to the same cache. If the model's population has grown
-    /// since the cache was filled (worker fold-in), the stale entries
-    /// are dropped here. Entries are variant-independent (they hold the
-    /// raw per-task quantities, not scores), so one cache serves every
-    /// ablation variant.
+    /// since the cache was filled (worker fold-in), the resident
+    /// entries are extended to it here (see [`ScorerCache`] for the
+    /// one-model assumption). Entries are variant-independent (they
+    /// hold the raw per-task quantities, not scores), so one cache
+    /// serves every ablation variant.
     pub fn shared(model: &'a InfluenceModel, cache: &'a ScorerCache) -> Self {
         Self::shared_variant(model, cache, InfluenceVariant::Full)
     }
@@ -292,7 +326,7 @@ impl<'a> InfluenceScorer<'a> {
         cache: &'a ScorerCache,
         variant: InfluenceVariant,
     ) -> Self {
-        cache.sync_population(model.n_workers());
+        cache.sync_population(model);
         InfluenceScorer {
             model,
             variant,
@@ -689,16 +723,60 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_clears_when_population_grows() {
+    fn shared_cache_extends_when_population_grows() {
         let (social, store) = world();
-        let model = InfluenceModel::train(&config(), &social, &store);
+        let mut model = InfluenceModel::train(&config(), &social, &store);
         let cache = ScorerCache::new();
         InfluenceScorer::shared(&model, &cache).score(WorkerId::new(0), &task_a());
         assert_eq!(cache.len(), 1);
-        // Simulate a fold-in having grown the population: re-binding the
-        // cache under a different population tag must drop the entries.
-        cache.sync_population(model.n_workers() + 1);
-        assert!(cache.is_empty());
+
+        // A real fold-in: a category-0 regular near task A, befriending
+        // workers 0 and 1, so its own willingness is non-zero.
+        let mut hist = sc_types::History::new();
+        hist.push(CheckIn::at(
+            WorkerId::new(6),
+            VenueId::new(99),
+            Location::new(0.5, 0.0),
+            TimeInstant::from_seconds(5_000),
+            vec![CategoryId::new(0)],
+        ));
+        let folded_net = social.fold_in_worker(&[0, 1]);
+        let late = model.fold_in_worker(&folded_net, &hist);
+        assert_eq!(late, WorkerId::new(6));
+
+        // Re-binding extends the resident entry instead of dropping it.
+        let shared = InfluenceScorer::shared(&model, &cache);
+        assert_eq!(cache.len(), 1, "fold-in must not clear the cache");
+        let fresh = InfluenceScorer::new(&model);
+        for w in [WorkerId::new(1), late] {
+            let (a, b) = (shared.explain(w, &task_a()), fresh.explain(w, &task_a()));
+            assert_eq!(a.score.to_bits(), b.score.to_bits(), "worker {w:?}");
+            assert_eq!(a.own_willingness.to_bits(), b.own_willingness.to_bits());
+            assert_eq!(
+                shared.score(w, &task_a()).to_bits(),
+                fresh.score(w, &task_a()).to_bits()
+            );
+        }
+        assert!(shared.explain(late, &task_a()).own_willingness > 0.0);
+        let stats = shared.warm_tasks(&[&task_a()], 1);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 0, 1));
+    }
+
+    #[test]
+    fn shared_cache_clears_when_population_shrinks() {
+        let (social, store) = world();
+        let model = InfluenceModel::train(&config(), &social, &store);
+        let cache = ScorerCache::new();
+        cache.inner.write().population = model.n_workers() + 1;
+        cache.inner.write().map.insert(
+            task_key(&task_a()),
+            TaskEntry {
+                topics: Vec::new(),
+                willingness: vec![0.0; model.n_workers() + 1],
+            },
+        );
+        InfluenceScorer::shared(&model, &cache);
+        assert!(cache.is_empty(), "too-long vectors must be dropped");
     }
 
     #[test]

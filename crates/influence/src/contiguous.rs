@@ -158,7 +158,7 @@ impl ContiguousPool {
 
     /// The pre-chunking eviction: the membership index is rebuilt into a
     /// **full replacement arena** (`kept`), so old + new coexist — the
-    /// transient-2× the chunked pool's in-place `retain_shift` removes.
+    /// transient-2× the chunked pool's dead-count eviction avoids.
     pub fn evict_before_epoch(&mut self, min_epoch: u32, max_evict: usize) -> usize {
         let k = self.stale_sets(min_epoch).min(max_evict);
         if k == 0 {

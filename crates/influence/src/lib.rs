@@ -24,6 +24,9 @@
 //!   segments of whole runs, grown by zero-copy segment adoption and
 //!   compacted in place, so no pool operation transiently holds a
 //!   second copy of the live data.
+//! * [`membership`] — the pool's worker → sets index, two levels of
+//!   runs over set ids relative to a moving base, so a rotation round
+//!   costs O(quantum) and renumbers nothing.
 //! * [`pool`] — chunked arenas of RRR sets with per-worker and
 //!   per-root indexes; all estimators read from it. Generation is
 //!   sharded across threads yet **bit-identical at any thread count**
@@ -49,6 +52,7 @@
 pub mod arena;
 pub mod cascade;
 pub mod contiguous;
+pub mod membership;
 pub mod network;
 pub mod parallel;
 pub mod pool;
@@ -58,6 +62,7 @@ pub mod rrr;
 pub use arena::RunArena;
 pub use cascade::{IndependentCascade, LinearThreshold};
 pub use contiguous::ContiguousPool;
+pub use membership::{MembershipIndex, SetIds};
 pub use network::SocialNetwork;
 pub use parallel::Parallelism;
 pub use pool::{PoolMemStats, PropagationModel, RrrPool};

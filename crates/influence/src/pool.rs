@@ -50,8 +50,13 @@
 //! drops the oldest sets once they fall behind an eviction horizon.
 //! Eviction always removes a *prefix* of the arena (epochs are
 //! non-decreasing by construction), so the set arena drops whole
-//! segments in place and the membership index compacts each segment
-//! through a write cursor — no replacement arena is allocated.
+//! segments in place. The membership index ([`MembershipIndex`])
+//! stores set ids relative to a moving base instead of live positions,
+//! so a rotation renumbers nothing: eviction bumps per-worker dead
+//! counts and advances the base, and extension rebuilds only the small
+//! tail of recently added sets. A round costs O(quantum), not O(pool).
+//! The whole-index passes ([`RunArena::retain_shift`] and
+//! [`RunArena::merge_zip`]) run only at the occasional compaction.
 //! Evicted stream indices are **never reused**: the live window of a
 //! pool that evicted `E` sets covers stream indices
 //! `[E, E + n_sets)`, and [`RrrPool::extend_to`] keeps sampling from
@@ -60,6 +65,7 @@
 //! a from-scratch pool of the same stream window at any thread count.
 
 use crate::arena::RunArena;
+use crate::membership::{MembershipIndex, SetIds};
 use crate::network::SocialNetwork;
 use crate::rrr::{sample_rrr_set, sample_rrr_set_lt};
 use rand::rngs::SmallRng;
@@ -121,9 +127,9 @@ pub struct RrrPool {
     /// Chunked arena of set-member runs (run `j` = members of set `j`,
     /// root first).
     sets: RunArena,
-    /// Chunked membership index (run `w` = sorted ids of live sets
-    /// containing worker `w`). Empty until the first sets are indexed.
-    membership: RunArena,
+    /// Worker → live sets index (see [`MembershipIndex`]). Empty until
+    /// the first sets are indexed.
+    membership: MembershipIndex,
     /// High-water mark of [`RrrPool::current_bytes`] across mutation
     /// checkpoints (not compared by any equality check).
     peak_bytes: usize,
@@ -221,7 +227,7 @@ impl RrrPool {
             roots: Vec::new(),
             set_epochs: Vec::new(),
             sets: RunArena::new(),
-            membership: RunArena::new(),
+            membership: MembershipIndex::default(),
             peak_bytes: 0,
         };
         pool.extend_to(net, n_sets, threads);
@@ -242,11 +248,13 @@ impl RrrPool {
     ///
     /// Memory: each shard emits a sealed mini-arena whose segments the
     /// pool **adopts** (zero-copy) — the splice that used to copy every
-    /// shard's members into a doubling `Vec` is gone. The membership
-    /// delta is scatter-built into an exactly-sized arena and merged
-    /// with the old index by a draining zip that frees source segments
-    /// as it goes, so the peak is `live + O(segment)` instead of
-    /// `2 × live`.
+    /// shard's members into a doubling `Vec` is gone. The new sets'
+    /// memberships are scatter-built in set order (so each worker's
+    /// run is ascending) into an exactly-sized arena: on a cold start
+    /// it **is** the membership index, and on growth it becomes the
+    /// index's tail, rebuilt with the tail's live entries (see
+    /// [`MembershipIndex`]). The peak is `live + O(tail + delta)`
+    /// instead of `2 × live`.
     pub fn extend_to(&mut self, net: &SocialNetwork, target: usize, threads: usize) {
         debug_assert_eq!(net.n_workers(), self.n_workers, "pool/network mismatch");
         let first_new = self.n_sets();
@@ -284,7 +292,10 @@ impl RrrPool {
         }
         self.set_epochs.resize(self.roots.len(), self.epoch);
         self.note_peak();
-        self.index_new_sets(first_new);
+        let index_peak = self
+            .membership
+            .extend(&self.sets, first_new, self.n_workers);
+        self.note_index_peak(index_peak);
     }
 
     /// Bumps the sampling epoch and returns the new value. Sets added by
@@ -326,27 +337,25 @@ impl RrrPool {
     /// Epochs are non-decreasing along the arena, so the evicted sets
     /// are always a prefix. The set arena frees whole dead segments and
     /// advances a cursor inside the boundary segment; the membership
-    /// index compacts **in place** (each run keeps its `>= k` suffix,
-    /// renumbered down by `k`, rewritten through a per-segment write
-    /// cursor) — no replacement arena is allocated, unlike the
-    /// pre-chunking layout which transiently held a second copy of the
-    /// whole index. The cost is `O(live memberships)`, independent of
-    /// how much history the pool has rotated through. The freed stream
-    /// indices are retired permanently — see [`RrrPool::stream_base`] —
-    /// which preserves the `(master_seed, set_index)` determinism
-    /// contract for every surviving and future set.
+    /// index marks each evicted membership dead and advances its base
+    /// (see [`MembershipIndex`]), so the cost is `O(evicted
+    /// memberships)` — except in the occasional round that compacts the
+    /// index. The freed stream indices are retired permanently — see
+    /// [`RrrPool::stream_base`] — which preserves the
+    /// `(master_seed, set_index)` determinism contract for every
+    /// surviving and future set.
     pub fn evict_before_epoch(&mut self, min_epoch: u32, max_evict: usize) -> usize {
         let k = self.stale_sets(min_epoch).min(max_evict);
         if k == 0 {
             return 0;
         }
+        // The index reads the evicted sets' members, so it goes first.
+        let index_peak = self.membership.evict(&self.sets, k);
+        self.note_index_peak(index_peak);
         // Dense prefix drains compact in place (capacity retained).
         self.roots.drain(..k);
         self.set_epochs.drain(..k);
         self.sets.evict_front(k);
-        // Each membership run is sorted, so the evicted ids are exactly
-        // its `< k` prefix.
-        self.membership.retain_shift(k as u32);
         self.stream_base += k;
         k
     }
@@ -401,9 +410,7 @@ impl RrrPool {
         // neighbour id) regardless of membership-index layout.
         let mut pulls: Vec<(u32, u32)> = Vec::new();
         for &v in net.informs(worker) {
-            for &j in self.sets_containing(v) {
-                pulls.push((j, v));
-            }
+            pulls.extend(self.sets_containing(v).map(|j| (j, v)));
         }
         pulls.sort_unstable();
 
@@ -428,13 +435,8 @@ impl RrrPool {
         }
 
         // Membership index: the worker is the largest id, so its run is
-        // appended at the end (`joined` is ascending, runs stay
-        // sorted). A pool that never indexed any sets materializes the
-        // older workers' empty runs first so run `w` stays worker `w`.
-        for _ in self.membership.n_runs()..self.n_workers - 1 {
-            self.membership.push_run(&[]);
-        }
-        self.membership.push_run(&joined);
+        // appended at the end (`joined` is ascending, runs stay sorted).
+        self.membership.push_worker(worker as usize, &joined);
 
         // Set arena: drain-rebuild with the worker spliced onto the
         // tail of each joined set's run.
@@ -448,58 +450,21 @@ impl RrrPool {
         joined.len()
     }
 
-    /// Folds sets `[first_new, n_sets)` into the worker→sets index.
-    ///
-    /// Two passes over the new sets: a counting pass sizes every
-    /// worker's delta run exactly ([`RunArena::with_layout`]), then a
-    /// scatter pass fills them in set order (so each run is ascending).
-    /// On a cold start the delta **is** the index — no merge, no copy.
-    /// On growth, the old index and the delta are zipped run-for-run by
-    /// a draining merge that frees source segments as they are
-    /// consumed, keeping the transient at `live + O(segment)` instead
-    /// of the full second copy the contiguous layout needed.
-    fn index_new_sets(&mut self, first_new: usize) {
-        let n = self.n_workers;
-        if n == 0 || first_new == self.n_sets() {
-            return;
-        }
-        let mut add = vec![0u32; n];
-        self.sets.for_each_run_from(first_new, |_, run| {
-            for &w in run {
-                add[w as usize] += 1;
-            }
-        });
-        let (mut delta, mut cursors) = RunArena::with_layout(&add);
-        let scatter_bytes =
-            4 * (delta.capacity_elems() + add.capacity()) + std::mem::size_of_val(&cursors[..]);
-        drop(add);
-        self.sets.for_each_run_from(first_new, |j, run| {
-            for &w in run {
-                delta.poke(&mut cursors[w as usize], j as u32);
-            }
-        });
-        drop(cursors);
-        self.note_peak_abs(self.current_bytes() + scatter_bytes);
-
-        if self.membership.is_empty() {
-            // Cold start: the scatter-built delta is the whole index.
-            self.membership = delta;
-            self.note_peak();
-        } else {
-            let base = std::mem::take(&mut self.membership);
-            let others = self.current_bytes();
-            let (merged, op_peak) = RunArena::merge_zip(base, delta);
-            self.membership = merged;
-            self.note_peak_abs(others + 4 * op_peak);
-        }
-    }
-
     /// Allocated bytes across all pool storage right now.
     fn current_bytes(&self) -> usize {
-        4 * (self.sets.capacity_elems()
-            + self.membership.capacity_elems()
-            + self.roots.capacity()
-            + self.set_epochs.capacity())
+        self.membership.capacity_bytes() + self.non_index_bytes()
+    }
+
+    /// Allocated bytes of everything but the membership index.
+    fn non_index_bytes(&self) -> usize {
+        4 * (self.sets.capacity_elems() + self.roots.capacity() + self.set_epochs.capacity())
+    }
+
+    /// Checkpoints the rest of the pool plus the membership index's
+    /// peak during an operation on it.
+    fn note_index_peak(&mut self, index_peak: usize) {
+        let bytes = self.non_index_bytes() + index_peak;
+        self.note_peak_abs(bytes);
     }
 
     /// Checkpoints the current footprint into the peak.
@@ -557,10 +522,11 @@ impl RrrPool {
         &self.roots
     }
 
-    /// The chunked membership index (run `w` = sorted ids of live sets
-    /// containing worker `w`; empty arena until sets are indexed).
+    /// The membership index (run `w` = the live sets containing worker
+    /// `w`, ascending; no runs until sets are indexed). Its equality is
+    /// logical, like the arenas'.
     #[inline]
-    pub fn membership_arena(&self) -> &RunArena {
+    pub fn membership(&self) -> &MembershipIndex {
         &self.membership
     }
 
@@ -625,16 +591,16 @@ impl RrrPool {
         self.roots[j]
     }
 
-    /// Ids of sets containing `worker`.
+    /// Ids of the live sets containing `worker`, ascending.
     #[inline]
-    pub fn sets_containing(&self, worker: u32) -> &[u32] {
-        if self.membership.is_empty() {
+    pub fn sets_containing(&self, worker: u32) -> SetIds<'_> {
+        if self.membership.n_runs() == 0 {
             assert!(
                 (worker as usize) < self.n_workers,
                 "worker {worker} out of range ({})",
                 self.n_workers
             );
-            return &[];
+            return SetIds::default();
         }
         self.membership.run(worker as usize)
     }
@@ -687,8 +653,7 @@ impl RrrPool {
         }
         let count = self
             .sets_containing(source)
-            .iter()
-            .filter(|&&j| self.roots[j as usize] == target)
+            .filter(|&j| self.roots[j as usize] == target)
             .count();
         self.scale() * count as f64
     }
@@ -698,8 +663,7 @@ impl RrrPool {
     pub fn total_propagation(&self, source: u32) -> f64 {
         let count = self
             .sets_containing(source)
-            .iter()
-            .filter(|&&j| self.roots[j as usize] != source)
+            .filter(|&j| self.roots[j as usize] != source)
             .count();
         self.scale() * count as f64
     }
@@ -712,9 +676,8 @@ impl RrrPool {
         debug_assert_eq!(weights.len(), self.n_workers);
         let sum: f64 = self
             .sets_containing(source)
-            .iter()
-            .filter(|&&j| self.roots[j as usize] != source)
-            .map(|&j| weights[self.roots[j as usize] as usize])
+            .filter(|&j| self.roots[j as usize] != source)
+            .map(|j| weights[self.roots[j as usize] as usize])
             .sum();
         self.scale() * sum
     }
@@ -742,7 +705,7 @@ mod tests {
         // Membership index must agree with raw sets.
         for j in 0..pool.n_sets() {
             for &w in pool.set(j) {
-                assert!(pool.sets_containing(w).contains(&(j as u32)));
+                assert!(pool.sets_containing(w).any(|x| x == j as u32));
             }
         }
         // Every set contains its root first.
@@ -901,7 +864,7 @@ mod tests {
         for j in 0..pool.n_sets() {
             assert_eq!(pool.set(j)[0], pool.root(j));
             for &w in pool.set(j) {
-                assert!(pool.sets_containing(w).contains(&(j as u32)));
+                assert!(pool.sets_containing(w).any(|x| x == j as u32));
             }
         }
         let total_memberships: usize = (0..4).map(|w| pool.sets_containing(w).len()).sum();
@@ -942,7 +905,7 @@ mod tests {
         assert_eq!(maintained.n_sets(), fresh.n_sets());
         assert_eq!(maintained.stream_base(), fresh.stream_base());
         assert_eq!(maintained.fingerprint(), fresh.fingerprint());
-        assert_eq!(maintained.membership_arena(), fresh.membership_arena());
+        assert_eq!(maintained.membership(), fresh.membership());
         assert_eq!(maintained.roots(), fresh.roots());
     }
 
@@ -967,6 +930,52 @@ mod tests {
         fresh.advance_epoch();
         fresh.evict_before_epoch(1, 400);
         assert_eq!(pool.fingerprint(), fresh.fingerprint());
+    }
+
+    #[test]
+    fn snapshot_with_a_tail_restores_equal() {
+        let net = diamond_net();
+        let model = PropagationModel::WeightedCascade;
+        let mut pool = RrrPool::generate_sharded(&net, 2_000, model, 27, 2);
+        pool.advance_epoch();
+        pool.evict_before_epoch(1, 200);
+        pool.extend_to(&net, 2_000, 2);
+        assert!(
+            !pool.membership().is_compact(),
+            "dead entries and a tail of the 200 new sets"
+        );
+
+        let value = serde::Serialize::to_value(&pool);
+        let mut restored: RrrPool = serde::Deserialize::from_value(&value).unwrap();
+        assert!(restored.membership().is_compact());
+        for w in 0..4 {
+            assert_eq!(
+                restored.sets_containing(w).collect::<Vec<_>>(),
+                pool.sets_containing(w).collect::<Vec<_>>(),
+                "worker {w}"
+            );
+        }
+        assert_eq!(restored.membership(), pool.membership());
+        assert_eq!(restored.fingerprint(), pool.fingerprint());
+
+        // The wire form is the position-numbered index of the same
+        // window, as a pool that never rotated serializes it.
+        let mut fresh = RrrPool::generate_sharded(&net, 2_200, model, 27, 1);
+        fresh.advance_epoch();
+        fresh.evict_before_epoch(1, 200);
+        assert_eq!(
+            serde::Serialize::to_value(pool.membership()),
+            serde::Serialize::to_value(fresh.membership())
+        );
+
+        // The restored pool keeps rotating in lockstep.
+        for p in [&mut pool, &mut restored] {
+            let epoch = p.advance_epoch();
+            p.evict_before_epoch(epoch, 300);
+            p.extend_to(&net, 2_000, 2);
+        }
+        assert_eq!(restored.membership(), pool.membership());
+        assert_eq!(restored.fingerprint(), pool.fingerprint());
     }
 
     #[test]

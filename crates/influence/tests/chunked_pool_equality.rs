@@ -6,7 +6,10 @@
 //! runs in the release-CI determinism job: both layouts are driven
 //! through the same scripts (generation at several thread counts,
 //! rotation, fold-in) and compared set-for-set, membership-for-
-//! membership, and by fingerprint.
+//! membership, and by fingerprint. The contiguous pool renumbers its
+//! membership index on every eviction, so it is also the independent
+//! oracle for the chunked pool's two-level index, which renumbers only
+//! when it compacts.
 
 use sc_influence::{ContiguousPool, PropagationModel, RrrPool, SocialNetwork};
 
@@ -40,7 +43,7 @@ fn assert_layouts_equal(chunked: &RrrPool, contiguous: &ContiguousPool) {
     }
     for w in 0..chunked.n_workers() as u32 {
         assert_eq!(
-            chunked.sets_containing(w),
+            chunked.sets_containing(w).collect::<Vec<_>>(),
             contiguous.sets_containing(w),
             "membership of worker {w} differs"
         );
@@ -104,6 +107,68 @@ fn rotation_equal_across_layouts() {
         assert_layouts_equal(&chunked, &contiguous);
     }
     assert!(chunked.stream_base() > 0, "rotation must have evicted");
+}
+
+/// Folds the next worker, befriending `friends`, into the network and
+/// both pools, and compares the layouts.
+fn fold_in_both(
+    net: &mut SocialNetwork,
+    chunked: &mut RrrPool,
+    contiguous: &mut ContiguousPool,
+    friends: &[u32],
+) {
+    *net = net.fold_in_worker(friends);
+    let worker = chunked.n_workers() as u32;
+    assert_eq!(
+        chunked.fold_in_worker(net, worker),
+        contiguous.fold_in_worker(net, worker),
+        "join counts differ for worker {worker}"
+    );
+    assert_layouts_equal(chunked, contiguous);
+}
+
+#[test]
+fn long_rotation_with_fold_ins_equal_across_layouts() {
+    // Over three full turnovers of a 3,000-set pool (256 sets evicted
+    // and added per round for 40 rounds), the chunked pool's two-level
+    // membership index rotates in place and compacts every few rounds
+    // while the contiguous pool renumbers every round. Workers fold in
+    // at three points: before the first eviction, between an eviction
+    // and the next extension (the engine's order), and right after a
+    // compaction.
+    let mut net = sparse_net(90, 8);
+    let mut chunked =
+        RrrPool::generate_sharded(&net, 3_000, PropagationModel::WeightedCascade, 0x10C, 2);
+    let mut contiguous =
+        ContiguousPool::generate_sharded(&net, 3_000, PropagationModel::WeightedCascade, 0x10C, 1);
+    fold_in_both(&mut net, &mut chunked, &mut contiguous, &[1, 7, 20]);
+
+    let (mut mid_round, mut after_compaction) = (false, false);
+    for round in 0..40 {
+        let epoch = chunked.advance_epoch();
+        assert_eq!(contiguous.advance_epoch(), epoch);
+        let a = chunked.evict_before_epoch(epoch, 256);
+        let b = contiguous.evict_before_epoch(epoch, 256);
+        assert_eq!((a, b), (256, 256), "round {round}: eviction counts");
+        if chunked.membership().is_compact() {
+            if !after_compaction {
+                after_compaction = true;
+                fold_in_both(&mut net, &mut chunked, &mut contiguous, &[3, 40, 88]);
+            }
+        } else if round > 0 && !mid_round {
+            // Dead entries and a tail of the last round's sets.
+            mid_round = true;
+            fold_in_both(&mut net, &mut chunked, &mut contiguous, &[0, 45]);
+        }
+        chunked.extend_to(&net, 3_000, 3);
+        contiguous.extend_to(&net, 3_000, 1);
+        assert_layouts_equal(&chunked, &contiguous);
+    }
+    assert!(mid_round && after_compaction, "every fold-in point was hit");
+    assert!(
+        chunked.stream_base() >= 3 * 3_000,
+        "at least three full turnovers"
+    );
 }
 
 #[test]

@@ -77,13 +77,21 @@ impl Default for ServeConfig {
 
 /// State shared between the HTTP workers.
 struct Shared {
-    engine: Mutex<OnlineEngine<'static>>,
+    engine: Mutex<EngineState>,
     queue: Mutex<VecDeque<EventKind>>,
-    last_round: Mutex<Option<RoundReport>>,
     queue_cap: usize,
     algorithm: AlgorithmKind,
     snapshot_path: Option<PathBuf>,
     shutdown: AtomicBool,
+}
+
+/// The engine and the report of the last round it closed, behind one
+/// lock: `/report` reads the round count, the summary and the last
+/// round together, so it never pairs one round's count with another
+/// round's report.
+struct EngineState {
+    engine: OnlineEngine<'static>,
+    last_round: Option<RoundReport>,
 }
 
 /// A running serving process; dropping it without
@@ -103,9 +111,11 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            engine: Mutex::new(engine),
+            engine: Mutex::new(EngineState {
+                engine,
+                last_round: None,
+            }),
             queue: Mutex::new(VecDeque::new()),
-            last_round: Mutex::new(None),
             queue_cap: config.queue_cap.max(1),
             algorithm: config.algorithm,
             snapshot_path: config.snapshot_path,
@@ -172,7 +182,7 @@ impl Server {
             let _ = h.join();
         }
         Arc::try_unwrap(self.shared)
-            .map(|s| s.engine.into_inner().expect("engine lock"))
+            .map(|s| s.engine.into_inner().expect("engine lock").engine)
             .unwrap_or_else(|_| panic!("serve threads still hold the engine"))
     }
 }
@@ -363,16 +373,16 @@ fn post_round(shared: &Shared, body: &str) -> (u16, String) {
         }
     };
 
-    let mut engine = shared.engine.lock().expect("engine lock");
-    let (applied, rejected) = drain_queue(shared, &mut engine);
-    let report = engine.run_round(now, algorithm);
-    drop(engine);
+    let mut state = shared.engine.lock().expect("engine lock");
+    let (applied, rejected) = drain_queue(shared, &mut state.engine);
+    let report = state.engine.run_round(now, algorithm);
+    state.last_round = Some(report.clone());
+    drop(state);
     let body = Value::Object(vec![
         ("applied".to_string(), applied.to_value()),
         ("rejected".to_string(), rejected.to_value()),
         ("report".to_string(), report.to_value()),
     ]);
-    *shared.last_round.lock().expect("last_round lock") = Some(report);
     (200, body.to_json_string())
 }
 
@@ -382,17 +392,17 @@ fn post_round(shared: &Shared, body: &str) -> (u16, String) {
 /// engines that served the same event stream — e.g. an original and
 /// its restored snapshot — answer with byte-identical bodies.
 fn get_report(shared: &Shared) -> (u16, String) {
-    let engine = shared.engine.lock().expect("engine lock");
-    let (round, _) = engine.next_stamp();
-    let summary = engine.summary();
-    drop(engine);
-    let last = shared.last_round.lock().expect("last_round lock");
+    let state = shared.engine.lock().expect("engine lock");
+    let (round, _) = state.engine.next_stamp();
+    let summary = state.engine.summary();
+    let last = state.last_round.clone();
+    drop(state);
     let body = Value::Object(vec![
         ("rounds".to_string(), round.to_value()),
         ("summary".to_string(), summary.to_value()),
         (
             "last_round".to_string(),
-            last.as_ref().map(|r| r.to_value()).unwrap_or(Value::Null),
+            last.map_or(Value::Null, |r| r.to_value()),
         ),
     ]);
     (200, body.to_json_string())
@@ -423,10 +433,10 @@ fn post_snapshot(shared: &Shared, body: &str) -> (u16, String) {
         );
     };
 
-    let mut engine = shared.engine.lock().expect("engine lock");
-    let (applied, rejected) = drain_queue(shared, &mut engine);
-    let result = save_snapshot(&engine, &path);
-    drop(engine);
+    let mut state = shared.engine.lock().expect("engine lock");
+    let (applied, rejected) = drain_queue(shared, &mut state.engine);
+    let result = save_snapshot(&state.engine, &path);
+    drop(state);
     match result {
         Ok(()) => {
             let body = Value::Object(vec![

@@ -61,8 +61,9 @@
 //! ([`OnlineConfig::incremental`]): the engine carries an
 //! [`EligibilityState`] across rounds — eligibility is advanced by a
 //! delta from the previous round instead of rebuilt — and scores
-//! through the pipeline's persistent content-keyed scorer cache, which
-//! only worker fold-ins invalidate. Both reuse paths are exact, so a
+//! through the pipeline's persistent content-keyed scorer cache, whose
+//! entries a worker fold-in extends rather than drops. Both reuse
+//! paths are exact, so a
 //! round's [`RoundReport`] is bit-identical to the `--no-incremental`
 //! rebuild baseline at any thread count
 //! (`crates/sim/tests/incremental_round_determinism.rs` pins it;

@@ -21,6 +21,7 @@
 use crate::online::OnlineEngine;
 use serde::json::Value;
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 /// The snapshot format version this build writes and accepts.
@@ -89,13 +90,25 @@ pub fn snapshot_from_str(text: &str) -> Result<OnlineEngine<'static>, SnapshotEr
     serde::Deserialize::from_value(engine).map_err(|e| SnapshotError::Parse(e.to_string()))
 }
 
-/// Writes an engine snapshot to `path` (atomically enough for the
-/// serving loop: write to a sibling `.tmp`, then rename over).
+/// Writes an engine snapshot to `path` durably: the bytes go to a
+/// sibling `.tmp` file, which is flushed to disk before it is renamed
+/// over `path`, and then the directory holding the rename is flushed
+/// too. After a crash or power cut, `path` holds either the previous
+/// snapshot or the whole new one, never a renamed file whose data did
+/// not reach the disk.
 pub fn save_snapshot(engine: &OnlineEngine<'_>, path: &Path) -> Result<(), SnapshotError> {
     let text = snapshot_to_string(engine)?;
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text.as_bytes())?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()?;
     Ok(())
 }
 

@@ -4,7 +4,10 @@
 //! summary — byte-identical to the `--no-incremental` rebuild
 //! baseline, at any thread count, even while the pool rotates and a
 //! previously-unseen worker is folded into the live network
-//! mid-stream (the one event that invalidates the scorer cache).
+//! mid-stream (the one event that grows every scorer-cache entry:
+//! resident entries are extended with the new worker's willingness,
+//! and the rebuild path, which recomputes every entry, is the
+//! exactness oracle for that extension).
 //!
 //! Four runs of the same arrival script are compared pairwise:
 //! `{incremental, rebuild} × {threads 1, 4}`. Telemetry fields
@@ -13,7 +16,7 @@
 //! the incremental machinery actually engaged (carried rounds with
 //! warm cache hits) rather than silently falling back to rebuilds.
 
-use sc_core::{DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism};
+use sc_core::{DitaBuilder, DitaConfig, DitaPipeline, InfluenceScorer, OnlineConfig, Parallelism};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
 use sc_sim::{
@@ -50,7 +53,8 @@ fn pipeline(data: &SyntheticDataset, threads: Parallelism, online: OnlineConfig)
 /// One scripted streaming day on an adaptive, maintaining engine:
 /// a morning cohort, hourly task arrivals, bounded pool rotation
 /// every round, and a fold-in of a previously-unseen worker at 11:00
-/// (which grows the population and so clears the scorer cache).
+/// (which grows the population, so the scorer cache extends its
+/// entries).
 fn run_script(
     data: &SyntheticDataset,
     threads: Parallelism,
@@ -77,13 +81,14 @@ fn run_script(
     }
 
     let mut reports = Vec::new();
+    let mut posted = Vec::new();
     let mut next_id = 0u32;
     for hour in 8..16i64 {
         let now = TimeInstant::at(0, hour);
         if hour == 11 {
-            // Mid-stream fold-in: the only event that invalidates the
-            // persistent scorer cache, and a worker-axis delta for the
-            // eligibility state.
+            // Mid-stream fold-in: the only event that grows the
+            // persistent scorer cache's entries, and a worker-axis
+            // delta for the eligibility state.
             let venue = data.venues.venue(VenueId::new(7));
             let mut hist = History::new();
             hist.push(CheckIn::at(
@@ -103,10 +108,30 @@ fn run_script(
                 .is_online());
         }
         for _ in 0..20 {
-            engine.ingest(scripted_event(data, 29, next_id, now, 2.5));
+            let event = scripted_event(data, 29, next_id, now, 2.5);
+            if let EventKind::TaskArrival { task, .. } = &event {
+                posted.push(task.clone());
+            }
+            engine.ingest(event);
             next_id += 1;
         }
         reports.push(engine.run_round(now, sc_assign::AlgorithmKind::Ia));
+    }
+    // The persistent scorer cache, extended in place at the fold-in,
+    // holds exactly what a fresh scorer computes: every worker, the late
+    // one included, against every task posted during the day.
+    let pipeline = engine.pipeline();
+    let (shared, fresh) = (pipeline.scorer(), InfluenceScorer::new(pipeline.model()));
+    for task in &posted {
+        for w in 0..pipeline.model().n_workers() {
+            let w = WorkerId::from(w);
+            assert_eq!(
+                shared.explain(w, task),
+                fresh.explain(w, task),
+                "cached entry of task {:?} differs for worker {w:?}",
+                task.id
+            );
+        }
     }
     let summary = engine.summary();
     (reports, summary)
@@ -138,9 +163,7 @@ fn incremental_rounds_match_rebuild_rounds_at_any_thread_count() {
     }
 
     // The incremental machinery must actually have engaged: after the
-    // first round (and outside the fold-in round, which clears the
-    // cache and may reshape the worker axis) rounds are served by
-    // deltas with warm cache hits.
+    // first round rounds are served by deltas with warm cache hits.
     let (inc, _) = run_script(&data, Parallelism::Single, true);
     assert!(
         inc.iter().any(|r| !r.elig_full_rebuild && r.cache_hits > 0),
@@ -153,5 +176,17 @@ fn incremental_rounds_match_rebuild_rounds_at_any_thread_count() {
     assert!(
         inc[0].elig_full_rebuild,
         "the first round has no prior state and must rebuild"
+    );
+    // The fold-in round (11:00) re-hits the entries warmed before it:
+    // the fold-in extends them instead of clearing the cache.
+    let fold_in_round = inc
+        .iter()
+        .find(|r| r.now == TimeInstant::at(0, 11))
+        .expect("the script runs an 11:00 round");
+    assert!(
+        fold_in_round.cache_hits > 0,
+        "the fold-in round found no resident cache entry ({} hits, {} misses)",
+        fold_in_round.cache_hits,
+        fold_in_round.cache_misses
     );
 }

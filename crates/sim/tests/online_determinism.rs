@@ -190,5 +190,5 @@ fn maintained_pool_equals_fresh_pool_of_same_stream_window() {
     fresh.advance_epoch();
     fresh.evict_before_epoch(1, pool.stream_base());
     assert_eq!(fresh.fingerprint(), pool.fingerprint());
-    assert_eq!(fresh.membership_arena(), pool.membership_arena());
+    assert_eq!(fresh.membership(), pool.membership());
 }
