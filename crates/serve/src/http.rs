@@ -3,15 +3,17 @@
 //! The workspace builds offline, so there is no HTTP dependency to
 //! lean on; this module implements exactly the slice of RFC 9112 the
 //! `dita serve` endpoints need — request line, headers,
-//! `Content-Length`-delimited bodies, and `Connection: close`
-//! responses — over blocking [`std::net::TcpStream`]s. Every response
-//! closes the connection: the clients of this surface (the CI smoke
-//! job's `curl` loop, the round-trip tests) speak one request per
-//! connection, which keeps the worker pool free of keep-alive
-//! bookkeeping.
+//! `Content-Length`-delimited bodies, and persistent connections —
+//! over blocking [`std::net::TcpStream`]s. A connection stays open
+//! after a response unless the client asks otherwise
+//! ([`Request::keep_alive`]), so [`read_request`] reads from a
+//! [`BufRead`] the caller keeps for the whole connection: bytes past
+//! one request are the start of the next. Since a misread boundary
+//! would turn the rest of a body into a request, requests framed any
+//! other way — `Transfer-Encoding`, or more than one `Content-Length`
+//! — are refused.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Read, Write};
 
 /// Longest accepted request body. Snapshot-sized engines travel the
 /// other way (responses), so event batches are the only large bodies;
@@ -31,64 +33,85 @@ pub struct Request {
     pub path: String,
     /// The body (empty when no `Content-Length` was sent).
     pub body: String,
+    /// Whether the client lets the connection stay open after the
+    /// response: the HTTP/1.1 default, unless it sent
+    /// `Connection: close`. An HTTP/1.0 (or older) client must ask with
+    /// `Connection: keep-alive`.
+    pub keep_alive: bool,
 }
 
-/// Reads one request off the stream. `Ok(None)` means the peer closed
-/// the connection before sending a request line. Any byte stream is
-/// safe input: a malformed request is an `Err`, never a panic.
-pub fn read_request(stream: &mut impl Read) -> std::io::Result<Option<Request>> {
-    let mut reader = BufReader::new(stream);
+fn invalid(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// Reads one request off a connection's reader, consuming exactly its
+/// bytes: whatever follows stays buffered for the next call.
+/// `Ok(None)` means the peer closed the connection before sending a
+/// request line. Any byte stream is safe input: a malformed request is
+/// an `Err`, never a panic, and after an `Err` the reader's position
+/// is not a request boundary.
+pub fn read_request(reader: &mut impl BufRead) -> std::io::Result<Option<Request>> {
     let mut line = String::new();
-    if read_line_capped(&mut reader, &mut line)? == 0 {
+    if read_line_capped(reader, &mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_uppercase(), p.to_string()),
-        _ => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed request line: {line:?}"),
-            ))
-        }
+        _ => return Err(invalid(&format!("malformed request line: {line:?}"))),
     };
+    let mut keep_alive = parts.next() == Some("HTTP/1.1");
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for _ in 0..MAX_HEADERS {
         let mut header = String::new();
-        if read_line_capped(&mut reader, &mut header)? == 0 {
+        if read_line_capped(reader, &mut header)? == 0 {
             return Ok(None); // peer hung up mid-headers
         }
         let header = header.trim_end();
         if header.is_empty() {
             let mut body = String::new();
-            if content_length > 0 {
-                let mut buf = vec![0u8; content_length];
+            let length = content_length.unwrap_or(0);
+            if length > 0 {
+                let mut buf = vec![0u8; length];
                 reader.read_exact(&mut buf)?;
-                body = String::from_utf8(buf).map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "body is not UTF-8")
-                })?;
+                body = String::from_utf8(buf).map_err(|_| invalid("body is not UTF-8"))?;
             }
-            return Ok(Some(Request { method, path, body }));
+            return Ok(Some(Request {
+                method,
+                path,
+                body,
+                keep_alive,
+            }));
         }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad Content-Length")
-                })?;
-                if content_length > MAX_BODY_BYTES {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "body too large",
-                    ));
+        let Some((name, value)) = header.split_once(':') else {
+            continue;
+        };
+        if name.eq_ignore_ascii_case("content-length") {
+            if content_length.is_some() {
+                return Err(invalid("more than one Content-Length"));
+            }
+            let length = value
+                .trim()
+                .parse()
+                .map_err(|_| invalid("bad Content-Length"))?;
+            if length > MAX_BODY_BYTES {
+                return Err(invalid("body too large"));
+            }
+            content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(invalid("Transfer-Encoding is not supported"));
+        } else if name.eq_ignore_ascii_case("connection") {
+            for option in value.split(',').map(str::trim) {
+                if option.eq_ignore_ascii_case("close") {
+                    keep_alive = false;
+                } else if option.eq_ignore_ascii_case("keep-alive") {
+                    keep_alive = true;
                 }
             }
         }
     }
-    Err(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        "too many headers",
-    ))
+    Err(invalid("too many headers"))
 }
 
 /// Appends one `\n`-terminated line to `line` and returns its length
@@ -98,17 +121,21 @@ pub fn read_request(stream: &mut impl Read) -> std::io::Result<Option<Request>> 
 fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<usize> {
     let n = reader.take(MAX_HEADER_BYTES as u64 + 1).read_line(line)?;
     if n > MAX_HEADER_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "request or header line too long",
-        ));
+        return Err(invalid("request or header line too long"));
     }
     Ok(n)
 }
 
-/// Writes one `application/json` response and flushes. The connection
-/// is marked `Connection: close`; the caller drops the stream after.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+/// Writes one `application/json` response in a single `write_all`, so
+/// a response never waits on the peer's delayed ACK between its head
+/// and its body. Its `connection` header says whether the server keeps
+/// the connection open after it (`keep_alive`).
+pub fn write_response(
+    stream: &mut impl Write,
+    status: u16,
+    body: &str,
+    keep_alive: bool,
+) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
         202 => "Accepted",
@@ -118,14 +145,16 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::i
         408 => "Request Timeout",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Unknown",
     };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut message = format!(
+        "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -133,7 +162,8 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::i
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::net::TcpListener;
+    use std::io::BufReader;
+    use std::net::{TcpListener, TcpStream};
 
     fn roundtrip(raw: &str) -> std::io::Result<Option<Request>> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -144,8 +174,8 @@ mod tests {
             s.write_all(raw.as_bytes()).unwrap();
             s.shutdown(std::net::Shutdown::Write).unwrap();
         });
-        let (mut stream, _) = listener.accept().unwrap();
-        let req = read_request(&mut stream);
+        let (stream, _) = listener.accept().unwrap();
+        let req = read_request(&mut BufReader::new(stream));
         client.join().unwrap();
         req
     }
@@ -166,6 +196,26 @@ mod tests {
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
+    }
+
+    #[test]
+    fn back_to_back_requests_are_read_in_turn() {
+        let raw = "POST /events HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]\
+                   GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+        let mut reader = raw.as_bytes();
+        let first = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(
+            (first.path.as_str(), first.body.as_str()),
+            ("/events", "[]")
+        );
+        assert!(first.keep_alive);
+        let second = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(
+            (second.path.as_str(), second.body.as_str()),
+            ("/healthz", "")
+        );
+        assert!(!second.keep_alive);
+        assert!(read_request(&mut reader).unwrap().is_none());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! | `POST` | `/snapshot` | Fold queued events in, write the versioned snapshot|
 //!
 //! Everything is hand-rolled over [`std::net`] — the workspace builds
-//! offline, so [`http`] implements the needed HTTP/1.1 slice and
-//! [`server`] the bounded-queue/thread-pool process around it. The
+//! offline, so [`http`] implements the needed HTTP/1.1 slice,
+//! [`server`] the bounded-queue/thread-pool process around it, and
+//! [`client`] the persistent-connection client that talks to it. The
 //! determinism contract carries over the wire: events are applied in
 //! one total `(round, seq)` order regardless of how many HTTP threads
 //! accepted them, so a snapshot-restored process reports byte-for-byte

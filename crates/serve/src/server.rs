@@ -25,6 +25,27 @@
 //! restarted with `--restore` serves `GET /report` responses
 //! byte-identical to the uninterrupted original — the serve smoke job
 //! in CI diffs exactly that.
+//!
+//! # Connections
+//!
+//! Each HTTP worker serves one connection at a time and answers its
+//! requests in order, keeping it open between them (HTTP/1.1
+//! keep-alive) until the client closes it, asks for `Connection:
+//! close`, or sends nothing for 5 s (`IO_TIMEOUT`). While a kept-alive
+//! connection waits for its next request it is *idle*: the worker
+//! parks a handle to it with the acceptor, and when a new connection
+//! finds no worker waiting, the acceptor shuts one idle connection
+//! down so its worker takes the new one. [`Server::shutdown`] closes
+//! every idle connection the same way. A worker takes its connection
+//! back, under the same lock, before it reads any byte of the next
+//! request, so a connection is only ever closed this way between
+//! requests.
+//!
+//! The server answers every request it has read — a panic in a
+//! handler is answered `500`, and an engine a panic left poisoned
+//! answers `503` — so a client that got no byte of a response on a
+//! reused connection knows its request was never read and may send it
+//! again on a fresh one.
 
 use crate::http::{read_request, write_response, Request};
 use sc_assign::AlgorithmKind;
@@ -33,19 +54,24 @@ use sc_types::TimeInstant;
 use serde::json::Value;
 use serde::Serialize as _;
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Deadline for reading a whole request, and for each write of its
-/// response. Each HTTP worker serves one connection at a time, so
-/// without it a client that connects and then stalls — or trickles a
-/// byte every few seconds — would hold a worker indefinitely.
+/// Deadline for reading a whole request, for each write of its
+/// response, and for a kept-alive connection's next request to start.
+/// Each HTTP worker serves one connection at a time, so without it a
+/// client that connects and then stalls — or trickles a byte every few
+/// seconds — would hold a worker indefinitely.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The error `/events`, `/round`, `/report` and `/snapshot` answer
+/// with `503` once a panic under the engine lock has poisoned it: the
+/// engine may be half-updated, so no request may read or change it.
+const DEGRADED: &str = "engine degraded by an earlier panic; restart from a snapshot";
 
 /// Configuration of a serving process.
 #[derive(Debug, Clone)]
@@ -75,14 +101,71 @@ impl Default for ServeConfig {
     }
 }
 
-/// State shared between the HTTP workers.
+/// State shared between the acceptor and the HTTP workers.
 struct Shared {
     engine: Mutex<EngineState>,
     queue: Mutex<VecDeque<EventKind>>,
     queue_cap: usize,
     algorithm: AlgorithmKind,
     snapshot_path: Option<PathBuf>,
-    shutdown: AtomicBool,
+    connections: Mutex<Connections>,
+    /// Signalled when a connection is handed over, and at shutdown.
+    handed_over: Condvar,
+}
+
+impl Shared {
+    fn new(engine: OnlineEngine<'static>, config: &ServeConfig) -> Shared {
+        Shared {
+            engine: Mutex::new(EngineState {
+                engine,
+                last_round: None,
+            }),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cap: config.queue_cap.max(1),
+            algorithm: config.algorithm,
+            snapshot_path: config.snapshot_path.clone(),
+            connections: Mutex::new(Connections {
+                pending: VecDeque::new(),
+                waiting: 0,
+                idle: (0..config.http_threads.max(1)).map(|_| None).collect(),
+                closed: false,
+            }),
+            handed_over: Condvar::new(),
+        }
+    }
+
+    fn connections(&self) -> MutexGuard<'_, Connections> {
+        self.connections.lock().expect("connections lock")
+    }
+}
+
+/// Which worker holds which connection, behind one lock.
+struct Connections {
+    /// Accepted connections no worker has taken yet.
+    pending: VecDeque<TcpStream>,
+    /// Workers blocked waiting for a connection.
+    waiting: usize,
+    /// Per worker, a handle to its kept-alive connection while that
+    /// connection is idle between requests.
+    idle: Vec<Option<TcpStream>>,
+    /// Set by [`Server::shutdown`]: the acceptor stops, and workers
+    /// exit once `pending` is empty.
+    closed: bool,
+}
+
+impl Connections {
+    /// Whether a pending connection has no waiting worker to take it.
+    fn starved(&self) -> bool {
+        self.pending.len() > self.waiting
+    }
+
+    /// Shuts idle connections down — at most `limit` of them — which
+    /// wakes their workers.
+    fn close_idle(&mut self, limit: usize) {
+        for stream in self.idle.iter_mut().filter_map(Option::take).take(limit) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// The engine and the report of the last round it closed, behind one
@@ -110,29 +193,13 @@ impl Server {
     pub fn start(engine: OnlineEngine<'static>, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            engine: Mutex::new(EngineState {
-                engine,
-                last_round: None,
-            }),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cap: config.queue_cap.max(1),
-            algorithm: config.algorithm,
-            snapshot_path: config.snapshot_path,
-            shutdown: AtomicBool::new(false),
-        });
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
+        let shared = Arc::new(Shared::new(engine, &config));
         let mut handles = Vec::new();
-        for _ in 0..config.http_threads.max(1) {
-            let rx = Arc::clone(&rx);
+        for worker in 0..config.http_threads.max(1) {
             let shared = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || loop {
-                let next = rx.lock().expect("rx lock").recv();
-                match next {
-                    Ok(mut stream) => handle_connection(&shared, &mut stream),
-                    Err(_) => break, // acceptor gone: drain and exit
+            handles.push(std::thread::spawn(move || {
+                while let Some(stream) = next_connection(&shared) {
+                    serve_connection(&shared, worker, stream);
                 }
             }));
         }
@@ -140,19 +207,18 @@ impl Server {
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || {
                 for stream in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
+                    let Ok(stream) = stream else { continue };
+                    let mut connections = shared.connections();
+                    if connections.closed {
                         break;
                     }
-                    match stream {
-                        Ok(s) => {
-                            if tx.send(s).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
+                    connections.pending.push_back(stream);
+                    if connections.starved() {
+                        connections.close_idle(1);
                     }
+                    drop(connections);
+                    shared.handed_over.notify_one();
                 }
-                // tx drops here; workers drain the channel and exit.
             }));
         }
         Ok(Server {
@@ -172,10 +238,17 @@ impl Server {
         self.shared.queue.lock().expect("queue lock").len()
     }
 
-    /// Stops accepting, joins every thread, and returns the engine —
-    /// so a caller can snapshot the final state after the front closes.
+    /// Stops accepting, closes every idle kept-alive connection,
+    /// lets the workers finish the requests they are serving, joins
+    /// every thread, and returns the engine — so a caller can snapshot
+    /// the final state after the front closes.
     pub fn shutdown(mut self) -> OnlineEngine<'static> {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            let mut connections = self.shared.connections();
+            connections.closed = true;
+            connections.close_idle(usize::MAX);
+        }
+        self.shared.handed_over.notify_all();
         // Wake the blocking accept with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         for h in self.handles.drain(..) {
@@ -187,9 +260,29 @@ impl Server {
     }
 }
 
-/// A connection's read side held to one deadline for the whole
-/// request: before every read it sets the socket's read timeout to the
-/// time left, so a client cannot stretch a request by trickling bytes.
+/// Blocks until the acceptor hands over a connection; `None` once the
+/// server is shutting down and none is left.
+fn next_connection(shared: &Shared) -> Option<TcpStream> {
+    let mut connections = shared.connections();
+    loop {
+        if let Some(stream) = connections.pending.pop_front() {
+            return Some(stream);
+        }
+        if connections.closed {
+            return None;
+        }
+        connections.waiting += 1;
+        connections = shared
+            .handed_over
+            .wait(connections)
+            .expect("connections lock");
+        connections.waiting -= 1;
+    }
+}
+
+/// A connection's read side held to one deadline per request: before
+/// every read it sets the socket's read timeout to the time left, so a
+/// client cannot stretch a request by trickling bytes.
 struct Deadline<'a> {
     stream: &'a TcpStream,
     until: Instant,
@@ -206,32 +299,87 @@ impl Read for Deadline<'_> {
     }
 }
 
-/// Serves one connection: one request, one response, close. A request
-/// that has not arrived whole within [`IO_TIMEOUT`] gets a best-effort
-/// `408`.
-fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
-    if stream.set_write_timeout(Some(IO_TIMEOUT)).is_err() {
+/// Serves one connection's requests in order until it closes. The
+/// first request must arrive whole within [`IO_TIMEOUT`] of the worker
+/// taking the connection, and each later one within [`IO_TIMEOUT`] of
+/// its first byte, or it gets a best-effort `408`. A request that
+/// cannot be read gets a `400`; either way the connection then closes,
+/// since what follows is not known to start a request.
+fn serve_connection(shared: &Shared, worker: usize, stream: TcpStream) {
+    let Ok(mut handle) = stream.try_clone() else {
+        return;
+    };
+    if stream.set_nodelay(true).is_err() || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err() {
         return;
     }
-    let mut reader = Deadline {
-        stream,
+    let mut reader = BufReader::new(Deadline {
+        stream: &stream,
         until: Instant::now() + IO_TIMEOUT,
-    };
-    let request = match read_request(&mut reader) {
-        Ok(Some(r)) => r,
-        Ok(None) => return,
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-            let _ = write_response(stream, 408, &error_body("request timed out"));
+    });
+    loop {
+        let request = match read_request(&mut reader) {
+            Ok(Some(r)) => r,
+            Ok(None) => return,
+            Err(e) => {
+                let (status, msg) = match e.kind() {
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                        (408, "request timed out".into())
+                    }
+                    _ => (400, e.to_string()),
+                };
+                let _ = write_response(&mut &stream, status, &error_body(&msg), false);
+                return;
+            }
+        };
+        let (status, body) = respond(shared, &request);
+        let written = write_response(&mut &stream, status, &body, request.keep_alive);
+        if written.is_err() || !request.keep_alive {
             return;
         }
-        Err(e) => {
-            let body = error_body(&e.to_string());
-            let _ = write_response(stream, 400, &body);
-            return;
+        // A pipelined request already in the buffer has been read in
+        // part, so the connection is never idle before it.
+        if reader.buffer().is_empty() {
+            match await_next_request(shared, worker, &stream, handle) {
+                Some(h) => handle = h,
+                None => return,
+            }
         }
-    };
-    let (status, body) = route(shared, &request);
-    let _ = write_response(stream, status, &body);
+        reader.get_mut().until = Instant::now() + IO_TIMEOUT;
+    }
+}
+
+/// Parks an idle kept-alive connection until the first byte of its
+/// next request arrives, without reading it, and returns the handle
+/// once the worker has taken the connection back. `None` closes the
+/// connection: the server is shutting down, a pending connection needs
+/// this worker, the acceptor or shutdown closed it while idle, the
+/// client closed it, or no byte came within [`IO_TIMEOUT`].
+fn await_next_request(
+    shared: &Shared,
+    worker: usize,
+    stream: &TcpStream,
+    handle: TcpStream,
+) -> Option<TcpStream> {
+    {
+        let mut connections = shared.connections();
+        if connections.closed || connections.starved() {
+            return None;
+        }
+        connections.idle[worker] = Some(handle);
+    }
+    let arrived = stream.set_read_timeout(Some(IO_TIMEOUT)).is_ok()
+        && matches!(stream.peek(&mut [0u8]), Ok(n) if n > 0);
+    let handle = shared.connections().idle[worker].take();
+    handle.filter(|_| arrived)
+}
+
+/// Routes one request. A panic in a handler is answered `500` instead
+/// of killing the worker with the request unanswered; a panic under
+/// the engine lock leaves it poisoned, which later requests answer
+/// with `503`.
+fn respond(shared: &Shared, request: &Request) -> (u16, String) {
+    std::panic::catch_unwind(|| route(shared, request))
+        .unwrap_or_else(|_| (500, error_body("the request handler panicked")))
 }
 
 fn error_body(msg: &str) -> String {
@@ -253,19 +401,33 @@ fn route(shared: &Shared, request: &Request) -> (u16, String) {
     }
 }
 
+/// Locks the engine, or answers `503` when a panic has poisoned it.
+fn lock_engine(shared: &Shared) -> Result<MutexGuard<'_, EngineState>, (u16, String)> {
+    shared
+        .engine
+        .lock()
+        .map_err(|_| (503, error_body(DEGRADED)))
+}
+
+/// `GET /healthz` — `200` with `"ok": true`, or `503` with
+/// `"ok": false` once the engine is degraded.
 fn healthz(shared: &Shared) -> (u16, String) {
     let queued = shared.queue.lock().expect("queue lock").len();
+    let ok = !shared.engine.is_poisoned();
     let body = Value::Object(vec![
-        ("ok".to_string(), Value::Bool(true)),
+        ("ok".to_string(), Value::Bool(ok)),
         ("queued".to_string(), queued.to_value()),
     ]);
-    (200, body.to_json_string())
+    (if ok { 200 } else { 503 }, body.to_json_string())
 }
 
 /// `POST /events` — body is one event object or an array of them
 /// (each the JSON form of [`EventKind`]). The whole batch is accepted
 /// or refused: partial enqueues would make `429` retries ambiguous.
 fn post_events(shared: &Shared, body: &str) -> (u16, String) {
+    if shared.engine.is_poisoned() {
+        return (503, error_body(DEGRADED));
+    }
     let value = match serde::json::parse(body) {
         Ok(v) => v,
         Err(e) => return (400, error_body(&format!("bad JSON: {e}"))),
@@ -373,7 +535,10 @@ fn post_round(shared: &Shared, body: &str) -> (u16, String) {
         }
     };
 
-    let mut state = shared.engine.lock().expect("engine lock");
+    let mut state = match lock_engine(shared) {
+        Ok(state) => state,
+        Err(reply) => return reply,
+    };
     let (applied, rejected) = drain_queue(shared, &mut state.engine);
     let report = state.engine.run_round(now, algorithm);
     state.last_round = Some(report.clone());
@@ -392,7 +557,10 @@ fn post_round(shared: &Shared, body: &str) -> (u16, String) {
 /// engines that served the same event stream — e.g. an original and
 /// its restored snapshot — answer with byte-identical bodies.
 fn get_report(shared: &Shared) -> (u16, String) {
-    let state = shared.engine.lock().expect("engine lock");
+    let state = match lock_engine(shared) {
+        Ok(state) => state,
+        Err(reply) => return reply,
+    };
     let (round, _) = state.engine.next_stamp();
     let summary = state.engine.summary();
     let last = state.last_round.clone();
@@ -433,7 +601,10 @@ fn post_snapshot(shared: &Shared, body: &str) -> (u16, String) {
         );
     };
 
-    let mut state = shared.engine.lock().expect("engine lock");
+    let mut state = match lock_engine(shared) {
+        Ok(state) => state,
+        Err(reply) => return reply,
+    };
     let (applied, rejected) = drain_queue(shared, &mut state.engine);
     let result = save_snapshot(&state.engine, &path);
     drop(state);
@@ -460,5 +631,106 @@ pub fn parse_algorithm(name: &str) -> Option<AlgorithmKind> {
         "MI" => Some(AlgorithmKind::Mi),
         "GREEDY" => Some(AlgorithmKind::GreedyNearest),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sc_core::{DitaBuilder, DitaConfig, OnlineConfig, Parallelism};
+    use sc_datagen::{DatasetProfile, SyntheticDataset};
+    use sc_influence::RpoParams;
+    use sc_sim::{scripted_event, EngineBuilder, NetworkMode, PipelineMode};
+
+    fn shared(snapshot_path: PathBuf) -> Shared {
+        let mut profile = DatasetProfile::brightkite_small();
+        profile.n_workers = 30;
+        profile.n_venues = 30;
+        profile.checkins_per_worker = 6;
+        let data = SyntheticDataset::generate(&profile, 3);
+        let pipeline = DitaBuilder::new()
+            .config(DitaConfig {
+                n_topics: 3,
+                lda_sweeps: 4,
+                infer_sweeps: 2,
+                rpo: RpoParams {
+                    max_sets: 500,
+                    threads: Parallelism::Single,
+                    ..Default::default()
+                },
+                online: OnlineConfig::default(),
+                seed: 3,
+            })
+            .build(&data.social, &data.histories)
+            .unwrap();
+        let engine = EngineBuilder::new()
+            .pipeline(PipelineMode::Owned(Box::new(pipeline)))
+            .network(NetworkMode::Adaptive(Box::new(data.social.clone())))
+            .build();
+        let config = ServeConfig {
+            snapshot_path: Some(snapshot_path),
+            ..Default::default()
+        };
+        let shared = Shared::new(engine, &config);
+        let event = scripted_event(&data, 13, 0, TimeInstant::at(0, 9), 2.0);
+        shared.queue.lock().unwrap().push_back(event);
+        shared
+    }
+
+    fn request(method: &str, path: &str, body: &str) -> Request {
+        Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            body: body.to_string(),
+            keep_alive: true,
+        }
+    }
+
+    #[test]
+    fn a_poisoned_engine_answers_503_and_never_panics() {
+        let snapshot = std::env::temp_dir().join(format!("dita-degraded-{}", std::process::id()));
+        let shared = Arc::new(shared(snapshot.clone()));
+        let poisoner = Arc::clone(&shared);
+        let panicked = std::thread::spawn(move || {
+            let _state = poisoner.engine.lock().unwrap();
+            panic!("a round panics under the engine lock");
+        })
+        .join();
+        assert!(panicked.is_err() && shared.engine.is_poisoned());
+
+        let event = shared.queue.lock().unwrap()[0].to_value().to_json_string();
+        for (method, path, body) in [
+            ("POST", "/events", event.as_str()),
+            ("POST", "/round", r#"{"day":0,"hour":9}"#),
+            ("GET", "/report", ""),
+            ("POST", "/snapshot", ""),
+        ] {
+            let (status, reply) = respond(&shared, &request(method, path, body));
+            assert_eq!(status, 503, "{method} {path}: {reply}");
+            assert!(reply.contains(DEGRADED), "{method} {path}: {reply}");
+        }
+        let (status, reply) = respond(&shared, &request("GET", "/healthz", ""));
+        assert_eq!(status, 503, "{reply}");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        // The queue is left as it was, and nothing was written.
+        assert_eq!(shared.queue.lock().unwrap().len(), 1);
+        assert!(!snapshot.exists());
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_500() {
+        let shared = Arc::new(shared(std::env::temp_dir().join("dita-unwritten")));
+        let poisoner = Arc::clone(&shared);
+        let _ = std::thread::spawn(move || {
+            let _queue = poisoner.queue.lock().unwrap();
+            panic!("a panic under the queue lock");
+        })
+        .join();
+        // `/healthz` panics on the poisoned queue lock; this thread,
+        // standing in for an HTTP worker, gets a `500` and carries on.
+        for _ in 0..2 {
+            let (status, reply) = respond(&shared, &request("GET", "/healthz", ""));
+            assert_eq!(status, 500, "{reply}");
+        }
     }
 }

@@ -3,8 +3,11 @@
 //! refused at the door, the snapshot/restore contract — a restored
 //! process must answer `GET /report` byte-for-byte like the
 //! uninterrupted original after serving the same remaining stream —
-//! trace replay over the wire matching the in-process replay, and
-//! `POST /events` fuzzed with random bytes and mangled events.
+//! trace replay over the wire matching the in-process replay,
+//! persistent connections (reuse, pipelining, `Connection: close`,
+//! idle connections yielding to new clients and to shutdown, framing
+//! refusals), and the `/events`, `/round` and `/snapshot` bodies
+//! fuzzed with random bytes and mangled values.
 
 use proptest::prelude::*;
 use sc_assign::AlgorithmKind;
@@ -23,10 +26,10 @@ use sc_types::{
 };
 use serde::json::Value;
 use serde::Serialize as _;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn dataset() -> SyntheticDataset {
     let mut profile = DatasetProfile::brightkite_small();
@@ -64,7 +67,7 @@ fn engine(data: &SyntheticDataset) -> OnlineEngine<'static> {
         .build()
 }
 
-/// One request over a fresh connection; returns `(status, body)`.
+/// One request through `sc_serve::client`; returns `(status, body)`.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     sc_serve::client::request(addr, method, path, body).expect("request")
 }
@@ -323,6 +326,221 @@ fn trickling_client_is_cut_off_at_the_request_deadline() {
     trickle.join().unwrap();
 }
 
+/// Reads one response: its head and its body, read by its
+/// `content-length`. `None` when the server closed the connection (a
+/// reset counts: a server that closes with request bytes unread resets
+/// the connection).
+fn read_reply(reader: &mut impl BufRead) -> Option<(String, String)> {
+    let mut head = String::new();
+    loop {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) => {
+                assert!(head.is_empty(), "closed inside a head: {head:?}");
+                return None;
+            }
+            Ok(_) if line == "\r\n" => break,
+            Ok(_) => head.push_str(&line),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset && head.is_empty() => return None,
+            Err(e) => panic!("reading a reply: {e} (after {head:?})"),
+        }
+    }
+    let length = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length: "))
+        .expect("a content-length")
+        .parse()
+        .unwrap();
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body).unwrap();
+    Some((head, String::from_utf8(body).unwrap()))
+}
+
+/// Sends `raw` on a new connection and reads every reply until the
+/// server closes it, which it must do within 2 s — well before the
+/// 5 s a kept-alive connection may stay idle.
+fn replies_until_close(addr: SocketAddr, raw: &[u8]) -> Vec<(String, String)> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(raw).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    std::iter::from_fn(|| read_reply(&mut reader)).collect()
+}
+
+#[test]
+fn two_requests_share_one_connection() {
+    let data = dataset();
+    let server = Server::start(engine(&data), ServeConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for _ in 0..2 {
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let (head, body) = read_reply(&mut reader).expect("a reply on the same connection");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(head.contains("connection: keep-alive"), "{head}");
+        assert!(body.contains("\"ok\":true"), "{body}");
+    }
+    drop((stream, reader));
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let data = dataset();
+    let server = Server::start(engine(&data), ServeConfig::default()).unwrap();
+    let event = scripted_event(&data, 13, 0, TimeInstant::at(0, 9), 2.0)
+        .to_value()
+        .to_json_string();
+    let raw = format!(
+        "POST /events HTTP/1.1\r\ncontent-length: {}\r\n\r\n{event}\
+         GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        event.len()
+    );
+    let replies = replies_until_close(server.local_addr(), raw.as_bytes());
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[0].0.starts_with("HTTP/1.1 202"), "{replies:?}");
+    assert!(replies[0].1.contains("\"accepted\":1"), "{replies:?}");
+    assert!(replies[1].0.starts_with("HTTP/1.1 200"), "{replies:?}");
+    assert!(replies[1].1.contains("\"queued\":1"), "{replies:?}");
+    server.shutdown();
+}
+
+#[test]
+fn client_reuses_its_connection() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (tx, rx) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let reply = sc_serve::client::request(addr, "GET", "/healthz", "");
+            if tx.send(reply).is_err() {
+                return;
+            }
+        }
+    });
+    // One connection, two requests, each answered with a framed body
+    // and the connection left open.
+    let (stream, _) = listener.accept().unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for i in 0..2 {
+        let request = sc_serve::read_request(&mut reader)
+            .unwrap()
+            .expect("a second request on the same connection");
+        assert_eq!(request.path, "/healthz");
+        let body = format!("{{\"n\":{i}}}");
+        let reply = format!(
+            "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        (&stream).write_all(reply.as_bytes()).unwrap();
+        let (status, got) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the client reads the body by its content-length")
+            .expect("request");
+        assert_eq!((status, got), (200, body));
+    }
+    client.join().unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let second = listener.accept().map(|_| ()).unwrap_err();
+    assert_eq!(second.kind(), ErrorKind::WouldBlock, "a second connection");
+}
+
+#[test]
+fn connection_close_is_honoured() {
+    let data = dataset();
+    let server = Server::start(engine(&data), ServeConfig::default()).unwrap();
+    for raw in [
+        "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        "GET /healthz HTTP/1.0\r\n\r\n",
+    ] {
+        let replies = replies_until_close(server.local_addr(), raw.as_bytes());
+        assert_eq!(replies.len(), 1, "{raw:?}: {replies:?}");
+        assert!(replies[0].0.starts_with("HTTP/1.1 200"), "{replies:?}");
+        assert!(replies[0].0.contains("connection: close"), "{replies:?}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn idle_keepalive_connection_yields_to_a_new_client() {
+    let data = dataset();
+    let server = Server::start(
+        engine(&data),
+        ServeConfig {
+            http_threads: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // This thread's connection stays open, idle, on the only worker.
+    assert_eq!(request(addr, "GET", "/healthz", "").0, 200);
+
+    // A new client is answered well before that connection's 5 s idle
+    // limit would free the worker.
+    let (tx, rx) = mpsc::channel();
+    let other = std::thread::spawn(move || {
+        let _ = tx.send(sc_serve::client::request(addr, "GET", "/healthz", ""));
+    });
+    let (status, body) = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("GET /healthz waited on an idle kept-alive connection")
+        .expect("request");
+    assert_eq!(status, 200, "{body}");
+    other.join().unwrap();
+
+    // The server closed this thread's connection to free the worker;
+    // the client finds out on its next request and sends it again on a
+    // new connection, and the event is applied exactly once.
+    let before = server.queued_events();
+    let event = scripted_event(&data, 13, 0, TimeInstant::at(0, 9), 2.0);
+    let (status, body) = request(addr, "POST", "/events", &event.to_value().to_json_string());
+    assert_eq!(status, 202, "{body}");
+    assert_eq!(server.queued_events(), before + 1);
+
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_does_not_wait_for_idle_connections() {
+    let data = dataset();
+    let server = Server::start(engine(&data), ServeConfig::default()).unwrap();
+    assert_eq!(request(server.local_addr(), "GET", "/healthz", "").0, 200);
+    // This thread still holds its kept-alive connection.
+    let t = Instant::now();
+    server.shutdown();
+    assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
+}
+
+#[test]
+fn chunked_and_repeated_length_requests_are_refused_and_closed() {
+    let data = dataset();
+    let server = Server::start(engine(&data), ServeConfig::default()).unwrap();
+    let smuggled = "GET /healthz HTTP/1.1\r\n\r\n";
+    let chunked = format!(
+        "POST /events HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+        smuggled.len()
+    );
+    let repeated = format!(
+        "POST /events HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: {}\r\n\r\n{smuggled}",
+        smuggled.len()
+    );
+    for raw in [chunked, repeated] {
+        let replies = replies_until_close(server.local_addr(), raw.as_bytes());
+        assert_eq!(replies.len(), 1, "{raw:?}: {replies:?}");
+        assert!(replies[0].0.starts_with("HTTP/1.1 400"), "{replies:?}");
+        assert!(replies[0].0.contains("connection: close"), "{replies:?}");
+    }
+    assert_eq!(server.queued_events(), 0);
+    server.shutdown();
+}
+
 #[test]
 fn numbers_no_round_can_use_are_refused_at_the_door() {
     let data = dataset();
@@ -395,12 +613,12 @@ fn fuzz_server() -> SocketAddr {
     })
 }
 
-/// `POST /events` with a raw (possibly non-UTF-8) body; returns the
-/// status.
-fn post_events_raw(addr: SocketAddr, body: &[u8]) -> u16 {
+/// A `POST` with a raw (possibly non-UTF-8) body; returns the status.
+/// It reads to end of stream, so it asks the server to close.
+fn post_raw(addr: SocketAddr, path: &str, body: &[u8]) -> u16 {
     let mut stream = TcpStream::connect(addr).unwrap();
     let head = format!(
-        "POST /events HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        "POST {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
         body.len()
     );
     stream.write_all(head.as_bytes()).unwrap();
@@ -416,10 +634,13 @@ fn post_events_raw(addr: SocketAddr, body: &[u8]) -> u16 {
 
 /// Asserts the answer is one the endpoint may give and the process
 /// still serves.
-fn assert_served(addr: SocketAddr, status: u16) {
-    assert!(matches!(status, 202 | 400 | 429), "status {status}");
+fn assert_served(addr: SocketAddr, status: u16, allowed: &[u16]) {
+    assert!(allowed.contains(&status), "status {status}");
     assert_eq!(request(addr, "GET", "/healthz", "").0, 200);
 }
+
+/// The answers `POST /events` may give a fuzz case.
+const EVENTS_ANSWERS: &[u16] = &[202, 400, 429];
 
 /// A valid event of every kind, as wire values: the templates the
 /// mangled events start from.
@@ -469,10 +690,15 @@ fn field_paths(v: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
 const INF: &str = "@inf@";
 const NEG_INF: &str = "@-inf@";
 
-/// What mutation `k` puts in a field: a wrong type, an extreme integer
-/// or float, an infinity, or nothing (`None`: the field is removed).
+/// How many values [`replacement`] knows; from `REPLACEMENTS` on, the
+/// field is removed.
+const REPLACEMENTS: usize = 20;
+
+/// What mutation `k` puts in a field: a wrong type (`"x"` is also an
+/// unknown algorithm name), an extreme integer or float, an infinity,
+/// or nothing (`None`: the field is removed).
 fn replacement(k: usize) -> Option<Value> {
-    let values = [
+    let values: [Value; REPLACEMENTS] = [
         Value::Null,
         Value::Bool(true),
         Value::Str("x".to_string()),
@@ -482,6 +708,8 @@ fn replacement(k: usize) -> Option<Value> {
         Value::Int(i128::from(u32::MAX) + 1),
         Value::Int(i128::from(i64::MAX) + 1),
         Value::Int(i128::from(i64::MIN) - 1),
+        Value::Int(i64::MAX.into()),
+        Value::Int(i64::MIN.into()),
         Value::Int(i128::MAX),
         Value::Int(i128::MIN),
         Value::Float(1e308),
@@ -492,7 +720,13 @@ fn replacement(k: usize) -> Option<Value> {
         Value::Str(INF.to_string()),
         Value::Str(NEG_INF.to_string()),
     ];
-    (k < values.len()).then(|| values[k].clone())
+    values.get(k).cloned()
+}
+
+/// A body with the infinity stand-ins spelled as overflowing literals.
+fn spell_infinities(body: &str) -> String {
+    body.replace(&format!("\"{INF}\""), "1e999")
+        .replace(&format!("\"{NEG_INF}\""), "-1e999")
 }
 
 proptest! {
@@ -505,7 +739,7 @@ proptest! {
         bytes in prop::collection::vec(0u8..=255, 0..=2048),
     ) {
         let addr = fuzz_server();
-        assert_served(addr, post_events_raw(addr, &bytes));
+        assert_served(addr, post_raw(addr, "/events", &bytes), EVENTS_ANSWERS);
     }
 
     /// Event-shaped JSON with one field missing, of the wrong type, or
@@ -515,7 +749,7 @@ proptest! {
     fn mangled_events_get_an_answer(
         template in 0usize..4,
         field in 0usize..1_000,
-        action in 0usize..19,
+        action in 0usize..=REPLACEMENTS,
         batch in 0u8..2,
     ) {
         static TEMPLATES: OnceLock<Vec<Value>> = OnceLock::new();
@@ -545,12 +779,70 @@ proptest! {
         if batch == 1 {
             body = format!("[{},{body}]", templates[0].to_json_string());
         }
-        let body = body
-            .replace(&format!("\"{INF}\""), "1e999")
-            .replace(&format!("\"{NEG_INF}\""), "-1e999");
+        let body = spell_infinities(&body);
         let addr = fuzz_server();
         let (status, _) = request(addr, "POST", "/events", &body);
-        assert_served(addr, status);
+        assert_served(addr, status, EVENTS_ANSWERS);
+    }
+
+    /// Random bytes as a `/round` body get a `200` or a `400`, and as a
+    /// `/snapshot` body a `400` (the fuzz server has no snapshot path),
+    /// and the process keeps serving.
+    #[test]
+    fn round_and_snapshot_bodies_of_random_bytes_get_an_answer(
+        bytes in prop::collection::vec(0u8..=255, 0..=512),
+        snapshot in 0u8..2,
+    ) {
+        let addr = fuzz_server();
+        if snapshot == 1 {
+            assert_served(addr, post_raw(addr, "/snapshot", &bytes), &[400]);
+        } else {
+            assert_served(addr, post_raw(addr, "/round", &bytes), &[200, 400]);
+        }
+    }
+
+    /// A valid `/round` body with one field dropped or replaced gets a
+    /// `200` or a `400`, and the process keeps serving.
+    #[test]
+    fn mangled_round_bodies_get_an_answer(
+        form in 0usize..4,
+        field in 0usize..3,
+        action in 0usize..=REPLACEMENTS,
+    ) {
+        let forms = [
+            r#"{"day":0,"hour":9}"#,
+            r#"{"at":32400}"#,
+            r#"{"day":0,"hour":9,"algorithm":"IA"}"#,
+            r#"{"at":32400,"algorithm":"GREEDY"}"#,
+        ];
+        let Ok(Value::Object(mut fields)) = serde::json::parse(forms[form]) else {
+            unreachable!("the forms are objects");
+        };
+        let field = field % fields.len();
+        match replacement(action) {
+            Some(v) => fields[field].1 = v,
+            None => {
+                fields.remove(field);
+            }
+        }
+        let body = spell_infinities(&Value::Object(fields).to_json_string());
+        let addr = fuzz_server();
+        let (status, _) = request(addr, "POST", "/round", &body);
+        assert_served(addr, status, &[200, 400]);
+    }
+
+    /// A `/snapshot` body whose `path` is missing or not a string gets a
+    /// `400`, and the process keeps serving. A string `path` would
+    /// write a file: the one plain string removes the field instead.
+    #[test]
+    fn mangled_snapshot_bodies_get_an_answer(action in 0usize..=REPLACEMENTS) {
+        let value = replacement(action)
+            .filter(|v| !matches!(v, Value::Str(s) if s != INF && s != NEG_INF));
+        let fields = Vec::from_iter(value.map(|v| ("path".to_string(), v)));
+        let body = spell_infinities(&Value::Object(fields).to_json_string());
+        let addr = fuzz_server();
+        let (status, _) = request(addr, "POST", "/snapshot", &body);
+        assert_served(addr, status, &[400]);
     }
 }
 
