@@ -28,13 +28,13 @@ use sc_types::{Duration, Instance, TimeInstant, Worker};
 
 /// Instances below this |W|·|S| threshold use the direct double loop;
 /// the grid only pays off once the quadratic scan dominates.
-pub(crate) const GRID_THRESHOLD: usize = 64 * 64;
+const GRID_THRESHOLD: usize = 64 * 64;
 
 /// Instances below this |W|·|S| threshold build sequentially even when
 /// a multi-thread budget is offered: thread-spawn overhead beats the
 /// pair-test work. Results are unaffected (the sharded merge equals
 /// the sequential build by construction) — only the parallel width is.
-pub(crate) const SHARD_THRESHOLD: usize = 48 * 48;
+const SHARD_THRESHOLD: usize = 48 * 48;
 
 /// One available worker-task pair with its geometry precomputed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,11 +57,9 @@ pub struct EligibilityMatrix {
 }
 
 /// Builds the shared task grid when the instance is big enough to make
-/// it pay (the one grid policy, shared with the delta path in
-/// [`crate::delta`] so both evaluate rows over identical candidate
-/// machinery — though outputs are grid-independent either way: the
-/// grid only prunes, the predicate decides).
-pub(crate) fn task_grid(instance: &Instance) -> Option<GridIndex> {
+/// it pay. Outputs are grid-independent: the grid only prunes, the
+/// predicate decides.
+fn task_grid(instance: &Instance) -> Option<GridIndex> {
     let n_workers = instance.workers.len();
     let n_tasks = instance.tasks.len();
     let use_grid = n_workers * n_tasks >= GRID_THRESHOLD && n_tasks > 0;
@@ -79,17 +77,17 @@ pub(crate) fn task_grid(instance: &Instance) -> Option<GridIndex> {
 /// time never does: a zero or vanishing speed saturates `travel` at
 /// `i64::MAX` seconds, and the sum must not wrap into the past.
 #[inline]
-pub(crate) fn arrives_in_time(now: TimeInstant, travel: Duration, deadline: TimeInstant) -> bool {
+fn arrives_in_time(now: TimeInstant, travel: Duration, deadline: TimeInstant) -> bool {
     now.checked_add(travel)
         .is_some_and(|arrival| arrival <= deadline)
 }
 
 /// Appends worker `wi`'s eligible pairs to `out` in ascending task
 /// order — the one row body shared by the sequential and sharded
-/// builds (and the delta path's row rebuilds), so their outputs can
-/// only be identical. `candidates` is a caller-owned scratch buffer
-/// (cleared here) to avoid re-allocating per worker.
-pub(crate) fn worker_row(
+/// builds, so their outputs can only be identical. `candidates` is a
+/// caller-owned scratch buffer (cleared here) to avoid re-allocating
+/// per worker.
+fn worker_row(
     instance: &Instance,
     grid: Option<&GridIndex>,
     wi: usize,
@@ -203,19 +201,6 @@ impl EligibilityMatrix {
             pairs.extend_from_slice(&shard_pairs);
         }
 
-        EligibilityMatrix {
-            pairs,
-            offsets,
-            n_tasks,
-        }
-    }
-
-    /// Assembles a matrix from already-built CSR parts (the delta
-    /// path's constructor; `offsets.len()` must be `n_workers + 1` and
-    /// rows must be in ascending task order).
-    pub(crate) fn from_raw(pairs: Vec<EligiblePair>, offsets: Vec<u32>, n_tasks: usize) -> Self {
-        debug_assert!(!offsets.is_empty() && offsets[0] == 0);
-        debug_assert_eq!(*offsets.last().unwrap() as usize, pairs.len());
         EligibilityMatrix {
             pairs,
             offsets,

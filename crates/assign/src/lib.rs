@@ -29,23 +29,14 @@
 //! combinatorial solve (max-flow / MCMF / greedy) stays sequential;
 //! only the embarrassingly parallel scoring work fans out.
 //!
-//! ## Incremental rounds
-//!
-//! Online round drivers hold an [`EligibilityState`] and call
-//! [`EligibilityState::advance`] per round: the matrix is advanced by
-//! a delta from the previous round (carried rows filtered and
-//! extended, changed rows rebuilt) instead of rebuilt from scratch,
-//! with byte-for-byte identical results — see [`delta`] for the
-//! reconciliation and determinism story. [`score_pairs`] /
-//! [`run_scored`] split the scoring scan from the solve so those
-//! drivers can time the phases separately.
+//! [`score_pairs`] / [`run_scored`] split the scoring scan from the
+//! solve so online round drivers can time the phases separately.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
 
 pub mod algorithms;
-pub mod delta;
 pub mod eligibility;
 pub mod graph;
 pub mod oracle;
@@ -54,7 +45,6 @@ pub use algorithms::{
     run, run_scored, run_scored_with_stats, run_with_matrix, score_pairs, AlgorithmKind,
     AssignInput, SolveStats,
 };
-pub use delta::{DeltaStats, EligibilityState};
 pub use eligibility::{EligibilityMatrix, EligiblePair};
 pub use graph::AssignmentGraph;
 pub use oracle::{InfluenceFn, InfluenceOracle, ZeroInfluence};

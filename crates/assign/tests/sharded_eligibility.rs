@@ -204,3 +204,47 @@ fn randomized_shapes_property() {
         assert_identical_at_all_budgets(&inst, &format!("{n_workers}x{n_tasks}"));
     }
 }
+
+/// A worker who can never arrive — speed 0, or so slow that the travel
+/// time saturates at `i64::MAX` seconds — is eligible for nothing.
+/// `now + travel` used to overflow there: a panic in debug builds, and
+/// a wrap into the past (an eligible pair) in release. Normal speeds
+/// keep their answers: 3 km at 1 km/h misses a 1-hour deadline, at
+/// 30 km/h it makes it.
+#[test]
+fn a_worker_who_never_arrives_is_eligible_for_nothing() {
+    let now = TimeInstant::at(0, 6);
+    let later = now + Duration::minutes(10);
+    let task_at = |id: u32, at: TimeInstant| {
+        Task::new(
+            TaskId::new(id),
+            Location::new(3.0, 0.0),
+            at,
+            Duration::hours(1),
+            CategoryId::new(0),
+        )
+    };
+    for (speed, want) in [
+        (0.0, [0, 0]),
+        (1e-300, [0, 0]),
+        (1.0, [0, 0]),
+        (30.0, [1, 2]),
+    ] {
+        let worker = worker(0, 0.0, 0.0, 5.0).with_speed(speed);
+        let first = Instance::new(now, vec![worker.clone()], vec![task_at(0, now)]);
+        let second = Instance::new(
+            later,
+            vec![worker],
+            vec![task_at(0, now), task_at(1, later)],
+        );
+        for (round, inst) in [first, second].iter().enumerate() {
+            let label = format!("speed {speed} round {round}");
+            assert_identical_at_all_budgets(inst, &label);
+            assert_eq!(
+                EligibilityMatrix::build(inst).n_pairs(),
+                want[round],
+                "{label}"
+            );
+        }
+    }
+}

@@ -1,28 +1,30 @@
-//! Incremental round pipeline A/B across thread counts → `BENCH_round.json`.
+//! Warm vs cold scorer cache across thread counts → `BENCH_round.json`.
 //!
-//! PR 2/3 parallelized training and sweeps; PR 4 parallelized the
-//! scoring passes *inside* one online round. This binary measures the
-//! next lever — **reuse across rounds**: the engine's delta-advanced
-//! eligibility state and the pipeline's persistent content-keyed
-//! scorer cache (`OnlineConfig::incremental`) versus the from-scratch
-//! rebuild baseline (`--no-incremental`), per thread budget.
+//! Every online round builds its eligibility matrix from scratch, then
+//! warms the scorer cache, scores the eligible pairs, and solves. This
+//! binary measures the one thing carried across rounds — the
+//! pipeline's persistent content-keyed scorer cache
+//! (`OnlineConfig::incremental`, mode `incremental`) — against a cache
+//! cleared before every round (`--no-incremental`, mode `cold`), per
+//! thread budget.
 //!
 //! One pipeline is trained once; per `(mode, threads)` cell a clone is
 //! re-budgeted via [`sc_core::DitaPipeline::set_threads`] (no retrain)
 //! and driven through an identical scripted arrival stream with a
 //! frozen pool, timing only the rounds. [`sc_sim::RoundReport`] carries
 //! the per-phase wall split (eligibility / cache warm / pair scan /
-//! solve) and the cache + delta telemetry, so the JSON shows *where*
-//! the reuse pays. The binary asserts:
+//! solve) and the cache telemetry, so the JSON shows *where* the reuse
+//! pays. The binary asserts:
 //!
-//! * every cell's reports equal the single-thread rebuild run
+//! * every cell's reports equal the single-thread cold run
 //!   report-for-report (the determinism contract across both axes);
+//! * every incremental round after the first hits the cache;
 //! * steady-state (round ≥ 1) incremental rounds are at least 2×
-//!   faster than rebuild rounds at the same thread count — enforced at
+//!   faster than cold rounds at the same thread count — enforced at
 //!   1 thread, where the speedup is purely algorithmic and so
 //!   host-independent;
-//! * on a host with ≥ 4 cores, 4 rebuild threads still deliver the
-//!   ≥ 2× intra-round parallel speedup PR 4 established.
+//! * on a host with ≥ 4 cores, 4 cold threads still deliver a ≥ 2×
+//!   intra-round parallel speedup from the sharded scoring passes.
 //!
 //! A second grid times the **flow solver** on a contested workload —
 //! cohort barely above the task demand, wide eligibility radius —
@@ -73,7 +75,7 @@ struct Script {
     phi: f64,
     /// Worker radius: bounds eligible-pair density, i.e. how much of a
     /// round the MCMF solve is. The reuse grid keeps it small (5 km) to
-    /// isolate the cache/delta phases; the solver grid widens it so the
+    /// isolate the cache phases; the solver grid widens it so the
     /// solve phase is worth measuring.
     radius_km: f64,
     seed: u64,
@@ -93,8 +95,7 @@ struct Run {
 /// trained pipeline, returning per-round wall times and reports. The
 /// full cohort is re-fed every round so assigned workers re-join —
 /// a stable worker axis, as a live platform's morning re-login wave
-/// would produce, which is the carried-row steady state the delta
-/// path is built for.
+/// would produce.
 fn drive(
     base: &DitaPipeline,
     data: &SyntheticDataset,
@@ -198,7 +199,7 @@ fn main() {
     // A city-scale 5 km radius keeps the eligible-pair count (and with
     // it the *sequential* MCMF solve) small relative to the scoring
     // passes, so the reuse grid isolates what it is about: what the
-    // cache + delta reuse saves per round.
+    // persistent cache saves per round.
     let script = Script {
         cohort,
         tasks_per_round,
@@ -220,7 +221,7 @@ fn main() {
     );
 
     let mut runs: Vec<Run> = Vec::new();
-    for &(mode, incremental) in &[("rebuild", false), ("incremental", true)] {
+    for &(mode, incremental) in &[("cold", false), ("incremental", true)] {
         for threads in [1usize, 2, 4, 8] {
             let mut best_total = f64::INFINITY;
             let mut best = (Vec::new(), Vec::new());
@@ -264,42 +265,42 @@ fn main() {
         .find(|r| r.mode == "incremental" && r.threads == 1)
         .unwrap();
     assert!(
-        inc1.reports.iter().skip(1).all(|r| !r.elig_full_rebuild),
-        "incremental run fell back to full rebuilds past round 0"
+        inc1.reports.iter().skip(1).all(|r| r.cache_hits > 0),
+        "an incremental round past the first found no resident cache entry"
     );
 
-    // The incremental floor is algorithmic (cache + delta reuse), so
-    // it holds on any host — enforced at 1 thread where no parallel
-    // headroom can mask a regression.
-    let rebuild1 = runs
+    // The incremental floor is algorithmic (cache reuse), so it holds
+    // on any host — enforced at 1 thread where no parallel headroom
+    // can mask a regression.
+    let cold1 = runs
         .iter()
-        .find(|r| r.mode == "rebuild" && r.threads == 1)
+        .find(|r| r.mode == "cold" && r.threads == 1)
         .unwrap();
-    let incremental_speedup = rebuild1.steady_ms / inc1.steady_ms;
+    let incremental_speedup = cold1.steady_ms / inc1.steady_ms;
     assert!(
         incremental_speedup >= 2.0,
         "steady-state incremental speedup {incremental_speedup:.2}× \
-         below the 2× floor ({:.2} ms rebuild vs {:.2} ms incremental)",
-        rebuild1.steady_ms,
+         below the 2× floor ({:.2} ms cold vs {:.2} ms incremental)",
+        cold1.steady_ms,
         inc1.steady_ms
     );
 
-    // PR 4's intra-round parallel floor, kept on the rebuild runs (the
+    // The intra-round parallel floor, kept on the cold runs (the
     // incremental path has less parallelizable work left by design).
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let parallel_speedup = rebuild1.round_ms
+    let parallel_speedup = cold1.round_ms
         / runs
             .iter()
-            .find(|r| r.mode == "rebuild" && r.threads == 4)
+            .find(|r| r.mode == "cold" && r.threads == 4)
             .map(|r| r.round_ms)
             .unwrap();
     let enforce_parallel_floor = host_threads >= 4;
     if enforce_parallel_floor {
         assert!(
             parallel_speedup >= 2.0,
-            "4-thread rebuild per-round speedup {parallel_speedup:.2}× \
+            "4-thread cold per-round speedup {parallel_speedup:.2}× \
              below the 2× floor"
         );
     }
@@ -310,8 +311,8 @@ fn main() {
     // every augmentation reroutes earlier assignments through long
     // residual chains — the regime where the solve phase dominates a
     // round. (The reuse grid above is the opposite: an abundant cohort
-    // and a tight radius keep the solve small to isolate the
-    // cache/delta phases.) Reports must agree across thread budgets —
+    // and a tight radius keep the solve small to isolate the cache
+    // phases.) Reports must agree across thread budgets —
     // the budget may only change wall time, never an assignment.
     let solver_script = Script {
         cohort: 900,
@@ -383,15 +384,13 @@ fn main() {
             format!(
                 "    {{\"mode\": \"{}\", \"threads\": {}, \"round_ms\": {:.3}, \
                  \"steady_round_ms\": {:.3}, \"cache_hit_rate\": {:.3}, \
-                 \"pairs_carried_per_round\": {:.0}, \"phases_ms\": \
-                 {{\"eligibility\": {:.3}, \"warm\": {:.3}, \"score\": {:.3}, \
-                 \"solve\": {:.3}}}}}",
+                 \"phases_ms\": {{\"eligibility\": {:.3}, \"warm\": {:.3}, \
+                 \"score\": {:.3}, \"solve\": {:.3}}}}}",
                 r.mode,
                 r.threads,
                 r.round_ms,
                 r.steady_ms,
                 hit_rate,
-                steady_mean(&r.reports, |x| x.elig_pairs_carried as f64),
                 steady_mean(&r.reports, |x| x.eligibility_ms),
                 steady_mean(&r.reports, |x| x.warm_ms),
                 steady_mean(&r.reports, |x| x.score_ms),
@@ -411,7 +410,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"incremental_round_pipeline\",\n  \"population\": {population},\n  \"worker_cohort\": {cohort},\n  \"tasks_per_round\": {tasks_per_round},\n  \"rounds\": {rounds},\n  \"venues\": {},\n  \"pool_sets\": {},\n  \"reps\": {reps},\n  \"host_threads\": {host_threads},\n  \"assigned_total\": {assigned},\n  \"reports_identical_across_threads\": true,\n  \"reports_identical_across_modes\": true,\n  \"steady_state_incremental_speedup_at_1_thread\": {incremental_speedup:.3},\n  \"incremental_speedup_floor_enforced\": true,\n  \"rebuild_speedup_at_4_threads\": {parallel_speedup:.3},\n  \"parallel_speedup_floor_enforced\": {enforce_parallel_floor},\n  \"runs\": [\n{}\n  ],\n  \"contested_solve\": {{\n  \"worker_cohort\": {},\n  \"tasks_per_round\": {},\n  \"rounds\": {},\n  \"radius_km\": {:.1},\n  \"reports_identical_across_threads\": true,\n  \"runs\": [\n{}\n  ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"incremental_round_pipeline\",\n  \"population\": {population},\n  \"worker_cohort\": {cohort},\n  \"tasks_per_round\": {tasks_per_round},\n  \"rounds\": {rounds},\n  \"venues\": {},\n  \"pool_sets\": {},\n  \"reps\": {reps},\n  \"host_threads\": {host_threads},\n  \"assigned_total\": {assigned},\n  \"reports_identical_across_threads\": true,\n  \"reports_identical_across_modes\": true,\n  \"steady_state_incremental_speedup_at_1_thread\": {incremental_speedup:.3},\n  \"incremental_speedup_floor_enforced\": true,\n  \"cold_speedup_at_4_threads\": {parallel_speedup:.3},\n  \"parallel_speedup_floor_enforced\": {enforce_parallel_floor},\n  \"runs\": [\n{}\n  ],\n  \"contested_solve\": {{\n  \"worker_cohort\": {},\n  \"tasks_per_round\": {},\n  \"rounds\": {},\n  \"radius_km\": {:.1},\n  \"reports_identical_across_threads\": true,\n  \"runs\": [\n{}\n  ]\n  }}\n}}\n",
         profile.n_venues,
         base.model().pool().n_sets(),
         run_rows.join(",\n"),

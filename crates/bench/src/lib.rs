@@ -81,7 +81,10 @@ pub fn runner_for(family: &str) -> (ExperimentRunner, ExperimentScale) {
         "[sc-bench] dataset {} ({} workers, {} venues), scale {:?}, threads {} — training DITA…",
         profile.name, profile.n_workers, profile.n_venues, scale, threads
     );
+    // Sweep points run one after another, so each algorithm's `cpu_ms`
+    // is timed without contention; `threads` still governs training.
     let runner = ExperimentRunner::with_threads(&profile, 0xBEEF, config_for(scale), threads)
+        .sweep_threads(sc_influence::Parallelism::Single)
         .days(scale.n_days());
     let stats = runner.pipeline().model().rpo_stats();
     eprintln!(

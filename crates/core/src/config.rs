@@ -30,12 +30,13 @@ pub struct OnlineConfig {
     /// Live-set target the maintenance path holds the pool at.
     /// `0` means "the trained pool size".
     pub target_sets: usize,
-    /// Serve rounds incrementally: advance the eligibility matrix by a
-    /// delta from the previous round and score through the engine
-    /// pipeline's persistent scorer cache, instead of rebuilding both
+    /// Score through the engine pipeline's persistent scorer cache,
+    /// which carries entries from round to round. `false` clears the
+    /// cache before every round, so each round scores cold: the A/B
+    /// baseline (`--no-incremental`). Both modes build eligibility
     /// from scratch every round. Reports are bit-identical either way
     /// (the determinism suites pin this); the flag trades wall time
-    /// only. `false` is the A/B baseline (`--no-incremental`).
+    /// only.
     pub incremental: bool,
 }
 
@@ -54,7 +55,7 @@ impl Default for OnlineConfig {
 impl OnlineConfig {
     /// A streaming preset: hourly rounds, rotation quantum of 2048
     /// sets, 24-round eviction horizon, trained pool size as target,
-    /// incremental serving.
+    /// a persistent scorer cache.
     pub fn streaming() -> Self {
         OnlineConfig {
             round_hours: 1,

@@ -35,9 +35,9 @@ pub use scorer::{InfluenceBreakdown, InfluenceScorer, InfluenceVariant, ScorerCa
 // The assignment algorithms are part of the public API of the framework.
 pub use sc_assign::AlgorithmKind;
 
-// The incremental-eligibility types ride along so round drivers
-// (sim engines, benches) can hold state without importing sc-assign.
-pub use sc_assign::{DeltaStats, EligibilityState, SolveStats};
+// The solve telemetry rides along so round drivers (sim engines,
+// benches) can read it without importing sc-assign.
+pub use sc_assign::SolveStats;
 
 // The sampling thread budget travels with the config; re-exported so
 // downstream crates (sim harness, CLI) need not depend on sc-influence

@@ -4,8 +4,8 @@ use crate::config::DitaConfig;
 use crate::model::InfluenceModel;
 use crate::scorer::{InfluenceScorer, InfluenceVariant, ScorerCache};
 use sc_assign::{
-    run_scored_with_stats, run_with_matrix, score_pairs, AlgorithmKind, AssignInput, DeltaStats,
-    EligibilityMatrix, EligibilityState,
+    run_scored_with_stats, run_with_matrix, score_pairs, AlgorithmKind, AssignInput,
+    EligibilityMatrix,
 };
 use sc_influence::SocialNetwork;
 use sc_types::{Assignment, HistoryStore, Instance, VenueId};
@@ -143,14 +143,14 @@ impl DitaBuilder {
 
 /// Wall-time and cache telemetry of one [`DitaPipeline::assign_round`]
 /// call, split by phase. The `*_ms` fields are measurements (they vary
-/// run to run); the cache and delta counters are deterministic facts of
-/// the round and the serving mode. Deliberately **not** `PartialEq`:
+/// run to run); the cache and solve counters are deterministic facts of
+/// the round and the cache's state. Deliberately **not** `PartialEq`:
 /// round-report equality is asserted over assignment outcomes, never
-/// over perf telemetry (incremental and rebuild rounds legitimately
-/// differ here while producing identical assignments).
+/// over perf telemetry (warm- and cold-cache rounds legitimately differ
+/// here while producing identical assignments).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundPerf {
-    /// Eligibility phase (delta apply or from-scratch build).
+    /// Eligibility phase (the from-scratch build).
     pub eligibility_ms: f64, // lint: timing
     /// Scorer-cache warming over the eligible tasks.
     pub warm_ms: f64, // lint: timing
@@ -170,8 +170,6 @@ pub struct RoundPerf {
     /// Augmenting paths the MCMF solve committed (0 for non-flow
     /// algorithms).
     pub solve_augmentations: usize,
-    /// Eligibility-delta shape (zeroed on the rebuild path).
-    pub delta: DeltaStats,
 }
 
 /// A trained DITA pipeline: influence modeling plus task assignment.
@@ -300,8 +298,9 @@ impl DitaPipeline {
         InfluenceScorer::shared_variant(&self.model, &self.cache, variant)
     }
 
-    /// The pipeline's persistent per-task scorer cache (telemetry /
-    /// test hook; scorers manage it automatically).
+    /// The pipeline's persistent per-task scorer cache. Scorers manage
+    /// it automatically; clearing it makes the next round score cold,
+    /// as a round with `OnlineConfig::incremental` off does.
     pub fn scorer_cache(&self) -> &ScorerCache {
         &self.cache
     }
@@ -338,15 +337,11 @@ impl DitaPipeline {
 
     /// Runs one online round with a per-phase telemetry split — the
     /// serving-loop entry point ([`sc_sim`-level] engines call this
-    /// every round).
-    ///
-    /// With `elig: Some(state)` the round is **incremental**: the
-    /// eligibility matrix is advanced from `state` by a delta (only
-    /// changed workers/tasks are re-evaluated) and scoring runs through
-    /// the pipeline's persistent [`ScorerCache`]. With `None` the round
-    /// is the **from-scratch baseline**: `EligibilityMatrix::build`
-    /// plus a fresh private scorer cache. Both paths produce the same
-    /// `Assignment` bit for bit, at any thread budget — the returned
+    /// every round): build the eligibility matrix from scratch, warm
+    /// the pipeline's persistent [`ScorerCache`], score, solve. The
+    /// `Assignment` is bit-identical at any thread budget and whatever
+    /// the cache holds; a caller that wants the cold-cache baseline
+    /// clears [`DitaPipeline::scorer_cache`] first. The returned
     /// [`RoundPerf`] is the only thing that differs.
     ///
     /// [`sc_sim`-level]: DitaPipeline::scorer
@@ -355,38 +350,15 @@ impl DitaPipeline {
         instance: &Instance,
         task_venues: &[VenueId],
         kind: AlgorithmKind,
-        elig: Option<&mut EligibilityState>,
     ) -> (Assignment, RoundPerf) {
         let threads = self.scoring_threads();
         let mut perf = RoundPerf::default();
-        let incremental = elig.is_some();
 
         let t = Instant::now();
-        let matrix = match elig {
-            Some(state) => {
-                let (matrix, delta) = state.advance(instance, threads);
-                perf.delta = delta;
-                matrix
-            }
-            None => {
-                // Report the from-scratch build honestly in the delta
-                // counters so round telemetry reads the same either way.
-                perf.delta.full_rebuild = true;
-                perf.delta.rows_rebuilt = instance.workers.len();
-                perf.delta.tasks_added = instance.tasks.len();
-                EligibilityMatrix::build_with_threads(instance, threads)
-            }
-        };
+        let matrix = EligibilityMatrix::build_with_threads(instance, threads);
         perf.eligibility_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        // Incremental rounds score through the persistent cache; the
-        // rebuild path pays for a fresh one — the honest from-scratch
-        // baseline for A/B timing.
-        let scorer = if incremental {
-            InfluenceScorer::shared(&self.model, &self.cache)
-        } else {
-            InfluenceScorer::new(&self.model)
-        };
+        let scorer = self.scorer();
 
         let t = Instant::now();
         let warm = scorer.warm_eligible(instance, &matrix, threads);
@@ -611,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn assign_round_incremental_matches_rebuild() {
+    fn warm_round_equals_cold_round() {
         let p = tiny_pipeline();
         let inst = instance();
         let venues = vec![
@@ -619,21 +591,20 @@ mod tests {
             sc_types::VenueId::new(10),
             sc_types::VenueId::new(20),
         ];
-        let mut state = EligibilityState::new();
+        // Fill the cache once, so every round below starts warm.
+        p.assign_round(&inst, &venues, AlgorithmKind::Ia);
         for kind in [AlgorithmKind::Ia, AlgorithmKind::Eia, AlgorithmKind::Mta] {
-            let (inc, perf) = p.assign_round(&inst, &venues, kind, Some(&mut state));
-            let (scratch, _) = p.assign_round(&inst, &venues, kind, None);
-            assert_eq!(inc, scratch, "{kind}: incremental != rebuild");
-            assert_eq!(inc.len(), 3);
+            let (warm, warm_perf) = p.assign_round(&inst, &venues, kind);
+            p.scorer_cache().clear();
+            let (cold, cold_perf) = p.assign_round(&inst, &venues, kind);
+            assert_eq!(warm, cold, "{kind}: warm cache != cold cache");
+            assert_eq!(warm.len(), 3);
             // Telemetry counters are deterministic facts of the round.
-            assert_eq!(perf.cache_hits + perf.cache_misses, 3);
+            assert_eq!(warm_perf.cache_misses, 0, "{kind}: warm round missed");
+            assert_eq!(warm_perf.cache_hits, 3);
+            assert_eq!(cold_perf.cache_hits, 0, "{kind}: cold round hit");
+            assert_eq!(cold_perf.cache_misses, 3);
         }
-        // Same instance re-advanced: every pair carries, cache all-hits.
-        let (_, perf) = p.assign_round(&inst, &venues, AlgorithmKind::Ia, Some(&mut state));
-        assert!(!perf.delta.full_rebuild);
-        assert_eq!(perf.delta.rows_rebuilt, 0);
-        assert_eq!(perf.cache_misses, 0);
-        assert_eq!(perf.cache_hits, 3);
     }
 
     #[test]

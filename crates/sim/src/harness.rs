@@ -34,7 +34,8 @@ pub struct ExperimentRunner {
     dataset: SyntheticDataset,
     pipeline: DitaPipeline,
     n_days: usize,
-    /// Thread budget for the sweep phase (parallel point evaluation).
+    /// Thread budget for the sweep phase (parallel point evaluation;
+    /// sequential by default).
     sweep_threads: Parallelism,
 }
 
@@ -51,18 +52,17 @@ impl ExperimentRunner {
             dataset,
             pipeline,
             n_days: 4,
-            sweep_threads: Parallelism::Auto,
+            sweep_threads: Parallelism::Single,
         }
     }
 
     /// Like [`ExperimentRunner::new`] with an explicit thread budget
     /// governing **both** phases: RRR-pool sampling during training and
-    /// sweep-point evaluation in
-    /// [`ExperimentRunner::run_comparison_parallel`] /
-    /// [`ExperimentRunner::run_ablation_parallel`]. Metrics are
-    /// bit-identical at any budget — sampling is seeded per set index
-    /// and sweep points merge in axis order — so sweeps stay comparable
-    /// across machines and thread counts.
+    /// sweep-point evaluation in [`ExperimentRunner::run_comparison`] /
+    /// [`ExperimentRunner::run_ablation`]. Metrics are bit-identical at
+    /// any budget — sampling is seeded per set index and sweep points
+    /// merge in axis order — so sweeps stay comparable across machines
+    /// and thread counts.
     pub fn with_threads(
         profile: &DatasetProfile,
         seed: u64,
@@ -83,7 +83,9 @@ impl ExperimentRunner {
     }
 
     /// Overrides the sweep-phase thread budget only (training keeps
-    /// its own [`DitaConfig::threads`] setting).
+    /// its own [`DitaConfig::threads`] setting). The default,
+    /// [`Parallelism::Single`], evaluates points on the calling
+    /// thread, which keeps `cpu_ms` free of contention.
     #[must_use]
     pub fn sweep_threads(mut self, threads: Parallelism) -> Self {
         self.sweep_threads = threads;
@@ -104,27 +106,15 @@ impl ExperimentRunner {
     /// day: build the instance, compute eligibility and warm the
     /// influence cache once (shared by all algorithms, as in the DITA
     /// framework), then time each algorithm's assignment step.
+    ///
+    /// Points are distributed over the
+    /// [`ExperimentRunner::sweep_threads`] budget: chunked into at most
+    /// `budget` contiguous shards — never one OS thread per point — and
+    /// merged in axis order, so counts, influence, propagation, and
+    /// travel metrics are bit-identical at any budget. `cpu_ms` is
+    /// noisier under contention; keep the budget at 1 when timing
+    /// fidelity matters.
     pub fn run_comparison(&self, axis: &SweepAxis, defaults: &SweepValues) -> Vec<ComparisonPoint> {
-        axis.values()
-            .into_iter()
-            .map(|x| self.comparison_point(x, axis, defaults))
-            .collect()
-    }
-
-    /// Like [`ExperimentRunner::run_comparison`] but with sweep points
-    /// distributed over the configured thread budget
-    /// ([`ExperimentRunner::sweep_threads`], default one shard per
-    /// core). Points are chunked into at most `budget` contiguous
-    /// shards — never one OS thread per point — and merged in axis
-    /// order, so counts, influence, propagation, and travel metrics are
-    /// bit-identical to the sequential runner at any budget. `cpu_ms`
-    /// is noisier under contention; use the sequential runner when
-    /// timing fidelity matters.
-    pub fn run_comparison_parallel(
-        &self,
-        axis: &SweepAxis,
-        defaults: &SweepValues,
-    ) -> Vec<ComparisonPoint> {
         let xs = axis.values();
         sc_stats::par::map_chunked(xs.len(), self.sweep_threads.resolve(), |i| {
             self.comparison_point(xs[i], axis, defaults)
@@ -177,22 +167,11 @@ impl ExperimentRunner {
     }
 
     /// Runs the IA ablation variants over a sweep, reporting AI
-    /// (Figures 5–8: IA, IA-WP, IA-AP, IA-AW).
+    /// (Figures 5–8: IA, IA-WP, IA-AP, IA-AW). Points are distributed
+    /// over the [`ExperimentRunner::sweep_threads`] budget as in
+    /// [`ExperimentRunner::run_comparison`]; results are bit-identical
+    /// at any budget.
     pub fn run_ablation(&self, axis: &SweepAxis, defaults: &SweepValues) -> Vec<AblationPoint> {
-        axis.values()
-            .into_iter()
-            .map(|x| self.ablation_point(x, axis, defaults))
-            .collect()
-    }
-
-    /// Like [`ExperimentRunner::run_ablation`] with points distributed
-    /// over the configured [`ExperimentRunner::sweep_threads`] budget;
-    /// results are bit-identical to the sequential runner.
-    pub fn run_ablation_parallel(
-        &self,
-        axis: &SweepAxis,
-        defaults: &SweepValues,
-    ) -> Vec<AblationPoint> {
         let xs = axis.values();
         sc_stats::par::map_chunked(xs.len(), self.sweep_threads.resolve(), |i| {
             self.ablation_point(xs[i], axis, defaults)
@@ -391,7 +370,7 @@ mod tests {
 
         // And the runner wired through it produces sequential-identical
         // metrics at that budget.
-        let runner = tiny_runner().sweep_threads(Parallelism::Fixed(budget));
+        let runner = tiny_runner();
         let axis = SweepAxis::Tasks(vec![10, 15, 20, 25, 30, 35]);
         let defaults = SweepValues {
             n_tasks: 20,
@@ -399,7 +378,8 @@ mod tests {
             options: Default::default(),
         };
         let seq = runner.run_comparison(&axis, &defaults);
-        let par = runner.run_comparison_parallel(&axis, &defaults);
+        let runner = runner.sweep_threads(Parallelism::Fixed(budget));
+        let par = runner.run_comparison(&axis, &defaults);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.x, b.x);
@@ -412,7 +392,7 @@ mod tests {
 
     #[test]
     fn parallel_ablation_matches_sequential() {
-        let runner = tiny_runner().sweep_threads(Parallelism::Fixed(2));
+        let runner = tiny_runner();
         let axis = SweepAxis::Workers(vec![20, 30, 40]);
         let defaults = SweepValues {
             n_tasks: 25,
@@ -420,7 +400,8 @@ mod tests {
             options: Default::default(),
         };
         let seq = runner.run_ablation(&axis, &defaults);
-        let par = runner.run_ablation_parallel(&axis, &defaults);
+        let runner = runner.sweep_threads(Parallelism::Fixed(2));
+        let par = runner.run_ablation(&axis, &defaults);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.x, b.x);
@@ -438,7 +419,8 @@ mod tests {
             options: Default::default(),
         };
         let seq = runner.run_comparison(&axis, &defaults);
-        let par = runner.run_comparison_parallel(&axis, &defaults);
+        let runner = runner.sweep_threads(Parallelism::Fixed(2));
+        let par = runner.run_comparison(&axis, &defaults);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.x, b.x, "point order preserved");

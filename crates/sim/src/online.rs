@@ -57,23 +57,22 @@
 //! (`crates/sim/tests/round_parallel_determinism.rs` pins it;
 //! `bench_round` measures the speedup).
 //!
-//! Rounds are also *incremental* by default
-//! ([`OnlineConfig::incremental`]): the engine carries an
-//! [`EligibilityState`] across rounds — eligibility is advanced by a
-//! delta from the previous round instead of rebuilt — and scores
-//! through the pipeline's persistent content-keyed scorer cache, whose
-//! entries a worker fold-in extends rather than drops. Both reuse
-//! paths are exact, so a
-//! round's [`RoundReport`] is bit-identical to the `--no-incremental`
-//! rebuild baseline at any thread count
-//! (`crates/sim/tests/incremental_round_determinism.rs` pins it;
-//! `bench_round` measures the steady-state speedup). The report's
-//! telemetry fields (`cache_hits`, `elig_*`, the `*_ms` phase split)
-//! describe how the round was served and are excluded from equality.
+//! Every round builds its eligibility matrix from scratch: tasks turn
+//! over from one round to the next, so there is little to carry.
+//! Rounds are *incremental* by default ([`OnlineConfig::incremental`])
+//! in what they score through: the pipeline's persistent content-keyed
+//! scorer cache, whose entries a worker fold-in extends rather than
+//! drops. The cache is exact, so a round's [`RoundReport`] is
+//! bit-identical to the `--no-incremental` cold-cache baseline at any
+//! thread count (`crates/sim/tests/incremental_round_determinism.rs`
+//! pins it; `bench_round` measures the steady-state speedup). The
+//! report's telemetry fields (`cache_hits`, `elig_*`, the `*_ms` phase
+//! split) describe how the round was served and are excluded from
+//! equality.
 
 use crate::event::{Event, EventKind, Outcome, RejectReason};
 use sc_assign::AlgorithmKind;
-use sc_core::{DitaPipeline, EligibilityState, OnlineConfig};
+use sc_core::{DitaPipeline, OnlineConfig};
 use sc_datagen::SyntheticDataset;
 use sc_influence::SocialNetwork;
 use sc_types::{Duration, History, Task, TaskId, TimeInstant, VenueId, Worker, WorkerId};
@@ -114,11 +113,11 @@ pub fn scripted_event(
 /// Outcome of one assignment round.
 ///
 /// Equality ignores the wall-clock fields (`maintenance_ms` and the
-/// per-phase `*_ms` split) **and** the cache/delta telemetry counters:
-/// those describe *how* the round was served (incremental vs rebuild,
-/// warm vs cold cache), while equality asserts *what* the round
-/// decided — so the determinism suites can compare whole reports
-/// across thread counts and across the incremental/rebuild paths.
+/// per-phase `*_ms` split) **and** the telemetry counters: those
+/// describe *how* the round was served (warm vs cold cache), while
+/// equality asserts *what* the round decided — so the determinism
+/// suites can compare whole reports across thread counts and across
+/// the incremental/cold-cache modes.
 #[derive(Debug, Clone)]
 pub struct RoundReport {
     /// Round counter (0-based).
@@ -149,7 +148,7 @@ pub struct RoundReport {
     /// Wall time of pool maintenance, milliseconds (excluded from
     /// `PartialEq`).
     pub maintenance_ms: f64, // lint: timing
-    /// Eligibility phase wall time (delta apply or full build),
+    /// Eligibility phase wall time (the from-scratch build),
     /// milliseconds (excluded from `PartialEq`).
     pub eligibility_ms: f64, // lint: timing
     /// Scorer-cache warm wall time, milliseconds (excluded).
@@ -168,14 +167,15 @@ pub struct RoundReport {
     /// Augmenting paths the MCMF solve committed (excluded, like
     /// `solve_passes`).
     pub solve_augmentations: usize,
-    /// Worker rows carried by the eligibility delta (excluded).
+    /// Eligibility rows carried from the previous round: always `0`,
+    /// since every round builds eligibility from scratch. Kept for
+    /// readers of the report (excluded).
     pub elig_rows_carried: usize,
-    /// Worker rows rebuilt by the eligibility delta (excluded).
+    /// Eligibility rows built this round: always the number of online
+    /// workers (excluded).
     pub elig_rows_rebuilt: usize,
-    /// Pairs reused from the previous round's matrix (excluded).
-    pub elig_pairs_carried: usize,
-    /// Whether eligibility fell back to a from-scratch build this
-    /// round (always `true` on the `--no-incremental` path; excluded).
+    /// Whether eligibility was built from scratch this round: always
+    /// `true` (excluded).
     pub elig_full_rebuild: bool,
 }
 
@@ -194,9 +194,9 @@ impl PartialEq for RoundReport {
             && self.sets_evicted == other.sets_evicted
             && self.sets_added == other.sets_added
         // Wall-clock (`*_ms`) and serving-mode telemetry (cache hit
-        // counts, eligibility delta shape) are run conditions, not
-        // results: incremental and rebuild runs of the same script
-        // must compare equal.
+        // counts, eligibility rows) are run conditions, not results:
+        // warm- and cold-cache runs of the same script must compare
+        // equal.
     }
 }
 
@@ -204,9 +204,9 @@ impl PartialEq for RoundReport {
 /// deterministic fields its `PartialEq` compares — wall-clock and
 /// telemetry never reach the wire, so two serialized reports of the
 /// same round are byte-identical across thread counts and across the
-/// incremental/rebuild paths (the property the `dita serve` smoke job
-/// diffs on). Deserialization zeroes the telemetry, so a parsed report
-/// still compares equal to the original.
+/// incremental/cold-cache modes (the property the `dita serve` smoke
+/// job diffs on). Deserialization zeroes the telemetry, so a parsed
+/// report still compares equal to the original.
 impl serde::Serialize for RoundReport {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -261,7 +261,6 @@ impl serde::Deserialize for RoundReport {
             solve_augmentations: 0,
             elig_rows_carried: 0,
             elig_rows_rebuilt: 0,
-            elig_pairs_carried: 0,
             elig_full_rebuild: false,
         })
     }
@@ -552,10 +551,6 @@ pub struct OnlineEngine<'a> {
     /// every round close. Together with `round` this totally orders
     /// the event stream ([`Event`]).
     next_seq: u64,
-    /// Carried eligibility CSR + fingerprints for the incremental
-    /// round path ([`OnlineConfig::incremental`]); unused (left
-    /// unprimed) when running rebuild rounds.
-    elig: EligibilityState,
     pending_tasks: usize,
     pending_workers: usize,
     published: usize,
@@ -600,7 +595,6 @@ impl<'a> OnlineEngine<'a> {
             online_index: HashMap::new(),
             round: 0,
             next_seq: 0,
-            elig: EligibilityState::new(),
             pending_tasks: 0,
             pending_workers: 0,
             published: 0,
@@ -813,15 +807,11 @@ impl<'a> OnlineEngine<'a> {
         let available_tasks = tasks.len();
         let online_workers = self.workers.len();
         let instance = sc_types::Instance::new(now, self.workers.clone(), tasks);
-        let elig = if self.config.incremental {
-            Some(&mut self.elig)
-        } else {
-            None
-        };
-        let (assignment, perf) = self
-            .pipeline
-            .get()
-            .assign_round(&instance, &venues, algorithm, elig);
+        let pipeline = self.pipeline.get();
+        if !self.config.incremental {
+            pipeline.scorer_cache().clear();
+        }
+        let (assignment, perf) = pipeline.assign_round(&instance, &venues, algorithm);
 
         let assigned = assignment.len();
         let ai = assignment.average_influence();
@@ -861,10 +851,9 @@ impl<'a> OnlineEngine<'a> {
             cache_misses: perf.cache_misses,
             solve_passes: perf.solve_passes,
             solve_augmentations: perf.solve_augmentations,
-            elig_rows_carried: perf.delta.rows_carried,
-            elig_rows_rebuilt: perf.delta.rows_rebuilt,
-            elig_pairs_carried: perf.delta.pairs_carried,
-            elig_full_rebuild: perf.delta.full_rebuild,
+            elig_rows_carried: 0,
+            elig_rows_rebuilt: online_workers,
+            elig_full_rebuild: true,
         };
         self.round += 1;
         self.next_seq = 0;
@@ -1012,13 +1001,10 @@ impl<'a> OnlineEngine<'a> {
 /// stream base), the social network, and every report-affecting
 /// counter of the engine itself.
 ///
-/// Two states are deliberately **not** serialized, because they are
-/// derived and their exactness contracts make the rebuild
-/// bit-identical: the scorer cache (warm/cold serve the same scores)
-/// and the carried [`EligibilityState`] (the first restored round runs
-/// a full eligibility rebuild, which the incremental-determinism suite
-/// pins as byte-equal to the delta path). `online_index` is rebuilt
-/// from the worker list. A restored engine therefore emits the same
+/// The scorer cache is deliberately **not** serialized: it is derived,
+/// and warm and cold caches serve the same scores, so a restored
+/// engine's first round scores cold with bit-identical results.
+/// `online_index` is rebuilt from the worker list. A restored engine therefore emits the same
 /// [`RoundReport`] stream as the uninterrupted original, at any thread
 /// count — `crates/sim/tests/snapshot_roundtrip.rs` pins it.
 impl serde::Serialize for OnlineEngine<'_> {
@@ -1082,7 +1068,6 @@ impl serde::Deserialize for OnlineEngine<'static> {
             online_index,
             round: serde::get_field(obj, "round")?,
             next_seq: serde::get_field(obj, "next_seq")?,
-            elig: EligibilityState::new(),
             pending_tasks: serde::get_field(obj, "pending_tasks")?,
             pending_workers: serde::get_field(obj, "pending_workers")?,
             published: serde::get_field(obj, "published")?,

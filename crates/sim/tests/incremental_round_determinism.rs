@@ -1,20 +1,20 @@
-//! The incremental round pipeline must be invisible in results: an
-//! engine that carries eligibility deltas and a persistent scorer
-//! cache across rounds must produce round reports — and a lifetime
-//! summary — byte-identical to the `--no-incremental` rebuild
-//! baseline, at any thread count, even while the pool rotates and a
+//! The persistent scorer cache must be invisible in results: an
+//! engine that carries the cache across rounds must produce round
+//! reports — and a lifetime summary — byte-identical to the
+//! `--no-incremental` baseline, which clears the cache before every
+//! round, at any thread count, even while the pool rotates and a
 //! previously-unseen worker is folded into the live network
 //! mid-stream (the one event that grows every scorer-cache entry:
 //! resident entries are extended with the new worker's willingness,
-//! and the rebuild path, which recomputes every entry, is the
+//! and the cold-cache rounds, which recompute every entry, are the
 //! exactness oracle for that extension).
 //!
 //! Four runs of the same arrival script are compared pairwise:
 //! `{incremental, rebuild} × {threads 1, 4}`. Telemetry fields
 //! (`cache_*`, `elig_*`, the `*_ms` phase split) are excluded from
-//! report equality by design — the suite separately asserts they show
-//! the incremental machinery actually engaged (carried rounds with
-//! warm cache hits) rather than silently falling back to rebuilds.
+//! report equality by design — the suite separately asserts that the
+//! warm cache actually engaged and the cold one never did, and that
+//! every round built its eligibility matrix from scratch.
 
 use sc_core::{DitaBuilder, DitaConfig, DitaPipeline, InfluenceScorer, OnlineConfig, Parallelism};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
@@ -87,8 +87,7 @@ fn run_script(
         let now = TimeInstant::at(0, hour);
         if hour == 11 {
             // Mid-stream fold-in: the only event that grows the
-            // persistent scorer cache's entries, and a worker-axis
-            // delta for the eligibility state.
+            // persistent scorer cache's entries.
             let venue = data.venues.venue(VenueId::new(7));
             let mut hist = History::new();
             hist.push(CheckIn::at(
@@ -137,6 +136,41 @@ fn run_script(
     (reports, summary)
 }
 
+/// The telemetry of one run against the single-thread rebuild run.
+/// Both modes warm the same distinct task contents each round: a
+/// rebuild round, which starts from a cleared cache, computes them all,
+/// and an incremental round computes only those no earlier round left
+/// resident. Every round of both modes builds eligibility from scratch.
+fn assert_telemetry(reports: &[RoundReport], rebuild: &[RoundReport], incremental: bool) {
+    for (r, cold) in reports.iter().zip(rebuild) {
+        if incremental {
+            assert_eq!(
+                r.cache_hits + r.cache_misses,
+                cold.cache_misses,
+                "incremental round {} warmed other contents than the rebuild",
+                r.round
+            );
+        } else {
+            assert_eq!(
+                (r.cache_hits, r.cache_misses),
+                (0, cold.cache_misses),
+                "rebuild round {} hit a cache cleared before it",
+                r.round
+            );
+        }
+        assert!(
+            r.elig_rows_carried == 0 && r.elig_full_rebuild,
+            "round {} carried eligibility rows",
+            r.round
+        );
+        assert_eq!(
+            r.elig_rows_rebuilt, r.online_workers,
+            "round {} built a row count other than its online workers",
+            r.round
+        );
+    }
+}
+
 #[test]
 fn incremental_rounds_match_rebuild_rounds_at_any_thread_count() {
     let data = dataset();
@@ -145,7 +179,9 @@ fn incremental_rounds_match_rebuild_rounds_at_any_thread_count() {
         base_summary.assigned > 0,
         "non-trivial fixture: the script must assign something"
     );
+    assert_telemetry(&baseline, &baseline, false);
 
+    let mut inc = Vec::new();
     for (threads, incremental) in [
         (Parallelism::Single, true),
         (Parallelism::Fixed(4), false),
@@ -160,25 +196,15 @@ fn incremental_rounds_match_rebuild_rounds_at_any_thread_count() {
             base_summary, summary,
             "summary diverged at threads={threads:?} incremental={incremental}"
         );
+        assert_telemetry(&reports, &baseline, incremental);
+        if threads == Parallelism::Single {
+            inc = reports;
+        }
     }
 
-    // The incremental machinery must actually have engaged: after the
-    // first round rounds are served by deltas with warm cache hits.
-    let (inc, _) = run_script(&data, Parallelism::Single, true);
-    assert!(
-        inc.iter().any(|r| !r.elig_full_rebuild && r.cache_hits > 0),
-        "no round was served incrementally with a warm cache"
-    );
-    assert!(
-        inc.iter().skip(1).all(|r| !r.elig_full_rebuild),
-        "a post-warmup round unexpectedly fell back to a full rebuild"
-    );
-    assert!(
-        inc[0].elig_full_rebuild,
-        "the first round has no prior state and must rebuild"
-    );
-    // The fold-in round (11:00) re-hits the entries warmed before it:
-    // the fold-in extends them instead of clearing the cache.
+    // The warm cache must actually have engaged, even across the
+    // fold-in round (11:00): it re-hits the entries warmed before it,
+    // because the fold-in extends them instead of clearing the cache.
     let fold_in_round = inc
         .iter()
         .find(|r| r.now == TimeInstant::at(0, 11))

@@ -120,11 +120,10 @@ FLAGS                 applies to            meaning (default)
   --horizon R         online                rounds before a set becomes
                                             eviction-eligible (24; 0 = never)
   --target-sets N     online                live-set target (0 = trained size)
-  --no-incremental    online, replay        rebuild eligibility + scorer cache
-                                            from scratch every round instead of
-                                            advancing them by deltas (A/B
-                                            baseline; reports are identical
-                                            either way)
+  --no-incremental    online, replay        score through a cold cache every
+                                            round instead of the persistent
+                                            one (A/B baseline; reports are
+                                            identical either way)
   --edges PATH        replay                social edge TSV (src\\tdst per line)
   --checkins PATH     replay                check-in TSV (the dita generate /
                                             io::write_checkins_tsv format)
@@ -218,10 +217,10 @@ fn verbose_of(flags: &HashMap<String, String>) -> bool {
     matches!(flags.get("verbose").map(String::as_str), Some("true" | "1"))
 }
 
-/// `--no-incremental` opts a streaming run out of the delta round
-/// pipeline: every round rebuilds eligibility from scratch and scores
-/// through a cold cache. Reports are bit-identical either way; this is
-/// the A/B baseline the benches compare against.
+/// `--no-incremental` opts a streaming run out of the persistent
+/// scorer cache: every round scores through a cold cache. Reports are
+/// bit-identical either way; this is the A/B baseline the benches
+/// compare against.
 fn incremental_of(flags: &HashMap<String, String>) -> bool {
     !matches!(
         flags.get("no-incremental").map(String::as_str),
@@ -425,7 +424,7 @@ fn cmd_sweep(flags: &HashMap<String, String>, ablation: bool) -> Result<(), Stri
     }
 
     if ablation {
-        let points = runner.run_ablation_parallel(&axis, &defaults);
+        let points = runner.run_ablation(&axis, &defaults);
         let mut headers = vec![axis.name().to_string()];
         headers.extend(points[0].ai.iter().map(|(l, _)| l.clone()));
         let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -439,7 +438,7 @@ fn cmd_sweep(flags: &HashMap<String, String>, ablation: bool) -> Result<(), Stri
             .collect();
         print!("{}", render_table(&headers_ref, &rows));
     } else {
-        let points = runner.run_comparison_parallel(&axis, &defaults);
+        let points = runner.run_comparison(&axis, &defaults);
         let mut headers = vec![axis.name().to_string()];
         headers.extend(points[0].rows.iter().map(|r| r.algorithm.clone()));
         let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
