@@ -1,9 +1,8 @@
 //! The assignment algorithms (paper Section IV + evaluation baselines).
 
 use crate::eligibility::EligibilityMatrix;
-use crate::graph::AssignmentGraph;
 use crate::oracle::InfluenceOracle;
-use sc_graph::Dinic;
+use sc_graph::{Dinic, MinCostMaxFlow};
 use sc_types::{Assignment, AssignmentPair, Instance};
 use std::fmt;
 
@@ -66,11 +65,10 @@ pub struct AssignInput<'a> {
     /// Required by [`AlgorithmKind::Eia`]; treated as all-zero otherwise
     /// when absent.
     pub task_entropy: Option<&'a [f64]>,
-    /// Thread budget for the scoring passes (eligibility construction
-    /// in [`run`] and the per-pair influence scan); the MCMF solve runs
-    /// on one thread. Results are bit-identical at any value — shards
-    /// are contiguous index ranges merged in order — so this trades
-    /// wall time only. Defaults to 1.
+    /// Thread budget for the per-pair influence scan
+    /// ([`score_pairs`]); the solve runs on one thread. Results are
+    /// bit-identical at any value — shards are contiguous index ranges
+    /// merged in order — so this trades wall time only. Defaults to 1.
     pub threads: usize,
 }
 
@@ -106,43 +104,11 @@ impl<'a> AssignInput<'a> {
     }
 }
 
-/// Runs `kind` on `input` and returns the assignment. Eligibility and
-/// the scoring pass honor [`AssignInput::threads`].
-pub fn run(kind: AlgorithmKind, input: &AssignInput<'_>) -> Assignment {
-    let matrix = EligibilityMatrix::build_with_threads(input.instance, input.threads);
-    run_with_matrix(kind, input, &matrix)
-}
-
-/// Runs `kind` reusing a precomputed eligibility matrix (the harness
-/// computes it once per instance and runs every algorithm on it).
-/// Equivalent to [`score_pairs`] followed by [`run_scored`].
-pub fn run_with_matrix(
-    kind: AlgorithmKind,
-    input: &AssignInput<'_>,
-    matrix: &EligibilityMatrix,
-) -> Assignment {
-    let influences = score_pairs(input, matrix);
-    run_scored(kind, input, matrix, &influences)
-}
-
-/// Runs `kind` on pre-scored pairs: `influences[i]` must be the oracle
-/// value of `matrix.pairs()[i]` (what [`score_pairs`] returns). The
-/// solve phase of [`run_with_matrix`] — split out so round drivers can
-/// time the scoring scan and the solve separately.
-pub fn run_scored(
-    kind: AlgorithmKind,
-    input: &AssignInput<'_>,
-    matrix: &EligibilityMatrix,
-    influences: &[f64],
-) -> Assignment {
-    run_scored_with_stats(kind, input, matrix, influences).0
-}
-
-/// Solver-phase telemetry from one [`run_scored_with_stats`] call.
-/// Zero for the non-flow algorithms (MI, greedy) and for MTA (Dinic
-/// does not count augmentations). Deterministic facts of the instance,
-/// identical at every thread budget; round drivers keep them in their
-/// perf split, beside the phase timings, not in the round report.
+/// Solver-phase telemetry from one [`run_scored`] call. Zero for the
+/// non-flow algorithms (MI, greedy) and for MTA (Dinic does not count
+/// augmentations). Deterministic facts of the instance, identical at
+/// every thread budget; round drivers keep them in their perf split,
+/// beside the phase timings, not in the round report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Shortest-path search passes the MCMF solve ran.
@@ -151,9 +117,13 @@ pub struct SolveStats {
     pub augmentations: usize,
 }
 
-/// [`run_scored`], also returning the solver-phase telemetry (round
-/// drivers record it in their perf split).
-pub fn run_scored_with_stats(
+/// Runs `kind` on pre-scored pairs: `influences[i]` must be the oracle
+/// value of `matrix.pairs()[i]` (what [`score_pairs`] returns). Returns
+/// the assignment and the solver-phase telemetry. Scoring and solving
+/// are separate calls so round drivers can time them apart, and so one
+/// scoring scan can feed several solves (scores are
+/// algorithm-independent).
+pub fn run_scored(
     kind: AlgorithmKind,
     input: &AssignInput<'_>,
     matrix: &EligibilityMatrix,
@@ -184,8 +154,7 @@ enum CostModel {
 /// Shards are contiguous pair ranges merged in index order, and every
 /// score is a pure read of the (already warm or content-deterministic)
 /// oracle, so the vector is identical at any thread count. Feed the
-/// result to [`run_scored`] (or several `run_scored` calls — scores
-/// are algorithm-independent).
+/// result to [`run_scored`].
 pub fn score_pairs(input: &AssignInput<'_>, matrix: &EligibilityMatrix) -> Vec<f64> {
     let score = |p: &crate::EligiblePair| {
         let worker = &input.instance.workers[p.worker_idx as usize];
@@ -287,6 +256,15 @@ fn tie_jitter(pi: usize) -> f64 {
     JITTER_QUANTUM * f64::from(k)
 }
 
+/// IA / EIA / DIA: one min-cost max-flow solve over the task-assignment
+/// graph of paper Figure 4. Nodes: source `N_s`, one node per worker,
+/// one per task, sink `N_d`. Edges: `N_s → wᵢ` (cap 1, cost 0),
+/// `wᵢ → sⱼ` for each available pair (cap 1, cost from `model`),
+/// `sⱼ → N_d` (cap 1, cost 0). Maximum flow = maximum number of
+/// assignments; minimum cost among maximum flows encodes the influence
+/// objective. [`MinCostMaxFlow`] is this network with the source and
+/// sink implicit, so only the worker → task edges are entered — one per
+/// pair, in pair order, so an edge id is a pair index.
 fn mcmf_assign(
     input: &AssignInput<'_>,
     matrix: &EligibilityMatrix,
@@ -303,8 +281,8 @@ fn mcmf_assign(
         _ => &[],
     };
 
-    let mut graph = AssignmentGraph::build(matrix, |pi| {
-        let p = &matrix.pairs()[pi];
+    let mut flow = MinCostMaxFlow::new(matrix.n_workers(), matrix.n_tasks());
+    for (pi, p) in matrix.pairs().iter().enumerate() {
         let inf = influences[pi];
         let base = match model {
             CostModel::Influence => 1.0 / (inf + 1.0),
@@ -315,14 +293,21 @@ fn mcmf_assign(
                 1.0 / (f * inf + 1.0)
             }
         };
-        base + tie_jitter(pi)
-    });
-    let (result, chosen) = graph.solve();
+        flow.add_edge(
+            p.worker_idx as usize,
+            p.task_idx as usize,
+            base + tie_jitter(pi),
+        );
+    }
+    let result = flow.run();
     let stats = SolveStats {
         passes: result.passes,
         augmentations: result.augmentations,
     };
-    (to_assignment(input, matrix, influences, &chosen), stats)
+    (
+        to_assignment(input, matrix, influences, &flow.matched_edges()),
+        stats,
+    )
 }
 
 /// MTA: pure max-flow (Dinic), ignoring influence for the choice but still
@@ -423,6 +408,12 @@ mod tests {
     use super::*;
     use crate::oracle::{InfluenceFn, ZeroInfluence};
     use sc_types::{CategoryId, Duration, Location, Task, TaskId, TimeInstant, Worker, WorkerId};
+
+    /// Eligibility, scoring and the solve, in order.
+    fn run(kind: AlgorithmKind, input: &AssignInput<'_>) -> Assignment {
+        let matrix = EligibilityMatrix::build(input.instance);
+        run_scored(kind, input, &matrix, &score_pairs(input, &matrix)).0
+    }
 
     fn worker(id: u32, x: f64, r: f64) -> Worker {
         Worker::new(WorkerId::new(id), Location::new(x, 0.0), r)

@@ -19,18 +19,24 @@
 //!
 //! The two scoring passes that dominate a single instance — building
 //! the [`EligibilityMatrix`] and evaluating `if(w, s)` per eligible
-//! pair — shard over the workspace scheduler (`sc_stats::par`) when
-//! [`AssignInput::with_threads`] carries a budget above 1:
-//! [`EligibilityMatrix::build_with_threads`] splits the worker (CSR)
-//! axis into contiguous ranges over a shared task grid, and the
-//! pair-influence scan splits the pair range. Both merge in index
+//! pair — shard over the workspace scheduler (`sc_stats::par`) under a
+//! budget above 1: [`EligibilityMatrix::build_with_threads`] splits the
+//! worker (CSR) axis into contiguous ranges over a shared task grid,
+//! and [`score_pairs`] splits the pair range over the budget
+//! [`AssignInput::with_threads`] carries. Both merge in index
 //! order, so assignments are **bit-identical at any thread count** —
 //! the same contract as `sc-influence`'s sharded RRR sampling. The
 //! combinatorial solve (max-flow / MCMF / greedy) stays sequential;
 //! only the embarrassingly parallel scoring work fans out.
 //!
-//! [`score_pairs`] / [`run_scored`] split the scoring scan from the
-//! solve so online round drivers can time the phases separately.
+//! ## One path per instance
+//!
+//! Every caller runs the same three steps: build the
+//! [`EligibilityMatrix`], score its pairs with [`score_pairs`], then
+//! solve with [`run_scored`]. The steps are separate calls so round
+//! drivers can time each phase, and so one matrix and one scoring scan
+//! can feed several solves. IA, EIA and DIA solve paper Figure 4's
+//! network on `sc_graph::MinCostMaxFlow`, one edge per eligible pair.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -38,13 +44,8 @@
 
 pub mod algorithms;
 pub mod eligibility;
-pub mod graph;
 pub mod oracle;
 
-pub use algorithms::{
-    run, run_scored, run_scored_with_stats, run_with_matrix, score_pairs, AlgorithmKind,
-    AssignInput, SolveStats,
-};
+pub use algorithms::{run_scored, score_pairs, AlgorithmKind, AssignInput, SolveStats};
 pub use eligibility::{EligibilityMatrix, EligiblePair};
-pub use graph::AssignmentGraph;
 pub use oracle::{InfluenceFn, InfluenceOracle, ZeroInfluence};

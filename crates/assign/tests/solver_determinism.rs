@@ -81,7 +81,7 @@ fn assert_invariant(
             input = input.with_entropy(e);
         }
         let influences = score_pairs(&input, &matrix);
-        let assignment = run_scored(kind, &input, &matrix, &influences);
+        let (assignment, _) = run_scored(kind, &input, &matrix, &influences);
         match &reference {
             Some((t0, a0)) => assert_eq!(
                 &assignment, a0,
@@ -134,13 +134,12 @@ fn mcmf_algorithms_are_thread_invariant() {
 /// budget.
 #[test]
 fn one_pass_per_augmentation_under_jitter() {
-    use sc_assign::run_scored_with_stats;
     let instance = clustered_instance(11, 40, 30);
     let matrix = EligibilityMatrix::build(&instance);
     for threads in THREAD_BUDGETS {
         let input = AssignInput::new(&instance, &ZeroInfluence).with_threads(threads);
         let influences = score_pairs(&input, &matrix);
-        let (a, stats) = run_scored_with_stats(AlgorithmKind::Ia, &input, &matrix, &influences);
+        let (a, stats) = run_scored(AlgorithmKind::Ia, &input, &matrix, &influences);
         assert!(!a.is_empty(), "plateau instance must assign something");
         assert_eq!(stats.augmentations, a.len(), "{threads} threads");
         assert_eq!(

@@ -2,7 +2,7 @@
 //! the paper's comparison figures, per algorithm, at a fixed instance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sc_assign::{run_with_matrix, AlgorithmKind, AssignInput, EligibilityMatrix};
+use sc_assign::{run_scored, score_pairs, AlgorithmKind, AssignInput, EligibilityMatrix};
 use sc_core::{DitaBuilder, DitaConfig};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
@@ -37,11 +37,7 @@ fn bench_algorithms(c: &mut Criterion) {
     let scorer = pipeline.scorer();
     let entropies = pipeline.model().task_entropies(&day.task_venues);
     // Warm the per-task caches so the benchmark isolates assignment time.
-    for pair in matrix.pairs() {
-        let w = &day.instance.workers[pair.worker_idx as usize];
-        let t = &day.instance.tasks[pair.task_idx as usize];
-        let _ = scorer.score(w.id, t);
-    }
+    scorer.warm_eligible(&day.instance, &matrix, 1);
 
     let mut group = c.benchmark_group("assignment_per_instance");
     for kind in AlgorithmKind::COMPARISON {
@@ -51,7 +47,8 @@ fn bench_algorithms(c: &mut Criterion) {
             |b, &kind| {
                 b.iter(|| {
                     let input = AssignInput::new(&day.instance, &scorer).with_entropy(&entropies);
-                    black_box(run_with_matrix(kind, &input, &matrix))
+                    let influences = score_pairs(&input, &matrix);
+                    black_box(run_scored(kind, &input, &matrix, &influences))
                 });
             },
         );
@@ -81,7 +78,8 @@ fn bench_influence_scoring(c: &mut Criterion) {
     let matrix = EligibilityMatrix::build(&day.instance);
     c.bench_function("influence_score_all_pairs_cold", |b| {
         b.iter(|| {
-            let scorer = pipeline.scorer(); // fresh cache each iteration
+            pipeline.scorer_cache().clear(); // cold: every entry is recomputed
+            let scorer = pipeline.scorer();
             let mut acc = 0.0;
             for pair in matrix.pairs() {
                 let w = &day.instance.workers[pair.worker_idx as usize];

@@ -145,7 +145,6 @@ fn main() {
             nonzero += 1;
         }
     }
-    drop(scorer);
 
     // --- Fold-in cost vs the full retrain it replaces. -----------------
     // Re-train on the slice, then time folding each late worker into a

@@ -10,9 +10,14 @@
 //!    location-entropy table, and the RPO RRR-set pool (`sc-influence`).
 //! 2. **Scoring** ([`DitaPipeline::scorer`]): the worker-task influence
 //!    `if(w_s, s) = P_aff(w_s, s) · Σ_{w_i ≠ w_s} P_wil(w_i, s) ·
-//!    P_pro(w_s, w_i)` (Section III-D), cached per task.
+//!    P_pro(w_s, w_i)` (Section III-D), cached per task in the
+//!    pipeline's [`ScorerCache`]. [`InfluenceScorer::new`] is the one
+//!    way to build a scorer.
 //! 3. **Assignment** ([`DitaPipeline::assign`]): any of the Section IV
-//!    algorithms on a per-time-instance snapshot.
+//!    algorithms on a per-time-instance snapshot. It is the one
+//!    assignment call: eligibility, cache warming, scoring and the
+//!    solve, with a per-phase [`RoundPerf`]. The online engine, the CLI
+//!    and the examples all go through it.
 //!
 //! The ablation variants of the evaluation (IA-WP, IA-AP, IA-AW) are
 //! expressed as [`InfluenceVariant`]s that drop one factor of the

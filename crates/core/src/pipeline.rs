@@ -3,10 +3,7 @@
 use crate::config::DitaConfig;
 use crate::model::InfluenceModel;
 use crate::scorer::{InfluenceScorer, InfluenceVariant, ScorerCache};
-use sc_assign::{
-    run_scored_with_stats, run_with_matrix, score_pairs, AlgorithmKind, AssignInput,
-    EligibilityMatrix,
-};
+use sc_assign::{run_scored, score_pairs, AlgorithmKind, AssignInput, EligibilityMatrix};
 use sc_influence::SocialNetwork;
 use sc_types::{Assignment, HistoryStore, Instance, VenueId};
 use std::time::Instant;
@@ -53,8 +50,9 @@ impl DitaBuilder {
 
     /// Overrides the thread budget. One knob governs every parallel
     /// phase of the pipeline: RRR-pool sampling during training *and*
-    /// the per-instance scoring passes of every `assign*` call
-    /// (eligibility sharding, influence-cache warming, the pair scan).
+    /// the per-instance scoring passes of every
+    /// [`DitaPipeline::assign`] call (eligibility sharding,
+    /// influence-cache warming, the pair scan).
     /// Results are bit-identical at any setting — this knob trades
     /// wall time only.
     ///
@@ -105,7 +103,7 @@ impl DitaBuilder {
     ///         CategoryId::new(t % 2),
     ///     )).collect(),
     /// );
-    /// let a = pipeline.assign(&instance, AlgorithmKind::Ia);
+    /// let (a, _perf) = pipeline.assign(&instance, None, AlgorithmKind::Ia);
     /// assert_eq!(a.len(), 3);
     /// ```
     #[must_use]
@@ -141,8 +139,8 @@ impl DitaBuilder {
     }
 }
 
-/// Wall-time and cache telemetry of one [`DitaPipeline::assign_round`]
-/// call, split by phase. The `*_ms` fields are measurements (they vary
+/// Wall-time and cache telemetry of one [`DitaPipeline::assign`] call,
+/// split by phase. The `*_ms` fields are measurements (they vary
 /// run to run); the cache and solve counters are deterministic facts of
 /// the round and the cache's state. Deliberately **not** `PartialEq`:
 /// round-report equality is asserted over assignment outcomes, never
@@ -162,8 +160,6 @@ pub struct RoundPerf {
     pub cache_hits: usize,
     /// Distinct task-content keys computed this round.
     pub cache_misses: usize,
-    /// Cache entries resident after warming.
-    pub cache_entries: usize,
     /// Shortest-path search passes the MCMF solve ran (0 for non-flow
     /// algorithms).
     pub solve_passes: usize,
@@ -229,29 +225,11 @@ impl DitaPipeline {
 
     /// The resolved thread budget the per-instance scoring passes run
     /// on (from [`DitaConfig::threads`], the same knob that governed
-    /// training). Every `assign*` call shards eligibility
+    /// training). [`DitaPipeline::assign`] shards eligibility
     /// construction, influence-cache warming, and the pair scan over
     /// this many threads; results are bit-identical at any value.
     pub fn scoring_threads(&self) -> usize {
         self.model.config().threads().resolve()
-    }
-
-    /// The shared prelude of every `assign*` path: resolve the thread
-    /// budget, build the (sharded) eligibility matrix, and pre-fill
-    /// `scorer`'s per-task cache for every task with at least one
-    /// eligible pair ([`InfluenceScorer::warm_eligible`]). Warming runs
-    /// at every budget (at 1 thread it is the same work the lazy fill
-    /// would do, with the same results) so the pipeline's persistent
-    /// cache sees an identical key set no matter how a round executes.
-    fn prepare(
-        &self,
-        scorer: &InfluenceScorer<'_>,
-        instance: &Instance,
-    ) -> (usize, EligibilityMatrix) {
-        let threads = self.scoring_threads();
-        let matrix = EligibilityMatrix::build_with_threads(instance, threads);
-        scorer.warm_eligible(instance, &matrix, threads);
-        (threads, matrix)
     }
 
     /// Mutable access to the model — the online-maintenance hook (see
@@ -288,14 +266,14 @@ impl DitaPipeline {
     /// fresh-cache scorer (entries are pure functions of task content
     /// and the frozen models).
     pub fn scorer(&self) -> InfluenceScorer<'_> {
-        InfluenceScorer::shared(&self.model, &self.cache)
+        self.scorer_variant(InfluenceVariant::Full)
     }
 
     /// Creates an ablation oracle, sharing the same persistent cache
     /// (entries hold raw per-task quantities, not scores, so one cache
     /// serves every variant).
     pub fn scorer_variant(&self, variant: InfluenceVariant) -> InfluenceScorer<'_> {
-        InfluenceScorer::shared_variant(&self.model, &self.cache, variant)
+        InfluenceScorer::new(&self.model, &self.cache, variant)
     }
 
     /// The pipeline's persistent per-task scorer cache. Scorers manage
@@ -305,50 +283,24 @@ impl DitaPipeline {
         &self.cache
     }
 
-    /// Runs an assignment algorithm on an instance (no entropy data;
-    /// EIA degrades to IA weighting with `s.e = 0`). Eligibility,
-    /// cache warming, and pair scoring run on
-    /// [`DitaPipeline::scoring_threads`] threads with bit-identical
-    /// results at any budget.
-    pub fn assign(&self, instance: &Instance, kind: AlgorithmKind) -> Assignment {
-        let scorer = self.scorer();
-        let (threads, matrix) = self.prepare(&scorer, instance);
-        let input = AssignInput::new(instance, &scorer).with_threads(threads);
-        run_with_matrix(kind, &input, &matrix)
-    }
-
-    /// Runs an assignment with task→venue mapping so EIA can use real
-    /// location entropies. Scoring parallelism as in
-    /// [`DitaPipeline::assign`].
-    pub fn assign_with_venues(
-        &self,
-        instance: &Instance,
-        task_venues: &[VenueId],
-        kind: AlgorithmKind,
-    ) -> Assignment {
-        let scorer = self.scorer();
-        let (threads, matrix) = self.prepare(&scorer, instance);
-        let entropies = self.model.task_entropies(task_venues);
-        let input = AssignInput::new(instance, &scorer)
-            .with_entropy(&entropies)
-            .with_threads(threads);
-        run_with_matrix(kind, &input, &matrix)
-    }
-
-    /// Runs one online round with a per-phase telemetry split — the
-    /// serving-loop entry point ([`sc_sim`-level] engines call this
-    /// every round): build the eligibility matrix from scratch, warm
-    /// the pipeline's persistent [`ScorerCache`], score, solve. The
-    /// `Assignment` is bit-identical at any thread budget and whatever
-    /// the cache holds; a caller that wants the cold-cache baseline
-    /// clears [`DitaPipeline::scorer_cache`] first. The returned
-    /// [`RoundPerf`] is the only thing that differs.
+    /// Runs `kind` on one instance along paper Figure 2's path — the
+    /// one assignment call of the online engine, `dita assign` and the
+    /// examples: build the eligibility matrix from scratch, warm the
+    /// pipeline's persistent [`ScorerCache`] for every task with an
+    /// eligible pair, score the pairs, solve. `task_venues`
+    /// maps tasks to venues so EIA can weigh real location entropies;
+    /// with `None` every `s.e` is 0 and EIA weighs like IA.
     ///
-    /// [`sc_sim`-level]: DitaPipeline::scorer
-    pub fn assign_round(
+    /// Eligibility, warming and scoring run on
+    /// [`DitaPipeline::scoring_threads`] threads. The `Assignment` is
+    /// bit-identical at any thread budget and whatever the cache holds;
+    /// a caller that wants the cold-cache baseline clears
+    /// [`DitaPipeline::scorer_cache`] first. The returned [`RoundPerf`]
+    /// is the only thing that differs.
+    pub fn assign(
         &self,
         instance: &Instance,
-        task_venues: &[VenueId],
+        task_venues: Option<&[VenueId]>,
         kind: AlgorithmKind,
     ) -> (Assignment, RoundPerf) {
         let threads = self.scoring_threads();
@@ -364,61 +316,25 @@ impl DitaPipeline {
         let warm = scorer.warm_eligible(instance, &matrix, threads);
         perf.cache_hits = warm.hits;
         perf.cache_misses = warm.misses;
-        perf.cache_entries = warm.entries;
         perf.warm_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        let entropies = self.model.task_entropies(task_venues);
-        let input = AssignInput::new(instance, &scorer)
-            .with_entropy(&entropies)
-            .with_threads(threads);
+        let entropies = task_venues.map(|tv| self.model.task_entropies(tv));
+        let mut input = AssignInput::new(instance, &scorer).with_threads(threads);
+        if let Some(e) = &entropies {
+            input = input.with_entropy(e);
+        }
 
         let t = Instant::now();
         let influences = score_pairs(&input, &matrix);
         perf.score_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        let (assignment, solve) = run_scored_with_stats(kind, &input, &matrix, &influences);
+        let (assignment, solve) = run_scored(kind, &input, &matrix, &influences);
         perf.solve_ms = t.elapsed().as_secs_f64() * 1e3;
         perf.solve_passes = solve.passes;
         perf.solve_augmentations = solve.augmentations;
 
         (assignment, perf)
-    }
-
-    /// Runs an ablation variant of IA on an instance. Scoring
-    /// parallelism as in [`DitaPipeline::assign`].
-    pub fn assign_variant(&self, instance: &Instance, variant: InfluenceVariant) -> Assignment {
-        let scorer = self.scorer_variant(variant);
-        let (threads, matrix) = self.prepare(&scorer, instance);
-        let input = AssignInput::new(instance, &scorer).with_threads(threads);
-        run_with_matrix(AlgorithmKind::Ia, &input, &matrix)
-    }
-
-    /// Runs several algorithms on one instance reusing the eligibility
-    /// matrix and the per-task influence caches; returns assignments in
-    /// the order of `kinds`. Scoring parallelism as in
-    /// [`DitaPipeline::assign`] — the shared matrix and warm cache are
-    /// built once over the budget, then each algorithm's solve runs
-    /// sequentially on them.
-    pub fn assign_many(
-        &self,
-        instance: &Instance,
-        task_venues: Option<&[VenueId]>,
-        kinds: &[AlgorithmKind],
-    ) -> Vec<Assignment> {
-        let scorer = self.scorer();
-        let (threads, matrix) = self.prepare(&scorer, instance);
-        let entropies = task_venues.map(|tv| self.model.task_entropies(tv));
-        kinds
-            .iter()
-            .map(|&kind| {
-                let mut input = AssignInput::new(instance, &scorer).with_threads(threads);
-                if let Some(e) = &entropies {
-                    input = input.with_entropy(e);
-                }
-                run_with_matrix(kind, &input, &matrix)
-            })
-            .collect()
     }
 
     /// Average Propagation (paper Eq. 7) of an assignment:
@@ -501,7 +417,7 @@ mod tests {
     fn assign_produces_valid_assignment() {
         let p = tiny_pipeline();
         let inst = instance();
-        let a = p.assign(&inst, AlgorithmKind::Ia);
+        let (a, _) = p.assign(&inst, None, AlgorithmKind::Ia);
         assert_eq!(a.len(), 3, "all tasks reachable with r=25");
         for pair in a.pairs() {
             assert!(pair.influence >= 0.0);
@@ -509,27 +425,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn assign_many_matches_individual_runs() {
-        let p = tiny_pipeline();
-        let inst = instance();
-        let kinds = [AlgorithmKind::Mta, AlgorithmKind::Ia, AlgorithmKind::Mi];
-        let many = p.assign_many(&inst, None, &kinds);
-        for (kind, got) in kinds.iter().zip(many.iter()) {
-            let solo = p.assign(&inst, *kind);
-            assert_eq!(got.len(), solo.len(), "{kind}");
-            assert!((got.total_influence() - solo.total_influence()).abs() < 1e-9);
-        }
+    /// IA under an ablation variant, as the sweep harness runs it.
+    fn ia_under(p: &DitaPipeline, inst: &Instance, variant: InfluenceVariant) -> Assignment {
+        let scorer = p.scorer_variant(variant);
+        let matrix = EligibilityMatrix::build(inst);
+        let input = AssignInput::new(inst, &scorer);
+        let influences = score_pairs(&input, &matrix);
+        run_scored(AlgorithmKind::Ia, &input, &matrix, &influences).0
     }
 
     #[test]
     fn variants_run_and_differ_from_full() {
         let p = tiny_pipeline();
         let inst = instance();
-        let full = p.assign_variant(&inst, InfluenceVariant::Full);
+        let full = ia_under(&p, &inst, InfluenceVariant::Full);
         assert_eq!(full.len(), 3);
         for v in InfluenceVariant::ALL {
-            let a = p.assign_variant(&inst, v);
+            let a = ia_under(&p, &inst, v);
             assert_eq!(a.len(), 3, "{}", v.label());
         }
     }
@@ -538,7 +450,7 @@ mod tests {
     fn average_propagation_is_mean_of_worker_totals() {
         let p = tiny_pipeline();
         let inst = instance();
-        let a = p.assign(&inst, AlgorithmKind::Ia);
+        let (a, _) = p.assign(&inst, None, AlgorithmKind::Ia);
         let ap = p.average_propagation(&a);
         let manual: f64 = a
             .pairs()
@@ -577,7 +489,7 @@ mod tests {
             })
             .build(&social, &store)
             .unwrap();
-        let a = p.assign(&instance(), AlgorithmKind::Ia);
+        let (a, _) = p.assign(&instance(), None, AlgorithmKind::Ia);
         assert_eq!(a.len(), 3);
         assert!(a.pairs().iter().all(|pair| pair.influence >= 0.0));
     }
@@ -592,11 +504,11 @@ mod tests {
             sc_types::VenueId::new(20),
         ];
         // Fill the cache once, so every round below starts warm.
-        p.assign_round(&inst, &venues, AlgorithmKind::Ia);
+        p.assign(&inst, Some(&venues), AlgorithmKind::Ia);
         for kind in [AlgorithmKind::Ia, AlgorithmKind::Eia, AlgorithmKind::Mta] {
-            let (warm, warm_perf) = p.assign_round(&inst, &venues, kind);
+            let (warm, warm_perf) = p.assign(&inst, Some(&venues), kind);
             p.scorer_cache().clear();
-            let (cold, cold_perf) = p.assign_round(&inst, &venues, kind);
+            let (cold, cold_perf) = p.assign(&inst, Some(&venues), kind);
             assert_eq!(warm, cold, "{kind}: warm cache != cold cache");
             assert_eq!(warm.len(), 3);
             // Telemetry counters are deterministic facts of the round.
@@ -610,13 +522,13 @@ mod tests {
     #[test]
     fn cloned_pipeline_starts_with_empty_cache() {
         let p = tiny_pipeline();
-        p.assign(&instance(), AlgorithmKind::Ia);
+        p.assign(&instance(), None, AlgorithmKind::Ia);
         assert!(!p.scorer_cache().is_empty());
         let q = p.clone();
         assert!(q.scorer_cache().is_empty());
         assert_eq!(
-            q.assign(&instance(), AlgorithmKind::Ia),
-            p.assign(&instance(), AlgorithmKind::Ia)
+            q.assign(&instance(), None, AlgorithmKind::Ia).0,
+            p.assign(&instance(), None, AlgorithmKind::Ia).0
         );
     }
 
@@ -629,7 +541,7 @@ mod tests {
             sc_types::VenueId::new(10),
             sc_types::VenueId::new(20),
         ];
-        let a = p.assign_with_venues(&inst, &venues, AlgorithmKind::Eia);
+        let (a, _) = p.assign(&inst, Some(&venues), AlgorithmKind::Eia);
         assert_eq!(a.len(), 3);
     }
 }

@@ -9,14 +9,12 @@
 //! population willingness vector — are cached on first use, because every
 //! algorithm queries many workers against the same task.
 //!
-//! The cache is an owned [`ScorerCache`] the scorer either creates for
-//! itself ([`InfluenceScorer::new`]) or borrows from a long-lived holder
-//! ([`InfluenceScorer::shared`] — [`crate::DitaPipeline`] keeps one
-//! across rounds). Extracting it from the scorer's lifetime-borrowed
-//! internals is what lets entries survive between rounds: the scorer
-//! borrows the model only for the duration of one scoring pass, while
-//! the cache outlives both the scorer *and* any pool maintenance that
-//! mutably borrows the model in between.
+//! The cache is a [`ScorerCache`] the scorer borrows
+//! ([`InfluenceScorer::new`]); [`crate::DitaPipeline`] keeps one across
+//! rounds. Keeping it outside the scorer is what lets entries survive
+//! between rounds: the scorer borrows the model only for the duration
+//! of one scoring pass, while the cache outlives both the scorer *and*
+//! any pool maintenance that mutably borrows the model in between.
 //!
 //! Entries are keyed by **task content** (exact location bits plus a
 //! digest of the category list), not task id: recurring venues re-hit
@@ -36,7 +34,7 @@
 //!
 //! The map sits behind a reader-writer lock so the sharded scoring
 //! pass (`sc-assign`'s parallel pair scan) reads it concurrently;
-//! [`InfluenceScorer::warm_tasks`] fills it up front over the thread
+//! [`InfluenceScorer::warm_eligible`] fills it up front over the thread
 //! budget — per-task work items evaluated in parallel, merged in index
 //! order — after which every `score` call is a pure shared read. Cache
 //! entries derive deterministically from task content, so lazy, warmed,
@@ -137,22 +135,20 @@ fn task_key(task: &Task) -> TaskKey {
     }
 }
 
-/// Outcome of one cache-warming pass ([`InfluenceScorer::warm_tasks`] /
-/// [`InfluenceScorer::warm_eligible`]), counted over **distinct content
-/// keys** in the warmed batch. Computed in the sequential todo filter
-/// before any parallel work fans out, so the counts are identical at
-/// any thread count — [`sc_sim`-level] round reports can carry them
-/// without weakening the determinism contract.
+/// Outcome of one cache-warming pass
+/// ([`InfluenceScorer::warm_eligible`]), counted over **distinct
+/// content keys** in the warmed batch. Computed in the sequential todo
+/// filter before any parallel work fans out, so the counts are
+/// identical at any thread count — [`sc_sim`-level] round reports can
+/// carry them without weakening the determinism contract.
 ///
-/// [`sc_sim`-level]: crate::DitaPipeline::assign_round
+/// [`sc_sim`-level]: crate::DitaPipeline::assign
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStats {
     /// Distinct content keys that were already resident.
     pub hits: usize,
     /// Distinct content keys this pass had to compute.
     pub misses: usize,
-    /// Entries resident after the pass.
-    pub entries: usize,
 }
 
 /// An owned, shareable store of per-task scoring quantities — the
@@ -163,7 +159,7 @@ pub struct WarmStats {
 /// Interior-mutable behind a reader-writer lock: concurrent scorers
 /// share reads; misses compute outside any lock and first insert wins
 /// (both compute identical bytes). The cache records the population it
-/// was filled for. When [`InfluenceScorer::shared`] binds it to a model
+/// was filled for. When [`InfluenceScorer::new`] binds it to a model
 /// that has since grown (worker fold-in), each resident entry's
 /// willingness vector is extended with the new workers' values; a
 /// population that shrank clears it. Rotation and eviction leave
@@ -246,23 +242,6 @@ impl fmt::Debug for ScorerCache {
     }
 }
 
-/// How a scorer holds its cache: owned (fresh per scorer — the batch
-/// one-shot paths) or borrowed from a long-lived holder (the pipeline's
-/// persistent cache).
-enum CacheRef<'a> {
-    Owned(ScorerCache),
-    Shared(&'a ScorerCache),
-}
-
-impl CacheRef<'_> {
-    fn get(&self) -> &ScorerCache {
-        match self {
-            CacheRef::Owned(c) => c,
-            CacheRef::Shared(c) => c,
-        }
-    }
-}
-
 /// A factor-by-factor breakdown of one worker-task influence value —
 /// useful for debugging assignments and for explaining to a task issuer
 /// *why* a worker was chosen.
@@ -286,42 +265,18 @@ pub struct InfluenceBreakdown {
 pub struct InfluenceScorer<'a> {
     model: &'a InfluenceModel,
     variant: InfluenceVariant,
-    cache: CacheRef<'a>,
+    cache: &'a ScorerCache,
 }
 
 impl<'a> InfluenceScorer<'a> {
-    /// Creates a scorer for the full influence product with a fresh
-    /// private cache (the batch one-shot construction).
-    pub fn new(model: &'a InfluenceModel) -> Self {
-        Self::with_variant(model, InfluenceVariant::Full)
-    }
-
-    /// Creates a scorer for an ablation variant with a fresh private
-    /// cache.
-    pub fn with_variant(model: &'a InfluenceModel, variant: InfluenceVariant) -> Self {
-        let cache = ScorerCache::new();
-        cache.sync_population(model);
-        InfluenceScorer {
-            model,
-            variant,
-            cache: CacheRef::Owned(cache),
-        }
-    }
-
-    /// Creates a scorer borrowing a long-lived [`ScorerCache`] — entries
-    /// computed by this scorer survive it and are re-hit by the next one
-    /// bound to the same cache. If the model's population has grown
-    /// since the cache was filled (worker fold-in), the resident
-    /// entries are extended to it here (see [`ScorerCache`] for the
-    /// one-model assumption). Entries are variant-independent (they
-    /// hold the raw per-task quantities, not scores), so one cache
-    /// serves every ablation variant.
-    pub fn shared(model: &'a InfluenceModel, cache: &'a ScorerCache) -> Self {
-        Self::shared_variant(model, cache, InfluenceVariant::Full)
-    }
-
-    /// [`InfluenceScorer::shared`] for an ablation variant.
-    pub fn shared_variant(
+    /// Creates a scorer for `variant` over `cache`. Entries this scorer
+    /// computes survive it and are re-hit by the next scorer bound to
+    /// the same cache. If the model's population has grown since the
+    /// cache was filled (worker fold-in), the resident entries are
+    /// extended to it here (see [`ScorerCache`] for the one-model
+    /// assumption). Entries hold the raw per-task quantities, not
+    /// scores, so one cache serves every ablation variant.
+    pub fn new(
         model: &'a InfluenceModel,
         cache: &'a ScorerCache,
         variant: InfluenceVariant,
@@ -330,7 +285,7 @@ impl<'a> InfluenceScorer<'a> {
         InfluenceScorer {
             model,
             variant,
-            cache: CacheRef::Shared(cache),
+            cache,
         }
     }
 
@@ -360,12 +315,12 @@ impl<'a> InfluenceScorer<'a> {
     /// warmed or computed lazily, at any thread count. The returned
     /// hit/miss counts come from the sequential todo filter, so they
     /// are thread-count-independent too.
-    pub fn warm_tasks(&self, tasks: &[&Task], threads: usize) -> WarmStats {
+    fn warm_tasks(&self, tasks: &[&Task], threads: usize) -> WarmStats {
         let mut stats = WarmStats::default();
         let mut seen = std::collections::HashSet::new();
         let mut todo: Vec<(&Task, TaskKey)> = Vec::new();
         {
-            let inner = self.cache.get().inner.read();
+            let inner = self.cache.inner.read();
             for &task in tasks {
                 let key = task_key(task);
                 if !seen.insert(key) {
@@ -380,25 +335,23 @@ impl<'a> InfluenceScorer<'a> {
         }
         stats.misses = todo.len();
         if todo.is_empty() {
-            stats.entries = self.cache.get().len();
             return stats;
         }
         let entries = sc_stats::par::map_chunked(todo.len(), threads.max(1), |i| {
             self.compute_task_entry(todo[i].0)
         });
-        let mut inner = self.cache.get().inner.write();
+        let mut inner = self.cache.inner.write();
         for (&(_, key), entry) in todo.iter().zip(entries) {
             inner.map.entry(key).or_insert(entry);
         }
-        stats.entries = inner.map.len();
         stats
     }
 
     /// Warms the cache for every task of `instance` that has at least
     /// one eligible pair in `matrix` (tasks nobody can reach are never
     /// scored, so warming them would be wasted fold-in work). The one
-    /// eligibility-driven warming rule, shared by [`crate::DitaPipeline`]'s
-    /// assign paths and the sweep harness.
+    /// eligibility-driven warming rule, shared by
+    /// [`crate::DitaPipeline::assign`] and the sweep harness.
     pub fn warm_eligible(
         &self,
         instance: &Instance,
@@ -424,7 +377,7 @@ impl<'a> InfluenceScorer<'a> {
         {
             // Warm path: a shared read — concurrent scorers (the
             // sharded pair scan) never serialize on the lock.
-            let inner = self.cache.get().inner.read();
+            let inner = self.cache.inner.read();
             if let Some(entry) = inner.map.get(&key) {
                 return f(entry);
             }
@@ -433,7 +386,7 @@ impl<'a> InfluenceScorer<'a> {
         // the same content; both compute identical bytes and the first
         // insert wins), then publish.
         let computed = self.compute_task_entry(task);
-        let mut inner = self.cache.get().inner.write();
+        let mut inner = self.cache.inner.write();
         let entry = inner.map.entry(key).or_insert(computed);
         f(entry)
     }
@@ -567,7 +520,8 @@ mod tests {
     fn full_influence_is_nonnegative_and_finite() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let scorer = InfluenceScorer::new(&model);
+        let cache = ScorerCache::new();
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         for w in 0..6 {
             let v = scorer.score(WorkerId::new(w), &task_a());
             assert!(v.is_finite() && v >= 0.0, "worker {w}: {v}");
@@ -578,7 +532,8 @@ mod tests {
     fn full_score_is_product_of_factors() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let scorer = InfluenceScorer::new(&model);
+        let cache = ScorerCache::new();
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         let task = task_a();
         let w = WorkerId::new(1);
         let theta = model.task_topics(&task);
@@ -601,15 +556,16 @@ mod tests {
         let mut wil = Vec::new();
         model.willingness_all(&task.location, &mut wil);
 
-        let wp = InfluenceScorer::with_variant(&model, InfluenceVariant::NoAffinity);
+        let cache = ScorerCache::new();
+        let wp = InfluenceScorer::new(&model, &cache, InfluenceVariant::NoAffinity);
         assert!(
             (wp.score(w, &task) - model.pool().weighted_propagation(w.raw(), &wil)).abs() < 1e-12
         );
 
-        let ap = InfluenceScorer::with_variant(&model, InfluenceVariant::NoWillingness);
+        let ap = InfluenceScorer::new(&model, &cache, InfluenceVariant::NoWillingness);
         assert!((ap.score(w, &task) - aff * model.total_propagation(w)).abs() < 1e-12);
 
-        let aw = InfluenceScorer::with_variant(&model, InfluenceVariant::NoPropagation);
+        let aw = InfluenceScorer::new(&model, &cache, InfluenceVariant::NoPropagation);
         assert!((aw.score(w, &task) - aff * wil[w.index()]).abs() < 1e-12);
     }
 
@@ -617,7 +573,8 @@ mod tests {
     fn local_affine_worker_outranks_remote_on_full_model() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let scorer = InfluenceScorer::new(&model);
+        let cache = ScorerCache::new();
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         // Worker 0 lives at x≈0 doing category 0; worker 5 lives at x≈10
         // doing category 20. Task A (cat 0, x=0.5) should favour worker 0
         // decisively.
@@ -630,7 +587,8 @@ mod tests {
     fn cache_returns_identical_values() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let scorer = InfluenceScorer::new(&model);
+        let cache = ScorerCache::new();
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         let a = scorer.score(WorkerId::new(2), &task_a());
         let b = scorer.score(WorkerId::new(2), &task_a());
         assert_eq!(a, b);
@@ -640,7 +598,8 @@ mod tests {
     fn oracle_trait_dispatch() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let scorer = InfluenceScorer::new(&model);
+        let cache = ScorerCache::new();
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         let oracle: &dyn InfluenceOracle = &scorer;
         assert_eq!(
             oracle.influence(WorkerId::new(1), &task_a()),
@@ -652,7 +611,8 @@ mod tests {
     fn unknown_worker_scores_zero() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let scorer = InfluenceScorer::new(&model);
+        let cache = ScorerCache::new();
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         assert_eq!(scorer.score(WorkerId::new(100), &task_a()), 0.0);
     }
 
@@ -660,7 +620,8 @@ mod tests {
     fn explain_is_consistent_with_score() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let scorer = InfluenceScorer::new(&model);
+        let cache = ScorerCache::new();
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         let task = task_a();
         for w in 0..6 {
             let worker = WorkerId::new(w);
@@ -678,8 +639,9 @@ mod tests {
     fn explain_reports_full_model_under_any_variant() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let full = InfluenceScorer::new(&model);
-        let wp = InfluenceScorer::with_variant(&model, InfluenceVariant::NoAffinity);
+        let (full_cache, wp_cache) = (ScorerCache::new(), ScorerCache::new());
+        let full = InfluenceScorer::new(&model, &full_cache, InfluenceVariant::Full);
+        let wp = InfluenceScorer::new(&model, &wp_cache, InfluenceVariant::NoAffinity);
         let task = task_a();
         let a = full.explain(WorkerId::new(1), &task);
         let b = wp.explain(WorkerId::new(1), &task);
@@ -690,7 +652,8 @@ mod tests {
     fn explain_out_of_range_worker_is_zeroed() {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
-        let scorer = InfluenceScorer::new(&model);
+        let cache = ScorerCache::new();
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         let b = scorer.explain(WorkerId::new(99), &task_a());
         assert_eq!(b.score, 0.0);
         assert_eq!(b.total_propagation, 0.0);
@@ -703,22 +666,24 @@ mod tests {
         let cache = ScorerCache::new();
 
         let first = {
-            let scorer = InfluenceScorer::shared(&model, &cache);
+            let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
             let stats = scorer.warm_tasks(&[&task_a()], 1);
-            assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+            assert_eq!((stats.hits, stats.misses, cache.len()), (0, 1, 1));
             scorer.score(WorkerId::new(1), &task_a())
         };
         // A *different* posting (fresh id, same venue content) re-hits
         // the surviving entry through a brand-new scorer.
         let mut same_venue = task_a();
         same_venue.id = TaskId::new(77);
-        let scorer = InfluenceScorer::shared(&model, &cache);
+        let scorer = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         let stats = scorer.warm_tasks(&[&same_venue], 1);
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 0, 1));
+        assert_eq!((stats.hits, stats.misses, cache.len()), (1, 0, 1));
         assert_eq!(scorer.score(WorkerId::new(1), &same_venue), first);
 
-        // Shared-cache values match the private-cache path bit for bit.
-        let fresh = InfluenceScorer::new(&model);
+        // Values through the surviving entry match a fresh cache's bit
+        // for bit.
+        let fresh_cache = ScorerCache::new();
+        let fresh = InfluenceScorer::new(&model, &fresh_cache, InfluenceVariant::Full);
         assert_eq!(fresh.score(WorkerId::new(1), &task_a()), first);
     }
 
@@ -727,7 +692,8 @@ mod tests {
         let (social, store) = world();
         let mut model = InfluenceModel::train(&config(), &social, &store);
         let cache = ScorerCache::new();
-        InfluenceScorer::shared(&model, &cache).score(WorkerId::new(0), &task_a());
+        InfluenceScorer::new(&model, &cache, InfluenceVariant::Full)
+            .score(WorkerId::new(0), &task_a());
         assert_eq!(cache.len(), 1);
 
         // A real fold-in: a category-0 regular near task A, befriending
@@ -745,9 +711,10 @@ mod tests {
         assert_eq!(late, WorkerId::new(6));
 
         // Re-binding extends the resident entry instead of dropping it.
-        let shared = InfluenceScorer::shared(&model, &cache);
+        let shared = InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         assert_eq!(cache.len(), 1, "fold-in must not clear the cache");
-        let fresh = InfluenceScorer::new(&model);
+        let fresh_cache = ScorerCache::new();
+        let fresh = InfluenceScorer::new(&model, &fresh_cache, InfluenceVariant::Full);
         for w in [WorkerId::new(1), late] {
             let (a, b) = (shared.explain(w, &task_a()), fresh.explain(w, &task_a()));
             assert_eq!(a.score.to_bits(), b.score.to_bits(), "worker {w:?}");
@@ -759,7 +726,7 @@ mod tests {
         }
         assert!(shared.explain(late, &task_a()).own_willingness > 0.0);
         let stats = shared.warm_tasks(&[&task_a()], 1);
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 0, 1));
+        assert_eq!((stats.hits, stats.misses, cache.len()), (1, 0, 1));
     }
 
     #[test]
@@ -775,7 +742,7 @@ mod tests {
                 willingness: vec![0.0; model.n_workers() + 1],
             },
         );
-        InfluenceScorer::shared(&model, &cache);
+        InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         assert!(cache.is_empty(), "too-long vectors must be dropped");
     }
 

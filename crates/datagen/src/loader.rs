@@ -356,9 +356,9 @@ mod tests {
             .build(&loaded.social, &loaded.histories)
             .unwrap();
         let day = loaded.instance_for_day(0, 40, 30, InstanceOptions::default());
-        let a = pipeline.assign_with_venues(
+        let (a, _) = pipeline.assign(
             &day.instance,
-            &day.task_venues,
+            Some(&day.task_venues),
             sc_assign::AlgorithmKind::Ia,
         );
         assert!(!a.is_empty());

@@ -692,6 +692,48 @@ mod tests {
     }
 
     #[test]
+    fn empty_network_solves_to_zero() {
+        // The network of an instance with no workers and no tasks.
+        let (g, r) = solve_verified(MinCostMaxFlow::new(0, 0));
+        assert_eq!(r.flow, 0);
+        assert_eq!(r.cost, 0.0);
+        assert_eq!(g.n_edges(), 0);
+        assert!(g.matched_edges().is_empty());
+    }
+
+    /// The full 2 × 2 square, edges in row order: (w0,t0), (w0,t1),
+    /// (w1,t0), (w1,t1).
+    fn square(costs: [f64; 4]) -> MinCostMaxFlow {
+        let mut g = MinCostMaxFlow::new(2, 2);
+        for (id, cost) in costs.into_iter().enumerate() {
+            g.add_edge(id / 2, id % 2, cost);
+        }
+        g
+    }
+
+    #[test]
+    fn costs_steer_the_matching() {
+        // Both perfect matchings have full cardinality; the cheap
+        // off-diagonal edges make the crossed one optimal.
+        let (g, r) = solve_verified(square([1.0, 0.1, 0.1, 1.0]));
+        assert_eq!(r.flow, 2);
+        assert_eq!(g.matched_edges(), vec![1, 2]);
+        assert!((r.cost - 0.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn jittered_plateau_returns_the_cheapest_matching() {
+        // All edges tied at cost 1.0 plus a jitter-like offset. Both
+        // perfect matchings cost 2 + 5e-7 in exact arithmetic; in `f64`
+        // the diagonal one, (w0,t0) + (w1,t1), sums lower, and it is
+        // the one the solve must return.
+        let costs = [1.0 + 3e-7, 1.0 + 1e-7, 1.0 + 4e-7, 1.0 + 2e-7];
+        let (g, r) = solve_verified(square(costs));
+        assert_eq!(g.matched_edges(), vec![0, 3]);
+        assert_eq!(r.cost, costs[0] + costs[3]);
+    }
+
+    #[test]
     fn zero_cost_network_is_pure_maxflow() {
         // All costs 0: the solve is a plain maximum matching, so its
         // flow must equal Hopcroft–Karp's cardinality. Task 0 is wanted

@@ -32,7 +32,10 @@ impl LocationEntropy {
         let per_venue = visits
             .into_iter()
             .map(|(venue, by_worker)| {
-                let counts: Vec<u32> = by_worker.values().copied().collect();
+                // Sorted, so the float sum runs in one order whatever
+                // order the hash map yields the counts in.
+                let mut counts: Vec<u32> = by_worker.values().copied().collect();
+                counts.sort_unstable();
                 (venue, entropy_from_counts(&counts))
             })
             .collect();
@@ -136,6 +139,24 @@ mod tests {
         assert_eq!(le.entropy_of(VenueId::new(99)), 0.0);
         assert_eq!(le.n_venues(), 0);
         assert_eq!(le.max_entropy(), 0.0);
+    }
+
+    #[test]
+    fn entropy_bits_do_not_depend_on_hash_order() {
+        // Forty visitors with distinct visit counts: every table built
+        // from the store holds the same bits, whatever order its hash
+        // map yields the counts in.
+        let mut store = HistoryStore::with_workers(40);
+        for w in 0..40u32 {
+            for t in 0..=w {
+                push(&mut store, w, 0, i64::from(w * 100 + t));
+            }
+        }
+        let first = LocationEntropy::from_history(&store).entropy_of(VenueId::new(0));
+        for _ in 0..16 {
+            let again = LocationEntropy::from_history(&store).entropy_of(VenueId::new(0));
+            assert_eq!(again.to_bits(), first.to_bits());
+        }
     }
 
     #[test]

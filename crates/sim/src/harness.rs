@@ -3,7 +3,7 @@
 
 use crate::metrics::{MetricsAccumulator, MetricsRow};
 use crate::sweep::{SweepAxis, SweepValues};
-use sc_assign::{run_with_matrix, AlgorithmKind, AssignInput, EligibilityMatrix};
+use sc_assign::{run_scored, score_pairs, AlgorithmKind, AssignInput, EligibilityMatrix};
 use sc_core::{
     DitaBuilder, DitaConfig, DitaPipeline, InfluenceScorer, InfluenceVariant, Parallelism,
 };
@@ -144,13 +144,18 @@ impl ExperimentRunner {
             );
             let matrix = EligibilityMatrix::build(&day_inst.instance);
             let scorer = self.pipeline.scorer();
-            warm_influence_cache(&scorer, &day_inst.instance, &matrix);
+            // Fill the per-task cache up front so each timing measures
+            // the assignment step, not the shared influence-model
+            // evaluation. One thread: sweep points already run in
+            // parallel on the outer scheduler.
+            scorer.warm_eligible(&day_inst.instance, &matrix, 1);
             let entropies = self.pipeline.model().task_entropies(&day_inst.task_venues);
 
             for (ai_idx, &kind) in algorithms.iter().enumerate() {
                 let input = AssignInput::new(&day_inst.instance, &scorer).with_entropy(&entropies);
                 let start = Instant::now();
-                let assignment = run_with_matrix(kind, &input, &matrix);
+                let influences = score_pairs(&input, &matrix);
+                let (assignment, _) = run_scored(kind, &input, &matrix, &influences);
                 let cpu_ms = start.elapsed().as_secs_f64() * 1e3;
                 self.record(&mut accs[ai_idx], cpu_ms, &assignment);
             }
@@ -197,7 +202,8 @@ impl ExperimentRunner {
             for (vi, &variant) in InfluenceVariant::ALL.iter().enumerate() {
                 let scorer = self.pipeline.scorer_variant(variant);
                 let input = AssignInput::new(&day_inst.instance, &scorer);
-                let assignment = run_with_matrix(AlgorithmKind::Ia, &input, &matrix);
+                let influences = score_pairs(&input, &matrix);
+                let (assignment, _) = run_scored(AlgorithmKind::Ia, &input, &matrix, &influences);
                 sums[vi] += self.full_ai(&assignment, &day_inst.instance, &full_scorer);
             }
         }
@@ -242,19 +248,6 @@ impl ExperimentRunner {
             .sum();
         total / assignment.len() as f64
     }
-}
-
-/// Fills the scorer's per-task cache up front so that per-algorithm
-/// timings measure the assignment step, not the shared influence-model
-/// evaluation. Runs on one thread: sweep points are already evaluated
-/// in parallel on the outer chunked scheduler, so sharding inside a
-/// point would oversubscribe the budget.
-fn warm_influence_cache(
-    scorer: &InfluenceScorer<'_>,
-    instance: &sc_types::Instance,
-    matrix: &EligibilityMatrix,
-) {
-    scorer.warm_eligible(instance, matrix, 1);
 }
 
 #[cfg(test)]
@@ -479,6 +472,65 @@ mod tests {
                 assert_eq!(ra.travel_km, rb.travel_km);
             }
         }
+    }
+
+    /// FNV-1a, fed in pieces.
+    struct Fnv1a(u64);
+
+    impl Fnv1a {
+        fn new() -> Self {
+            Fnv1a(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn eat(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn eat_f64(&mut self, v: f64) {
+            self.eat(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    /// The figure values themselves, not only their orderings: every
+    /// comparison row over two sweep points (all fields but `cpu_ms`,
+    /// `f64`s as bits) and every ablation `(label, ai)` pair hash to
+    /// recorded fingerprints. A moved figure value fails here by name.
+    #[test]
+    fn figure_values_match_the_recorded_fingerprints() {
+        let runner = tiny_runner();
+        let defaults = SweepValues {
+            n_tasks: 30,
+            n_workers: 40,
+            options: Default::default(),
+        };
+        let mut comparison = Fnv1a::new();
+        for point in runner.run_comparison(&SweepAxis::Tasks(vec![20, 40]), &defaults) {
+            comparison.eat_f64(point.x);
+            for row in &point.rows {
+                comparison.eat(row.algorithm.as_bytes());
+                for v in [row.assigned, row.ai, row.ap, row.travel_km] {
+                    comparison.eat_f64(v);
+                }
+            }
+        }
+        let mut ablation = Fnv1a::new();
+        for point in runner.run_ablation(&SweepAxis::Workers(vec![30, 60]), &defaults) {
+            ablation.eat_f64(point.x);
+            for (label, ai) in &point.ai {
+                ablation.eat(label.as_bytes());
+                ablation.eat_f64(*ai);
+            }
+        }
+        assert_eq!(
+            comparison.0, 0xaa64_c30e_af89_7802,
+            "comparison figure values moved"
+        );
+        assert_eq!(
+            ablation.0, 0x7031_d71a_d0c6_9dca,
+            "ablation figure values moved"
+        );
     }
 
     #[test]

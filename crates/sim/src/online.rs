@@ -269,10 +269,11 @@ impl serde::Deserialize for RoundReport {
 /// Totals of an engine's lifetime, with the conservation invariant
 /// `published == assigned + expired + still_open`.
 ///
-/// Equality ignores the wall-clock field (`maintenance_ms`), mirroring
-/// [`RoundReport`], so summaries of two runs of the same arrival
-/// script compare equal across thread counts.
-#[derive(Debug, Clone)]
+/// Every field is a pure function of the event stream, so summaries of
+/// two runs of the same arrival script compare equal across thread
+/// counts, and the wire form (`GET /report`) is every field in
+/// declaration order.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OnlineSummary {
     /// Rounds executed.
     pub rounds: u64,
@@ -290,62 +291,6 @@ pub struct OnlineSummary {
     pub sets_added: usize,
     /// Total stale sets evicted by maintenance.
     pub sets_evicted: usize,
-    /// Total pool-maintenance wall time, milliseconds.
-    pub maintenance_ms: f64,
-}
-
-impl PartialEq for OnlineSummary {
-    fn eq(&self, other: &Self) -> bool {
-        self.rounds == other.rounds
-            && self.published == other.published
-            && self.assigned == other.assigned
-            && self.expired == other.expired
-            && self.still_open == other.still_open
-            && self.average_influence == other.average_influence
-            && self.sets_added == other.sets_added
-            && self.sets_evicted == other.sets_evicted
-        // maintenance_ms is a run condition, not a result.
-    }
-}
-
-/// Like [`RoundReport`], the wire form of a summary carries only the
-/// deterministic fields; `maintenance_ms` never reaches the wire and
-/// parses back as zero.
-impl serde::Serialize for OnlineSummary {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("rounds".to_string(), self.rounds.to_value()),
-            ("published".to_string(), self.published.to_value()),
-            ("assigned".to_string(), self.assigned.to_value()),
-            ("expired".to_string(), self.expired.to_value()),
-            ("still_open".to_string(), self.still_open.to_value()),
-            (
-                "average_influence".to_string(),
-                self.average_influence.to_value(),
-            ),
-            ("sets_added".to_string(), self.sets_added.to_value()),
-            ("sets_evicted".to_string(), self.sets_evicted.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for OnlineSummary {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::expected("summary object", value))?;
-        Ok(OnlineSummary {
-            rounds: serde::get_field(obj, "rounds")?,
-            published: serde::get_field(obj, "published")?,
-            assigned: serde::get_field(obj, "assigned")?,
-            expired: serde::get_field(obj, "expired")?,
-            still_open: serde::get_field(obj, "still_open")?,
-            average_influence: serde::get_field(obj, "average_influence")?,
-            sets_added: serde::get_field(obj, "sets_added")?,
-            sets_evicted: serde::get_field(obj, "sets_evicted")?,
-            maintenance_ms: 0.0,
-        })
-    }
 }
 
 impl OnlineSummary {
@@ -559,7 +504,6 @@ pub struct OnlineEngine<'a> {
     influence_sum: f64,
     sets_added_total: usize,
     sets_evicted_total: usize,
-    maintenance_ms_total: f64,
 }
 
 impl<'a> OnlineEngine<'a> {
@@ -603,7 +547,6 @@ impl<'a> OnlineEngine<'a> {
             influence_sum: 0.0,
             sets_added_total: 0,
             sets_evicted_total: 0,
-            maintenance_ms_total: 0.0,
         }
     }
 
@@ -811,7 +754,7 @@ impl<'a> OnlineEngine<'a> {
         if !self.config.incremental {
             pipeline.scorer_cache().clear();
         }
-        let (assignment, perf) = pipeline.assign_round(&instance, &venues, algorithm);
+        let (assignment, perf) = pipeline.assign(&instance, Some(&venues), algorithm);
 
         let assigned = assignment.len();
         let ai = assignment.average_influence();
@@ -900,7 +843,6 @@ impl<'a> OnlineEngine<'a> {
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         self.sets_evicted_total += evicted;
         self.sets_added_total += added;
-        self.maintenance_ms_total += ms;
         (evicted, added, ms)
     }
 
@@ -991,7 +933,6 @@ impl<'a> OnlineEngine<'a> {
             },
             sets_added: self.sets_added_total,
             sets_evicted: self.sets_evicted_total,
-            maintenance_ms: self.maintenance_ms_total,
         }
     }
 }
@@ -1007,6 +948,11 @@ impl<'a> OnlineEngine<'a> {
 /// `online_index` is rebuilt from the worker list. A restored engine therefore emits the same
 /// [`RoundReport`] stream as the uninterrupted original, at any thread
 /// count — `crates/sim/tests/snapshot_roundtrip.rs` pins it.
+///
+/// Nothing measured by a clock is serialized, so a snapshot is a pure
+/// function of the event stream: two runs of one stream write the same
+/// bytes. Keys an older snapshot carries and this build does not read
+/// (`maintenance_ms_total`) are ignored on restore.
 impl serde::Serialize for OnlineEngine<'_> {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -1036,10 +982,6 @@ impl serde::Serialize for OnlineEngine<'_> {
             (
                 "sets_evicted_total".to_string(),
                 self.sets_evicted_total.to_value(),
-            ),
-            (
-                "maintenance_ms_total".to_string(),
-                self.maintenance_ms_total.to_value(),
             ),
             ("pipeline".to_string(), self.pipeline.get().to_value()),
             ("network".to_string(), self.net.get().to_value()),
@@ -1076,7 +1018,6 @@ impl serde::Deserialize for OnlineEngine<'static> {
             influence_sum: serde::get_field(obj, "influence_sum")?,
             sets_added_total: serde::get_field(obj, "sets_added_total")?,
             sets_evicted_total: serde::get_field(obj, "sets_evicted_total")?,
-            maintenance_ms_total: serde::get_field(obj, "maintenance_ms_total")?,
         })
     }
 }

@@ -16,7 +16,10 @@
 //! warm cache actually engaged and the cold one never did, and that
 //! every round built its eligibility matrix from scratch.
 
-use sc_core::{DitaBuilder, DitaConfig, DitaPipeline, InfluenceScorer, OnlineConfig, Parallelism};
+use sc_core::{
+    DitaBuilder, DitaConfig, DitaPipeline, InfluenceScorer, InfluenceVariant, OnlineConfig,
+    Parallelism, ScorerCache,
+};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
 use sc_sim::{
@@ -120,7 +123,9 @@ fn run_script(
     // holds exactly what a fresh scorer computes: every worker, the late
     // one included, against every task posted during the day.
     let pipeline = engine.pipeline();
-    let (shared, fresh) = (pipeline.scorer(), InfluenceScorer::new(pipeline.model()));
+    let fresh_cache = ScorerCache::new();
+    let shared = pipeline.scorer();
+    let fresh = InfluenceScorer::new(pipeline.model(), &fresh_cache, InfluenceVariant::Full);
     for task in &posted {
         for w in 0..pipeline.model().n_workers() {
             let w = WorkerId::from(w);

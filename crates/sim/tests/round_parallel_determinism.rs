@@ -6,7 +6,7 @@
 //! (`crates/assign/tests/sharded_eligibility.rs`) this pins the
 //! determinism contract of the sharded scoring path end-to-end.
 
-use sc_assign::{run_with_matrix, AlgorithmKind, AssignInput, EligibilityMatrix};
+use sc_assign::{run_scored, score_pairs, AlgorithmKind, AssignInput, EligibilityMatrix};
 use sc_core::{DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
@@ -139,10 +139,10 @@ fn maintained_pools_identical_across_thread_budgets() {
 
 #[test]
 fn full_assignment_path_identical_across_thread_budgets() {
-    // One batch instance through the whole pipeline surface
-    // (`assign_many` shares matrix + warm cache across algorithms):
-    // every algorithm's assignment must match the single-thread run
-    // exactly, and the sharded matrix must equal the sequential one.
+    // One batch instance through `DitaPipeline::assign`, algorithm
+    // after algorithm on one persistent cache: every assignment must
+    // match the single-thread run exactly, and the sharded matrix must
+    // equal the sequential one.
     let data = dataset();
     let p1 = pipeline(&data, Parallelism::Single, OnlineConfig::default());
     let p4 = pipeline(&data, Parallelism::Fixed(4), OnlineConfig::default());
@@ -159,9 +159,10 @@ fn full_assignment_path_identical_across_thread_budgets() {
         AlgorithmKind::Dia,
         AlgorithmKind::Mi,
     ];
-    let a1 = p1.assign_many(&day.instance, Some(&day.task_venues), &kinds);
-    let a4 = p4.assign_many(&day.instance, Some(&day.task_venues), &kinds);
-    for ((kind, x), y) in kinds.iter().zip(a1.iter()).zip(a4.iter()) {
+    let venues = Some(&day.task_venues[..]);
+    for kind in kinds {
+        let (x, _) = p1.assign(&day.instance, venues, kind);
+        let (y, _) = p4.assign(&day.instance, venues, kind);
         assert_eq!(x.pairs(), y.pairs(), "{kind}: assignment diverged");
     }
 
@@ -169,7 +170,9 @@ fn full_assignment_path_identical_across_thread_budgets() {
     let scorer = p1.scorer();
     let input1 = AssignInput::new(&day.instance, &scorer);
     let input4 = AssignInput::new(&day.instance, &scorer).with_threads(4);
-    let ia1 = run_with_matrix(AlgorithmKind::Ia, &input1, &m1);
-    let ia4 = run_with_matrix(AlgorithmKind::Ia, &input4, &m1);
+    let (s1, s4) = (score_pairs(&input1, &m1), score_pairs(&input4, &m1));
+    assert_eq!(s1, s4, "pair scores");
+    let (ia1, _) = run_scored(AlgorithmKind::Ia, &input1, &m1, &s1);
+    let (ia4, _) = run_scored(AlgorithmKind::Ia, &input4, &m1, &s4);
     assert_eq!(ia1.pairs(), ia4.pairs());
 }

@@ -214,3 +214,55 @@ fn snapshot_with_the_retired_solver_key_still_restores() {
         play_hour(&mut engine, &data, 9)
     );
 }
+
+/// An engine with a cohort online, after `hours` scripted rounds from
+/// 08:00 with pool maintenance on.
+fn engine_after(data: &SyntheticDataset, hours: i64) -> OnlineEngine<'static> {
+    let mut engine = engine(data, Parallelism::Fixed(2));
+    let cohort = data.instance_for_day(0, 0, 40, InstanceOptions::default());
+    for worker in cohort.instance.workers {
+        engine.ingest(EventKind::WorkerArrival { worker });
+    }
+    for hour in 8..8 + hours {
+        play_hour(&mut engine, data, hour);
+    }
+    engine
+}
+
+#[test]
+fn snapshots_of_one_stream_are_byte_identical() {
+    // A snapshot is a pure function of the event stream: two runs of
+    // the same stream at the same thread budget, with rotation sampling
+    // and evicting sets every round, write the same bytes. No
+    // wall-clock measurement may reach the engine's serde.
+    let data = dataset();
+    let (a, b) = (engine_after(&data, 5), engine_after(&data, 5));
+    assert!(a.summary().sets_evicted > 0, "maintenance must run");
+    assert_eq!(
+        snapshot_to_string(&a).unwrap(),
+        snapshot_to_string(&b).unwrap()
+    );
+}
+
+#[test]
+fn snapshot_with_the_retired_maintenance_key_still_restores() {
+    // Snapshots written while the engine still summed maintenance wall
+    // time carry `"maintenance_ms_total"` in the engine object. Extra
+    // keys are ignored, so such a snapshot must restore and serve the
+    // same next round.
+    let data = dataset();
+    let mut engine = engine_after(&data, 3);
+    let mut envelope = serde::json::parse(&snapshot_to_string(&engine).unwrap()).unwrap();
+    let Value::Object(fields) = member_mut(&mut envelope, "engine") else {
+        panic!("engine is not an object");
+    };
+    assert!(fields.iter().all(|(k, _)| k != "maintenance_ms_total"));
+    fields.push(("maintenance_ms_total".to_string(), Value::Float(1.5)));
+    let mut restored =
+        snapshot_from_str(&envelope.to_json_string()).expect("an older snapshot restores");
+    assert_eq!(
+        play_hour(&mut restored, &data, 11),
+        play_hour(&mut engine, &data, 11)
+    );
+    assert_eq!(restored.summary(), engine.summary());
+}

@@ -12,7 +12,6 @@
 //! * [`entropy`] — Shannon entropy (location entropy, paper Section IV-B).
 //! * [`OnlineMoments`] / [`Summary`] — streaming mean/variance for the
 //!   experiment harness.
-//! * [`Histogram`] — fixed-width binning for distribution sanity checks.
 //! * [`power_iteration`] — stationary distributions of row-stochastic
 //!   matrices (the RWR model of Section III-B1).
 //! * [`rss`] — peak/current resident-set-size probes (`/proc` on
@@ -30,7 +29,6 @@
 
 pub mod alias;
 pub mod entropy;
-pub mod histogram;
 pub mod moments;
 pub mod par;
 pub mod pareto;
@@ -40,7 +38,6 @@ pub mod zipf;
 
 pub use alias::AliasTable;
 pub use entropy::{entropy_from_counts, entropy_from_probs};
-pub use histogram::Histogram;
 pub use moments::{OnlineMoments, Summary};
 pub use par::{chunk_bounds, map_chunked, map_shards};
 pub use pareto::Pareto;

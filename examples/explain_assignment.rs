@@ -28,8 +28,8 @@ fn main() {
         .expect("training");
 
     let day = data.instance_for_day(1, 40, 60, Default::default());
-    let assignment =
-        pipeline.assign_with_venues(&day.instance, &day.task_venues, AlgorithmKind::Ia);
+    let (assignment, _perf) =
+        pipeline.assign(&day.instance, Some(&day.task_venues), AlgorithmKind::Ia);
 
     // Explain the three most and least influential choices.
     let mut pairs: Vec<_> = assignment.pairs().to_vec();

@@ -59,8 +59,8 @@ fn main() {
     );
 
     // 4. Assign with the influence-aware algorithm and inspect.
-    let assignment =
-        pipeline.assign_with_venues(&day.instance, &day.task_venues, AlgorithmKind::Ia);
+    let (assignment, _perf) =
+        pipeline.assign(&day.instance, Some(&day.task_venues), AlgorithmKind::Ia);
     println!("\nIA assignment:");
     println!("  assigned tasks      : {}", assignment.len());
     println!(

@@ -51,12 +51,9 @@ fn main() {
         day.instance.n_workers()
     );
 
-    let greedy = pipeline.assign_with_venues(
-        &day.instance,
-        &day.task_venues,
-        AlgorithmKind::GreedyNearest,
-    );
-    let ia = pipeline.assign_with_venues(&day.instance, &day.task_venues, AlgorithmKind::Ia);
+    let venues = Some(&day.task_venues[..]);
+    let (greedy, _) = pipeline.assign(&day.instance, venues, AlgorithmKind::GreedyNearest);
+    let (ia, _) = pipeline.assign(&day.instance, venues, AlgorithmKind::Ia);
 
     println!("\n              assigned   avg influence   avg propagation");
     for (name, a) in [("greedy", &greedy), ("IA", &ia)] {

@@ -12,7 +12,9 @@
 //! cargo run --example running_example
 //! ```
 
-use dita::assign::{run, AlgorithmKind, AssignInput, InfluenceFn};
+use dita::assign::{
+    run_scored, score_pairs, AlgorithmKind, AssignInput, EligibilityMatrix, InfluenceFn,
+};
 use dita::types::{
     CategoryId, Duration, Instance, Location, Task, TaskId, TimeInstant, Worker, WorkerId,
 };
@@ -67,11 +69,13 @@ fn main() {
     println!("s4  1.42  3.56  1.67  4.25  5.23");
     println!("s5  2.28  6.17  0.32  0.18  0.85\n");
 
-    let greedy = run(
-        AlgorithmKind::GreedyNearest,
-        &AssignInput::new(&instance, &influence),
-    );
-    let ia = run(AlgorithmKind::Ia, &AssignInput::new(&instance, &influence));
+    // Eligibility (who reaches which task in time), one scoring scan,
+    // then one solve per algorithm on the same scores.
+    let matrix = EligibilityMatrix::build(&instance);
+    let input = AssignInput::new(&instance, &influence);
+    let scores = score_pairs(&input, &matrix);
+    let (greedy, _) = run_scored(AlgorithmKind::GreedyNearest, &input, &matrix, &scores);
+    let (ia, _) = run_scored(AlgorithmKind::Ia, &input, &matrix, &scores);
 
     let describe = |name: &str, a: &dita::types::Assignment| {
         println!("{name}:");

@@ -365,7 +365,7 @@ fn cmd_assign(flags: &HashMap<String, String>) -> Result<(), String> {
     let (data, pipeline) = train(&profile, seed, threads_of(flags)?, verbose_of(flags));
     let inst = data.instance_for_day(day, n_tasks, n_workers, opts);
     let start = std::time::Instant::now();
-    let a = pipeline.assign_with_venues(&inst.instance, &inst.task_venues, algorithm);
+    let (a, _) = pipeline.assign(&inst.instance, Some(&inst.task_venues), algorithm);
     let elapsed = start.elapsed();
     println!(
         "{algorithm} on day {day}: |S|={}, |W|={}, φ={}h, r={}km",
@@ -515,6 +515,7 @@ fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     println!("round  time    open  online  assigned      AI    pool  +new  -old  maint ms");
     let mut next_task_id = 0u32;
+    let mut maintenance_ms = 0.0;
     for day in 0..days {
         let cohort = data.instance_for_day(day, 0, n_workers, opts);
         for worker in cohort.instance.workers {
@@ -528,6 +529,7 @@ fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
                 next_task_id += 1;
             }
             let r = engine.run_round(now, algorithm);
+            maintenance_ms += r.maintenance_ms;
             println!(
                 "{:>5}  d{}:{:02}  {:>4}  {:>6}  {:>8}  {:>6.4}  {:>6}  {:>4}  {:>4}  {:>8.2}",
                 r.round,
@@ -563,7 +565,7 @@ fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
         pool.stream_base() + pool.n_sets(),
         s.sets_added,
         s.sets_evicted,
-        s.maintenance_ms,
+        maintenance_ms,
         s.rounds
     );
     Ok(())

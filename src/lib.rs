@@ -31,7 +31,8 @@
 //!     .build(&data.social, &data.histories)
 //!     .expect("training succeeds");
 //! let day = data.instance_for_day(0, 100, 80, Default::default());
-//! let assignment = pipeline.assign_with_venues(&day.instance, &day.task_venues, AlgorithmKind::Ia);
+//! let (assignment, _perf) =
+//!     pipeline.assign(&day.instance, Some(&day.task_venues), AlgorithmKind::Ia);
 //! println!("assigned {} tasks", assignment.len());
 //! ```
 

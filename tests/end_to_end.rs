@@ -39,7 +39,7 @@ fn full_pipeline_on_both_profiles() {
         let (data, pipeline) = train(&profile, 11);
         let day = data.instance_for_day(0, 80, 60, InstanceOptions::default());
         for kind in AlgorithmKind::COMPARISON {
-            let a = pipeline.assign_with_venues(&day.instance, &day.task_venues, kind);
+            let (a, _) = pipeline.assign(&day.instance, Some(&day.task_venues), kind);
             assert!(!a.is_empty(), "{kind} on {} assigned nothing", profile.name);
             assert!(a.len() <= day.instance.assignment_upper_bound());
         }
@@ -57,7 +57,7 @@ fn assignments_respect_spatiotemporal_constraints() {
     };
     let day = data.instance_for_day(1, 120, 90, opts);
     for kind in AlgorithmKind::COMPARISON {
-        let a = pipeline.assign_with_venues(&day.instance, &day.task_venues, kind);
+        let (a, _) = pipeline.assign(&day.instance, Some(&day.task_venues), kind);
         for pair in a.pairs() {
             let worker = day.instance.worker(pair.worker).expect("worker exists");
             let task = day.instance.task(pair.task).expect("task exists");
@@ -81,7 +81,7 @@ fn each_worker_and_task_assigned_at_most_once() {
     let (data, pipeline) = train(&DatasetProfile::foursquare_small(), 31);
     let day = data.instance_for_day(2, 100, 70, InstanceOptions::default());
     for kind in AlgorithmKind::COMPARISON {
-        let a = pipeline.assign_with_venues(&day.instance, &day.task_venues, kind);
+        let (a, _) = pipeline.assign(&day.instance, Some(&day.task_venues), kind);
         let mut workers: Vec<_> = a.pairs().iter().map(|p| p.worker).collect();
         let mut tasks: Vec<_> = a.pairs().iter().map(|p| p.task).collect();
         let n = a.len();
@@ -101,8 +101,8 @@ fn pipeline_is_deterministic_end_to_end() {
     let day_a = data_a.instance_for_day(0, 60, 50, InstanceOptions::default());
     let day_b = data_b.instance_for_day(0, 60, 50, InstanceOptions::default());
     assert_eq!(day_a.instance, day_b.instance);
-    let a = pipe_a.assign_with_venues(&day_a.instance, &day_a.task_venues, AlgorithmKind::Ia);
-    let b = pipe_b.assign_with_venues(&day_b.instance, &day_b.task_venues, AlgorithmKind::Ia);
+    let (a, _) = pipe_a.assign(&day_a.instance, Some(&day_a.task_venues), AlgorithmKind::Ia);
+    let (b, _) = pipe_b.assign(&day_b.instance, Some(&day_b.task_venues), AlgorithmKind::Ia);
     assert_eq!(a.pairs().len(), b.pairs().len());
     for (pa, pb) in a.pairs().iter().zip(b.pairs().iter()) {
         assert_eq!(pa.task, pb.task);
@@ -152,7 +152,7 @@ fn flow_cardinality_matches_hopcroft_karp_oracle() {
         AlgorithmKind::Eia,
         AlgorithmKind::Dia,
     ] {
-        let a = pipeline.assign_with_venues(&day.instance, &day.task_venues, kind);
+        let (a, _) = pipeline.assign(&day.instance, Some(&day.task_venues), kind);
         assert_eq!(
             a.len(),
             max_matching,

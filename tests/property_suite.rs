@@ -2,7 +2,9 @@
 //! assignment algorithms must uphold the problem's invariants for *any*
 //! geometry, deadline structure, and influence table.
 
-use dita::assign::{run, AlgorithmKind, AssignInput, EligibilityMatrix, InfluenceFn};
+use dita::assign::{
+    run_scored, score_pairs, AlgorithmKind, AssignInput, EligibilityMatrix, InfluenceFn,
+};
 use dita::graph::HopcroftKarp;
 use dita::types::{
     CategoryId, Duration, Instance, Location, Task, TaskId, TimeInstant, Worker, WorkerId,
@@ -57,6 +59,12 @@ fn random_instance(max_side: usize) -> impl Strategy<Value = RandomInstance> {
                 influence,
             }
         })
+}
+
+/// Eligibility, scoring and the solve, in order.
+fn run(kind: AlgorithmKind, input: &AssignInput<'_>) -> dita::types::Assignment {
+    let matrix = EligibilityMatrix::build(input.instance);
+    run_scored(kind, input, &matrix, &score_pairs(input, &matrix)).0
 }
 
 fn oracle(tbl: &HashMap<(u32, u32), f64>) -> InfluenceFn<impl Fn(WorkerId, &Task) -> f64 + '_> {
