@@ -21,19 +21,13 @@
 
 #![forbid(unsafe_code)]
 
+use sc_bench::{env_usize, write_artifact};
 use sc_core::{AlgorithmKind, DitaBuilder, OnlineConfig};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::Rpo;
 use sc_sim::{scripted_event, EngineBuilder, EventKind, NetworkMode, PipelineMode};
 use sc_types::{TimeInstant, Worker};
 use std::time::Instant;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One round of the precomputed arrival script.
 struct RoundScript {
@@ -241,10 +235,5 @@ fn main() {
         ai_rel_diff * 100.0
     );
 
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_online.json");
-    std::fs::write(&path, &json).expect("write BENCH_online.json");
-    println!("{json}");
-    eprintln!("[bench_online] written to {}", path.display());
+    write_artifact("online", &json);
 }

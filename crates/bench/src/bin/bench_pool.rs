@@ -18,16 +18,10 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sc_bench::{env_usize, host_threads, write_artifact};
 use sc_datagen::generate_social_edges;
 use sc_influence::{PropagationModel, RrrPool, SocialNetwork};
 use std::time::Instant;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Run {
     threads: usize,
@@ -90,9 +84,7 @@ fn main() {
     );
 
     let single_ms = runs[0].wall_ms;
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
     let run_rows: Vec<String> = runs
         .iter()
         .map(|r| {
@@ -112,10 +104,5 @@ fn main() {
         run_rows.join(",\n")
     );
 
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_pool.json");
-    std::fs::write(&path, &json).expect("write BENCH_pool.json");
-    println!("{json}");
-    eprintln!("[bench_pool] written to {}", path.display());
+    write_artifact("pool", &json);
 }

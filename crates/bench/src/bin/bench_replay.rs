@@ -25,19 +25,13 @@
 
 #![forbid(unsafe_code)]
 
+use sc_bench::{env_usize, host_threads, write_artifact};
 use sc_core::{AlgorithmKind, DitaBuilder, DitaConfig, OnlineConfig};
 use sc_datagen::{DatasetProfile, LoadedDataset, ReplayOptions, SyntheticDataset};
 use sc_influence::{Parallelism, RpoParams};
 use sc_sim::replay_day;
 use sc_types::{HistoryStore, TimeInstant, WorkerId};
 use std::time::Instant;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The benchmark trace: a synthetic BK-small world where every
 /// `late_every`-th worker's history is truncated to the replay day, so
@@ -223,14 +217,9 @@ fn main() {
         s.assigned,
         s.assignment_rate(),
         s.average_influence,
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_threads(),
         report.fold_ins(),
     );
 
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_replay.json");
-    std::fs::write(&path, &json).expect("write BENCH_replay.json");
-    println!("{json}");
-    eprintln!("[bench_replay] written to {}", path.display());
+    write_artifact("replay", &json);
 }

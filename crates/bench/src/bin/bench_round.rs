@@ -51,19 +51,13 @@
 
 #![forbid(unsafe_code)]
 
+use sc_bench::{env_usize, host_threads, write_artifact};
 use sc_core::{AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
 use sc_sim::{scripted_event, EngineBuilder, EventKind, NetworkMode, PipelineMode, RoundReport};
 use sc_types::TimeInstant;
 use std::time::Instant;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The scripted workload every `(mode, threads)` cell replays
 /// identically.
@@ -287,9 +281,7 @@ fn main() {
 
     // The intra-round parallel floor, kept on the cold runs (the
     // incremental path has less parallelizable work left by design).
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
     let parallel_speedup = cold1.round_ms
         / runs
             .iter()
@@ -421,10 +413,5 @@ fn main() {
         solver_rows.join(",\n")
     );
 
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_round.json");
-    std::fs::write(&path, &json).expect("write BENCH_round.json");
-    println!("{json}");
-    eprintln!("[bench_round] written to {}", path.display());
+    write_artifact("round", &json);
 }

@@ -30,18 +30,12 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sc_bench::{env_usize, host_threads, write_artifact};
 use sc_datagen::ScaleProfile;
 use sc_influence::{arena::SEG_BYTES, ContiguousPool, PoolMemStats, PropagationModel, RrrPool};
 use sc_stats::{peak_rss_bytes, reset_peak_rss};
 use sc_topics::{LdaParams, StreamingLda};
 use std::time::Instant;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One measured phase: wall time plus the kernel's per-phase RSS peak
 /// (watermark reset before the phase; `None` off-Linux).
@@ -102,10 +96,7 @@ fn main() {
     // (forgotten copies, doubling growth), not normal variance.
     let ceiling_mb = env_usize("DITA_SCALE_RSS_CEILING_MB", 512 + 2 * n_workers / 1_000);
     let master_seed = 0xD17A_5CA1u64;
-    let max_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4);
+    let max_threads = host_threads().min(4);
 
     let profile = ScaleProfile::with_workers(n_workers);
     eprintln!(
@@ -262,9 +253,7 @@ fn main() {
             )
         })
         .collect();
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
     let json = format!(
         "{{\n  \"bench\": \"scale_cold_start\",\n  \"profile\": \"{}\",\n  \"n_workers\": {n_workers},\n  \"n_edges\": {},\n  \"n_sets\": {n_sets},\n  \"n_topics\": {n_topics},\n  \"lda_sweeps\": {sweeps},\n  \"lda_tokens\": {n_tokens},\n  \"host_threads\": {host_threads},\n  \"bench_threads\": {max_threads},\n  \"master_seed\": {master_seed},\n  \"fingerprint\": \"{fingerprint:#018x}\",\n  \"identical_across_threads\": true,\n  \"chunked_matches_contiguous\": true,\n  \"pool_chunked\": {},\n  \"pool_rotated\": {},\n  \"pool_contiguous\": {},\n  \"chunked_vs_contiguous_peak_ratio\": {:.4},\n  \"rss_ceiling_mb\": {ceiling_mb},\n  \"rss_ceiling_checked\": {rss_ceiling_ok},\n  \"rss_whole_run_bytes\": {},\n  \"total_wall_ms\": {total_wall_ms:.3},\n  \"phases\": [\n{}\n  ]\n}}\n",
         profile.name,
@@ -277,10 +266,5 @@ fn main() {
         phase_rows.join(",\n")
     );
 
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_scale.json");
-    std::fs::write(&path, &json).expect("write BENCH_scale.json");
-    println!("{json}");
-    eprintln!("[bench_scale] written to {}", path.display());
+    write_artifact("scale", &json);
 }

@@ -1,4 +1,4 @@
-//! # sc-bench — figure regeneration and micro-benchmarks
+//! # sc-bench — figure regeneration and perf binaries
 //!
 //! One binary per evaluation figure (`src/bin/fig05_…` through
 //! `fig16_…`) regenerates the corresponding series of the paper:
@@ -11,9 +11,10 @@
 //! (minutes instead of hours). Each binary prints the series as aligned
 //! tables and writes a CSV next to the repository root under `results/`.
 //!
-//! Criterion micro-benches live in `benches/` (MCMF, RRR/RPO, LDA,
-//! willingness, end-to-end assignment, plus the ablation benches listed
-//! in `DESIGN.md`).
+//! The perf binaries (`bench_pool`, `bench_online`, `bench_round`,
+//! `bench_replay`, `bench_scale`) each write one committed
+//! `BENCH_<name>.json` at the repository root through
+//! [`write_artifact`]; [`env_usize`] reads their size overrides.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -101,12 +102,38 @@ pub fn runner_for(family: &str) -> (ExperimentRunner, ExperimentScale) {
     (runner, scale)
 }
 
+/// The repository root, two levels above this crate.
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = repo_root().join("results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
+}
+
+/// `key` read from the environment as a `usize`, or `default` when it
+/// is unset or does not parse.
+pub fn env_usize(key: &str, default: usize) -> usize {
+    std::env::var(key)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The threads the host offers (1 when it cannot tell).
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Writes a perf binary's report to `BENCH_<name>.json` at the
+/// repository root, prints it on stdout, and names the file on stderr.
+pub fn write_artifact(name: &str, json: &str) {
+    let path = repo_root().join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("{json}");
+    eprintln!("[bench_{name}] written to {}", path.display());
 }
 
 fn write_results(name: &str, csv: &str) {

@@ -43,11 +43,11 @@
 //! filter, so they too are identical at any thread count.
 
 use crate::model::InfluenceModel;
-use parking_lot::RwLock;
 use sc_assign::{EligibilityMatrix, InfluenceOracle};
 use sc_types::{Instance, Location, Task, WorkerId};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which factors of the influence product are active — the evaluation's
 /// ablation variants (Section V-B1).
@@ -189,9 +189,20 @@ impl ScorerCache {
         Self::default()
     }
 
+    /// A shared read of the map. A panic under the lock does not
+    /// poison the cache: later readers and writers carry on.
+    fn read(&self) -> RwLockReadGuard<'_, CacheInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An exclusive write of the map, ignoring poison as [`Self::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, CacheInner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.inner.read().map.len()
+        self.read().map.len()
     }
 
     /// Whether the cache holds no entries.
@@ -201,7 +212,7 @@ impl ScorerCache {
 
     /// Drops every entry (the population tag is kept).
     pub fn clear(&self) {
-        self.inner.write().map.clear();
+        self.write().map.clear();
     }
 
     /// Re-tags the cache for `model`'s population. When the model grew
@@ -213,10 +224,10 @@ impl ScorerCache {
     /// this cache to a model.
     fn sync_population(&self, model: &InfluenceModel) {
         let population = model.n_workers();
-        if self.inner.read().population == population {
+        if self.read().population == population {
             return;
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let old = inner.population;
         if population > old {
             for (key, entry) in inner.map.iter_mut() {
@@ -234,7 +245,7 @@ impl ScorerCache {
 
 impl fmt::Debug for ScorerCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.read();
+        let inner = self.read();
         f.debug_struct("ScorerCache")
             .field("entries", &inner.map.len())
             .field("population", &inner.population)
@@ -320,7 +331,7 @@ impl<'a> InfluenceScorer<'a> {
         let mut seen = std::collections::HashSet::new();
         let mut todo: Vec<(&Task, TaskKey)> = Vec::new();
         {
-            let inner = self.cache.inner.read();
+            let inner = self.cache.read();
             for &task in tasks {
                 let key = task_key(task);
                 if !seen.insert(key) {
@@ -340,7 +351,7 @@ impl<'a> InfluenceScorer<'a> {
         let entries = sc_stats::par::map_chunked(todo.len(), threads.max(1), |i| {
             self.compute_task_entry(todo[i].0)
         });
-        let mut inner = self.cache.inner.write();
+        let mut inner = self.cache.write();
         for (&(_, key), entry) in todo.iter().zip(entries) {
             inner.map.entry(key).or_insert(entry);
         }
@@ -377,7 +388,7 @@ impl<'a> InfluenceScorer<'a> {
         {
             // Warm path: a shared read — concurrent scorers (the
             // sharded pair scan) never serialize on the lock.
-            let inner = self.cache.inner.read();
+            let inner = self.cache.read();
             if let Some(entry) = inner.map.get(&key) {
                 return f(entry);
             }
@@ -386,7 +397,7 @@ impl<'a> InfluenceScorer<'a> {
         // the same content; both compute identical bytes and the first
         // insert wins), then publish.
         let computed = self.compute_task_entry(task);
-        let mut inner = self.cache.inner.write();
+        let mut inner = self.cache.write();
         let entry = inner.map.entry(key).or_insert(computed);
         f(entry)
     }
@@ -734,8 +745,8 @@ mod tests {
         let (social, store) = world();
         let model = InfluenceModel::train(&config(), &social, &store);
         let cache = ScorerCache::new();
-        cache.inner.write().population = model.n_workers() + 1;
-        cache.inner.write().map.insert(
+        cache.write().population = model.n_workers() + 1;
+        cache.write().map.insert(
             task_key(&task_a()),
             TaskEntry {
                 topics: Vec::new(),
@@ -744,6 +755,20 @@ mod tests {
         );
         InfluenceScorer::new(&model, &cache, InfluenceVariant::Full);
         assert!(cache.is_empty(), "too-long vectors must be dropped");
+    }
+
+    #[test]
+    fn cache_survives_a_panicked_lock_holder() {
+        let cache = std::sync::Arc::new(ScorerCache::new());
+        let held = std::sync::Arc::clone(&cache);
+        let holder = std::thread::spawn(move || {
+            let _guard = held.write();
+            panic!("poison the cache lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(cache.inner.is_poisoned());
+        cache.write().population = 3;
+        assert_eq!((cache.len(), cache.read().population), (0, 3));
     }
 
     #[test]

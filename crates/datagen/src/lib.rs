@@ -19,7 +19,7 @@
 //! [`DatasetProfile::foursquare`] (city-scale, dense), each with a
 //! laptop-sized `_small` variant used by tests and examples. The
 //! mapping from paper-scale to generated scale is documented on each
-//! constructor and in `DESIGN.md`.
+//! constructor.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

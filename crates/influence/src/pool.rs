@@ -18,9 +18,6 @@
 //!   which is exactly the inner sum of the worker-task influence
 //!   (Section III-D) with `weight = P_wil(·, s)`.
 //!
-//! The `rrr_pool_vs_perworker` bench quantifies this design choice
-//! against re-running Algorithm 1 for every candidate worker.
-//!
 //! # Storage and parallel generation
 //!
 //! Sets and the membership index live in chunked

@@ -57,8 +57,9 @@ impl Rule {
         match self {
             Rule::D001 => {
                 "no HashMap/HashSet iteration in report-affecting crates \
-                 (sc-assign, sc-core, sc-influence, sc-sim, sc-datagen); \
-                 use BTreeMap or an explicit sort"
+                 (sc-assign, sc-core, sc-datagen, sc-graph, sc-influence, \
+                 sc-mobility, sc-serve, sc-sim, sc-spatial, sc-stats, \
+                 sc-topics, sc-types); use BTreeMap or an explicit sort"
             }
             Rule::D002 => {
                 "no ambient entropy (thread_rng, rand::random, from_entropy); \

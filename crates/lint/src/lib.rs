@@ -8,7 +8,7 @@
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | D001 | no `HashMap`/`HashSet` **iteration** in report-affecting crates (sc-assign, sc-core, sc-datagen, sc-graph, sc-influence, sc-serve, sc-sim, sc-topics) — use `BTreeMap`/`BTreeSet` or an explicit sort; hash *lookups* stay legal |
+//! | D001 | no `HashMap`/`HashSet` **iteration** in report-affecting crates (sc-assign, sc-core, sc-datagen, sc-graph, sc-influence, sc-mobility, sc-serve, sc-sim, sc-spatial, sc-stats, sc-topics, sc-types) — use `BTreeMap`/`BTreeSet` or an explicit sort; hash *lookups* stay legal |
 //! | D002 | no ambient entropy (`thread_rng`, `rand::random`, `from_entropy`) — RNG state must flow from the master seed via `seed_from_stream` |
 //! | D003 | no `Instant::now`/`SystemTime::now` feeding a field compared by `PartialEq` — timing may only land in fields the manual `PartialEq`-ignores-timings impls exclude, marked `// lint: timing` |
 //! | D004 | no ad-hoc `std::thread::scope` parallelism — every parallel phase routes through `sc_stats::par::{map_shards, map_chunked}` |

@@ -2,13 +2,12 @@
 //!
 //! Hash iteration order depends on the hasher's per-process state and
 //! the insertion history, so any loop over a hash container can leak
-//! nondeterminism into assignment reports. In sc-assign, sc-core,
-//! sc-influence, sc-sim and sc-datagen (sc-core joined when the
-//! persistent scorer cache made it report-affecting) the rule
-//! requires `BTreeMap`/`BTreeSet` (or
-//! an explicit sort, documented via `lint:allow`) wherever a map is
-//! *iterated*; pure lookup tables (`get`/`insert`/`contains_key`)
-//! remain free to use hashing.
+//! nondeterminism into assignment reports and snapshots. In every
+//! crate whose output reaches one — all but the sc-bench and sc-lint
+//! tools — the rule requires `BTreeMap`/`BTreeSet` (or an explicit
+//! sort, documented via `lint:allow`) wherever a map is *iterated*;
+//! pure lookup tables (`get`/`insert`/`contains_key`) remain free to
+//! use hashing.
 //!
 //! Detection is scope-light: the rule tracks identifiers bound to hash
 //! containers — `let` bindings whose initializer or type annotation

@@ -14,8 +14,9 @@ pub mod d003;
 pub mod d004;
 pub mod s001;
 
-/// True when the file lives in a crate whose output feeds assignment
-/// reports — the blast radius of order-nondeterminism (D001).
+/// True when the file lives in a crate whose output reaches assignment
+/// reports or snapshots — the blast radius of order-nondeterminism
+/// (D001): every crate but the sc-bench and sc-lint tools.
 pub fn is_report_affecting(path: &str) -> bool {
     [
         "assign",
@@ -23,9 +24,13 @@ pub fn is_report_affecting(path: &str) -> bool {
         "datagen",
         "graph",
         "influence",
+        "mobility",
         "serve",
         "sim",
+        "spatial",
+        "stats",
         "topics",
+        "types",
     ]
     .iter()
     .any(|c| path.starts_with(&format!("crates/{c}/src/")))

@@ -11,6 +11,9 @@ use sc_lint::{analyze, Finding, Rule, SourceFile};
 
 /// A path inside a report-affecting crate (D001's scope).
 const ASSIGN_PATH: &str = "crates/assign/src/fixture.rs";
+/// A path in sc-mobility, whose location entropy reaches snapshots
+/// (D001's scope too).
+const MOBILITY_PATH: &str = "crates/mobility/src/fixture.rs";
 /// A path outside the report-affecting set.
 const BENCH_PATH: &str = "crates/bench/src/fixture.rs";
 
@@ -42,12 +45,14 @@ fn lines(findings: &[Finding], rule: Rule) -> Vec<u32> {
 
 #[test]
 fn d001_trigger_flags_every_iteration_shape() {
-    let findings = analyze_at(ASSIGN_PATH, fixture("d001", "trigger.rs"));
-    assert_eq!(
-        lines(&findings, Rule::D001),
-        vec![15, 23, 28, 32, 38],
-        "into_iter, values, for-in-&set, drain, for-in-&self.field: {findings:?}"
-    );
+    for path in [ASSIGN_PATH, MOBILITY_PATH] {
+        let findings = analyze_at(path, fixture("d001", "trigger.rs"));
+        assert_eq!(
+            lines(&findings, Rule::D001),
+            vec![15, 23, 28, 32, 38],
+            "{path}: into_iter, values, for-in-&set, drain, for-in-&self.field: {findings:?}"
+        );
+    }
 }
 
 #[test]

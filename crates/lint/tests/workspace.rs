@@ -1,10 +1,9 @@
 //! Workspace-level integration tests.
 //!
-//! The smoke half asserts the acceptance criterion directly: `sc-lint
-//! check` is clean on the checked-in tree (what CI runs). The seeded
-//! half proves the tool is not vacuously green — injecting a hash-map
-//! iteration into sc-assign's file set produces a D001 finding at the
-//! expected line.
+//! The smoke half asserts what CI runs: `sc-lint check` is clean on
+//! the checked-in tree. The seeded half proves the tool is not
+//! vacuously green — injecting a hash-map iteration into sc-assign's
+//! file set produces a D001 finding at the expected line.
 
 use sc_lint::{analyze, load_workspace, Rule, SourceFile};
 use std::path::Path;

@@ -30,6 +30,7 @@ impl LocationEntropy {
             }
         }
         let per_venue = visits
+            // lint:allow(D001, reason = "collected into a hash map again; each venue's counts are sorted before the float sum")
             .into_iter()
             .map(|(venue, by_worker)| {
                 // Sorted, so the float sum runs in one order whatever
@@ -55,6 +56,7 @@ impl LocationEntropy {
 
     /// Largest entropy over all venues (0 when empty).
     pub fn max_entropy(&self) -> f64 {
+        // lint:allow(D001, reason = "a max-fold gives the same value in any order")
         self.per_venue.values().copied().fold(0.0, f64::max)
     }
 }
@@ -66,6 +68,7 @@ impl LocationEntropy {
 impl serde::Serialize for LocationEntropy {
     fn to_value(&self) -> serde::json::Value {
         let mut entries: Vec<(u32, f64)> =
+            // lint:allow(D001, reason = "sorted by venue id on the next line")
             self.per_venue.iter().map(|(v, &e)| (v.raw(), e)).collect();
         entries.sort_unstable_by_key(|&(v, _)| v);
         entries.to_value()

@@ -6,7 +6,7 @@
 use dita::core::DitaConfig;
 use dita::datagen::DatasetProfile;
 use dita::influence::RpoParams;
-use dita::sim::{ExperimentRunner, MetricsRow, SweepAxis, SweepValues};
+use dita::sim::{ComparisonPoint, ExperimentRunner, MetricsRow, SweepAxis, SweepValues};
 
 fn runner_on(profile: DatasetProfile, seed: u64) -> ExperimentRunner {
     let config = DitaConfig {
@@ -37,6 +37,29 @@ fn defaults() -> SweepValues {
 
 fn row<'a>(rows: &'a [MetricsRow], name: &str) -> &'a MetricsRow {
     rows.iter().find(|r| r.algorithm == name).unwrap()
+}
+
+/// Evaluations behind each `cpu_ms` a timing claim compares.
+const TIMING_REPS: usize = 9;
+
+/// The comparison sweep over `axis` with every `cpu_ms` replaced by its
+/// median over [`TIMING_REPS`] evaluations on the one trained runner.
+/// A single wall-clock reading stretches whenever the host is busy; the
+/// median moves only when most of the readings do. The other metrics
+/// are deterministic, so the first evaluation's values stand.
+fn median_timed(r: &ExperimentRunner, axis: &SweepAxis) -> Vec<ComparisonPoint> {
+    let runs: Vec<Vec<ComparisonPoint>> = (0..TIMING_REPS)
+        .map(|_| r.run_comparison(axis, &defaults()))
+        .collect();
+    let mut points = runs[0].clone();
+    for (p, point) in points.iter_mut().enumerate() {
+        for (a, row) in point.rows.iter_mut().enumerate() {
+            let mut ms: Vec<f64> = runs.iter().map(|run| run[p].rows[a].cpu_ms).collect();
+            ms.sort_by(f64::total_cmp);
+            row.cpu_ms = ms[TIMING_REPS / 2];
+        }
+    }
+    points
 }
 
 #[test]
@@ -114,9 +137,9 @@ fn mi_trades_cardinality_for_influence() {
 #[test]
 fn mta_is_fastest() {
     // Paper: "the time cost of MTA is the lowest" (it skips the
-    // cost-minimization entirely).
+    // cost-minimization entirely). Compares `median_timed` medians.
     let r = runner(109);
-    let points = r.run_comparison(&SweepAxis::Tasks(vec![160]), &defaults());
+    let points = median_timed(&r, &SweepAxis::Tasks(vec![160]));
     let rows = &points[0].rows;
     let mta = row(rows, "MTA").cpu_ms;
     for name in ["IA", "EIA"] {
@@ -182,9 +205,9 @@ fn larger_radius_means_more_assignments_and_travel() {
 #[test]
 fn cpu_time_grows_with_instance_size() {
     // Paper Figures 9–10(a): CPU time increases in |S| for every method.
+    // Compares `median_timed` medians.
     let r = runner(137);
-    let axis = SweepAxis::Tasks(vec![40, 200]);
-    let points = r.run_comparison(&axis, &defaults());
+    let points = median_timed(&r, &SweepAxis::Tasks(vec![40, 200]));
     for name in ["IA", "EIA", "DIA"] {
         let lo = row(&points[0].rows, name).cpu_ms;
         let hi = row(&points[1].rows, name).cpu_ms;
