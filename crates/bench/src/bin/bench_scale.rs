@@ -15,13 +15,11 @@
 //!
 //! The run *asserts* its budget, it does not merely report it:
 //!
-//! * chunked pools must be bit-identical across thread counts and to
-//!   the contiguous reference pool (fingerprint equality);
-//! * the chunked pool's peak accounting must stay **additive** — live
-//!   bytes plus a bounded number of arena segments — while the
-//!   contiguous reference must exhibit the multiplicative replacement
-//!   copy (peak above capacity) the refactor removed; chunked peak must
-//!   undercut contiguous peak outright at this scale;
+//! * pools built and rotated at 1 and N threads must be bit-identical:
+//!   equal fingerprints and equal byte accounting ([`PoolMemStats`]);
+//! * the pool's peak accounting must stay **additive** — live bytes
+//!   plus O(delta) + O(workers) + a bounded number of arena segments —
+//!   after cold start and after rotation;
 //! * on Linux, whole-run peak RSS must stay under a ceiling
 //!   (`DITA_SCALE_RSS_CEILING_MB` to override; elsewhere the probe
 //!   honestly records `null` and the ceiling is skipped).
@@ -32,7 +30,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sc_bench::{env_usize, host_threads, write_artifact};
 use sc_datagen::ScaleProfile;
-use sc_influence::{arena::SEG_BYTES, ContiguousPool, PoolMemStats, PropagationModel, RrrPool};
+use sc_influence::{arena::SEG_BYTES, PoolMemStats, PropagationModel, RrrPool};
 use sc_stats::{peak_rss_bytes, reset_peak_rss};
 use sc_topics::{LdaParams, StreamingLda};
 use std::time::Instant;
@@ -67,9 +65,8 @@ fn timed<T>(name: &'static str, phases: &mut Vec<Phase>, f: impl FnOnce() -> T) 
 /// delta index (≤ live/8 — a quarter of the sets is rotated per round,
 /// and membership is about half the live bytes), the per-worker scatter
 /// scratch (count + cursor vectors, 12 B each), and a handful of arena
-/// segments in flight. Everything here is O(delta) + O(workers) —
-/// crucially NOT proportional to live bytes the way the contiguous
-/// layout's replacement copy is.
+/// segments in flight. Everything here is O(delta) + O(workers) +
+/// O(segments), never a second copy of the live bytes.
 fn additive_slack(live_bytes: usize, n_workers: usize) -> usize {
     live_bytes / 8 + 12 * n_workers + 8 * SEG_BYTES
 }
@@ -119,7 +116,7 @@ fn main() {
     );
 
     // Phase 2 — chunked cold start at 1 and N threads, bit-identical.
-    let pool1 = timed("cold_start_chunked_t1", &mut phases, || {
+    let mut pool1 = timed("cold_start_chunked_t1", &mut phases, || {
         RrrPool::generate_sharded(
             &net,
             n_sets,
@@ -149,7 +146,6 @@ fn main() {
         "deterministic byte accounting diverged across thread counts"
     );
     let cold = pool.mem_stats();
-    drop(pool1);
     assert!(
         cold.peak_bytes <= cold.live_bytes + additive_slack(cold.live_bytes, n_workers),
         "chunked cold start transients not additive: peak {} vs live {}",
@@ -158,15 +154,25 @@ fn main() {
     );
 
     // Phase 3 — growth + eviction rotation: the maintained pool must
-    // keep its transients additive while sets rotate through it.
-    let rotated = timed("rotation", &mut phases, || {
+    // keep its transients additive while sets rotate through it. The
+    // 1-thread pool takes the same rotations untimed, and must end with
+    // the same sets and the same bytes.
+    let rotate = |pool: &mut RrrPool, threads: usize| {
         for _ in 0..3 {
             let epoch = pool.advance_epoch();
             pool.evict_before_epoch(epoch, n_sets / 4);
-            pool.extend_to(&net, n_sets, max_threads);
+            pool.extend_to(&net, n_sets, threads);
         }
         pool.mem_stats()
-    });
+    };
+    let rotated = timed("rotation", &mut phases, || rotate(&mut pool, max_threads));
+    assert_eq!(
+        rotate(&mut pool1, 1),
+        rotated,
+        "rotated byte accounting diverged between 1 and {max_threads} threads"
+    );
+    assert_eq!(pool1.fingerprint(), pool.fingerprint());
+    drop(pool1);
     assert!(
         rotated.peak_bytes <= rotated.live_bytes + additive_slack(rotated.live_bytes, n_workers),
         "rotation transients not additive: peak {} vs live {}",
@@ -174,37 +180,7 @@ fn main() {
         rotated.live_bytes
     );
 
-    // Phase 4 — contiguous reference A/B: same sets, doubling-Vec
-    // layout. Its replacement copies must show up as a multiplicative
-    // peak, and the chunked peak must undercut it outright.
-    let contiguous = timed("cold_start_contiguous", &mut phases, || {
-        ContiguousPool::generate_sharded(
-            &net,
-            n_sets,
-            PropagationModel::WeightedCascade,
-            master_seed,
-            max_threads,
-        )
-    });
-    assert_eq!(
-        contiguous.fingerprint(),
-        fingerprint,
-        "contiguous reference pool diverged from the chunked pool"
-    );
-    let contig = contiguous.mem_stats();
-    drop(contiguous);
-    assert!(
-        contig.peak_bytes > contig.capacity_bytes,
-        "contiguous pool shows no replacement copy — A/B reference is broken"
-    );
-    assert!(
-        cold.peak_bytes < contig.peak_bytes,
-        "chunked peak {} must undercut contiguous peak {} at {n_workers} workers",
-        cold.peak_bytes,
-        contig.peak_bytes
-    );
-
-    // Phase 5 — streaming LDA over per-worker documents, no corpus.
+    // Phase 4 — streaming LDA over per-worker documents, no corpus.
     let docs = profile.documents(master_seed);
     let n_tokens = timed("streaming_lda", &mut phases, || {
         let params = LdaParams::with_topics(n_topics).sweeps(sweeps);
@@ -255,13 +231,11 @@ fn main() {
         .collect();
     let host_threads = host_threads();
     let json = format!(
-        "{{\n  \"bench\": \"scale_cold_start\",\n  \"profile\": \"{}\",\n  \"n_workers\": {n_workers},\n  \"n_edges\": {},\n  \"n_sets\": {n_sets},\n  \"n_topics\": {n_topics},\n  \"lda_sweeps\": {sweeps},\n  \"lda_tokens\": {n_tokens},\n  \"host_threads\": {host_threads},\n  \"bench_threads\": {max_threads},\n  \"master_seed\": {master_seed},\n  \"fingerprint\": \"{fingerprint:#018x}\",\n  \"identical_across_threads\": true,\n  \"chunked_matches_contiguous\": true,\n  \"pool_chunked\": {},\n  \"pool_rotated\": {},\n  \"pool_contiguous\": {},\n  \"chunked_vs_contiguous_peak_ratio\": {:.4},\n  \"rss_ceiling_mb\": {ceiling_mb},\n  \"rss_ceiling_checked\": {rss_ceiling_ok},\n  \"rss_whole_run_bytes\": {},\n  \"total_wall_ms\": {total_wall_ms:.3},\n  \"phases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"scale_cold_start\",\n  \"profile\": \"{}\",\n  \"n_workers\": {n_workers},\n  \"n_edges\": {},\n  \"n_sets\": {n_sets},\n  \"n_topics\": {n_topics},\n  \"lda_sweeps\": {sweeps},\n  \"lda_tokens\": {n_tokens},\n  \"host_threads\": {host_threads},\n  \"bench_threads\": {max_threads},\n  \"master_seed\": {master_seed},\n  \"fingerprint\": \"{fingerprint:#018x}\",\n  \"identical_across_threads\": true,\n  \"pool_chunked\": {},\n  \"pool_rotated\": {},\n  \"rss_ceiling_mb\": {ceiling_mb},\n  \"rss_ceiling_checked\": {rss_ceiling_ok},\n  \"rss_whole_run_bytes\": {},\n  \"total_wall_ms\": {total_wall_ms:.3},\n  \"phases\": [\n{}\n  ]\n}}\n",
         profile.name,
         net.n_edges(),
         mem_json(&cold),
         mem_json(&rotated),
-        mem_json(&contig),
-        cold.peak_bytes as f64 / contig.peak_bytes as f64,
         json_opt(rss_whole),
         phase_rows.join(",\n")
     );

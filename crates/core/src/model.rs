@@ -148,12 +148,6 @@ impl InfluenceModel {
         &mut self.pool
     }
 
-    /// The willingness model.
-    #[inline]
-    pub fn willingness_model(&self) -> &WillingnessModel {
-        &self.willingness
-    }
-
     /// Folds a previously-unseen worker into the trained model without
     /// retraining, returning the worker's new (dense) id.
     ///

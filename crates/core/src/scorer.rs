@@ -230,6 +230,7 @@ impl ScorerCache {
         let mut inner = self.write();
         let old = inner.population;
         if population > old {
+            // lint:allow(D001, reason = "each entry is extended on its own, so the order reaches nothing")
             for (key, entry) in inner.map.iter_mut() {
                 let loc = key.location();
                 entry

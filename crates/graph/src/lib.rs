@@ -7,7 +7,8 @@
 //!   social network. The RRR-set sampler of `sc-influence` walks its
 //!   [reverse](CsrGraph::reverse) relentlessly, so adjacency is flat and
 //!   cache-friendly.
-//! * [`traverse`] — BFS/DFS/weakly-connected components.
+//! * [`traverse`] — BFS hop distances, the reachability oracle of the
+//!   cascade property tests.
 //! * [`Dinic`] — max-flow for the influence-agnostic MTA baseline.
 //! * [`MinCostMaxFlow`] — min-cost max-flow with `f64` costs on the
 //!   unit-capacity bipartite network of paper Figure 4 (workers on the

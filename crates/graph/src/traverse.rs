@@ -1,4 +1,4 @@
-//! Traversals over [`CsrGraph`]: BFS, DFS, weakly-connected components.
+//! Traversals over [`CsrGraph`]: breadth-first hop distances.
 
 use crate::csr::CsrGraph;
 use std::collections::VecDeque;
@@ -25,68 +25,6 @@ pub fn bfs_distances(g: &CsrGraph, source: u32) -> Vec<u32> {
     dist
 }
 
-/// The set of nodes reachable from `source` (including `source`), in BFS
-/// discovery order.
-pub fn reachable_from(g: &CsrGraph, source: u32) -> Vec<u32> {
-    let dist = bfs_distances(g, source);
-    let mut order: Vec<u32> = (0..g.n_nodes() as u32)
-        .filter(|&u| dist[u as usize] != u32::MAX)
-        .collect();
-    order.sort_by_key(|&u| (dist[u as usize], u));
-    order
-}
-
-/// Iterative depth-first preorder from `source`.
-pub fn dfs_preorder(g: &CsrGraph, source: u32) -> Vec<u32> {
-    let mut seen = vec![false; g.n_nodes()];
-    let mut order = Vec::new();
-    if (source as usize) >= g.n_nodes() {
-        return order;
-    }
-    let mut stack = vec![source];
-    while let Some(u) = stack.pop() {
-        if seen[u as usize] {
-            continue;
-        }
-        seen[u as usize] = true;
-        order.push(u);
-        // Push in reverse so the left-most neighbour is visited first.
-        for &v in g.neighbors(u).iter().rev() {
-            if !seen[v as usize] {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
-/// Weakly-connected component label for every node (labels are the
-/// smallest node index in the component) and the component count.
-pub fn weakly_connected_components(g: &CsrGraph) -> (Vec<u32>, usize) {
-    let n = g.n_nodes();
-    let rev = g.reverse();
-    let mut label = vec![u32::MAX; n];
-    let mut count = 0;
-    let mut queue = VecDeque::new();
-    for start in 0..n as u32 {
-        if label[start as usize] != u32::MAX {
-            continue;
-        }
-        count += 1;
-        label[start as usize] = start;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u).iter().chain(rev.neighbors(u)) {
-                if label[v as usize] == u32::MAX {
-                    label[v as usize] = start;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    (label, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,48 +48,8 @@ mod tests {
     }
 
     #[test]
-    fn reachable_set_order() {
-        let g = path_graph();
-        assert_eq!(reachable_from(&g, 1), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn dfs_preorder_visits_once() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
-        let order = dfs_preorder(&g, 0);
-        assert_eq!(order[0], 0);
-        assert_eq!(order.len(), 5);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 5, "no repeats");
-        // Left-most first: 0 then 1 (not 2).
-        assert_eq!(order[1], 1);
-    }
-
-    #[test]
-    fn components_ignore_direction() {
-        // Two components: {0,1,2} (despite edges pointing one way) and {3}.
-        let g = CsrGraph::from_edges(4, &[(1, 0), (1, 2)]);
-        let (labels, count) = weakly_connected_components(&g);
-        assert_eq!(count, 2);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[1], labels[2]);
-        assert_ne!(labels[0], labels[3]);
-    }
-
-    #[test]
-    fn singleton_components() {
-        let g = CsrGraph::from_edges(3, &[]);
-        let (labels, count) = weakly_connected_components(&g);
-        assert_eq!(count, 3);
-        assert_eq!(labels, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn out_of_range_source_is_empty() {
         let g = path_graph();
-        assert!(dfs_preorder(&g, 9).is_empty());
         assert!(bfs_distances(&g, 9).iter().all(|&d| d == u32::MAX));
     }
 }

@@ -1,9 +1,7 @@
 //! Property tests for graph traversals.
 
 use proptest::prelude::*;
-use sc_graph::traverse::{
-    bfs_distances, dfs_preorder, reachable_from, weakly_connected_components,
-};
+use sc_graph::traverse::bfs_distances;
 use sc_graph::CsrGraph;
 
 fn arb_graph(n: u32) -> impl Strategy<Value = CsrGraph> {
@@ -27,29 +25,6 @@ proptest! {
             }
         }
         prop_assert_eq!(dist[src as usize], 0);
-    }
-
-    #[test]
-    fn dfs_and_bfs_visit_the_same_node_set(g in arb_graph(14), src in 0u32..14) {
-        let mut dfs: Vec<u32> = dfs_preorder(&g, src);
-        let mut bfs: Vec<u32> = reachable_from(&g, src);
-        dfs.sort_unstable();
-        bfs.sort_unstable();
-        prop_assert_eq!(dfs, bfs);
-    }
-
-    #[test]
-    fn components_partition_and_respect_edges(g in arb_graph(14)) {
-        let (labels, count) = weakly_connected_components(&g);
-        // Every edge joins nodes of the same component.
-        for (u, v) in g.edges() {
-            prop_assert_eq!(labels[u as usize], labels[v as usize]);
-        }
-        // Count matches the number of distinct labels.
-        let mut distinct: Vec<u32> = labels.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        prop_assert_eq!(distinct.len(), count);
     }
 
     #[test]

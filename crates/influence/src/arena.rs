@@ -4,14 +4,15 @@
 //! slices: one RRR set, or one worker's membership list) in
 //! fixed-capacity **segments** instead of one contiguous `Vec`. Runs
 //! never span segments, so `run(j)` still returns a plain `&[u32]`;
-//! the price is one binary search over the (few dozen) segments.
+//! the price is one binary search over the segments.
 //!
 //! The segmented layout exists for exactly one reason: **bounded
 //! transients**. Every way a million-worker pool changes shape is a
 //! whole-segment operation that never holds two copies of the live
 //! data:
 //!
-//! * **growth** — shard outputs are themselves mini-`RunArena`s whose
+//! * **growth** — each block of freshly sampled sets is its own
+//!   exactly-sized mini-`RunArena` (`RunArena::from_runs`) whose
 //!   segments are [adopted](RunArena::absorb) zero-copy, so a cold
 //!   start's splice costs `O(#segments)` pointer moves instead of a
 //!   doubling-`Vec` copy of the whole arena;
@@ -34,9 +35,9 @@
 //! thresholds.
 
 /// Elements (`u32`s) per segment: 1 Mi elements = 4 MiB. Large enough
-/// that a million-worker pool needs only tens of segments (binary
-/// search stays shallow), small enough that per-segment slack and
-/// eviction debris are noise against the live data.
+/// that a million-worker membership index needs only tens of segments
+/// (binary search stays shallow), small enough that per-segment slack
+/// and eviction debris are noise against the live data.
 pub const SEG_ELEMS: usize = 1 << 20;
 
 /// Bytes per full segment (the transient-slack unit quoted in docs and
@@ -166,9 +167,8 @@ impl RunArena {
     }
 
     /// Shrinks the tail segment to its exact length. Called
-    /// automatically when a segment fills; shard builders call it once
-    /// more before handing their mini-arena to [`RunArena::absorb`] so
-    /// adopted segments carry no slack.
+    /// automatically when a segment fills, and once more by builders
+    /// that are done pushing, so the arena carries no slack.
     pub fn seal(&mut self) {
         if let Some(s) = self.segs.last_mut() {
             s.data.shrink_to_fit();
@@ -207,8 +207,8 @@ impl RunArena {
     }
 
     /// Segment index holding live run `j`. Panics when `j` is out of
-    /// range (the contiguous layout's offset indexing also panicked,
-    /// and a silent wrong-segment read would corrupt every estimator).
+    /// range (a silent wrong-segment read would corrupt every
+    /// estimator).
     #[inline]
     fn seg_of(&self, j: usize) -> usize {
         assert!(j < self.n_runs, "run {j} out of range ({})", self.n_runs);
@@ -295,9 +295,7 @@ impl RunArena {
     /// every run, shifted down by `cut`. This is the membership
     /// re-index after a prefix eviction of `cut` sets (runs are sorted,
     /// so the dropped elements are each run's prefix); it rewrites each
-    /// segment through a write cursor and **allocates nothing** —
-    /// replacing the full-replacement-arena rebuild the contiguous
-    /// layout needed.
+    /// segment through a write cursor and **allocates nothing**.
     pub fn retain_shift(&mut self, cut: u32) {
         let mut removed = 0usize;
         for s in &mut self.segs {
@@ -366,6 +364,23 @@ impl RunArena {
         }
         arena.n_runs = run_lens.len();
         (arena, cursors)
+    }
+
+    /// Copies runs stored back to back in `data` (run `j` holds
+    /// `run_lens[j]` elements) into an exactly-sized arena segmented
+    /// like [`RunArena::with_layout`]. Unlike [`RunArena::push_run`], it
+    /// never reserves a whole segment, so a small batch of runs costs
+    /// its own size.
+    pub(crate) fn from_runs(data: &[u32], run_lens: &[u32]) -> RunArena {
+        let (mut arena, _) = RunArena::with_layout(run_lens);
+        let mut at = 0;
+        for s in &mut arena.segs {
+            let n = s.data.len();
+            s.data.copy_from_slice(&data[at..at + n]);
+            at += n;
+        }
+        debug_assert_eq!(at, data.len(), "run lengths do not cover the data");
+        arena
     }
 
     /// Writes the next element of a [`RunArena::with_layout`] run and
@@ -802,6 +817,13 @@ mod tests {
             }
         }
         assert_eq!(a.run(3)[..3], [0, 1, 2]);
+    }
+
+    #[test]
+    fn from_runs_copies_into_an_exact_arena() {
+        let a = RunArena::from_runs(&[1, 2, 3, 7], &[3, 0, 1]);
+        assert_eq!(collect(&a), vec![vec![1, 2, 3], vec![], vec![7]]);
+        assert_eq!(a.capacity_elems(), a.len() + a.n_runs(), "exact allocation");
     }
 
     #[test]

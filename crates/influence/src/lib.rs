@@ -31,8 +31,6 @@
 //!   per-root indexes; all estimators read from it. Generation is
 //!   sharded across threads yet **bit-identical at any thread count**
 //!   (per-set RNG streams derived from `(master_seed, set_index)`).
-//! * [`contiguous`] — the pre-chunking doubling-`Vec` pool, kept as the
-//!   equality oracle and memory baseline for `bench_scale`.
 //! * [`rpo`] — Algorithm 1: decides how many sets the pool needs, with
 //!   incremental (never-resampling) top-ups.
 //! * [`parallel`] — the [`Parallelism`] thread-budget knob.
@@ -51,7 +49,6 @@
 
 pub mod arena;
 pub mod cascade;
-pub mod contiguous;
 pub mod membership;
 pub mod network;
 pub mod parallel;
@@ -61,7 +58,6 @@ pub mod rrr;
 
 pub use arena::RunArena;
 pub use cascade::{IndependentCascade, LinearThreshold};
-pub use contiguous::ContiguousPool;
 pub use membership::{MembershipIndex, SetIds};
 pub use network::SocialNetwork;
 pub use parallel::Parallelism;

@@ -22,22 +22,22 @@
 //!
 //! Sets and the membership index live in chunked
 //! [`RunArena`]s — segments of whole runs —
-//! instead of contiguous doubling `Vec`s, so no pool operation ever
-//! holds a transient second copy of the live data (see the arena module
-//! docs for the per-operation bounds; `bench_scale` A/Bs the layouts
-//! and asserts the budget at 10⁵–10⁶ workers). Generation is sharded:
-//! the RNG of set `j` is derived from
+//! so no pool operation ever holds a transient second copy of the live
+//! data (see the arena module docs for the per-operation bounds;
+//! `bench_scale` asserts the budget at 10⁵–10⁶ workers). Generation is
+//! sharded: the RNG of set `j` is derived from
 //! `(master_seed, set_index = j)` via [`SeedableRng::seed_from_stream`],
 //! so set `j` is the same bytes no matter which shard — or how many
-//! threads — sampled it. Shards are contiguous index ranges run on the
-//! workspace scheduler, each emitting a sealed mini-arena whose
-//! segments are **adopted** into the pool zero-copy in index order.
-//! The pool is therefore **bit-identical at any thread count**, and
+//! threads — sampled it. New sets are cut into fixed blocks of
+//! [`RrrPool::MIN_SETS_PER_SHARD`]; shards are contiguous block ranges
+//! run on the workspace scheduler, and each block is sealed into a
+//! mini-arena whose segments are **adopted** into the pool zero-copy
+//! in index order. The pool — its byte accounting included — is
+//! therefore **bit-identical at any thread count**, and
 //! [`RrrPool::extend_to`] grows a pool to exactly the state a
 //! from-scratch generation of the larger size would produce — which is
 //! what makes RPO top-ups incremental instead of resampling the whole
-//! pool. [`ContiguousPool`](crate::contiguous::ContiguousPool) keeps
-//! the pre-chunking algorithm alive as the equality/memory baseline.
+//! pool.
 //!
 //! # Decay and eviction (online maintenance)
 //!
@@ -135,10 +135,9 @@ pub struct RrrPool {
 /// Samples sets `[lo, hi)`, emitting `(root, members)` per set in index
 /// order. Every set's RNG comes from `(master_seed, set_index)`, so the
 /// output depends only on the index range — not on which thread runs it
-/// or what ran before it. Shared by [`RrrPool`] and
-/// [`ContiguousPool`](crate::contiguous::ContiguousPool) so the two
-/// layouts are bit-identical by construction.
-pub(crate) fn sample_stream_range(
+/// or what ran before it. One visited buffer serves the whole range,
+/// its epoch counting on across every set.
+fn sample_stream_range(
     net: &SocialNetwork,
     model: PropagationModel,
     master_seed: u64,
@@ -166,12 +165,15 @@ pub(crate) fn sample_stream_range(
 }
 
 impl RrrPool {
-    /// Minimum sets per shard before an extension spawns another
-    /// thread: below this, spawn overhead beats the sampling work. The
+    /// Sets per generation block. An extension cuts its new sets into
+    /// blocks of this many, seals each block into its own arena
+    /// segments, and schedules whole blocks over the threads, so the
     /// thread budget passed to [`RrrPool::generate_sharded`] /
     /// [`RrrPool::extend_to`] is clamped to
-    /// `ceil(added_sets / MIN_SETS_PER_SHARD)` — results are unaffected
-    /// (sets are seeded per index), only the parallel width is.
+    /// `ceil(added_sets / MIN_SETS_PER_SHARD)`: below a block, spawn
+    /// overhead beats the sampling work. Segment boundaries fall on
+    /// block boundaries at any budget, so the sets *and* the byte
+    /// accounting are unaffected by it; only the parallel width is.
     pub const MIN_SETS_PER_SHARD: usize = 1024;
 
     /// Samples a pool of `n_sets` RRR sets with uniformly random roots
@@ -243,15 +245,14 @@ impl RrrPool {
     /// its live stream window. New sets are stamped with the current
     /// [`RrrPool::current_epoch`].
     ///
-    /// Memory: each shard emits a sealed mini-arena whose segments the
-    /// pool **adopts** (zero-copy) — the splice that used to copy every
-    /// shard's members into a doubling `Vec` is gone. The new sets'
-    /// memberships are scatter-built in set order (so each worker's
-    /// run is ascending) into an exactly-sized arena: on a cold start
-    /// it **is** the membership index, and on growth it becomes the
-    /// index's tail, rebuilt with the tail's live entries (see
-    /// [`MembershipIndex`]). The peak is `live + O(tail + delta)`
-    /// instead of `2 × live`.
+    /// Memory: each block of [`RrrPool::MIN_SETS_PER_SHARD`] new sets
+    /// is sealed into an exactly-sized mini-arena whose segments the
+    /// pool **adopts** (zero-copy). The new sets' memberships are
+    /// scatter-built in set order (so each worker's run is ascending)
+    /// into an exactly-sized arena: on a cold start it **is** the
+    /// membership index, and on growth it becomes the index's tail,
+    /// rebuilt with the tail's live entries (see [`MembershipIndex`]).
+    /// The peak is `live + O(tail + delta)` instead of `2 × live`.
     pub fn extend_to(&mut self, net: &SocialNetwork, target: usize, threads: usize) {
         debug_assert_eq!(net.n_workers(), self.n_workers, "pool/network mismatch");
         let first_new = self.n_sets();
@@ -259,25 +260,33 @@ impl RrrPool {
             return;
         }
         let count = target - first_new;
-        let threads = threads.clamp(1, count.div_ceil(Self::MIN_SETS_PER_SHARD).max(1));
+        let block = Self::MIN_SETS_PER_SHARD;
+        let n_blocks = count.div_ceil(block);
         // First stream index of the new sets: evicted indices stay consumed.
         let s_lo = self.stream_base + first_new;
 
-        // The shared chunked-shard scheduler splits the *new-set count*
-        // into contiguous ranges; each shard samples its stream-index
-        // window `[s_lo + lo, s_lo + hi)` into its own mini-arena, and
-        // the pool adopts the segments in shard order — bit-identical
-        // to a single-threaded pass.
+        // The shared chunked-shard scheduler splits the blocks into
+        // contiguous ranges; each shard samples its stream-index window
+        // with one visited buffer and seals every block into its own
+        // mini-arena, and the pool adopts the segments in block order —
+        // the same segments as a single-threaded pass.
         let (model, seed) = (self.model, self.master_seed);
         let outs: Vec<(Vec<u32>, RunArena)> =
-            sc_stats::par::map_shards(count, threads, |lo, hi| {
+            sc_stats::par::map_shards(n_blocks, threads, |b_lo, b_hi| {
+                let (lo, hi) = (b_lo * block, (b_hi * block).min(count));
                 let mut roots = Vec::with_capacity(hi - lo);
                 let mut sets = RunArena::new();
+                let (mut data, mut lens) = (Vec::new(), Vec::with_capacity(block));
                 sample_stream_range(net, model, seed, s_lo + lo, s_lo + hi, |root, set| {
                     roots.push(root);
-                    sets.push_run(set);
+                    data.extend_from_slice(set);
+                    lens.push(set.len() as u32);
+                    if lens.len() == block || roots.len() == hi - lo {
+                        sets.absorb(RunArena::from_runs(&data, &lens));
+                        data.clear();
+                        lens.clear();
+                    }
                 });
-                sets.seal();
                 (roots, sets)
             });
 
@@ -535,11 +544,9 @@ impl RrrPool {
 
     /// Order-sensitive digest of the sampled bytes (roots + arena) —
     /// cheap bit-identity checks for the determinism tests and benches.
-    /// Digests the *logical* contiguous layout (leading 0 plus one
-    /// cumulative end per set), so the value is unchanged from the
-    /// pre-chunking pool and equal to
-    /// [`ContiguousPool::fingerprint`](crate::contiguous::ContiguousPool::fingerprint)
-    /// on identical sets.
+    /// FNV-1a over the set count, the roots, a leading 0, one
+    /// cumulative end per set, then every set's members: a function of
+    /// the sets alone, whatever the segmentation.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |v: u64| {
@@ -994,7 +1001,11 @@ mod tests {
     #[test]
     fn peak_accounting_is_thread_invariant() {
         // The determinism contract covers the accounting too: the same
-        // call sequence reports the same peak at any thread count.
+        // call sequence reports the same bytes at any thread count.
+        // Evicting 1,100 sets frees the first block's segment and leaves
+        // a dead prefix in the next one, so the bytes depend on where
+        // segment boundaries fall, and those must not move with the
+        // thread budget.
         let net = diamond_net();
         let run = |threads: usize| {
             let mut pool = RrrPool::generate_sharded(
@@ -1005,11 +1016,14 @@ mod tests {
                 threads,
             );
             pool.advance_epoch();
-            pool.evict_before_epoch(1, 700);
+            pool.evict_before_epoch(1, 1_100);
             pool.extend_to(&net, 3_500, threads);
             pool.mem_stats()
         };
-        assert_eq!(run(1), run(4));
+        let one = run(1);
+        for threads in [2, 3, 4] {
+            assert_eq!(run(threads), one, "{threads} threads");
+        }
     }
 
     #[test]

@@ -15,10 +15,15 @@
 //! flags iteration on those identifiers: `.iter()`, `.iter_mut()`,
 //! `.keys()`, `.values()`, `.values_mut()`, `.into_iter()`,
 //! `.into_keys()`, `.into_values()`, `.drain()`, and direct
-//! `for … in [&[mut]] map` loops (both plain and `self.field` forms).
+//! `for … in [&[mut]] map` loops. A field is tracked through any
+//! `expr.field` path (`self.field`, `inner.map`), but not through a
+//! method call `expr.field(..)`. A `let` whose type or initializer
+//! names a hash container twice is a map of maps: iterating it hands
+//! each inner map to the closure or `for` pattern that receives it, so
+//! that pattern's last binding is tracked too.
 
 use crate::engine::{Finding, LexedFile, Rule};
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::rules::is_report_affecting;
 use std::collections::BTreeSet;
 
@@ -43,6 +48,7 @@ pub fn check(file: &LexedFile, findings: &mut Vec<Finding>) {
 
     // Pass 1: names bound to hash containers.
     let mut locals: BTreeSet<String> = BTreeSet::new();
+    let mut nested: BTreeSet<String> = BTreeSet::new();
     let mut fields: BTreeSet<String> = BTreeSet::new();
     let mut i = 0;
     while i < code.len() {
@@ -62,7 +68,8 @@ pub fn check(file: &LexedFile, findings: &mut Vec<Finding>) {
                 let name = code[j].text.clone();
                 let mut depth = 0i32;
                 let mut k = j + 1;
-                let mut is_hash = false;
+                // Hash names in the type annotation and in the initializer.
+                let (mut in_init, mut hashes) = (false, [0usize; 2]);
                 while k < code.len() {
                     let t = &code[k];
                     if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
@@ -74,12 +81,17 @@ pub fn check(file: &LexedFile, findings: &mut Vec<Finding>) {
                         }
                     } else if depth == 0 && t.is_punct(";") {
                         break;
+                    } else if depth == 0 && t.is_punct("=") {
+                        in_init = true;
                     } else if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                        is_hash = true;
+                        hashes[usize::from(in_init)] += 1;
                     }
                     k += 1;
                 }
-                if is_hash {
+                if hashes.iter().any(|&n| n >= 2) {
+                    nested.insert(name.clone());
+                }
+                if hashes.iter().any(|&n| n > 0) {
                     locals.insert(name);
                 }
                 i = j + 1;
@@ -126,7 +138,7 @@ pub fn check(file: &LexedFile, findings: &mut Vec<Finding>) {
             }
         } else if code[i].is_ident("struct") {
             // Fields typed `…HashMap…` / `…HashSet…` become tracked for
-            // `self.NAME` accesses. A shallow scan of the body suffices:
+            // `expr.NAME` accesses. A shallow scan of the body suffices:
             // record `IDENT :` entries and whether a hash name appears
             // before the next top-level `,`.
             let mut j = i + 1;
@@ -177,13 +189,16 @@ pub fn check(file: &LexedFile, findings: &mut Vec<Finding>) {
     let mut i = 0;
     while i < code.len() {
         let t = &code[i];
-        // `for … in [&[mut]] NAME {` / `for … in [&[mut]] self.NAME {`
+        // `for … in [&[mut]] NAME {` / `for … in [&[mut]] expr.NAME {`
         if t.is_ident("for") {
-            if let Some((name, line, after)) = for_loop_target(file, i) {
+            if let Some((name, line, after, in_at)) = for_loop_target(file, i) {
                 let tracked = match &name {
                     ForTarget::Local(n) => locals.contains(n),
                     ForTarget::Field(n) => fields.contains(n),
                 };
+                if matches!(&name, ForTarget::Local(n) if nested.contains(n)) {
+                    locals.extend(last_binding(&code[i + 1..in_at]));
+                }
                 if tracked && code.get(after).is_some_and(|t| t.is_punct("{")) {
                     findings.push(finding(file, line, name.name()));
                     i = after;
@@ -191,28 +206,32 @@ pub fn check(file: &LexedFile, findings: &mut Vec<Finding>) {
                 }
             }
         }
-        // Method chains rooted at a tracked name.
-        let (rooted, chain_start) = if t.kind == TokenKind::Ident && locals.contains(&t.text) {
+        // Method chains rooted at a tracked local or at `.FIELD` (not a
+        // `.FIELD(..)` method call).
+        let (name, chain_start) = if t.kind == TokenKind::Ident && locals.contains(&t.text) {
             // Exclude definitions (`let NAME`) — pass 1 consumed those
             // positions oddly; a cheap guard: previous token not `let`/`mut`.
             let prev_ok = i == 0
                 || !(code[i - 1].is_ident("let")
                     || code[i - 1].is_ident("mut")
                     || code[i - 1].is_punct("."));
-            (prev_ok, i + 1)
-        } else if t.is_ident("self")
-            && code.get(i + 1).is_some_and(|t| t.is_punct("."))
+            (prev_ok.then_some(&t.text), i + 1)
+        } else if t.is_punct(".")
             && code
-                .get(i + 2)
+                .get(i + 1)
                 .is_some_and(|t| t.kind == TokenKind::Ident && fields.contains(&t.text))
+            && !code.get(i + 2).is_some_and(|t| t.is_punct("("))
         {
-            (true, i + 3)
+            (Some(&code[i + 1].text), i + 2)
         } else {
-            (false, 0)
+            (None, 0)
         };
-        if rooted {
-            if let Some((line, method)) = chain_hits_iteration(file, chain_start) {
-                findings.push(finding_method(file, line, &code[i].text, &method));
+        if let Some(name) = name {
+            if let Some((line, method, after)) = chain_hits_iteration(file, chain_start) {
+                findings.push(finding_method(file, line, name, &method));
+                if nested.contains(name) {
+                    locals.extend(closure_binding(code, after));
+                }
             }
         }
         i += 1;
@@ -233,9 +252,9 @@ impl ForTarget {
 }
 
 /// For a `for` token at `i`, finds the loop's `in` and returns the
-/// target identifier (plain or `self.field`), its line, and the index
-/// just past it.
-fn for_loop_target(file: &LexedFile, i: usize) -> Option<(ForTarget, u32, usize)> {
+/// target identifier (plain, or the last field of an `expr.field`
+/// path), its line, the index just past it, and the index of `in`.
+fn for_loop_target(file: &LexedFile, i: usize) -> Option<(ForTarget, u32, usize, usize)> {
     let code = &file.code;
     // Find `in` at pattern depth 0 before the loop body opens.
     let mut depth = 0i32;
@@ -257,25 +276,61 @@ fn for_loop_target(file: &LexedFile, i: usize) -> Option<(ForTarget, u32, usize)
     while k < code.len() && (code[k].is_punct("&") || code[k].is_ident("mut")) {
         k += 1;
     }
-    if code.get(k).is_some_and(|t| t.is_ident("self"))
-        && code.get(k + 1).is_some_and(|t| t.is_punct("."))
-        && code.get(k + 2).is_some_and(|t| t.kind == TokenKind::Ident)
+    if !code.get(k).is_some_and(|t| t.kind == TokenKind::Ident) {
+        return None;
+    }
+    // Walk `a.b.c`, stopping before a method call.
+    let mut last = k;
+    while code.get(last + 1).is_some_and(|t| t.is_punct("."))
+        && code
+            .get(last + 2)
+            .is_some_and(|t| t.kind == TokenKind::Ident)
+        && !code.get(last + 3).is_some_and(|t| t.is_punct("("))
     {
-        return Some((
-            ForTarget::Field(code[k + 2].text.clone()),
-            code[k + 2].line,
-            k + 3,
-        ));
+        last += 2;
     }
-    if code.get(k).is_some_and(|t| t.kind == TokenKind::Ident) {
-        return Some((ForTarget::Local(code[k].text.clone()), code[k].line, k + 1));
+    let name = code[last].text.clone();
+    let target = if last == k {
+        ForTarget::Local(name)
+    } else {
+        ForTarget::Field(name)
+    };
+    Some((target, code[last].line, last + 1, j))
+}
+
+/// The last binding a pattern introduces (`(venue, inner)` → `inner`),
+/// the one that receives a map's value.
+fn last_binding(pattern: &[Token]) -> Option<String> {
+    pattern
+        .iter()
+        .rev()
+        .find(|t| t.kind == TokenKind::Ident && !["mut", "ref", "_"].contains(&t.text.as_str()))
+        .map(|t| t.text.clone())
+}
+
+/// After an iteration method named at `code[at - 1]`, the last binding
+/// of the first closure the chain hands the elements to
+/// (`.into_iter().map(|(k, inner)| …)` → `inner`).
+fn closure_binding(code: &[Token], at: usize) -> Option<String> {
+    let mut j = at;
+    if code.get(j).is_some_and(|t| t.is_punct("(")) {
+        j = crate::context::skip_balanced(code, j);
     }
-    None
+    let opens = code.get(j).is_some_and(|t| t.is_punct("."))
+        && code.get(j + 1).is_some_and(|t| t.kind == TokenKind::Ident)
+        && code.get(j + 2).is_some_and(|t| t.is_punct("("))
+        && code.get(j + 3).is_some_and(|t| t.is_punct("|"));
+    if !opens {
+        return None;
+    }
+    let close = (j + 4..code.len()).find(|&k| code[k].is_punct("|"))?;
+    last_binding(&code[j + 4..close])
 }
 
 /// Walks a method chain starting at `code[start]` (expected `.`) and
-/// returns the first iteration method hit, if any.
-fn chain_hits_iteration(file: &LexedFile, start: usize) -> Option<(u32, String)> {
+/// returns the first iteration method hit, if any, with the index just
+/// past its name.
+fn chain_hits_iteration(file: &LexedFile, start: usize) -> Option<(u32, String, usize)> {
     let code = &file.code;
     let mut i = start;
     loop {
@@ -287,7 +342,7 @@ fn chain_hits_iteration(file: &LexedFile, start: usize) -> Option<(u32, String)>
             return None;
         }
         if ITER_METHODS.contains(&m.text.as_str()) {
-            return Some((m.line, m.text.clone()));
+            return Some((m.line, m.text.clone(), i + 2));
         }
         // Skip turbofish and call arguments, then continue the chain.
         let mut j = i + 2;

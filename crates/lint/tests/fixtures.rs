@@ -49,8 +49,9 @@ fn d001_trigger_flags_every_iteration_shape() {
         let findings = analyze_at(path, fixture("d001", "trigger.rs"));
         assert_eq!(
             lines(&findings, Rule::D001),
-            vec![15, 23, 28, 32, 38],
-            "{path}: into_iter, values, for-in-&set, drain, for-in-&self.field: {findings:?}"
+            vec![15, 23, 28, 32, 38, 56, 72],
+            "{path}: into_iter, values, for-in-&set, drain, for-in-&self.field, \
+             iter_mut through expr.field, values of an inner map: {findings:?}"
         );
     }
 }

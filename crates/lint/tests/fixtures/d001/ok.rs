@@ -33,3 +33,8 @@ impl Cache {
         self.by_id.get(&id).copied()
     }
 }
+
+// A method named like a hash field is a call, not the field.
+fn sorted_ids(cache: &Cache) -> Vec<u32> {
+    cache.by_id().iter().copied().collect()
+}

@@ -1,4 +1,4 @@
-// D001 positive fixture: four distinct iteration shapes over hash
+// D001 positive fixture: distinct iteration shapes over hash
 // containers. Loaded under a report-affecting path by the test driver;
 // never compiled.
 use std::collections::{HashMap, HashSet};
@@ -41,4 +41,36 @@ impl Index {
         }
         rows
     }
+}
+
+struct Cache {
+    inner: Inner,
+}
+
+struct Inner {
+    map: HashMap<u64, Vec<f64>>,
+}
+
+fn extend_all(cache: &mut Cache, x: f64) {
+    let inner = &mut cache.inner;
+    for (_, entry) in inner.map.iter_mut() {
+        // line 56: .iter_mut() through a non-self field path
+        entry.push(x);
+    }
+}
+
+// A map of maps: the location-entropy bug, without the sort.
+fn entropies(checkins: &[(u32, u32)]) -> Vec<(u32, f64)> {
+    let mut visits: HashMap<u32, HashMap<u32, u32>> = HashMap::new();
+    for &(venue, worker) in checkins {
+        *visits.entry(venue).or_default().entry(worker).or_insert(0) += 1;
+    }
+    visits
+        // lint:allow(D001, reason = "the outer order is not what this shape tests")
+        .into_iter()
+        .map(|(venue, by_worker)| {
+            let counts: Vec<u32> = by_worker.values().copied().collect(); // line 72
+            (venue, entropy_from_counts(&counts))
+        })
+        .collect()
 }

@@ -35,6 +35,7 @@ impl LocationEntropy {
             .map(|(venue, by_worker)| {
                 // Sorted, so the float sum runs in one order whatever
                 // order the hash map yields the counts in.
+                // lint:allow(D001, reason = "sorted on the next line, before the float sum")
                 let mut counts: Vec<u32> = by_worker.values().copied().collect();
                 counts.sort_unstable();
                 (venue, entropy_from_counts(&counts))
