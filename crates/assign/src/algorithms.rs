@@ -49,12 +49,6 @@ impl fmt::Display for AlgorithmKind {
     }
 }
 
-/// Pair counts below this score sequentially even under a multi-thread
-/// budget: one influence evaluation is microseconds, so spawn overhead
-/// would dominate. Values are unaffected either way (the sharded scan
-/// merges in pair order).
-const SCORE_SHARD_THRESHOLD: usize = 1024;
-
 /// Everything an algorithm needs to run on one instance.
 pub struct AssignInput<'a> {
     /// The instance snapshot.
@@ -149,31 +143,21 @@ enum CostModel {
     DistanceInfluence,
 }
 
-/// Precomputes `if(w, s)` for every available pair, sharding the scan
-/// over [`AssignInput::threads`] when the pair count warrants it.
-/// Shards are contiguous pair ranges merged in index order, and every
-/// score is a pure read of the (already warm or content-deterministic)
-/// oracle, so the vector is identical at any thread count. Feed the
-/// result to [`run_scored`].
+/// Precomputes `if(w, s)` for every available pair: the oracle's
+/// whole-matrix scan ([`InfluenceOracle::influence_matrix`]) under
+/// [`AssignInput::threads`]. Every score is a pure read of the (already
+/// warm or content-deterministic) oracle, so the vector is identical
+/// at any thread count. Feed the result to [`run_scored`].
 pub fn score_pairs(input: &AssignInput<'_>, matrix: &EligibilityMatrix) -> Vec<f64> {
-    let score = |p: &crate::EligiblePair| {
-        let worker = &input.instance.workers[p.worker_idx as usize];
-        let task = &input.instance.tasks[p.task_idx as usize];
-        let v = input.influence.influence(worker.id, task);
-        debug_assert!(v.is_finite() && v >= 0.0, "influence must be >= 0, got {v}");
-        v
-    };
-    let pairs = matrix.pairs();
-    if input.threads <= 1 || pairs.len() < SCORE_SHARD_THRESHOLD {
-        return pairs.iter().map(score).collect();
-    }
-    // Clamp the width so every shard carries at least a threshold's
-    // worth of pairs — spawning 16 threads for 1.1k pairs would be
-    // spawn-dominated (same rule as RrrPool::MIN_SETS_PER_SHARD).
-    let threads = input
-        .threads
-        .min(pairs.len().div_ceil(SCORE_SHARD_THRESHOLD));
-    sc_stats::par::map_chunked(pairs.len(), threads, |pi| score(&pairs[pi]))
+    let scores = input
+        .influence
+        .influence_matrix(input.instance, matrix, input.threads);
+    debug_assert_eq!(scores.len(), matrix.n_pairs());
+    debug_assert!(
+        scores.iter().all(|v| v.is_finite() && *v >= 0.0),
+        "influence must be finite and >= 0"
+    );
+    scores
 }
 
 /// Builds the assignment from the chosen pair indices (into

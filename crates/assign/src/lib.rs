@@ -48,4 +48,4 @@ pub mod oracle;
 
 pub use algorithms::{run_scored, score_pairs, AlgorithmKind, AssignInput, SolveStats};
 pub use eligibility::{EligibilityMatrix, EligiblePair};
-pub use oracle::{InfluenceFn, InfluenceOracle, ZeroInfluence};
+pub use oracle::{score_shards, InfluenceFn, InfluenceOracle, ZeroInfluence};

@@ -30,13 +30,14 @@
 //! cohort barely above the task demand, wide eligibility radius —
 //! where nearly every augmentation reroutes earlier assignments, at 1
 //! and 4 threads. The solver is successive shortest paths specialized
-//! to the bipartite network of paper Figure 4: a pass seeds every task
-//! from its cheapest still-free worker edge and never visits a free
-//! worker, so it costs `O(tasks + wavefront)` rather than a rescan of
-//! every free worker's edges. The solve is sequential (one augmenting
-//! path per search pass) while the scoring that feeds it shards, so
-//! the grid asserts byte-identical reports across the two thread
-//! budgets.
+//! to the bipartite network of paper Figure 4. Each task keeps its
+//! cheapest still-free worker edge as a cached seed, which only the
+//! augmentation that matches that edge's worker makes it re-find; a
+//! pass reads every seed, queues only those no farther than the
+//! nearest free task's seed so far, and never visits a free worker.
+//! The solve is sequential (one augmenting path per search pass) while
+//! the scoring that feeds it shards, so the grid asserts
+//! byte-identical reports across the two thread budgets.
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_round

@@ -268,6 +268,16 @@ impl InfluenceModel {
         self.pool.total_propagation(source.raw())
     }
 
+    /// The roots of the RRR sets that contain `source` but are rooted
+    /// elsewhere ([`RrrPool::foreign_roots`]), by ascending set id; none
+    /// for a worker past the pool's population.
+    pub(crate) fn foreign_roots(&self, source: WorkerId) -> impl Iterator<Item = u32> + '_ {
+        (source.index() < self.pool.n_workers())
+            .then(|| self.pool.foreign_roots(source.raw()))
+            .into_iter()
+            .flatten()
+    }
+
     /// Location entropy `s.e` of a venue.
     pub fn entropy_of_venue(&self, venue: VenueId) -> f64 {
         self.entropy.entropy_of(venue)

@@ -32,18 +32,31 @@
 //! `willingness_all` is elementwise, so an extended entry equals a
 //! freshly computed one bit for bit.
 //!
-//! The map sits behind a reader-writer lock so the sharded scoring
-//! pass (`sc-assign`'s parallel pair scan) reads it concurrently;
+//! The map sits behind a reader-writer lock.
 //! [`InfluenceScorer::warm_eligible`] fills it up front over the thread
 //! budget — per-task work items evaluated in parallel, merged in index
-//! order — after which every `score` call is a pure shared read. Cache
-//! entries derive deterministically from task content, so lazy, warmed,
-//! sequential, and sharded paths all see identical values; the hit and
-//! miss counts ([`WarmStats`]) are computed in the sequential todo
-//! filter, so they too are identical at any thread count.
+//! order. The round's scoring scan, the scorer's
+//! [`InfluenceOracle::influence_matrix`] that `sc_assign::score_pairs`
+//! calls, then reads it once:
+//!
+//! * one shared read resolves each task's entry (entries a cache
+//!   nobody warmed lacks are warmed first);
+//! * the pairs are scored in pair order, which is worker by worker
+//!   (the matrix is worker-major), sharded in contiguous pair ranges;
+//! * a shard gathers each worker's foreign set roots
+//!   (`InfluenceModel::foreign_roots`) once, into a buffer it reuses,
+//!   and replays them for every task the worker is paired with.
+//!
+//! The scan and [`InfluenceScorer::score`] run one formula,
+//! `score_with`, over the same roots in the same order, so the scan
+//! equals `score` bit for bit (`crates/core/tests/scoring_kernel.rs`).
+//! Cache entries derive deterministically from task content, so lazy,
+//! warmed, sequential, and sharded paths all see identical values; the
+//! hit and miss counts ([`WarmStats`]) are computed in the sequential
+//! todo filter, so they too are identical at any thread count.
 
 use crate::model::InfluenceModel;
-use sc_assign::{EligibilityMatrix, InfluenceOracle};
+use sc_assign::{EligibilityMatrix, EligiblePair, InfluenceOracle};
 use sc_types::{Instance, Location, Task, WorkerId};
 use std::collections::HashMap;
 use std::fmt;
@@ -387,8 +400,8 @@ impl<'a> InfluenceScorer<'a> {
     fn with_task_entry<T>(&self, task: &Task, f: impl FnOnce(&TaskEntry) -> T) -> T {
         let key = task_key(task);
         {
-            // Warm path: a shared read — concurrent scorers (the
-            // sharded pair scan) never serialize on the lock.
+            // Warm path: a shared read — concurrent `score` calls
+            // never serialize on the lock.
             let inner = self.cache.read();
             if let Some(entry) = inner.map.get(&key) {
                 return f(entry);
@@ -408,31 +421,52 @@ impl<'a> InfluenceScorer<'a> {
         if worker.index() >= self.model.n_workers() {
             return 0.0;
         }
-        self.with_task_entry(task, |cache| match self.variant {
+        self.with_task_entry(task, |entry| {
+            self.score_with(worker, entry, self.model.foreign_roots(worker))
+        })
+    }
+
+    /// The one influence formula: the (variant's) influence of `worker`
+    /// on the task whose cached quantities are `entry`, given the
+    /// worker's foreign set roots (`InfluenceModel::foreign_roots`, in
+    /// its order). [`InfluenceScorer::score`] streams them off the pool;
+    /// the whole-matrix scan replays a gathered copy for each of the
+    /// worker's tasks.
+    fn score_with(
+        &self,
+        worker: WorkerId,
+        entry: &TaskEntry,
+        roots: impl Iterator<Item = u32>,
+    ) -> f64 {
+        if worker.index() >= self.model.n_workers() {
+            return 0.0;
+        }
+        match self.variant {
             InfluenceVariant::Full => {
-                let aff = self.model.affinity_with(worker, &cache.topics);
+                let aff = self.model.affinity_with(worker, &entry.topics);
                 if aff == 0.0 {
                     return 0.0;
                 }
-                let spread = self
-                    .model
-                    .pool()
-                    .weighted_propagation(worker.raw(), &cache.willingness);
-                aff * spread
+                aff * self.spread(entry, roots)
             }
-            InfluenceVariant::NoAffinity => self
-                .model
-                .pool()
-                .weighted_propagation(worker.raw(), &cache.willingness),
+            InfluenceVariant::NoAffinity => self.spread(entry, roots),
             InfluenceVariant::NoWillingness => {
-                let aff = self.model.affinity_with(worker, &cache.topics);
-                aff * self.model.total_propagation(worker)
+                let aff = self.model.affinity_with(worker, &entry.topics);
+                aff * (self.model.pool().scale() * roots.count() as f64)
             }
             InfluenceVariant::NoPropagation => {
-                let aff = self.model.affinity_with(worker, &cache.topics);
-                aff * cache.willingness[worker.index()]
+                let aff = self.model.affinity_with(worker, &entry.topics);
+                aff * entry.willingness[worker.index()]
             }
-        })
+        }
+    }
+
+    /// `Σ_{w_i ≠ w} P_wil(w_i, s) · P_pro(w, w_i)` over `w`'s foreign
+    /// set roots: the terms, order and fold (`Iterator::sum`, from
+    /// `−0.0`) of `sc_influence::RrrPool::weighted_propagation`.
+    fn spread(&self, entry: &TaskEntry, roots: impl Iterator<Item = u32>) -> f64 {
+        let sum: f64 = roots.map(|root| entry.willingness[root as usize]).sum();
+        self.model.pool().scale() * sum
     }
 }
 
@@ -451,10 +485,7 @@ impl InfluenceScorer<'_> {
         }
         self.with_task_entry(task, |cache| {
             let affinity = self.model.affinity_with(worker, &cache.topics);
-            let weighted_propagation = self
-                .model
-                .pool()
-                .weighted_propagation(worker.raw(), &cache.willingness);
+            let weighted_propagation = self.spread(cache, self.model.foreign_roots(worker));
             InfluenceBreakdown {
                 affinity,
                 weighted_propagation,
@@ -469,6 +500,66 @@ impl InfluenceScorer<'_> {
 impl InfluenceOracle for InfluenceScorer<'_> {
     fn influence(&self, worker: WorkerId, task: &Task) -> f64 {
         self.score(worker, task)
+    }
+
+    /// The scan in pair order (module docs): one cache read resolves
+    /// each task's entry, and each worker's foreign set roots are
+    /// gathered once per shard and replayed for every task it is paired
+    /// with. Equal to [`InfluenceScorer::score`] per pair, bit for bit.
+    fn influence_matrix(
+        &self,
+        instance: &Instance,
+        matrix: &EligibilityMatrix,
+        threads: usize,
+    ) -> Vec<f64> {
+        let pairs = matrix.pairs();
+        let mut keys: Vec<Option<TaskKey>> = vec![None; instance.tasks.len()];
+        for pair in pairs {
+            let ti = pair.task_idx as usize;
+            keys[ti].get_or_insert_with(|| task_key(&instance.tasks[ti]));
+        }
+        // One shared read resolves every task's entry. Only a cache
+        // nobody warmed lacks some; those are warmed first.
+        let inner = loop {
+            let inner = self.cache.read();
+            let missing: Vec<&Task> = instance
+                .tasks
+                .iter()
+                .zip(&keys)
+                .filter(|(_, key)| key.is_some_and(|key| !inner.map.contains_key(&key)))
+                .map(|(task, _)| task)
+                .collect();
+            if missing.is_empty() {
+                break inner;
+            }
+            drop(inner);
+            self.warm_tasks(&missing, threads);
+        };
+        let entries: Vec<Option<&TaskEntry>> = keys
+            .iter()
+            .map(|key| key.map(|key| &inner.map[&key]))
+            .collect();
+
+        let entry = |pair: &EligiblePair| {
+            entries[pair.task_idx as usize].expect("a paired task is resolved")
+        };
+        let shards = sc_assign::score_shards(pairs.len(), threads);
+        let scores = sc_stats::par::map_shards(pairs.len(), shards, |lo, hi| {
+            let mut out = Vec::with_capacity(hi - lo);
+            let mut roots = Vec::new();
+            for group in pairs[lo..hi].chunk_by(|a, b| a.worker_idx == b.worker_idx) {
+                let worker = instance.workers[group[0].worker_idx as usize].id;
+                roots.clear();
+                roots.extend(self.model.foreign_roots(worker));
+                out.extend(
+                    group
+                        .iter()
+                        .map(|pair| self.score_with(worker, entry(pair), roots.iter().copied())),
+                );
+            }
+            out
+        });
+        scores.concat()
     }
 }
 

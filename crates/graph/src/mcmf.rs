@@ -39,23 +39,32 @@
 //! 1. **A free left node sits at distance 0 with potential 0**, and a
 //!    matched one never becomes free again. So the cheapest way into
 //!    right node `j` from any free left node is its cheapest still-free
-//!    edge: each right node keeps a forward-only pointer into its edges
-//!    sorted by `(cost, edge id)`, and a pass seeds every right node in
-//!    `O(1)` (amortized) without visiting a free left node.
+//!    edge, its *seed*. The solver keeps each right node's seed edge and
+//!    its cost, found through a forward-only pointer into its edges
+//!    sorted by `(cost, edge id)`. A seed changes only when an
+//!    augmentation matches its left node, so only the right nodes
+//!    adjacent to that node are re-found, and a pass reads every seed
+//!    in `O(1)` without visiting a free left node.
 //! 2. **Every free right node shares the sink's potential**, so the
 //!    sink's distance is the smallest free right node's, and the pass
-//!    ends at the first free right node it settles.
+//!    ends at the first free right node it settles. A seed farther than
+//!    the smallest free right node's seed read so far is not queued:
+//!    it cannot settle before the pass ends, and any relaxation into it
+//!    that the bound admits beats the seed anyway, so the settle order
+//!    is the one a fully seeded pass would take.
 //! 3. **Only settled nodes change potential** relative to the sink: an
 //!    unsettled node's potential rises by `dt` like the sink's. The
 //!    solver stores potentials relative to a running `shift` (the sink's
 //!    potential), updates only the settled nodes, and resets labels
 //!    through a list of the nodes the pass touched.
 //!
-//! A pass therefore costs `O(n_right + wavefront)` — the seeds plus the
+//! A pass therefore costs `O(n_right)` reads of the cached seeds, plus
+//! heap work for the seeds within the bound and for the wavefront (the
 //! matched left nodes and right nodes strictly cheaper than the
-//! augmenting path — instead of `O(nodes + the free left nodes'
-//! degree)`. Right nodes have one residual out-edge at most (back to
-//! their matched left node); a matched left node scans its edge row.
+//! augmenting path), instead of `O(nodes + the free left nodes'
+//! degree)`; each augmentation adds a walk of one left node's edge row.
+//! Right nodes have one residual out-edge at most (back to their
+//! matched left node); a matched left node scans its edge row.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -189,6 +198,8 @@ impl MinCostMaxFlow {
             next_free: col_start[..self.n_right].to_vec(),
             col_start,
             col_ids,
+            seed_edge: vec![NONE; self.n_right],
+            seed_cost: vec![0.0; self.n_right],
             match_left: vec![NONE; self.n_left],
             match_right: vec![NONE; self.n_right],
             pot: vec![0.0; n],
@@ -200,6 +211,9 @@ impl MinCostMaxFlow {
             zero: VecDeque::new(),
             heap: BinaryHeap::new(),
         };
+        for j in 0..self.n_right {
+            ssp.reseed(j);
+        }
         let mut result = FlowResult {
             flow: 0,
             cost: 0.0,
@@ -255,6 +269,12 @@ struct Ssp<'a> {
     /// edge's left node is matched. Only moves forward: a matched left
     /// node never becomes free again.
     next_free: Vec<u32>,
+    /// Per right node, its cheapest free edge (`NONE` when every edge's
+    /// left node is matched) and that edge's cost: the pass's seed.
+    /// Refreshed only for the right nodes adjacent to the left node an
+    /// augmentation has just matched, the one event that changes it.
+    seed_edge: Vec<u32>,
+    seed_cost: Vec<f64>,
     /// Matched edge of each left / right node (`NONE` while free).
     match_left: Vec<u32>,
     match_right: Vec<u32>,
@@ -280,8 +300,9 @@ struct Ssp<'a> {
 }
 
 impl Ssp<'_> {
-    /// The cheapest edge into right node `j` whose left node is free.
-    fn cheapest_free_edge(&mut self, j: usize) -> Option<usize> {
+    /// Re-finds right node `j`'s seed: the cheapest edge into it whose
+    /// left node is free.
+    fn reseed(&mut self, j: usize) {
         let end = self.col_start[j + 1];
         let mut k = self.next_free[j];
         while k < end
@@ -290,7 +311,25 @@ impl Ssp<'_> {
             k += 1;
         }
         self.next_free[j] = k;
-        (k < end).then(|| self.col_ids[k as usize] as usize)
+        if k < end {
+            let e = self.col_ids[k as usize];
+            self.seed_edge[j] = e;
+            self.seed_cost[j] = self.cost[e as usize];
+        } else {
+            self.seed_edge[j] = NONE;
+        }
+    }
+
+    /// Refreshes the seeds that ran through left node `w`, which an
+    /// augmentation has just matched.
+    fn reseed_around(&mut self, w: usize) {
+        for k in self.row_start[w] as usize..self.row_start[w + 1] as usize {
+            let j = self.right[self.row_ids[k] as usize] as usize;
+            let seed = self.seed_edge[j];
+            if seed != NONE && self.left[seed as usize] as usize == w {
+                self.reseed(j);
+            }
+        }
     }
 
     /// One deterministic Dijkstra pass over reduced costs. Returns the
@@ -298,15 +337,18 @@ impl Ssp<'_> {
     /// augmenting path), after updating the potentials; `None` when no
     /// augmenting path exists.
     ///
-    /// Every right node is seeded from its cheapest free edge. Nodes at
-    /// distance 0 — right nodes with a tight seed and the matched left
-    /// nodes and right nodes tight edges reach from them — settle
-    /// through a FIFO in discovery order, the rest through the heap by
-    /// `(distance, node id)`. Relaxation needs strict improvement, and
-    /// labels above the cheapest free right node's tentative distance
-    /// are never pushed (such nodes cannot settle before the pass
-    /// ends), so the labels are a pure function of the residual network
-    /// and the potentials.
+    /// Every right node is seeded from its cached cheapest free edge.
+    /// Nodes at distance 0 — right nodes with a tight seed and the
+    /// matched left nodes and right nodes tight edges reach from them —
+    /// settle through a FIFO in discovery order, the rest through the
+    /// heap by `(distance, node id)`. Relaxation needs strict
+    /// improvement, and labels above the cheapest free right node's
+    /// tentative distance are never pushed (such nodes cannot settle
+    /// before the pass ends), so the labels are a pure function of the
+    /// residual network and the potentials. That bound already applies
+    /// while seeding: a seed farther than the cheapest free right
+    /// node's seed so far is left unlabelled, since any relaxation the
+    /// bound admits into it beats the seed as well.
     fn pass(&mut self) -> Option<usize> {
         for &v in &self.touched {
             self.dist[v as usize] = f64::INFINITY;
@@ -320,19 +362,23 @@ impl Ssp<'_> {
         let mut seeds = std::mem::take(&mut self.heap).into_vec();
         seeds.clear();
         for j in 0..self.match_right.len() {
-            let Some(e) = self.cheapest_free_edge(j) else {
+            let e = self.seed_edge[j];
+            if e == NONE {
                 continue;
-            };
+            }
             let v = self.n_left + j;
             // Feasible potentials keep reduced costs non-negative; clamp
             // the ~1e-16 rounding negatives so Dijkstra's
             // settled-is-final invariant is exact.
-            let d = (self.cost[e] - (self.pot[v] + self.shift)).max(0.0);
+            let d = (self.seed_cost[j] - (self.pot[v] + self.shift)).max(0.0);
+            if d > ub {
+                continue;
+            }
             self.dist[v] = d;
-            self.pred[j] = e as u32;
+            self.pred[j] = e;
             self.touched.push(v as u32);
             if self.match_right[j] == NONE {
-                ub = ub.min(d);
+                ub = d;
             }
             if d == 0.0 {
                 self.zero.push_back(v as u32);
@@ -434,11 +480,18 @@ impl Ssp<'_> {
     }
 
     /// Flips the augmenting path that ends at free right node `j`,
-    /// walking predecessors back to the free left node it starts at;
-    /// returns the path's cost (forward edges minus reversed ones).
+    /// walking predecessors back to the free left node it starts at,
+    /// and re-finds the seeds that ran through that node; returns the
+    /// path's cost (forward edges minus reversed ones).
+    ///
+    /// # Panics
+    ///
+    /// If the walk passes more right nodes than exist: the predecessors
+    /// form a cycle, which only a stale seed or label can make. A panic
+    /// fails the round; a cycle would spin forever.
     fn augment(&mut self, mut j: usize) -> f64 {
         let mut path_cost = 0.0f64;
-        loop {
+        for _ in 0..self.match_right.len() {
             let e = self.pred[j];
             path_cost += self.cost[e as usize];
             let w = self.left[e as usize] as usize;
@@ -449,11 +502,13 @@ impl Ssp<'_> {
                 // The path's free left node: potential 0, stored
                 // relative to the shift from now on.
                 self.pot[w] = -self.shift;
+                self.reseed_around(w);
                 return path_cost;
             }
             path_cost += -self.cost[prev as usize];
             j = self.right[prev as usize] as usize;
         }
+        panic!("augmenting path revisits a right node");
     }
 }
 

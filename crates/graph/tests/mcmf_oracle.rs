@@ -202,6 +202,41 @@ fn oracle_pinned_instances() {
     }
 }
 
+/// A hub: worker 0 holds every task's cheapest edge, some through
+/// parallel edges (a cheaper and a dearer copy, and two equal ones). The
+/// first augmentation matches the hub, and every task's cached seed
+/// runs through it, so each must move to its next free edge before the
+/// second pass; a seed left on the hub would start a path at a matched
+/// worker. The other workers form a ring over tasks 0–4, and task 5 is
+/// the hub's alone, so the full matching moves the hub off the cheap
+/// edge it takes first.
+#[test]
+fn hub_worker_seeds_every_task() {
+    let tasks = 6;
+    let mut edges = Vec::new();
+    for task in 0..tasks {
+        edges.push((0, task, 0.05 + 0.01 * task as f64));
+    }
+    edges.push((0, 2, 0.04));
+    edges.push((0, 4, 0.3));
+    edges.push((0, 5, 0.1));
+    edges.push((0, 5, 0.1));
+    for w in 1..6 {
+        edges.push((w, w - 1, 0.2 + 0.05 * w as f64));
+        edges.push((w, w % 5, 0.6));
+    }
+    let inst = Instance {
+        workers: 6,
+        tasks,
+        edges,
+    };
+    assert_matches_oracle(&inst);
+    let mut g = inst.network();
+    let r = g.run();
+    assert_eq!(r.flow, 6);
+    assert_eq!(r.passes, 7);
+}
+
 /// The oracle itself, sanity-checked against hand counting.
 #[test]
 fn oracle_hand_checks() {

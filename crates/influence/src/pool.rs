@@ -662,14 +662,22 @@ impl RrrPool {
         self.scale() * count as f64
     }
 
+    /// The roots of the live sets that contain `source` but are rooted
+    /// elsewhere, in ascending set id: each worker `w ≠ source` that a
+    /// cascade from `source` informs, once per set that witnesses it.
+    /// The two propagation sums below read their terms from here, and
+    /// a caller that gathers these roots once per worker can add the
+    /// same terms in the same order for many weight vectors.
+    pub fn foreign_roots(&self, source: u32) -> impl Iterator<Item = u32> + '_ {
+        self.sets_containing(source)
+            .map(|j| self.roots[j as usize])
+            .filter(move |&root| root != source)
+    }
+
     /// `Σ_{w ≠ source} P_pro(source, w)` — the Average-Propagation
     /// contribution of one worker (Eq. 7 numerator term).
     pub fn total_propagation(&self, source: u32) -> f64 {
-        let count = self
-            .sets_containing(source)
-            .filter(|&j| self.roots[j as usize] != source)
-            .count();
-        self.scale() * count as f64
+        self.scale() * self.foreign_roots(source).count() as f64
     }
 
     /// `Σ_{w ≠ source} weight(w) · P_pro(source, w)` with per-worker
@@ -679,9 +687,8 @@ impl RrrPool {
     pub fn weighted_propagation(&self, source: u32, weights: &[f64]) -> f64 {
         debug_assert_eq!(weights.len(), self.n_workers);
         let sum: f64 = self
-            .sets_containing(source)
-            .filter(|&j| self.roots[j as usize] != source)
-            .map(|j| weights[self.roots[j as usize] as usize])
+            .foreign_roots(source)
+            .map(|root| weights[root as usize])
             .sum();
         self.scale() * sum
     }
