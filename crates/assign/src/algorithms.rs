@@ -2,14 +2,15 @@
 
 use crate::eligibility::EligibilityMatrix;
 use crate::oracle::InfluenceOracle;
-use sc_graph::{Dinic, MinCostMaxFlow};
+use sc_graph::{HopcroftKarp, MinCostMaxFlow};
 use sc_types::{Assignment, AssignmentPair, Instance};
 use std::fmt;
 
 /// Which algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
-    /// Maximum Task Assignment: influence-agnostic max-flow (baseline).
+    /// Maximum Task Assignment: influence-agnostic maximum matching
+    /// (baseline).
     Mta,
     /// Influence-aware Assignment: MCMF with cost `1/(if+1)`.
     Ia,
@@ -99,10 +100,11 @@ impl<'a> AssignInput<'a> {
 }
 
 /// Solver-phase telemetry from one [`run_scored`] call. Zero for the
-/// non-flow algorithms (MI, greedy) and for MTA (Dinic does not count
-/// augmentations). Deterministic facts of the instance, identical at
-/// every thread budget; round drivers keep them in their perf split,
-/// beside the phase timings, not in the round report.
+/// non-flow algorithms (MI, greedy) and for MTA (its matching does not
+/// count passes or augmentations). Deterministic facts of the
+/// instance, identical at every thread budget; round drivers keep them
+/// in their perf split, beside the phase timings, not in the round
+/// report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Shortest-path search passes the MCMF solve ran.
@@ -294,37 +296,31 @@ fn mcmf_assign(
     )
 }
 
-/// MTA: pure max-flow (Dinic), ignoring influence for the choice but still
-/// reporting the influence of whatever it picked (the evaluation metrics
-/// need it).
+/// MTA: a maximum bipartite matching (the unit-capacity network's
+/// maximum flow), ignoring influence for the choice but still reporting
+/// the influence of whatever it picked (the evaluation metrics need
+/// it). Edges enter [`HopcroftKarp`] in pair order, so of several
+/// maximum matchings it deterministically returns the one its first
+/// augmenting paths reach.
 fn mta(input: &AssignInput<'_>, matrix: &EligibilityMatrix, influences: &[f64]) -> Assignment {
-    let n_workers = matrix.n_workers();
-    let n_tasks = matrix.n_tasks();
-    let source = 0usize;
-    let sink = n_workers + n_tasks + 1;
-    let mut dinic = Dinic::new(sink + 1);
-    for wi in 0..n_workers {
-        dinic.add_edge(source, 1 + wi, 1);
+    let mut hk = HopcroftKarp::new(matrix.n_workers(), matrix.n_tasks());
+    for p in matrix.pairs() {
+        hk.add_edge(p.worker_idx as usize, p.task_idx as usize);
     }
-    for ti in 0..n_tasks {
-        dinic.add_edge(1 + n_workers + ti, sink, 1);
-    }
-    let edge_ids: Vec<usize> = matrix
-        .pairs()
-        .iter()
-        .map(|p| {
-            dinic.add_edge(
-                1 + p.worker_idx as usize,
-                1 + n_workers + p.task_idx as usize,
-                1,
-            )
-        })
-        .collect();
-    dinic.max_flow(source, sink);
+    let (_, task_of) = hk.solve();
 
-    let chosen: Vec<usize> = (0..edge_ids.len())
-        .filter(|&pi| dinic.flow_on(edge_ids[pi]) > 0)
-        .collect();
+    // Rows are laid out worker after worker, so walking them in order
+    // maps each matched task back to its pair index, ascending.
+    let mut chosen = Vec::new();
+    let mut row_start = 0;
+    for (wi, task) in task_of.into_iter().enumerate() {
+        let row = matrix.of_worker(wi);
+        if let Some(ti) = task {
+            let k = row.iter().position(|p| p.task_idx == ti);
+            chosen.push(row_start + k.expect("a matched edge is an eligible pair"));
+        }
+        row_start += row.len();
+    }
     to_assignment(input, matrix, influences, &chosen)
 }
 
@@ -459,8 +455,8 @@ mod tests {
 
     #[test]
     fn ia_beats_mta_when_one_task_is_contested() {
-        // One task, two workers: MTA (Dinic) grabs the first augmenting
-        // path (w0); IA must route the flow through the influential w1.
+        // One task, two workers: MTA grabs the first augmenting path
+        // (w0); IA must route the flow through the influential w1.
         let inst = Instance::new(
             TimeInstant::at(0, 0),
             vec![worker(0, 1.0, 100.0), worker(1, 2.0, 100.0)],
@@ -478,8 +474,8 @@ mod tests {
 
     #[test]
     fn mta_tie_break_takes_first_augmenting_path() {
-        // Pins the Dinic augmenting order documented above: with both
-        // workers eligible for the one task, MTA deterministically
+        // Pins the matching's augmenting order documented above: with
+        // both workers eligible for the one task, MTA deterministically
         // assigns w0 (the first augmenting path in pair order). The
         // MCMF engine rewrite must not disturb the max-flow baseline's
         // output — replay traces and figure sweeps depend on it.

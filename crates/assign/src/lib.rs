@@ -5,7 +5,7 @@
 //!
 //! | Algorithm | Objective encoding | Paper |
 //! |---|---|---|
-//! | [`AlgorithmKind::Mta`] | max-flow only (influence-agnostic) | baseline (GeoCrowd) |
+//! | [`AlgorithmKind::Mta`] | maximum matching (influence-agnostic) | baseline (GeoCrowd) |
 //! | [`AlgorithmKind::Ia`]  | MCMF, edge cost `1/(if+1)` | IV-A |
 //! | [`AlgorithmKind::Eia`] | MCMF, edge cost `(s.e+1)/(if+1)` | IV-B |
 //! | [`AlgorithmKind::Dia`] | MCMF, edge cost `1/(F·if+1)` | IV-C |
@@ -26,7 +26,7 @@
 //! [`AssignInput::with_threads`] carries. Both merge in index
 //! order, so assignments are **bit-identical at any thread count** —
 //! the same contract as `sc-influence`'s sharded RRR sampling. The
-//! combinatorial solve (max-flow / MCMF / greedy) stays sequential;
+//! combinatorial solve (matching / MCMF / greedy) stays sequential;
 //! only the embarrassingly parallel scoring work fans out.
 //!
 //! ## One path per instance
@@ -36,7 +36,9 @@
 //! solve with [`run_scored`]. The steps are separate calls so round
 //! drivers can time each phase, and so one matrix and one scoring scan
 //! can feed several solves. IA, EIA and DIA solve paper Figure 4's
-//! network on `sc_graph::MinCostMaxFlow`, one edge per eligible pair.
+//! network on `sc_graph::MinCostMaxFlow`, one edge per eligible pair;
+//! MTA takes a maximum matching of the same edges from
+//! `sc_graph::HopcroftKarp`.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -16,12 +16,11 @@
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_online
-//! DITA_BENCH_DAYS=4 DITA_BENCH_TASKS=30 cargo run --release -p sc-bench --bin bench_online
 //! ```
 
 #![forbid(unsafe_code)]
 
-use sc_bench::{env_usize, write_artifact};
+use sc_bench::write_artifact;
 use sc_core::{AlgorithmKind, DitaBuilder, OnlineConfig};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::Rpo;
@@ -76,11 +75,11 @@ fn build_script(
 }
 
 fn main() {
-    let days = env_usize("DITA_BENCH_DAYS", 2);
-    let cohort = env_usize("DITA_BENCH_COHORT", 120);
-    let tasks_per_round = env_usize("DITA_BENCH_TASKS", 20);
-    let growth_cap = env_usize("DITA_BENCH_GROWTH_CAP", 1_024);
-    let horizon = env_usize("DITA_BENCH_HORIZON", 6) as u32;
+    let days: usize = 2;
+    let cohort: usize = 120;
+    let tasks_per_round: usize = 20;
+    let growth_cap: usize = 1_024;
+    let horizon: u32 = 6;
     let phi = 3.0;
     let seed = 0xD17A_0002u64;
     let algorithm = AlgorithmKind::Ia;

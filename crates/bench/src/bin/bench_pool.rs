@@ -8,7 +8,6 @@
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_pool
-//! DITA_BENCH_WORKERS=50000 DITA_BENCH_SETS=500000 cargo run --release -p sc-bench --bin bench_pool
 //! ```
 //!
 //! Speedups are only meaningful on a multi-core host; the JSON records
@@ -18,7 +17,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sc_bench::{env_usize, host_threads, write_artifact};
+use sc_bench::{host_threads, write_artifact};
 use sc_datagen::generate_social_edges;
 use sc_influence::{PropagationModel, RrrPool, SocialNetwork};
 use std::time::Instant;
@@ -30,9 +29,9 @@ struct Run {
 }
 
 fn main() {
-    let n_workers = env_usize("DITA_BENCH_WORKERS", 20_000);
-    let n_sets = env_usize("DITA_BENCH_SETS", 200_000);
-    let reps = env_usize("DITA_BENCH_REPS", 3);
+    let n_workers: usize = 20_000;
+    let n_sets: usize = 200_000;
+    let reps: usize = 3;
     let master_seed = 0xD17A_0001u64;
 
     eprintln!("[bench_pool] building network: {n_workers} workers, avg degree 4…");

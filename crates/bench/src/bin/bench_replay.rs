@@ -20,7 +20,6 @@
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_replay
-//! DITA_BENCH_WORKERS=300 cargo run --release -p sc-bench --bin bench_replay
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,7 +59,7 @@ fn config(threads: usize) -> DitaConfig {
         lda_sweeps: 15,
         infer_sweeps: 8,
         rpo: RpoParams {
-            max_sets: env_usize("DITA_BENCH_SETS", 30_000),
+            max_sets: 30_000,
             threads: Parallelism::Fixed(threads),
             ..Default::default()
         },
@@ -76,8 +75,8 @@ fn config(threads: usize) -> DitaConfig {
 }
 
 fn main() {
-    let n_workers = env_usize("DITA_BENCH_WORKERS", 240);
-    let late_every = env_usize("DITA_BENCH_LATE_EVERY", 8);
+    let n_workers: usize = 240;
+    let late_every: usize = 8;
     let threads = env_usize("DITA_THREADS", 4).max(2);
     let day = 1i64;
     let seed = 0xD17A_0005u64;

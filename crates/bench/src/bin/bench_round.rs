@@ -41,7 +41,6 @@
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_round
-//! DITA_BENCH_VENUES=150 DITA_BENCH_TASKS=400 cargo run --release -p sc-bench --bin bench_round
 //! ```
 //!
 //! The venue count bounds the distinct task contents the stream can
@@ -52,7 +51,7 @@
 
 #![forbid(unsafe_code)]
 
-use sc_bench::{env_usize, host_threads, write_artifact};
+use sc_bench::{host_threads, write_artifact};
 use sc_core::{AlgorithmKind, DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
@@ -149,13 +148,13 @@ fn steady_mean(reports: &[RoundReport], f: impl Fn(&RoundReport) -> f64) -> f64 
 }
 
 fn main() {
-    let population = env_usize("DITA_BENCH_WORKERS", 2_000);
-    let cohort = env_usize("DITA_BENCH_COHORT", 1_500);
-    let tasks_per_round = env_usize("DITA_BENCH_TASKS", 250);
-    let rounds = env_usize("DITA_BENCH_ROUNDS", 8);
-    let n_venues = env_usize("DITA_BENCH_VENUES", 300);
-    let n_sets = env_usize("DITA_BENCH_SETS", 40_000);
-    let reps = env_usize("DITA_BENCH_REPS", 2);
+    let population: usize = 2_000;
+    let cohort: usize = 1_500;
+    let tasks_per_round: usize = 250;
+    let rounds: usize = 8;
+    let n_venues: usize = 300;
+    let n_sets: usize = 40_000;
+    let reps: usize = 2;
     let phi = 3.0;
     let seed = 0xD17A_0004u64;
 

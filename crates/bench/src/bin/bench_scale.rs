@@ -21,8 +21,8 @@
 //!   plus O(delta) + O(workers) + a bounded number of arena segments —
 //!   after cold start and after rotation;
 //! * on Linux, whole-run peak RSS must stay under a ceiling
-//!   (`DITA_SCALE_RSS_CEILING_MB` to override; elsewhere the probe
-//!   honestly records `null` and the ceiling is skipped).
+//!   (elsewhere the probe honestly records `null` and the ceiling is
+//!   skipped).
 
 #![forbid(unsafe_code)]
 
@@ -85,13 +85,12 @@ fn mem_json(m: &PoolMemStats) -> String {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n_workers = env_usize("DITA_SCALE_WORKERS", if smoke { 10_000 } else { 100_000 });
-    let sets_per_worker = env_usize("DITA_SCALE_SETS_PER_WORKER", 2);
-    let n_sets = n_workers * sets_per_worker;
-    let n_topics = env_usize("DITA_SCALE_TOPICS", 16);
-    let sweeps = env_usize("DITA_SCALE_SWEEPS", 3);
+    let n_sets = n_workers * 2;
+    let n_topics: usize = 16;
+    let sweeps: usize = 3;
     // Generous by design: the ceiling catches budget *regressions*
     // (forgotten copies, doubling growth), not normal variance.
-    let ceiling_mb = env_usize("DITA_SCALE_RSS_CEILING_MB", 512 + 2 * n_workers / 1_000);
+    let ceiling_mb = 512 + 2 * n_workers / 1_000;
     let master_seed = 0xD17A_5CA1u64;
     let max_threads = host_threads().min(4);
 

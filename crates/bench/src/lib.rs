@@ -14,7 +14,9 @@
 //! The perf binaries (`bench_pool`, `bench_online`, `bench_round`,
 //! `bench_replay`, `bench_scale`) each write one committed
 //! `BENCH_<name>.json` at the repository root through
-//! [`write_artifact`]; [`env_usize`] reads their size overrides.
+//! [`write_artifact`]. Their sizes are fixed in the source; [`env_usize`]
+//! reads the two overrides that remain, `DITA_SCALE_WORKERS`
+//! (`bench_scale`'s 10⁶-worker run) and `DITA_THREADS` (`bench_replay`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

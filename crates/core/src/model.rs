@@ -193,6 +193,9 @@ impl InfluenceModel {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
         let mut rng = SmallRng::seed_from_u64(h);
+        // A world trained without category check-ins has no rows yet:
+        // pad to the population so the arrival's θ lands at its own id.
+        self.worker_topics.resize(self.n_workers, Vec::new());
         self.worker_topics
             .push(self.lda.infer(&doc, self.config.infer_sweeps, &mut rng));
 
@@ -472,6 +475,24 @@ mod tests {
         let mut buf = Vec::new();
         model.willingness_all(&task.location, &mut buf);
         assert_eq!(buf.len(), 5);
+    }
+
+    #[test]
+    fn fold_in_without_trained_categories_keeps_topics_with_the_arrival() {
+        // No check-in carries a category, so training leaves no θ rows.
+        let social = SocialNetwork::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let mut model = InfluenceModel::train(&small_config(), &social, &HistoryStore::default());
+        let mut hist = History::new();
+        hist.push(sc_types::CheckIn::at(
+            WorkerId::new(4),
+            VenueId::new(0),
+            Location::ORIGIN,
+            TimeInstant::from_seconds(1),
+            vec![CategoryId::new(0)],
+        ));
+        let id = model.fold_in_worker(&social.fold_in_worker(&[0, 1]), &hist);
+        assert!(model.worker_topics(WorkerId::new(0)).is_empty());
+        assert_eq!(model.worker_topics(id).len(), small_config().n_topics);
     }
 
     #[test]

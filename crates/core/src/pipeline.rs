@@ -122,7 +122,8 @@ impl DitaBuilder {
     }
 
     /// Trains every model (LDA, willingness, entropy, RRR pool) and
-    /// returns the ready pipeline.
+    /// returns the ready pipeline. Refuses histories of workers the
+    /// social network lacks: the RRR pool could never reach them.
     pub fn build(
         self,
         social: &SocialNetwork,
@@ -130,6 +131,13 @@ impl DitaBuilder {
     ) -> sc_types::Result<DitaPipeline> {
         if self.config.n_topics == 0 {
             return Err(sc_types::ScError::invalid("n_topics must be positive"));
+        }
+        if histories.n_workers() > social.n_workers() {
+            return Err(sc_types::ScError::invalid(format!(
+                "histories cover {} workers but the social network has {}",
+                histories.n_workers(),
+                social.n_workers()
+            )));
         }
         let model = InfluenceModel::train(&self.config, social, histories);
         Ok(DitaPipeline {
@@ -411,6 +419,22 @@ mod tests {
         let store = HistoryStore::with_workers(2);
         let err = DitaBuilder::new().topics(0).build(&social, &store);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn builder_rejects_histories_beyond_the_network() {
+        let social = SocialNetwork::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let build = |n| {
+            DitaBuilder::new()
+                .rpo(sc_influence::RpoParams {
+                    max_sets: 1_000,
+                    ..Default::default()
+                })
+                .build(&social, &HistoryStore::with_workers(n))
+        };
+        assert!(build(6).is_err());
+        assert!(build(4).is_ok());
+        assert!(build(2).is_ok());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //!   cache-friendly.
 //! * [`traverse`] — BFS hop distances, the reachability oracle of the
 //!   cascade property tests.
-//! * [`Dinic`] — max-flow for the influence-agnostic MTA baseline.
 //! * [`MinCostMaxFlow`] — min-cost max-flow with `f64` costs on the
 //!   unit-capacity bipartite network of paper Figure 4 (workers on the
 //!   left, tasks on the right, source and sink implicit); the IA/EIA/DIA
@@ -18,8 +17,10 @@
 //!   optimum). Successive shortest paths whose passes never visit a
 //!   free worker; [`verify`] certifies a solved matching independently
 //!   of the solver.
-//! * [`HopcroftKarp`] — maximum bipartite matching, used as an
-//!   independent cross-check of the flow-based cardinality.
+//! * [`HopcroftKarp`] — maximum bipartite matching, which is the
+//!   maximum flow of that network. The influence-agnostic MTA baseline
+//!   runs on it, and the tests use it as the min-cost solve's
+//!   cardinality reference.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -27,11 +28,9 @@
 
 pub mod csr;
 pub mod matching;
-pub mod maxflow;
 pub mod mcmf;
 pub mod traverse;
 
 pub use csr::{CsrBuilder, CsrGraph};
 pub use matching::HopcroftKarp;
-pub use maxflow::Dinic;
 pub use mcmf::{verify, CertificateError, FlowResult, MinCostMaxFlow};

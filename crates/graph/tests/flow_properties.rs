@@ -1,13 +1,14 @@
-//! Property tests tying the three flow/matching solvers together on
+//! Property tests tying the two flow/matching solvers together on
 //! random bipartite assignment-shaped instances:
 //!
-//! * Dinic max-flow == Hopcroft–Karp matching size (same cardinality).
-//! * MCMF flow == Dinic flow (max-flow priority is preserved).
-//! * MCMF cost <= cost of any greedy matching with the same cardinality
-//!   found by a simple exhaustive search on tiny instances.
+//! * MCMF flow == Hopcroft–Karp matching size (max-flow priority is
+//!   preserved).
+//! * On tiny instances, an exhaustive search finds the reference
+//!   optimum: MCMF's flow and cost equal its size and minimum cost, and
+//!   Hopcroft–Karp returns a matching over the given edges of that size.
 
 use proptest::prelude::*;
-use sc_graph::{Dinic, HopcroftKarp, MinCostMaxFlow};
+use sc_graph::{HopcroftKarp, MinCostMaxFlow};
 
 #[derive(Debug, Clone)]
 struct BipartiteCase {
@@ -37,22 +38,6 @@ fn bipartite_case(max_side: usize) -> impl Strategy<Value = BipartiteCase> {
         })
 }
 
-fn dinic_flow(case: &BipartiteCase) -> i64 {
-    let n = case.n_left + case.n_right + 2;
-    let (s, t) = (n - 2, n - 1);
-    let mut g = Dinic::new(n);
-    for l in 0..case.n_left {
-        g.add_edge(s, l, 1);
-    }
-    for r in 0..case.n_right {
-        g.add_edge(case.n_left + r, t, 1);
-    }
-    for &(l, r, _) in &case.edges {
-        g.add_edge(l, case.n_left + r, 1);
-    }
-    g.max_flow(s, t)
-}
-
 fn mcmf_run(case: &BipartiteCase) -> (i64, f64) {
     let mut g = MinCostMaxFlow::new(case.n_left, case.n_right);
     for &(l, r, c) in &case.edges {
@@ -62,12 +47,12 @@ fn mcmf_run(case: &BipartiteCase) -> (i64, f64) {
     (res.flow, res.cost)
 }
 
-fn hk_size(case: &BipartiteCase) -> usize {
+fn hk_solve(case: &BipartiteCase) -> (usize, Vec<Option<u32>>) {
     let mut hk = HopcroftKarp::new(case.n_left, case.n_right);
     for &(l, r, _) in &case.edges {
         hk.add_edge(l, r);
     }
-    hk.solve().0
+    hk.solve()
 }
 
 /// Exhaustively finds the min-cost matching of maximum cardinality on a
@@ -117,14 +102,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn dinic_equals_hopcroft_karp(case in bipartite_case(7)) {
-        prop_assert_eq!(dinic_flow(&case), hk_size(&case) as i64);
-    }
-
-    #[test]
-    fn mcmf_flow_equals_dinic(case in bipartite_case(7)) {
+    fn mcmf_flow_equals_hopcroft_karp(case in bipartite_case(7)) {
         let (flow, _) = mcmf_run(&case);
-        prop_assert_eq!(flow, dinic_flow(&case));
+        prop_assert_eq!(flow as usize, hk_solve(&case).0);
     }
 
     #[test]
@@ -136,5 +116,16 @@ proptest! {
         prop_assert_eq!(flow as usize, best_size);
         prop_assert!((cost - best_cost).abs() < 1e-6,
             "cost {} vs brute-force {}", cost, best_cost);
+
+        // Hopcroft–Karp: the same maximum, as a matching over the edges.
+        let (hk_size, task_of) = hk_solve(&case);
+        prop_assert_eq!(hk_size, best_size);
+        let mut used = vec![false; case.n_right];
+        for (l, r) in task_of.iter().enumerate().filter_map(|(l, r)| Some((l, (*r)? as usize))) {
+            prop_assert!(case.edges.iter().any(|e| (e.0, e.1) == (l, r)),
+                "({}, {}) is not an edge", l, r);
+            prop_assert!(!std::mem::replace(&mut used[r], true), "task {} matched twice", r);
+        }
+        prop_assert_eq!(used.iter().filter(|&&u| u).count(), hk_size);
     }
 }

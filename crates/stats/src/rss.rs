@@ -73,8 +73,9 @@ mod tests {
     fn allocation_moves_the_watermark() {
         reset_peak_rss();
         let before = peak_rss_bytes().unwrap();
-        // Touch 64 MB so it is actually resident.
-        let block = vec![1u8; 64 << 20];
+        // Touch 64 MB so it is actually resident; `black_box` keeps the
+        // optimizer from deleting an allocation nothing reads.
+        let block = std::hint::black_box(vec![1u8; 64 << 20]);
         let after = peak_rss_bytes().unwrap();
         assert!(
             after >= before + (32 << 20),

@@ -8,7 +8,7 @@
 //! * [`types`] — workers, tasks, check-in histories, assignments.
 //! * [`spatial`] — planar geometry and the grid index.
 //! * [`stats`] — Pareto/Zipf distributions, MLE, entropy.
-//! * [`graph`] — CSR digraphs, min-cost max-flow, Dinic, Hopcroft–Karp.
+//! * [`graph`] — CSR digraphs, min-cost max-flow, Hopcroft–Karp matching.
 //! * [`topics`] — Latent Dirichlet Allocation (worker-task affinity).
 //! * [`mobility`] — Historical-Acceptance willingness and location entropy.
 //! * [`influence`] — Independent Cascade, RRR sets, the RPO estimator.
