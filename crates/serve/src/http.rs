@@ -143,6 +143,7 @@ pub fn write_response(
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        413 => "Content Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
         503 => "Service Unavailable",

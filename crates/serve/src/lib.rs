@@ -6,7 +6,7 @@
 //! | Method | Path        | Purpose                                            |
 //! |--------|-------------|----------------------------------------------------|
 //! | `GET`  | `/healthz`  | Liveness + queue depth (never touches the engine)  |
-//! | `POST` | `/events`   | Enqueue a batch of [`sc_sim::EventKind`]s (or 429) |
+//! | `POST` | `/events`   | Enqueue a batch of [`sc_sim::EventKind`]s (429/413)|
 //! | `POST` | `/round`    | Drain the queue, close the round, return the report|
 //! | `GET`  | `/report`   | Rounds served, lifetime summary, last round        |
 //! | `POST` | `/snapshot` | Fold queued events in, write the versioned snapshot|
@@ -27,4 +27,4 @@ pub mod http;
 pub mod server;
 
 pub use http::{read_request, write_response, Request, MAX_BODY_BYTES};
-pub use server::{parse_algorithm, ServeConfig, Server};
+pub use server::{decode_events, decode_events_via_tree, parse_algorithm, ServeConfig, Server};

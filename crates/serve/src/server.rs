@@ -3,12 +3,19 @@
 //!
 //! # Ingestion and ordering
 //!
-//! `POST /events` only takes the queue lock: batches append atomically
-//! (all events of one request are adjacent) and the call returns
-//! before any engine work happens. The queue is bounded —
+//! `POST /events` decodes its body on the HTTP thread, outside every
+//! lock, straight from the text into events ([`decode_events`]; no
+//! `Value` tree is built). A body that reader refuses is decoded once
+//! more through the tree ([`decode_events_via_tree`]), whose error is
+//! the text of the `400`, so a refusal reads as it always has. Then the
+//! handler only takes the queue lock: batches append atomically (all
+//! events of one request are adjacent) and the call returns before any
+//! engine work happens. The queue is bounded —
 //! [`ServeConfig::queue_cap`] — and a batch that would overflow it is
 //! refused whole with `429`, which is the backpressure contract: the
-//! client retries after the next round drains the queue.
+//! client retries after the next round drains the queue. A batch
+//! larger than the whole queue could never fit, so it is refused with
+//! `413` instead.
 //!
 //! `POST /round` drains the queue **in arrival order** into
 //! [`OnlineEngine::ingest`] and then closes the round. Because every
@@ -51,8 +58,8 @@ use crate::http::{read_request, write_response, Request};
 use sc_assign::AlgorithmKind;
 use sc_sim::{save_snapshot, EventKind, OnlineEngine, RoundReport};
 use sc_types::TimeInstant;
-use serde::json::Value;
-use serde::Serialize as _;
+use serde::json::{Reader, Value};
+use serde::{Deserialize as _, Serialize as _};
 use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -79,7 +86,8 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7117` (`:0` picks a free port).
     pub addr: String,
     /// Bound on queued-but-unapplied events; `POST /events` batches
-    /// that would overflow it are refused with `429`.
+    /// that would overflow it are refused with `429`, and batches
+    /// larger than it with `413`.
     pub queue_cap: usize,
     /// HTTP worker threads (each serves one connection at a time).
     pub http_threads: usize,
@@ -421,33 +429,64 @@ fn healthz(shared: &Shared) -> (u16, String) {
     (if ok { 200 } else { 503 }, body.to_json_string())
 }
 
+/// Decodes a `POST /events` body: one event object or an array of
+/// them, each the JSON form of [`EventKind`]. It reads the text with a
+/// [`Reader`] and builds no [`Value`] tree, and accepts, refuses and
+/// decodes exactly as [`decode_events_via_tree`] does.
+pub fn decode_events(body: &str) -> Result<Vec<EventKind>, serde::Error> {
+    let mut reader = Reader::new(body);
+    let events = if reader.peek() == Some(b'[') {
+        Vec::from_json(&mut reader)?
+    } else {
+        vec![EventKind::from_json(&mut reader)?]
+    };
+    reader.finish()?;
+    Ok(events)
+}
+
+/// [`decode_events`] through a [`Value`] tree: [`serde::json::parse`],
+/// then [`EventKind`]'s `from_value` on each event. It is the reference
+/// the reader is tested against, and its error is the text of the
+/// `400` that `POST /events` answers.
+pub fn decode_events_via_tree(body: &str) -> Result<Vec<EventKind>, String> {
+    let value = serde::json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
+    let items: Vec<&Value> = match &value {
+        Value::Array(items) => items.iter().collect(),
+        Value::Object(_) => vec![&value],
+        other => return Err(format!("expected event or array, got {}", other.kind())),
+    };
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| EventKind::from_value(item).map_err(|e| format!("event {i}: {e}")))
+        .collect()
+}
+
 /// `POST /events` — body is one event object or an array of them
 /// (each the JSON form of [`EventKind`]). The whole batch is accepted
 /// or refused: partial enqueues would make `429` retries ambiguous.
+/// A batch larger than the whole queue could never fit, so it is
+/// refused with `413`, not told to retry.
 fn post_events(shared: &Shared, body: &str) -> (u16, String) {
     if shared.engine.is_poisoned() {
         return (503, error_body(DEGRADED));
     }
-    let value = match serde::json::parse(body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("bad JSON: {e}"))),
+    // A body the reader refuses is decoded again through the tree, so
+    // the refusal keeps its words.
+    let events = match decode_events(body).or_else(|_| decode_events_via_tree(body)) {
+        Ok(events) => events,
+        Err(e) => return (400, error_body(&e)),
     };
-    let items: Vec<&Value> = match &value {
-        Value::Array(items) => items.iter().collect(),
-        Value::Object(_) => vec![&value],
-        other => {
-            return (
-                400,
-                error_body(&format!("expected event or array, got {}", other.kind())),
-            )
-        }
-    };
-    let mut events = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        match <EventKind as serde::Deserialize>::from_value(item) {
-            Ok(e) => events.push(e),
-            Err(e) => return (400, error_body(&format!("event {i}: {e}"))),
-        }
+    if events.len() > shared.queue_cap {
+        let body = Value::Object(vec![
+            (
+                "error".to_string(),
+                Value::Str("batch larger than the queue".to_string()),
+            ),
+            ("events".to_string(), events.len().to_value()),
+            ("capacity".to_string(), shared.queue_cap.to_value()),
+        ]);
+        return (413, body.to_json_string());
     }
 
     let mut queue = shared.queue.lock().expect("queue lock");

@@ -129,6 +129,16 @@ fn endpoints_answer_and_backpressure_bites() {
     assert!(body.contains("\"report\":"), "{body}");
     assert_eq!(server.queued_events(), 0, "round must drain the queue");
 
+    // A batch of nine could not fit even the empty queue, so retrying
+    // it would never help: refused whole with `413`, not `429`.
+    let nine: Vec<EventKind> = (0..9u32)
+        .map(|i| scripted_event(&data, 13, 20 + i, now, 2.0))
+        .collect();
+    let (status, body) = request(addr, "POST", "/events", &events_json(&nine));
+    assert_eq!(status, 413, "{body}");
+    assert!(body.contains("batch larger than the queue"), "{body}");
+    assert_eq!(server.queued_events(), 0, "refused batch must not enqueue");
+
     let (status, body) = request(addr, "GET", "/report", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"rounds\":1"), "{body}");
@@ -729,57 +739,155 @@ fn spell_infinities(body: &str) -> String {
         .replace(&format!("\"{NEG_INF}\""), "-1e999")
 }
 
+/// How many event rewrites [`mangled_event_body`] knows past
+/// [`replacement`]'s values and the removal. The wire form writes none
+/// of them, and a decoder must read each as the tree does:
+/// 1. the field's object with its keys in reverse order (an event's
+///    `type` last);
+/// 2. a second copy of the field's key, holding garbage;
+/// 3. an unknown key after the field, holding nested arrays and
+///    objects;
+/// 4. the field's key written with a `\u` escape (`"ty\u0070e"`);
+/// 5. whitespace between every two tokens.
+const REWRITES: usize = 5;
+
+/// The events a mangled body starts from.
+fn templates() -> &'static [Value] {
+    static TEMPLATES: OnceLock<Vec<Value>> = OnceLock::new();
+    TEMPLATES.get_or_init(|| event_templates(&dataset()))
+}
+
+/// Template `template` mangled at its `field`-th field (modulo the
+/// count) by `action`: a [`replacement`] value, the field's removal, or
+/// one of the [`REWRITES`]. With `batch`, the body is an array whose
+/// first event is the valid template 0.
+fn mangled_event_body(template: usize, field: usize, action: usize, batch: bool) -> String {
+    let mut event = templates()[template].clone();
+    let mut paths = Vec::new();
+    field_paths(&event, &mut Vec::new(), &mut paths);
+    let (last, parents) = paths[field % paths.len()].split_last().unwrap();
+    let mut parent = &mut event;
+    for &i in parents {
+        parent = match parent {
+            Value::Object(fields) => &mut fields[i].1,
+            Value::Array(items) => &mut items[i],
+            _ => unreachable!("paths only descend containers"),
+        };
+    }
+    let Value::Object(fields) = parent else {
+        unreachable!("paths end at object fields");
+    };
+    let key = fields[*last].0.clone();
+    let nested = || serde::json::parse(r#"[{"a":[1,{}],"type":{"b":null}},[]]"#).unwrap();
+    match action.checked_sub(REPLACEMENTS) {
+        None => fields[*last].1 = replacement(action).expect("a replacement value"),
+        Some(0) => {
+            fields.remove(*last);
+        }
+        Some(1) => fields.reverse(),
+        Some(2) => fields.insert(*last + 1, (key.clone(), nested())),
+        Some(3) => fields.insert(*last + 1, ("extra".to_string(), nested())),
+        _ => {}
+    }
+    let mut body = event.to_json_string();
+    match action.checked_sub(REPLACEMENTS) {
+        Some(4) => {
+            let mid = key.len() / 2;
+            let escaped = format!(
+                "{}\\u{:04x}{}",
+                &key[..mid],
+                key.as_bytes()[mid],
+                &key[mid + 1..]
+            );
+            body = body.replace(&format!("\"{key}\":"), &format!("\"{escaped}\":"));
+        }
+        Some(5) => {
+            body = event
+                .to_json_string_pretty()
+                .replace(',', " \t,")
+                .replace(':', "\r\n:");
+        }
+        _ => {}
+    }
+    if batch {
+        body = format!("[{},{body}]", templates()[0].to_json_string());
+    }
+    spell_infinities(&body)
+}
+
+/// Asserts that `sc_serve::decode_events` reads `body` as the tree
+/// path does: both refuse it, or both decode events whose JSON is
+/// byte-identical.
+fn assert_decodes_alike(body: &str) {
+    match (
+        sc_serve::decode_events(body),
+        sc_serve::decode_events_via_tree(body),
+    ) {
+        (Ok(direct), Ok(tree)) => assert_eq!(events_json(&direct), events_json(&tree), "{body}"),
+        (Err(_), Err(_)) => {}
+        (direct, tree) => panic!("{body}\nreader: {direct:?}\ntree: {tree:?}"),
+    }
+}
+
+/// Every field of every template under every action, alone and in a
+/// batch: the reader decodes each body as the tree does. Of the bodies,
+/// both accept some and refuse others.
+#[test]
+fn decode_events_reads_every_mangled_event_as_the_tree_does() {
+    let (mut accepted, mut refused) = (0, 0);
+    for template in 0..templates().len() {
+        let mut paths = Vec::new();
+        field_paths(&templates()[template], &mut Vec::new(), &mut paths);
+        for field in 0..paths.len() {
+            for action in 0..=REPLACEMENTS + REWRITES {
+                for batch in [false, true] {
+                    let body = mangled_event_body(template, field, action, batch);
+                    assert_decodes_alike(&body);
+                    match sc_serve::decode_events_via_tree(&body) {
+                        Ok(_) => accepted += 1,
+                        Err(_) => refused += 1,
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        accepted > 100 && refused > 100,
+        "{accepted} accepted, {refused} refused"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random bytes as a `/events` body get an answer, and the
-    /// process keeps serving.
+    /// Random bytes as a `/events` body get an answer, the process
+    /// keeps serving, and the reader refuses or decodes them as the
+    /// tree does.
     #[test]
     fn events_body_of_random_bytes_gets_an_answer(
         bytes in prop::collection::vec(0u8..=255, 0..=2048),
     ) {
         let addr = fuzz_server();
         assert_served(addr, post_raw(addr, "/events", &bytes), EVENTS_ANSWERS);
+        if let Ok(body) = std::str::from_utf8(&bytes) {
+            assert_decodes_alike(body);
+        }
     }
 
-    /// Event-shaped JSON with one field missing, of the wrong type, or
-    /// holding an extreme number — alone or after a valid event in a
-    /// batch — gets an answer, and the process keeps serving.
+    /// Event-shaped JSON with one field missing, of the wrong type,
+    /// holding an extreme number, or rewritten in a way the wire form
+    /// never writes — alone or after a valid event in a batch — gets an
+    /// answer, the process keeps serving, and the reader decodes it as
+    /// the tree does.
     #[test]
     fn mangled_events_get_an_answer(
         template in 0usize..4,
         field in 0usize..1_000,
-        action in 0usize..=REPLACEMENTS,
+        action in 0usize..=REPLACEMENTS + REWRITES,
         batch in 0u8..2,
     ) {
-        static TEMPLATES: OnceLock<Vec<Value>> = OnceLock::new();
-        let templates = TEMPLATES.get_or_init(|| event_templates(&dataset()));
-        let mut event = templates[template].clone();
-        let mut paths = Vec::new();
-        field_paths(&event, &mut Vec::new(), &mut paths);
-        let (last, parents) = paths[field % paths.len()].split_last().unwrap();
-        let mut parent = &mut event;
-        for &i in parents {
-            parent = match parent {
-                Value::Object(fields) => &mut fields[i].1,
-                Value::Array(items) => &mut items[i],
-                _ => unreachable!("paths only descend containers"),
-            };
-        }
-        let Value::Object(fields) = parent else {
-            unreachable!("paths end at object fields");
-        };
-        match replacement(action) {
-            Some(v) => fields[*last].1 = v,
-            None => {
-                fields.remove(*last);
-            }
-        }
-        let mut body = event.to_json_string();
-        if batch == 1 {
-            body = format!("[{},{body}]", templates[0].to_json_string());
-        }
-        let body = spell_infinities(&body);
+        let body = mangled_event_body(template, field, action, batch == 1);
+        assert_decodes_alike(&body);
         let addr = fuzz_server();
         let (status, _) = request(addr, "POST", "/events", &body);
         assert_served(addr, status, EVENTS_ANSWERS);

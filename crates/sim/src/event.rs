@@ -18,7 +18,8 @@
 //! [`RejectReason`], so no event is dropped silently.
 
 use sc_types::{History, Location, Task, VenueId, Worker, WorkerId};
-use serde::{json::Value, Deserialize, Error, Serialize};
+use serde::json::{Reader, Value};
+use serde::{Deserialize, Error, Serialize};
 
 /// A totally ordered ingestion event: `kind` applied as the `seq`-th
 /// event of round `round`.
@@ -200,6 +201,133 @@ impl Deserialize for EventKind {
             .ok_or_else(|| Error::expected("event object", value))?;
         EventKind::from_fields(obj)
     }
+
+    /// Decodes the event in one pass over its text when `type` comes
+    /// first, as the wire form writes it. Which payload keys are read,
+    /// and as what (`worker` is an object or an id), depends on `type`,
+    /// so keys written before it are only checked for syntax at first,
+    /// then read again once the type is known. As with `get_field`, the
+    /// first copy of a key wins.
+    fn from_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        let start = reader.clone();
+        reader.begin_object()?;
+        let mut keys_before_type = false;
+        let tag = loop {
+            match reader.next_key()? {
+                Some(key) if key == "type" => break reader.string()?,
+                Some(_) => {
+                    keys_before_type = true;
+                    reader.skip()?;
+                }
+                None => return Err(Error::missing_field("type")),
+            }
+        };
+        let mut payload = Payload::new(&tag)?;
+        if keys_before_type {
+            let mut before = start;
+            before.begin_object()?;
+            while let Some(key) = before.next_key()? {
+                if key == "type" {
+                    break;
+                }
+                payload.read(&key, &mut before)?;
+            }
+        }
+        while let Some(key) = reader.next_key()? {
+            payload.read(&key, reader)?;
+        }
+        let kind = payload.finish()?;
+        kind.check_numbers()?;
+        Ok(kind)
+    }
+}
+
+/// The payload of an event whose `type` is known, while its text is
+/// read: the first copy of each key that type reads.
+enum Payload {
+    TaskArrival {
+        task: Option<Task>,
+        venue: Option<VenueId>,
+    },
+    WorkerArrival {
+        worker: Option<Worker>,
+    },
+    WorkerNew {
+        worker: Option<Worker>,
+        friends: Option<Vec<WorkerId>>,
+        history: Option<History>,
+    },
+    WorkerDeparture {
+        worker: Option<WorkerId>,
+    },
+}
+
+impl Payload {
+    fn new(tag: &str) -> Result<Self, Error> {
+        Ok(match tag {
+            "task_arrival" => Payload::TaskArrival {
+                task: None,
+                venue: None,
+            },
+            "worker_arrival" => Payload::WorkerArrival { worker: None },
+            "worker_new" => Payload::WorkerNew {
+                worker: None,
+                friends: None,
+                history: None,
+            },
+            "worker_departure" => Payload::WorkerDeparture { worker: None },
+            other => return Err(Error::custom(format!("unknown event type `{other}`"))),
+        })
+    }
+
+    /// Reads the value of `key` if this type reads that key and has not
+    /// read it yet; otherwise only checks its syntax.
+    fn read(&mut self, key: &str, reader: &mut Reader<'_>) -> Result<(), Error> {
+        match (self, key) {
+            (Payload::TaskArrival { task, .. }, "task") if task.is_none() => fill(task, reader),
+            (Payload::TaskArrival { venue, .. }, "venue") if venue.is_none() => fill(venue, reader),
+            (Payload::WorkerArrival { worker } | Payload::WorkerNew { worker, .. }, "worker")
+                if worker.is_none() =>
+            {
+                fill(worker, reader)
+            }
+            (Payload::WorkerNew { friends, .. }, "friends") if friends.is_none() => {
+                fill(friends, reader)
+            }
+            (Payload::WorkerNew { history, .. }, "history") if history.is_none() => {
+                fill(history, reader)
+            }
+            (Payload::WorkerDeparture { worker }, "worker") if worker.is_none() => {
+                fill(worker, reader)
+            }
+            _ => reader.skip(),
+        }
+    }
+
+    fn finish(self) -> Result<EventKind, Error> {
+        use serde::take_field;
+        Ok(match self {
+            Payload::TaskArrival { task, venue } => EventKind::TaskArrival {
+                task: take_field(task, "task")?,
+                venue: take_field(venue, "venue")?,
+            },
+            Payload::WorkerArrival { worker } => EventKind::WorkerArrival {
+                worker: take_field(worker, "worker")?,
+            },
+            Payload::WorkerNew {
+                worker,
+                friends,
+                history,
+            } => EventKind::WorkerNew {
+                worker: take_field(worker, "worker")?,
+                friends: take_field(friends, "friends")?,
+                history: take_field(history, "history")?,
+            },
+            Payload::WorkerDeparture { worker } => EventKind::WorkerDeparture {
+                worker: take_field(worker, "worker")?,
+            },
+        })
+    }
 }
 
 impl Serialize for Event {
@@ -224,6 +352,12 @@ impl Deserialize for Event {
             kind: EventKind::from_fields(obj)?,
         })
     }
+}
+
+/// Decodes the value at the reader's cursor into `slot`.
+fn fill<T: Deserialize>(slot: &mut Option<T>, reader: &mut Reader<'_>) -> Result<(), Error> {
+    *slot = Some(T::from_json(reader)?);
+    Ok(())
 }
 
 /// What applying one [`Event`] did. Nothing is dropped silently:

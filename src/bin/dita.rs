@@ -81,7 +81,8 @@ MODES
                through the online engine (workers first seen mid-day are
                folded into the live influence network)
   serve        long-running HTTP serving process around the online engine:
-               POST /events (batched, 429 on a full queue), POST /round,
+               POST /events (batched; 429 on a full queue, 413 on a
+               batch larger than the queue), POST /round,
                GET /report, GET /healthz, POST /snapshot; start from
                training (--profile or --edges/--checkins/--day) or from a
                snapshot file (--restore)
@@ -143,7 +144,8 @@ FLAGS                 applies to            meaning (default)
   --addr A            serve, post-replay    bind / target address
                                             (127.0.0.1:7117)
   --queue-cap N       serve                 bound on queued-but-unapplied
-                                            events; full ⇒ 429 (4096)
+                                            events; full ⇒ 429, a batch
+                                            larger than it ⇒ 413 (4096)
   --http-threads N    serve                 HTTP worker threads (2)
   --snapshot PATH     serve                 where POST /snapshot writes
   --restore PATH      serve                 start from a snapshot instead
@@ -780,7 +782,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let server = Server::start(engine, config).map_err(|e| e.to_string())?;
     println!("dita serve listening on http://{}", server.local_addr());
     println!(
-        "  POST /events    ingest a JSON event batch (202, or 429 when the queue is full)\n\
+        "  POST /events    ingest a JSON event batch (202; 429 when the queue is full,\n\
+         \x20                 413 when the batch is larger than the queue)\n\
          \x20 POST /round     drain the queue and close a round ({{\"day\",\"hour\"}} or {{\"at\"}})\n\
          \x20 GET  /report    rounds served, lifetime summary, last round\n\
          \x20 POST /snapshot  fold queued events in and write the snapshot file\n\
