@@ -191,8 +191,8 @@ fn main() {
             tokens += doc.len();
             lda.feed_doc(doc, &mut rng);
         }
-        let model = lda.finish(&mut rng);
-        assert_eq!(model.n_docs(), n_workers);
+        let (_, theta) = lda.finish(&mut rng);
+        assert_eq!(theta.len(), n_workers);
         tokens
     });
 

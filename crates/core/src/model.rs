@@ -17,14 +17,16 @@ use sc_types::{History, HistoryStore, Location, Task, VenueId, WorkerId};
 /// disturbing the original.
 ///
 /// Serde (snapshot support) round-trips every trained sub-model —
-/// LDA `φ`/`θ`, per-worker topic distributions, willingness fits,
-/// venue entropies, and the live RRR pool with its epoch window — so a
-/// restored model scores bit-identically to the original.
+/// LDA `φ`, the per-worker topic distributions (LDA's `θ`, held only
+/// here), willingness fits, venue entropies, and the live RRR pool with
+/// its epoch window — so a restored model scores bit-identically to the
+/// original.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct InfluenceModel {
     config: DitaConfig,
     lda: LdaModel,
-    /// θ of every worker's historical category document.
+    /// θ of every worker's historical category document: the LDA
+    /// trainer's `θ`, moved here, plus a row per folded-in worker.
     worker_topics: Vec<Vec<f64>>,
     willingness: WillingnessModel,
     entropy: LocationEntropy,
@@ -60,8 +62,7 @@ impl InfluenceModel {
             // vocabulary with zero documents so inference stays
             // well-defined (the pre-streaming fallback path, bit
             // included).
-            let lda = StreamingLda::new(config.lda_params(), 1).finish(&mut lda_rng);
-            (lda, Vec::new())
+            StreamingLda::new(config.lda_params(), 1).finish(&mut lda_rng)
         } else {
             let mut gibbs = StreamingLda::new(config.lda_params(), vocab);
             for w in 0..n_workers {
@@ -74,10 +75,7 @@ impl InfluenceModel {
                     &mut lda_rng,
                 );
             }
-            let lda = gibbs.finish(&mut lda_rng);
-            let worker_topics: Vec<Vec<f64>> =
-                (0..n_workers).map(|d| lda.doc_topics(d).to_vec()).collect();
-            (lda, worker_topics)
+            gibbs.finish(&mut lda_rng)
         };
 
         // Willingness + entropy (Sections III-B, IV-B).

@@ -4,11 +4,11 @@
 //! generators never produce them, but the structure does not forbid them);
 //! self-loops are allowed but typically filtered by callers.
 
-use serde::{Deserialize, Serialize};
+use serde::json::Value;
 
 /// A directed graph in CSR form: `offsets[u]..offsets[u+1]` indexes the
 /// out-neighbour slice of `u` in `targets`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Vec<u32>,
     targets: Vec<u32>,
@@ -159,6 +159,55 @@ impl CsrGraph {
         } else {
             self.n_edges() as f64 / self.n_nodes() as f64
         }
+    }
+}
+
+/// Snapshot serde: only `offsets` and `targets` travel. The in-degrees
+/// are derived, so a restore counts them from `targets`, after checking
+/// that the offsets rise from 0 to `targets.len()` and that every
+/// target names a node.
+impl serde::Serialize for CsrGraph {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("offsets".to_string(), self.offsets.to_value()),
+            ("targets".to_string(), self.targets.to_value()),
+        ])
+    }
+}
+
+impl serde::Deserialize for CsrGraph {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("CSR graph object", value))?;
+        let offsets: Vec<u32> = serde::get_field(obj, "offsets")?;
+        let targets: Vec<u32> = serde::get_field(obj, "targets")?;
+        let n = offsets.len().saturating_sub(1);
+        if offsets.first() != Some(&0) || offsets[n] as usize != targets.len() {
+            return Err(serde::Error::custom(format!(
+                "CSR offsets must run from 0 to the {} targets",
+                targets.len()
+            )));
+        }
+        if let Some(u) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(serde::Error::custom(format!(
+                "CSR offsets fall after node {u}"
+            )));
+        }
+        let mut in_degrees = vec![0u32; n];
+        for &v in &targets {
+            let Some(d) = in_degrees.get_mut(v as usize) else {
+                return Err(serde::Error::custom(format!(
+                    "CSR target {v} is past the {n} nodes"
+                )));
+            };
+            *d += 1;
+        }
+        Ok(CsrGraph {
+            offsets,
+            targets,
+            in_degrees,
+        })
     }
 }
 
@@ -369,6 +418,40 @@ mod tests {
     fn average_degree() {
         let g = diamond();
         assert!((g.average_degree() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn serde_sends_offsets_and_targets_and_counts_in_degrees() {
+        use serde::{Deserialize, Serialize};
+        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 3), (2, 3), (3, 3)]);
+        let value = g.to_value();
+        assert_eq!(
+            value.to_json_string(),
+            r#"{"offsets":[0,2,2,3,4],"targets":[1,3,3,3]}"#
+        );
+        assert_eq!(CsrGraph::from_value(&value).unwrap(), g);
+    }
+
+    #[test]
+    fn restore_refuses_offsets_and_targets_that_are_not_a_graph() {
+        use serde::Deserialize;
+        for (text, why) in [
+            (r#"{"offsets":[],"targets":[]}"#, "from 0"),
+            (r#"{"offsets":[1,1],"targets":[0]}"#, "from 0"),
+            (r#"{"offsets":[0,1],"targets":[0,0]}"#, "to the 2 targets"),
+            (
+                r#"{"offsets":[0,2,1,2],"targets":[0,1]}"#,
+                "fall after node 1",
+            ),
+            (
+                r#"{"offsets":[0,1,2],"targets":[1,2]}"#,
+                "target 2 is past the 2 nodes",
+            ),
+        ] {
+            let value = serde::json::parse(text).unwrap();
+            let err = CsrGraph::from_value(&value).unwrap_err().to_string();
+            assert!(err.contains(why), "{text}: {err}");
+        }
     }
 
     #[test]

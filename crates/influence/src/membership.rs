@@ -6,9 +6,12 @@
 //! the index was last compacted. Eviction therefore renumbers nothing.
 //! The index has two levels, each one run per worker:
 //!
-//! * `main` — the index as of the last compaction (or cold start,
-//!   restore, and fold-in runs);
+//! * `main` — the index as of the last compaction (or cold start, and
+//!   fold-in runs);
 //! * `tail` — the sets added since then.
+//!
+//! The index is never serialized: it is the transpose of the pool's
+//! sets, so a restored pool builds it as a cold start does.
 //!
 //! A worker's ids ascend through its `main` run and on into its `tail`
 //! run, so a read ([`MembershipIndex::run`]) sees at most two
@@ -305,33 +308,6 @@ impl PartialEq for MembershipIndex {
 
 impl Eq for MembershipIndex {}
 
-/// Snapshot serde: the logical live-position runs in [`RunArena`]'s
-/// `{data, ends}` form, so the bytes match an index that stores
-/// positions. Restore loads them as `main` with base 0.
-impl serde::Serialize for MembershipIndex {
-    fn to_value(&self) -> serde::json::Value {
-        let mut data: Vec<u32> = Vec::with_capacity(self.len());
-        let mut ends: Vec<u32> = Vec::with_capacity(self.n_runs());
-        for w in 0..self.n_runs() {
-            data.extend(self.run(w));
-            ends.push(data.len() as u32);
-        }
-        serde::json::Value::Object(vec![
-            ("data".to_string(), data.to_value()),
-            ("ends".to_string(), ends.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for MembershipIndex {
-    fn from_value(value: &serde::json::Value) -> Result<Self, serde::Error> {
-        Ok(MembershipIndex {
-            main: RunArena::from_value(value)?,
-            ..Default::default()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,23 +398,5 @@ mod tests {
         let stored: Vec<Vec<u32>> = (0..4).map(|w| index.main.run(w).to_vec()).collect();
         assert_eq!(stored, live_before);
         assert_eq!(reads(&index), oracle(&sets, 3, 4));
-    }
-
-    #[test]
-    fn serde_writes_live_positions_and_restores_as_main() {
-        let (sets, mut index) = two_level_index();
-        index.retire(&sets, 2);
-        let value = serde::Serialize::to_value(&index);
-        let expected = serde::Serialize::to_value(&{
-            let mut positions = RunArena::new();
-            for run in oracle(&sets, 2, 4) {
-                positions.push_run(&run);
-            }
-            positions
-        });
-        assert_eq!(value, expected);
-        let restored: MembershipIndex = serde::Deserialize::from_value(&value).unwrap();
-        assert!(restored.is_compact());
-        assert_eq!(restored, index);
     }
 }

@@ -67,6 +67,7 @@ use crate::network::SocialNetwork;
 use crate::rrr::{sample_rrr_set, sample_rrr_set_lt};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
+use serde::json::Value;
 
 /// Which diffusion model the RRR sets are sampled under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -98,12 +99,17 @@ pub struct PoolMemStats {
 
 /// A pool of `N` RRR sets over a network of `|W|` workers.
 ///
-/// Serde (snapshot support) round-trips the pool *logically*: the
-/// chunked arenas re-segment on restore, but every run — and therefore
-/// every estimator the scorers read — is bit-identical, and the
-/// `(master_seed, stream_base)` window restores exactly, so subsequent
-/// rotations continue the same sampling stream family.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+/// Serde (snapshot support) carries the pool's state and nothing
+/// derived from it: the sets, their epochs, and the
+/// `(master_seed, stream_base, epoch)` window, so restored rotations
+/// continue the same sampling stream family. Each set's root (its
+/// first member), the membership index (the transpose of the sets) and
+/// the byte accounting stay out. Restore checks the sets against the
+/// population and rebuilds the roots and the index as a cold start
+/// builds them ([`RrrPool::extend_to`] from set 0), so every estimator
+/// the scorers read is bit-identical; the byte accounting starts from
+/// the rebuilt pool.
+#[derive(Debug, Clone, Default)]
 pub struct RrrPool {
     n_workers: usize,
     /// Seed every set's RNG stream derives from; [`RrrPool::extend_to`]
@@ -297,6 +303,12 @@ impl RrrPool {
             self.sets.absorb(sets);
         }
         self.set_epochs.resize(self.roots.len(), self.epoch);
+        self.index_from(first_new);
+    }
+
+    /// Indexes the sets from `first_new` on into the membership index,
+    /// checkpointing the byte accounting before and during the build.
+    fn index_from(&mut self, first_new: usize) {
         self.note_peak();
         let index_peak = self
             .membership
@@ -694,6 +706,78 @@ impl RrrPool {
     }
 }
 
+impl serde::Serialize for RrrPool {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("n_workers".to_string(), self.n_workers.to_value()),
+            ("master_seed".to_string(), self.master_seed.to_value()),
+            ("model".to_string(), self.model.to_value()),
+            ("stream_base".to_string(), self.stream_base.to_value()),
+            ("epoch".to_string(), self.epoch.to_value()),
+            ("set_epochs".to_string(), self.set_epochs.to_value()),
+            ("sets".to_string(), self.sets.to_value()),
+        ])
+    }
+}
+
+impl serde::Deserialize for RrrPool {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("RRR pool object", value))?;
+        let mut pool = RrrPool {
+            n_workers: serde::get_field(obj, "n_workers")?,
+            master_seed: serde::get_field(obj, "master_seed")?,
+            model: serde::get_field(obj, "model")?,
+            stream_base: serde::get_field(obj, "stream_base")?,
+            epoch: serde::get_field(obj, "epoch")?,
+            set_epochs: serde::get_field(obj, "set_epochs")?,
+            sets: serde::get_field(obj, "sets")?,
+            ..RrrPool::default()
+        };
+        // Every pool operation assumes what sampling guarantees: a set
+        // starts with its root and holds workers of the population, and
+        // each set has an epoch, rising along the sets to at most the
+        // pool's own.
+        let mut fault = None;
+        pool.roots.reserve_exact(pool.sets.n_runs());
+        pool.sets.for_each_run(|j, run| {
+            let outsider = run.iter().find(|&&w| w as usize >= pool.n_workers);
+            match (&fault, run.first(), outsider) {
+                (Some(_), _, _) => {}
+                (None, None, _) => fault = Some(format!("RRR set {j} is empty, so it has no root")),
+                (None, Some(_), Some(w)) => {
+                    fault = Some(format!(
+                        "RRR set {j} holds worker {w}, past the pool's {} workers",
+                        pool.n_workers
+                    ))
+                }
+                (None, Some(&root), None) => pool.roots.push(root),
+            }
+        });
+        if let Some(fault) = fault {
+            return Err(serde::Error::custom(fault));
+        }
+        let epochs = &pool.set_epochs;
+        if epochs.len() != pool.roots.len()
+            || epochs.windows(2).any(|e| e[0] > e[1])
+            || epochs.last() > Some(&pool.epoch)
+        {
+            return Err(serde::Error::custom(format!(
+                "{} set epochs for {} RRR sets: they must be one a set, non-decreasing, \
+                 and at most the pool's epoch {}",
+                epochs.len(),
+                pool.roots.len(),
+                pool.epoch
+            )));
+        }
+        if pool.n_sets() > 0 {
+            pool.index_from(0);
+        }
+        Ok(pool)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -967,17 +1051,8 @@ mod tests {
             );
         }
         assert_eq!(restored.membership(), pool.membership());
+        assert_eq!(restored.roots(), pool.roots());
         assert_eq!(restored.fingerprint(), pool.fingerprint());
-
-        // The wire form is the position-numbered index of the same
-        // window, as a pool that never rotated serializes it.
-        let mut fresh = RrrPool::generate_sharded(&net, 2_200, model, 27, 1);
-        fresh.advance_epoch();
-        fresh.evict_before_epoch(1, 200);
-        assert_eq!(
-            serde::Serialize::to_value(pool.membership()),
-            serde::Serialize::to_value(fresh.membership())
-        );
 
         // The restored pool keeps rotating in lockstep.
         for p in [&mut pool, &mut restored] {
@@ -987,6 +1062,51 @@ mod tests {
         }
         assert_eq!(restored.membership(), pool.membership());
         assert_eq!(restored.fingerprint(), pool.fingerprint());
+    }
+
+    #[test]
+    fn restore_refuses_sets_the_pool_could_not_hold() {
+        use serde::Serialize;
+        let net = diamond_net();
+        let pool = RrrPool::generate_sharded(&net, 50, PropagationModel::WeightedCascade, 28, 1);
+        let refusal = |key: &str, value: Value| {
+            let Value::Object(mut fields) = pool.to_value() else {
+                unreachable!("a pool serializes as an object");
+            };
+            fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+            let restored: Result<RrrPool, _> =
+                serde::Deserialize::from_value(&Value::Object(fields));
+            restored.unwrap_err().to_string()
+        };
+        let sets = |runs: &[&[u32]]| {
+            let mut arena = RunArena::new();
+            runs.iter().for_each(|run| arena.push_run(run));
+            arena.to_value()
+        };
+        // The pool's 50 sets were all sampled in epoch 0.
+        let epochs = |first: u32, last: u32| {
+            let mut epochs = vec![0u32; 50];
+            (epochs[0], epochs[49]) = (first, last);
+            epochs.to_value()
+        };
+        for (key, value, why) in [
+            ("sets", sets(&[&[0][..], &[]]), "RRR set 1 is empty"),
+            (
+                "sets",
+                sets(&[&[0, 4]]),
+                "holds worker 4, past the pool's 4",
+            ),
+            (
+                "set_epochs",
+                vec![0u32; 45].to_value(),
+                "45 set epochs for 50",
+            ),
+            ("set_epochs", epochs(1, 1), "non-decreasing"),
+            ("set_epochs", epochs(0, 3), "at most the pool's epoch 0"),
+        ] {
+            let err = refusal(key, value);
+            assert!(err.contains(why), "{key}: {err}");
+        }
     }
 
     #[test]

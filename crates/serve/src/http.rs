@@ -48,8 +48,9 @@ fn invalid(msg: &str) -> std::io::Error {
 /// bytes: whatever follows stays buffered for the next call.
 /// `Ok(None)` means the peer closed the connection before sending a
 /// request line. Any byte stream is safe input: a malformed request is
-/// an `Err`, never a panic, and after an `Err` the reader's position
-/// is not a request boundary.
+/// an `Err` (`InvalidData`, or `FileTooLarge` for a `Content-Length`
+/// over [`MAX_BODY_BYTES`]), never a panic, and after an `Err` the
+/// reader's position is not a request boundary.
 pub fn read_request(reader: &mut impl BufRead) -> std::io::Result<Option<Request>> {
     let mut line = String::new();
     if read_line_capped(reader, &mut line)? == 0 {
@@ -96,7 +97,10 @@ pub fn read_request(reader: &mut impl BufRead) -> std::io::Result<Option<Request
                 .parse()
                 .map_err(|_| invalid("bad Content-Length"))?;
             if length > MAX_BODY_BYTES {
-                return Err(invalid("body too large"));
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::FileTooLarge,
+                    "body too large",
+                ));
             }
             content_length = Some(length);
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
@@ -230,7 +234,8 @@ mod tests {
             "POST /events HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(roundtrip(&raw).is_err());
+        let err = roundtrip(&raw).expect_err("a body over the cap");
+        assert_eq!(err.kind(), std::io::ErrorKind::FileTooLarge);
     }
 
     #[test]

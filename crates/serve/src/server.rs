@@ -28,10 +28,12 @@
 //!
 //! `POST /snapshot` folds any queued events into the engine first (a
 //! snapshot must not silently drop accepted uploads), then writes the
-//! versioned envelope of [`sc_sim::snapshot`] atomically. A process
-//! restarted with `--restore` serves `GET /report` responses
-//! byte-identical to the uninterrupted original — the serve smoke job
-//! in CI diffs exactly that.
+//! versioned envelope of [`sc_sim::snapshot`] atomically, to the
+//! configured path or to a file the body names in that path's
+//! directory. A process restarted with `--restore` serves `GET /report`
+//! responses byte-identical to the uninterrupted original and ends the
+//! day with the same snapshot bytes — the serve smoke job in CI diffs
+//! exactly that.
 //!
 //! # Connections
 //!
@@ -63,7 +65,7 @@ use serde::{Deserialize as _, Serialize as _};
 use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -93,7 +95,9 @@ pub struct ServeConfig {
     pub http_threads: usize,
     /// Assignment algorithm for rounds that don't name one.
     pub algorithm: AlgorithmKind,
-    /// Where `POST /snapshot` writes (a request body may override).
+    /// Where `POST /snapshot` writes. A request body may name another
+    /// file directly inside this file's directory, and nowhere else;
+    /// without a path, `POST /snapshot` is refused, overrides included.
     pub snapshot_path: Option<PathBuf>,
 }
 
@@ -310,9 +314,11 @@ impl Read for Deadline<'_> {
 /// Serves one connection's requests in order until it closes. The
 /// first request must arrive whole within [`IO_TIMEOUT`] of the worker
 /// taking the connection, and each later one within [`IO_TIMEOUT`] of
-/// its first byte, or it gets a best-effort `408`. A request that
-/// cannot be read gets a `400`; either way the connection then closes,
-/// since what follows is not known to start a request.
+/// its first byte, or it gets a best-effort `408`. A request whose
+/// `Content-Length` is over [`crate::http::MAX_BODY_BYTES`] gets a
+/// `413`, and any other request that cannot be read a `400`; either way
+/// the connection then closes, since what follows is not known to start
+/// a request.
 fn serve_connection(shared: &Shared, worker: usize, stream: TcpStream) {
     let Ok(mut handle) = stream.try_clone() else {
         return;
@@ -333,6 +339,7 @@ fn serve_connection(shared: &Shared, worker: usize, stream: TcpStream) {
                     ErrorKind::WouldBlock | ErrorKind::TimedOut => {
                         (408, "request timed out".into())
                     }
+                    ErrorKind::FileTooLarge => (413, e.to_string()),
                     _ => (400, e.to_string()),
                 };
                 let _ = write_response(&mut &stream, status, &error_body(&msg), false);
@@ -615,11 +622,11 @@ fn get_report(shared: &Shared) -> (u16, String) {
     (200, body.to_json_string())
 }
 
-/// `POST /snapshot` — optional body `{"path": "..."}` overriding the
-/// configured path. Queued events are folded in first; the reply
-/// reports how many.
+/// `POST /snapshot` — optional body `{"path": "..."}` naming another
+/// file in the configured snapshot's directory ([`snapshot_target`]).
+/// Queued events are folded in first; the reply reports how many.
 fn post_snapshot(shared: &Shared, body: &str) -> (u16, String) {
-    let override_path = if body.trim().is_empty() {
+    let requested = if body.trim().is_empty() {
         None
     } else {
         match serde::json::parse(body) {
@@ -633,11 +640,9 @@ fn post_snapshot(shared: &Shared, body: &str) -> (u16, String) {
             Err(e) => return (400, error_body(&format!("bad JSON: {e}"))),
         }
     };
-    let Some(path) = override_path.or_else(|| shared.snapshot_path.clone()) else {
-        return (
-            400,
-            error_body("no snapshot path (configure --snapshot or send {\"path\": ...})"),
-        );
+    let path = match snapshot_target(shared.snapshot_path.as_deref(), requested) {
+        Ok(path) => path,
+        Err(msg) => return (400, error_body(&msg)),
     };
 
     let mut state = match lock_engine(shared) {
@@ -657,6 +662,47 @@ fn post_snapshot(shared: &Shared, body: &str) -> (u16, String) {
             (200, body.to_json_string())
         }
         Err(e) => (500, error_body(&e.to_string())),
+    }
+}
+
+/// The file a `POST /snapshot` writes: the configured `--snapshot`
+/// path, or a file a client names directly inside that path's
+/// directory. Without a configured path there is nowhere to write and
+/// every override is refused, so a client never chooses the directory
+/// the server writes into.
+fn snapshot_target(
+    configured: Option<&Path>,
+    requested: Option<PathBuf>,
+) -> Result<PathBuf, String> {
+    let Some(configured) = configured else {
+        return Err("no snapshot path: the server was started without --snapshot".to_string());
+    };
+    let Some(requested) = requested else {
+        return Ok(configured.to_path_buf());
+    };
+    // The directory part of a path, `.` for a bare file name.
+    let dir = |path: &Path| match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
+        _ => PathBuf::from("."),
+    };
+    // A file name must end the path as written: a path ending in `..`,
+    // `/` or `/.` names a directory.
+    let plain = requested
+        .file_name()
+        .is_some_and(|name| requested.parent().map(|p| p.join(name)) == Some(requested.clone()));
+    let same_dir = plain
+        && matches!(
+            (std::fs::canonicalize(dir(&requested)), std::fs::canonicalize(dir(configured))),
+            (Ok(a), Ok(b)) if a == b
+        );
+    if same_dir {
+        Ok(requested)
+    } else {
+        Err(format!(
+            "snapshot path {} is not a file in {}, the directory of --snapshot",
+            requested.display(),
+            dir(configured).display()
+        ))
     }
 }
 

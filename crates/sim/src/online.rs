@@ -940,7 +940,8 @@ impl<'a> OnlineEngine<'a> {
 /// Snapshot serde of the whole engine: the live pipeline (model: LDA,
 /// topics, willingness, entropy, RRR pool with its epoch window and
 /// stream base), the social network, and every report-affecting
-/// counter of the engine itself.
+/// counter of the engine itself. A restore refuses a pool and a network
+/// of different populations.
 ///
 /// The scorer cache is deliberately **not** serialized: it is derived,
 /// and warm and cold caches serve the same scores, so a restored
@@ -999,6 +1000,13 @@ impl serde::Deserialize for OnlineEngine<'static> {
             workers.iter().enumerate().map(|(i, w)| (w.id, i)).collect();
         let pipeline: DitaPipeline = serde::get_field(obj, "pipeline")?;
         let network: SocialNetwork = serde::get_field(obj, "network")?;
+        let pool_workers = pipeline.model().pool().n_workers();
+        if pool_workers != network.n_workers() {
+            return Err(serde::Error::custom(format!(
+                "the RRR pool covers {pool_workers} workers but the network {}",
+                network.n_workers()
+            )));
+        }
         Ok(OnlineEngine {
             pipeline: PipelineMode::Owned(Box::new(pipeline)),
             net: NetworkMode::Adaptive(Box::new(network)),

@@ -1,20 +1,39 @@
 //! Versioned snapshot files for the online engine.
 //!
-//! A snapshot is the whole serving state of an [`OnlineEngine`] — the
-//! trained pipeline (LDA, willingness, entropy, RRR pool with its
-//! epoch window and stream base), the social network, and every
-//! report-affecting counter — wrapped in a versioned JSON envelope:
+//! A snapshot is the serving state of an [`OnlineEngine`] and nothing
+//! derived from it, wrapped in a versioned JSON envelope:
 //!
 //! ```json
-//! { "version": 1, "engine": { ... } }
+//! { "version": 2, "engine": { ... } }
 //! ```
 //!
-//! The restore path rejects unknown versions outright instead of
-//! guessing at field layouts. Restored engines own their pipeline and
-//! network handles and emit **bit-identical** [`RoundReport`]s to the
-//! uninterrupted original at any thread count — the round-trip test in
+//! The file holds the trained pipeline (LDA `φ`, the per-worker topic
+//! distributions, willingness, entropy, and the RRR sets with their
+//! epochs, stream base and epoch counter), the social network's forward
+//! graph as CSR `offsets` and `targets`, and every report-affecting
+//! counter of the engine. What a restore can compute from that is left
+//! out and rebuilt by the code that builds it at training time: each
+//! RRR set's root and the pool's worker → sets index (as a cold start
+//! indexes its sets), the pool's byte accounting, the reverse graph, the
+//! in-degrees and the `1/indeg` edge probabilities.
+//!
+//! Restore checks what it rebuilds from, and refuses with
+//! [`SnapshotError::Parse`] rather than panicking later: CSR offsets
+//! that do not rise from 0 to the target count or a target past the
+//! population, an empty RRR set or one holding a worker past the
+//! population, set epochs that do not match the sets, and a pool whose
+//! population differs from the network's.
+//!
+//! Version 1 files, which also carried each set's root, the membership
+//! index, the pool's peak bytes, LDA's training `θ` and document count,
+//! and the network's in-degrees, still restore: those keys are not
+//! read. Any other version is refused outright instead of guessing at
+//! field layouts. Restored engines own their pipeline and network
+//! handles and emit **bit-identical** [`RoundReport`]s to the
+//! uninterrupted original at any thread count, and write the same
+//! snapshot bytes at the end of the day — the round-trip tests in
 //! `crates/sim/tests/snapshot_roundtrip.rs` and the CI serve-smoke job
-//! both pin this.
+//! pin this.
 //!
 //! [`RoundReport`]: crate::online::RoundReport
 
@@ -24,8 +43,11 @@ use std::fmt;
 use std::io::Write;
 use std::path::Path;
 
-/// The snapshot format version this build writes and accepts.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// The snapshot format version this build writes.
+pub const SNAPSHOT_VERSION: u64 = 2;
+
+/// Every version this build restores (module docs).
+const READABLE_VERSIONS: [u64; 2] = [1, SNAPSHOT_VERSION];
 
 /// Why a snapshot could not be written or restored.
 #[derive(Debug)]
@@ -45,7 +67,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Parse(msg) => write!(f, "snapshot parse error: {msg}"),
             SnapshotError::Version(v) => write!(
                 f,
-                "snapshot version {v} not supported (this build reads version {SNAPSHOT_VERSION})"
+                "snapshot version {v} not supported (this build reads versions {READABLE_VERSIONS:?})"
             ),
         }
     }
@@ -79,7 +101,7 @@ pub fn snapshot_from_str(text: &str) -> Result<OnlineEngine<'static>, SnapshotEr
         .ok_or_else(|| SnapshotError::Parse("snapshot is not a JSON object".to_string()))?;
     let version: u64 =
         serde::get_field(obj, "version").map_err(|e| SnapshotError::Parse(e.to_string()))?;
-    if version != SNAPSHOT_VERSION {
+    if !READABLE_VERSIONS.contains(&version) {
         return Err(SnapshotError::Version(version));
     }
     let engine = obj
@@ -127,6 +149,14 @@ mod tests {
         let err = snapshot_from_str("{\"version\": 99, \"engine\": {}}").unwrap_err();
         assert!(matches!(err, SnapshotError::Version(99)), "{err}");
         assert!(err.to_string().contains("99"));
+        for version in [0, 3] {
+            let text = format!("{{\"version\": {version}, \"engine\": {{}}}}");
+            let err = snapshot_from_str(&text).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Version(v) if v == version),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@ use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
 use sc_influence::RpoParams;
 use sc_sim::{
     scripted_event, snapshot_from_str, snapshot_to_string, EngineBuilder, EventKind, NetworkMode,
-    OnlineEngine, OnlineSummary, PipelineMode, RoundReport,
+    OnlineEngine, PipelineMode, RoundReport, SnapshotError,
 };
 use sc_types::{CheckIn, History, TimeInstant, VenueId, Worker, WorkerId};
 use serde::json::Value;
+use serde::Serialize as _;
 
 fn dataset() -> SyntheticDataset {
     let mut profile = DatasetProfile::brightkite_small();
@@ -98,12 +99,13 @@ fn fold_in(engine: &mut OnlineEngine<'static>, data: &SyntheticDataset, now: Tim
 /// Runs the scripted day on one engine. At 11:00 a new worker folds
 /// in; when `interrupt` is set the engine is serialized immediately
 /// after (before the next rotation touches the reshaped state) and the
-/// rest of the day is served by the **restored** engine.
+/// rest of the day is served by the **restored** engine. Returns the
+/// round reports and the engine at the end of the day.
 fn run_day(
     data: &SyntheticDataset,
     threads: Parallelism,
     interrupt: bool,
-) -> (Vec<RoundReport>, OnlineSummary) {
+) -> (Vec<RoundReport>, OnlineEngine<'static>) {
     let mut engine = engine(data, threads);
     let cohort = data.instance_for_day(0, 0, 70, InstanceOptions::default());
     for worker in cohort.instance.workers {
@@ -119,16 +121,22 @@ fn run_day(
         let frozen = snapshot_to_string(&engine).expect("snapshot must serialize");
         engine = snapshot_from_str(&frozen).expect("snapshot must round-trip");
     }
-    for hour in 11..16i64 {
-        reports.push(play_hour(&mut engine, data, hour));
-    }
-    (reports, engine.summary())
+    reports.extend(finish_day(&mut engine, data));
+    (reports, engine)
+}
+
+/// Serves the scripted hours after the fold-in, 11:00 to 15:00.
+fn finish_day(engine: &mut OnlineEngine<'static>, data: &SyntheticDataset) -> Vec<RoundReport> {
+    (11..16i64)
+        .map(|hour| play_hour(engine, data, hour))
+        .collect()
 }
 
 #[test]
 fn restored_engine_finishes_the_day_byte_identically() {
     let data = dataset();
-    let (baseline, base_summary) = run_day(&data, Parallelism::Single, false);
+    let (baseline, engine) = run_day(&data, Parallelism::Single, false);
+    let base_summary = engine.summary();
     assert!(
         base_summary.assigned > 0 && base_summary.still_open + base_summary.expired > 0,
         "non-trivial fixture: the script must exercise every outcome"
@@ -141,13 +149,14 @@ fn restored_engine_finishes_the_day_byte_identically() {
         (Parallelism::Fixed(4), false),
         (Parallelism::Fixed(4), true),
     ] {
-        let (reports, summary) = run_day(&data, threads, interrupt);
+        let (reports, engine) = run_day(&data, threads, interrupt);
         assert_eq!(
             baseline, reports,
             "reports diverged at threads={threads:?} interrupt={interrupt}"
         );
         assert_eq!(
-            base_summary, summary,
+            base_summary,
+            engine.summary(),
             "summary diverged at threads={threads:?} interrupt={interrupt}"
         );
     }
@@ -265,4 +274,243 @@ fn snapshot_with_the_retired_maintenance_key_still_restores() {
         play_hour(&mut engine, &data, 11)
     );
     assert_eq!(restored.summary(), engine.summary());
+}
+
+/// Asserts two snapshot texts are equal, naming where they first
+/// differ instead of printing megabytes.
+fn assert_same_snapshot(a: &str, b: &str) {
+    if let Some(at) = a.bytes().zip(b.bytes()).position(|(x, y)| x != y) {
+        let context = |s: &str| {
+            s.get(at.saturating_sub(80)..(at + 40).min(s.len()))
+                .map(str::to_string)
+        };
+        panic!(
+            "snapshots differ at byte {at}:\n  {:?}\n  {:?}",
+            context(a),
+            context(b)
+        );
+    }
+    assert_eq!(a.len(), b.len(), "one snapshot is a prefix of the other");
+}
+
+#[test]
+fn restored_engine_ends_the_day_with_the_same_snapshot_bytes() {
+    // A snapshot holds state only, so an engine restored mid-day and
+    // the engine that never stopped write the same file at the end of
+    // the day. The pool's byte high-water mark, which depends on how a
+    // process happened to lay its arenas out, must not reach it.
+    let data = dataset();
+    let (_, uninterrupted) = run_day(&data, Parallelism::Single, false);
+    let (_, restored) = run_day(&data, Parallelism::Single, true);
+    assert_same_snapshot(
+        &snapshot_to_string(&restored).unwrap(),
+        &snapshot_to_string(&uninterrupted).unwrap(),
+    );
+}
+
+/// The member at `path` below `value`.
+fn at<'v>(value: &'v mut Value, path: &[&str]) -> &'v mut Value {
+    path.iter().fold(value, |v, key| member_mut(v, key))
+}
+
+/// Decodes the member at `path`.
+fn read<T: serde::Deserialize>(value: &mut Value, path: &[&str]) -> T {
+    T::from_value(at(value, path)).unwrap()
+}
+
+/// Adds `key: value` to the object at `path`, which must not have it.
+fn put(envelope: &mut Value, path: &[&str], key: &str, value: Value) {
+    let Value::Object(fields) = at(envelope, path) else {
+        panic!("{path:?} is not an object");
+    };
+    assert!(
+        fields.iter().all(|(k, _)| k != key),
+        "{key} is still written"
+    );
+    fields.push((key.to_string(), value));
+}
+
+const POOL: [&str; 4] = ["engine", "pipeline", "model", "pool"];
+const LDA: [&str; 4] = ["engine", "pipeline", "model", "lda"];
+const FORWARD: [&str; 3] = ["engine", "network", "forward"];
+
+/// The engine at the scripted fold-in (the state `run_day` interrupts
+/// at) and its snapshot as an editable tree.
+fn engine_at_the_fold_in(data: &SyntheticDataset) -> (OnlineEngine<'static>, Value) {
+    let mut engine = engine(data, Parallelism::Single);
+    let cohort = data.instance_for_day(0, 0, 70, InstanceOptions::default());
+    for worker in cohort.instance.workers {
+        engine.ingest(EventKind::WorkerArrival { worker });
+    }
+    for hour in 8..11i64 {
+        play_hour(&mut engine, data, hour);
+    }
+    fold_in(&mut engine, data, TimeInstant::at(0, 11));
+    let tree = serde::json::parse(&snapshot_to_string(&engine).unwrap()).unwrap();
+    (engine, tree)
+}
+
+/// Rewrites a version-2 snapshot tree into the version-1 form: the
+/// envelope says 1, and every key version 1 also wrote is put back as
+/// it wrote it.
+fn as_version_1(mut envelope: Value) -> Value {
+    *member_mut(&mut envelope, "version") = Value::Int(1);
+
+    // Each set's root is its first member; the membership index listed
+    // each worker's sets by live position, as `{data, ends}` runs.
+    let data: Vec<u32> = read(&mut envelope, &[&POOL[..], &["sets", "data"]].concat());
+    let ends: Vec<u32> = read(&mut envelope, &[&POOL[..], &["sets", "ends"]].concat());
+    let n_workers: usize = read(&mut envelope, &[&POOL[..], &["n_workers"]].concat());
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    let roots: Vec<u32> = starts
+        .clone()
+        .take(ends.len())
+        .map(|s| data[s as usize])
+        .collect();
+    let mut by_worker = vec![Vec::new(); n_workers];
+    for (j, (lo, hi)) in starts.zip(ends.iter().copied()).enumerate() {
+        for &w in &data[lo as usize..hi as usize] {
+            by_worker[w as usize].push(j as u32);
+        }
+    }
+    let membership = Value::Object(vec![
+        ("data".to_string(), by_worker.concat().to_value()),
+        (
+            "ends".to_string(),
+            by_worker
+                .iter()
+                .scan(0u32, |end, run| {
+                    *end += run.len() as u32;
+                    Some(*end)
+                })
+                .collect::<Vec<_>>()
+                .to_value(),
+        ),
+    ]);
+    put(&mut envelope, &POOL, "roots", roots.to_value());
+    put(&mut envelope, &POOL, "membership", membership);
+    put(&mut envelope, &POOL, "peak_bytes", Value::Int(8_621_324));
+
+    // LDA kept θ of its training documents: the workers' topics.
+    let topics: Vec<Vec<f64>> = read(
+        &mut envelope,
+        &["engine", "pipeline", "model", "worker_topics"],
+    );
+    put(&mut envelope, &LDA, "theta", topics.concat().to_value());
+    put(&mut envelope, &LDA, "n_docs", topics.len().to_value());
+
+    // The forward graph kept its in-degrees.
+    let targets: Vec<u32> = read(&mut envelope, &[&FORWARD[..], &["targets"]].concat());
+    let offsets: Vec<u32> = read(&mut envelope, &[&FORWARD[..], &["offsets"]].concat());
+    let mut in_degrees = vec![0u32; offsets.len() - 1];
+    targets.iter().for_each(|&v| in_degrees[v as usize] += 1);
+    put(&mut envelope, &FORWARD, "in_degrees", in_degrees.to_value());
+    envelope
+}
+
+#[test]
+fn version_1_snapshots_restore_without_reading_derived_keys() {
+    let data = dataset();
+    let (mut engine, tree) = engine_at_the_fold_in(&data);
+    let v1 = as_version_1(tree);
+    let reports = finish_day(&mut engine, &data);
+    let end_of_day = snapshot_to_string(&engine).unwrap();
+
+    // Derived keys that disagree with the state are never read: one
+    // wrong root, a root list 5 sets short, an index naming a set that
+    // does not exist.
+    let edited = |path: &[&str], edit: &dyn Fn(&mut Vec<Value>)| {
+        let mut v1 = v1.clone();
+        let Value::Array(items) = at(&mut v1, &[&POOL[..], path].concat()) else {
+            panic!("{path:?} is not an array");
+        };
+        edit(items);
+        v1
+    };
+    let cases = [
+        ("as written", v1.clone()),
+        (
+            "one wrong root",
+            edited(&["roots"], &|roots| {
+                let Value::Int(root) = &mut roots[7] else {
+                    panic!("a root is an integer");
+                };
+                *root = (*root + 1) % 100;
+            }),
+        ),
+        (
+            "roots 5 sets short",
+            edited(&["roots"], &|roots| roots.truncate(roots.len() - 5)),
+        ),
+        (
+            "an index naming set 999,999",
+            edited(&["membership", "data"], &|ids| ids[0] = Value::Int(999_999)),
+        ),
+    ];
+    for (case, envelope) in cases {
+        let mut restored =
+            snapshot_from_str(&envelope.to_json_string()).unwrap_or_else(|e| panic!("{case}: {e}"));
+        assert_eq!(finish_day(&mut restored, &data), reports, "{case}");
+        assert_same_snapshot(&snapshot_to_string(&restored).unwrap(), &end_of_day);
+    }
+}
+
+/// Restores an edited snapshot tree, which must be refused with a
+/// parse error naming `why`.
+fn assert_refused(envelope: &Value, why: &str) {
+    match snapshot_from_str(&envelope.to_json_string()) {
+        Err(SnapshotError::Parse(msg)) => assert!(msg.contains(why), "{msg}"),
+        Err(other) => panic!("expected a parse error naming {why:?}, got: {other}"),
+        Ok(_) => panic!("a snapshot with {why:?} restored"),
+    }
+}
+
+/// The array at `path` of a fresh snapshot tree, edited by `edit`.
+fn edited_snapshot(path: &[&str], edit: impl FnOnce(&mut Vec<Value>)) -> Value {
+    let (_, mut tree) = engine_at_the_fold_in(&dataset());
+    let Value::Array(items) = at(&mut tree, path) else {
+        panic!("{path:?} is not an array");
+    };
+    edit(items);
+    tree
+}
+
+#[test]
+fn a_network_target_past_the_population_is_refused() {
+    let tree = edited_snapshot(&[&FORWARD[..], &["targets"]].concat(), |targets| {
+        targets[0] = Value::Int(121)
+    });
+    assert_refused(&tree, "CSR target 121 is past the 121 nodes");
+}
+
+#[test]
+fn a_set_member_past_the_population_is_refused() {
+    let tree = edited_snapshot(&[&POOL[..], &["sets", "data"]].concat(), |members| {
+        members[3] = Value::Int(121)
+    });
+    assert_refused(&tree, "holds worker 121, past the pool's 121 workers");
+}
+
+#[test]
+fn set_epochs_short_of_the_sets_are_refused() {
+    let tree = edited_snapshot(&[&POOL[..], &["set_epochs"]].concat(), |epochs| {
+        epochs.truncate(epochs.len() - 5)
+    });
+    assert_refused(&tree, "set epochs");
+}
+
+#[test]
+fn an_empty_set_is_refused() {
+    // Set 1 ends where set 0 does; set 2 takes over its members.
+    let tree = edited_snapshot(&[&POOL[..], &["sets", "ends"]].concat(), |ends| {
+        ends[1] = ends[0].clone()
+    });
+    assert_refused(&tree, "RRR set 1 is empty");
+}
+
+#[test]
+fn a_pool_and_a_network_of_different_populations_are_refused() {
+    let (_, mut tree) = engine_at_the_fold_in(&dataset());
+    *at(&mut tree, &[&POOL[..], &["n_workers"]].concat()) = Value::Int(122);
+    assert_refused(&tree, "the RRR pool covers 122 workers but the network 121");
 }

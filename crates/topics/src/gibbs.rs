@@ -7,8 +7,9 @@
 //!
 //! where `n_dk` counts tokens of document `d` in topic `k`, `n_kw` counts
 //! word `w` in topic `k`, and `n_k` is the size of topic `k`. After the
-//! configured sweeps the trainer freezes `φ` (topic-word) and `θ`
-//! (document-topic) point estimates.
+//! configured sweeps the trainer freezes `φ` (topic-word) into the
+//! [`LdaModel`] and returns the `θ` (document-topic) point estimates
+//! beside it.
 
 use crate::corpus::Corpus;
 use rand::{Rng, RngExt};
@@ -67,8 +68,14 @@ impl LdaTrainer {
         LdaTrainer { params }
     }
 
-    /// Trains a model on `corpus`. Deterministic given the RNG state.
-    pub fn train<R: Rng + ?Sized>(&self, corpus: &Corpus, rng: &mut R) -> LdaModel {
+    /// Trains a model on `corpus`, returning it with `θ`: one row of
+    /// `n_topics` probabilities per document. Deterministic given the
+    /// RNG state.
+    pub fn train<R: Rng + ?Sized>(
+        &self,
+        corpus: &Corpus,
+        rng: &mut R,
+    ) -> (LdaModel, Vec<Vec<f64>>) {
         let k = self.params.n_topics;
         let v = corpus.n_words().max(1);
         let d = corpus.n_docs();
@@ -132,36 +139,13 @@ impl LdaTrainer {
             }
         }
 
-        // Point estimates.
-        let mut phi = vec![0.0f64; k * v];
-        for t in 0..k {
-            let denom = topic_total[t] as f64 + v as f64 * beta;
-            for w in 0..v {
-                phi[t * v + w] = (topic_word[t * v + w] as f64 + beta) / denom;
-            }
-        }
-        let mut theta = vec![0.0f64; d * k];
-        for di in 0..d {
-            let len: u32 = doc_topic[di * k..(di + 1) * k].iter().sum();
-            let denom = len as f64 + k as f64 * alpha;
-            for t in 0..k {
-                theta[di * k + t] = (doc_topic[di * k + t] as f64 + alpha) / denom;
-            }
-        }
-
-        LdaModel {
-            n_topics: k,
-            n_words: v,
-            alpha,
-            beta,
-            phi,
-            theta,
-            n_docs: d,
-        }
+        LdaModel::freeze(&self.params, v, &topic_word, &topic_total, &doc_topic, d)
     }
 }
 
-/// A trained LDA model: frozen `φ` plus the training-document `θ`s.
+/// A trained LDA model: the frozen `φ` and the priors that inference
+/// reads. The training documents' `θ` is not part of it: the trainers
+/// return it beside the model, and the caller keeps it.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LdaModel {
     n_topics: usize,
@@ -170,32 +154,45 @@ pub struct LdaModel {
     beta: f64,
     /// Row-major `n_topics × n_words` topic-word distribution.
     phi: Vec<f64>,
-    /// Row-major `n_docs × n_topics` document-topic distribution.
-    theta: Vec<f64>,
-    n_docs: usize,
 }
 
 impl LdaModel {
-    /// Assembles a model from frozen estimates (crate-internal: the
-    /// streaming trainer produces the same parts through its own state).
-    pub(crate) fn from_parts(
-        n_topics: usize,
-        n_words: usize,
-        alpha: f64,
-        beta: f64,
-        phi: Vec<f64>,
-        theta: Vec<f64>,
+    /// Freezes the point estimates of finished Gibbs counts, as both
+    /// trainers do: the model, with `φ` from the topic-word counts
+    /// `n_kw` and topic sizes `n_k`, and `θ` of each of the `n_docs`
+    /// documents from their row-major counts `n_dk`.
+    pub(crate) fn freeze(
+        params: &LdaParams,
+        v: usize,
+        topic_word: &[u32],
+        topic_total: &[u32],
+        doc_topic: &[u32],
         n_docs: usize,
-    ) -> Self {
-        LdaModel {
-            n_topics,
-            n_words,
+    ) -> (LdaModel, Vec<Vec<f64>>) {
+        let (k, alpha, beta) = (params.n_topics, params.alpha, params.beta);
+        let mut phi = vec![0.0f64; k * v];
+        for t in 0..k {
+            let denom = topic_total[t] as f64 + v as f64 * beta;
+            for w in 0..v {
+                phi[t * v + w] = (topic_word[t * v + w] as f64 + beta) / denom;
+            }
+        }
+        let theta = (0..n_docs)
+            .map(|d| {
+                let counts = &doc_topic[d * k..(d + 1) * k];
+                let len: u32 = counts.iter().sum();
+                let denom = len as f64 + k as f64 * alpha;
+                counts.iter().map(|&c| (c as f64 + alpha) / denom).collect()
+            })
+            .collect();
+        let model = LdaModel {
+            n_topics: k,
+            n_words: v,
             alpha,
             beta,
             phi,
-            theta,
-            n_docs,
-        }
+        };
+        (model, theta)
     }
 
     /// Number of topics.
@@ -210,22 +207,10 @@ impl LdaModel {
         self.n_words
     }
 
-    /// Number of training documents.
-    #[inline]
-    pub fn n_docs(&self) -> usize {
-        self.n_docs
-    }
-
     /// `P(w | t)` for topic `t`.
     #[inline]
     pub fn topic_word(&self, t: usize, w: usize) -> f64 {
         self.phi[t * self.n_words + w]
-    }
-
-    /// The topic distribution `θ_d` of training document `d`.
-    #[inline]
-    pub fn doc_topics(&self, d: usize) -> &[f64] {
-        &self.theta[d * self.n_topics..(d + 1) * self.n_topics]
     }
 
     /// Infers the topic distribution of an unseen document by fold-in
@@ -300,7 +285,7 @@ mod tests {
         Corpus::from_documents(docs)
     }
 
-    fn train(corpus: &Corpus, k: usize, seed: u64) -> LdaModel {
+    fn train(corpus: &Corpus, k: usize, seed: u64) -> (LdaModel, Vec<Vec<f64>>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         // The 50/k heuristic is tuned for ~50 topics; with the tiny k used
         // in tests it over-smooths θ, so pin a small α here.
@@ -310,7 +295,7 @@ mod tests {
 
     #[test]
     fn phi_rows_are_distributions() {
-        let model = train(&themed_corpus(), 4, 1);
+        let (model, _) = train(&themed_corpus(), 4, 1);
         for t in 0..model.n_topics() {
             let sum: f64 = (0..model.n_words()).map(|w| model.topic_word(t, w)).sum();
             assert!((sum - 1.0).abs() < 1e-9, "topic {t} sums to {sum}");
@@ -319,9 +304,11 @@ mod tests {
 
     #[test]
     fn theta_rows_are_distributions() {
-        let model = train(&themed_corpus(), 4, 1);
-        for d in 0..model.n_docs() {
-            let sum: f64 = model.doc_topics(d).iter().sum();
+        let (_, theta) = train(&themed_corpus(), 4, 1);
+        assert_eq!(theta.len(), 30);
+        for row in &theta {
+            assert_eq!(row.len(), 4);
+            let sum: f64 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
         }
     }
@@ -331,10 +318,10 @@ mod tests {
         // With 2 topics on the themed corpus, same-theme documents must be
         // much more similar than cross-theme ones.
         let corpus = themed_corpus();
-        let model = train(&corpus, 2, 7);
-        let d0 = model.doc_topics(0); // theme A
-        let d2 = model.doc_topics(2); // theme A
-        let d1 = model.doc_topics(1); // theme B
+        let (_, theta) = train(&corpus, 2, 7);
+        let d0 = &theta[0]; // theme A
+        let d2 = &theta[2]; // theme A
+        let d1 = &theta[1]; // theme B
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
         assert!(
             dot(d0, d2) > 3.0 * dot(d0, d1),
@@ -355,11 +342,11 @@ mod tests {
     #[test]
     fn inference_assigns_theme_topic() {
         let corpus = themed_corpus();
-        let model = train(&corpus, 2, 7);
+        let (model, trained) = train(&corpus, 2, 7);
         let mut rng = SmallRng::seed_from_u64(3);
         // A fresh theme-A document should look like training theme-A docs.
         let theta = model.infer(&[0, 1, 2, 3, 4, 0, 1, 2, 3, 4], 50, &mut rng);
-        let train_theta = model.doc_topics(0);
+        let train_theta = &trained[0];
         let dominant_train = (0..2)
             .max_by(|&a, &b| train_theta[a].total_cmp(&train_theta[b]))
             .unwrap();
@@ -371,7 +358,7 @@ mod tests {
 
     #[test]
     fn inference_on_empty_doc_is_uniform() {
-        let model = train(&themed_corpus(), 4, 2);
+        let (model, _) = train(&themed_corpus(), 4, 2);
         let mut rng = SmallRng::seed_from_u64(0);
         let theta = model.infer(&[], 10, &mut rng);
         for &p in &theta {
@@ -381,7 +368,7 @@ mod tests {
 
     #[test]
     fn inference_skips_out_of_vocab_words() {
-        let model = train(&themed_corpus(), 2, 2);
+        let (model, _) = train(&themed_corpus(), 2, 2);
         let mut rng = SmallRng::seed_from_u64(0);
         let theta = model.infer(&[999, 1000], 10, &mut rng);
         assert!((theta[0] - 0.5).abs() < 1e-12, "OOV-only doc is uniform");
@@ -391,8 +378,8 @@ mod tests {
 
     #[test]
     fn single_topic_degenerates_gracefully() {
-        let model = train(&themed_corpus(), 1, 5);
-        assert_eq!(model.doc_topics(0), &[1.0]);
+        let (model, theta) = train(&themed_corpus(), 1, 5);
+        assert_eq!(theta[0], [1.0]);
         let mut rng = SmallRng::seed_from_u64(0);
         assert_eq!(model.infer(&[1, 2], 5, &mut rng), vec![1.0]);
     }
@@ -400,8 +387,8 @@ mod tests {
     #[test]
     fn handles_empty_corpus() {
         let corpus = Corpus::from_documents(vec![]);
-        let model = train(&corpus, 3, 0);
-        assert_eq!(model.n_docs(), 0);
+        let (model, theta) = train(&corpus, 3, 0);
+        assert!(theta.is_empty());
         // Inference still works against the prior.
         let mut rng = SmallRng::seed_from_u64(0);
         let theta = model.infer(&[], 5, &mut rng);

@@ -8,7 +8,7 @@
 //! token stream, and none of the per-document `Vec` headers a nested
 //! corpus carries — the million-worker training path's corpus copy is
 //! gone entirely). [`StreamingLda::finish`] then runs the configured
-//! sweeps and freezes `φ`/`θ`.
+//! sweeps and freezes `φ` into the model and `θ` beside it.
 //!
 //! # Equivalence contract
 //!
@@ -17,11 +17,12 @@
 //! `LdaTrainer::train` on that corpus with `r`: the batch trainer also
 //! draws every token's init topic in document order before its first
 //! sweep, and the sweep arithmetic here is token-for-token identical.
-//! The resulting [`LdaModel`]s compare equal to the last bit — the
-//! `streaming_equality` suite pins this against the independent batch
-//! implementation at several shapes. The dense `n_docs × n_topics`
-//! count/θ matrices are unavoidable (they *are* the model output); what
-//! streaming removes is the second, corpus-shaped copy of every token.
+//! The resulting [`LdaModel`]s and `θ`s compare equal to the last
+//! bit — the `streaming_equality` suite pins this against the
+//! independent batch sweeps at several shapes. The dense
+//! `n_docs × n_topics` counts and `θ` are unavoidable (`θ` *is* the
+//! output); what streaming removes is the second, corpus-shaped copy of
+//! every token.
 
 use crate::gibbs::{LdaModel, LdaParams};
 use rand::{Rng, RngExt};
@@ -141,7 +142,8 @@ impl StreamingLda {
 
     /// Runs the configured Gibbs sweeps over everything fed and freezes
     /// the point estimates — arithmetic identical to the batch trainer.
-    pub fn finish<R: Rng + ?Sized>(self, rng: &mut R) -> LdaModel {
+    /// Returns the model and `θ`, one row per fed document.
+    pub fn finish<R: Rng + ?Sized>(self, rng: &mut R) -> (LdaModel, Vec<Vec<f64>>) {
         let StreamingLda {
             params,
             v,
@@ -196,23 +198,7 @@ impl StreamingLda {
             }
         }
 
-        let mut phi = vec![0.0f64; k * v];
-        for t in 0..k {
-            let denom = topic_total[t] as f64 + v as f64 * beta;
-            for w in 0..v {
-                phi[t * v + w] = (topic_word[t * v + w] as f64 + beta) / denom;
-            }
-        }
-        let mut theta = vec![0.0f64; d * k];
-        for di in 0..d {
-            let len: u32 = doc_topic[di * k..(di + 1) * k].iter().sum();
-            let denom = len as f64 + k as f64 * alpha;
-            for t in 0..k {
-                theta[di * k + t] = (doc_topic[di * k + t] as f64 + alpha) / denom;
-            }
-        }
-
-        LdaModel::from_parts(k, v, alpha, beta, phi, theta, d)
+        LdaModel::freeze(&params, v, &topic_word, &topic_total, &doc_topic, d)
     }
 }
 
@@ -283,8 +269,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let streamed = StreamingLda::new(params, 0).finish(&mut rng);
         assert_eq!(streamed, batch);
-        assert_eq!(streamed.n_docs(), 0);
-        assert_eq!(streamed.n_words(), 1, "vocabulary clamps to 1");
+        assert!(streamed.1.is_empty());
+        assert_eq!(streamed.0.n_words(), 1, "vocabulary clamps to 1");
     }
 
     #[test]
@@ -301,7 +287,7 @@ mod tests {
         }
         let streamed = s.finish(&mut rng);
         assert_eq!(streamed, batch);
-        assert_eq!(streamed.n_docs(), 3);
+        assert_eq!(streamed.1.len(), 3);
     }
 
     #[test]

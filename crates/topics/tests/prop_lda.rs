@@ -18,7 +18,8 @@ proptest! {
     #[test]
     fn phi_and_theta_are_distributions(corpus in arb_corpus(), k in 1usize..6, seed in 0u64..1000) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let model = LdaTrainer::new(LdaParams::with_topics(k).sweeps(5)).train(&corpus, &mut rng);
+        let (model, theta) =
+            LdaTrainer::new(LdaParams::with_topics(k).sweeps(5)).train(&corpus, &mut rng);
         for t in 0..model.n_topics() {
             let sum: f64 = (0..model.n_words()).map(|w| model.topic_word(t, w)).sum();
             prop_assert!((sum - 1.0).abs() < 1e-9, "phi row {t} sums to {sum}");
@@ -26,8 +27,9 @@ proptest! {
                 prop_assert!(model.topic_word(t, w) > 0.0, "beta smoothing keeps phi positive");
             }
         }
-        for d in 0..model.n_docs() {
-            let sum: f64 = model.doc_topics(d).iter().sum();
+        prop_assert_eq!(theta.len(), corpus.n_docs());
+        for (d, row) in theta.iter().enumerate() {
+            let sum: f64 = row.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-9, "theta row {d} sums to {sum}");
         }
     }
@@ -40,7 +42,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let model = LdaTrainer::new(LdaParams::with_topics(k).sweeps(4)).train(&corpus, &mut rng);
+        let (model, _) = LdaTrainer::new(LdaParams::with_topics(k).sweeps(4)).train(&corpus, &mut rng);
         let theta = model.infer(&doc, 5, &mut rng);
         prop_assert_eq!(theta.len(), k);
         let sum: f64 = theta.iter().sum();

@@ -1,21 +1,20 @@
 //! Streaming LDA == batch LDA, topic for topic.
 //!
 //! [`StreamingLda`] and [`LdaTrainer`] are independent implementations
-//! of the same collapsed Gibbs sampler (block-addressed streaming state
+//! of the same collapsed Gibbs sweeps (block-addressed streaming state
 //! vs corpus-shaped nested vectors). This suite — run in the release-CI
 //! determinism job — drives both from identical RNG states over several
-//! corpus shapes and requires the trained models to be equal to the
-//! last bit: every `φ` row, every `θ` row, every scalar.
+//! corpus shapes and requires the trained models and `θ`s to be equal
+//! to the last bit: every `φ` row, every `θ` row, every scalar.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use sc_topics::{Corpus, LdaParams, LdaTrainer, StreamingLda};
+use sc_topics::{Corpus, LdaModel, LdaParams, LdaTrainer, StreamingLda};
 
-fn train_both(
-    docs: &[Vec<u32>],
-    params: LdaParams,
-    seed: u64,
-) -> (sc_topics::LdaModel, sc_topics::LdaModel) {
+/// A trained model and its documents' `θ`.
+type Trained = (LdaModel, Vec<Vec<f64>>);
+
+fn train_both(docs: &[Vec<u32>], params: LdaParams, seed: u64) -> (Trained, Trained) {
     let corpus = Corpus::from_documents(docs.to_vec());
     let mut batch_rng = SmallRng::seed_from_u64(seed);
     let batch = LdaTrainer::new(params).train(&corpus, &mut batch_rng);
@@ -46,14 +45,13 @@ fn random_corpora_match_bit_for_bit() {
         let (streamed, batch) = train_both(&docs, params, 100 + case as u64);
         assert_eq!(streamed, batch, "case {case} diverged");
         // Topic-for-topic through the public accessors too.
+        let ((streamed, _), (batch, theta)) = (streamed, batch);
         for t in 0..batch.n_topics() {
             for w in 0..batch.n_words() {
                 assert_eq!(streamed.topic_word(t, w), batch.topic_word(t, w));
             }
         }
-        for d in 0..batch.n_docs() {
-            assert_eq!(streamed.doc_topics(d), batch.doc_topics(d));
-        }
+        assert_eq!(theta.len(), n_docs);
     }
 }
 
@@ -95,7 +93,7 @@ fn inference_agrees_between_the_two_models() {
         })
         .collect();
     let params = LdaParams::with_topics(2).priors(0.5, 0.01).sweeps(30);
-    let (streamed, batch) = train_both(&docs, params, 11);
+    let ((streamed, _), (batch, _)) = train_both(&docs, params, 11);
     let mut ra = SmallRng::seed_from_u64(5);
     let mut rb = SmallRng::seed_from_u64(5);
     let task_doc = [0u32, 1, 2, 3, 0, 1];

@@ -147,7 +147,10 @@ FLAGS                 applies to            meaning (default)
                                             events; full ⇒ 429, a batch
                                             larger than it ⇒ 413 (4096)
   --http-threads N    serve                 HTTP worker threads (2)
-  --snapshot PATH     serve                 where POST /snapshot writes
+  --snapshot PATH     serve                 where POST /snapshot writes; a
+                                            request may name another file
+                                            in its directory, and without
+                                            it POST /snapshot is refused
   --restore PATH      serve                 start from a snapshot instead
                                             of training; other training
                                             flags are ignored
@@ -954,7 +957,8 @@ mod tests {
             format!("serve {fixture} --threads 1 --addr 127.0.0.1:7311 --snapshot snap.json"),
             format!("post-replay --addr 127.0.0.1:7311 {fixture} --rounds 3"),
             format!("post-replay --addr 127.0.0.1:7311 {fixture} --skip-rounds 3"),
-            "serve --restore snap.json --addr 127.0.0.1:7312".to_string(),
+            "serve --restore snap.json --addr 127.0.0.1:7312 --snapshot snap-restored.json"
+                .to_string(),
         ] {
             let (_, flags) = parse(&args(&line)).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert!(!flags.is_empty(), "{line}");
