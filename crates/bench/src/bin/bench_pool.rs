@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sc_bench::{host_threads, write_artifact};
 use sc_datagen::generate_social_edges;
-use sc_influence::{PropagationModel, RrrPool, SocialNetwork};
+use sc_influence::{RrrPool, SocialNetwork};
 use std::time::Instant;
 
 struct Run {
@@ -40,13 +40,7 @@ fn main() {
     let net = SocialNetwork::from_undirected_edges(n_workers, &edges);
 
     // Warm the allocator and page cache outside the timed region.
-    let _ = RrrPool::generate_sharded(
-        &net,
-        n_sets / 10,
-        PropagationModel::WeightedCascade,
-        master_seed,
-        1,
-    );
+    let _ = RrrPool::generate_sharded(&net, n_sets / 10, master_seed, 1);
 
     let mut runs: Vec<Run> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
@@ -54,13 +48,7 @@ fn main() {
         let mut fingerprint = 0u64;
         for _ in 0..reps.max(1) {
             let t0 = Instant::now();
-            let pool = RrrPool::generate_sharded(
-                &net,
-                n_sets,
-                PropagationModel::WeightedCascade,
-                master_seed,
-                threads,
-            );
+            let pool = RrrPool::generate_sharded(&net, n_sets, master_seed, threads);
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             best = best.min(ms);
             fingerprint = pool.fingerprint();

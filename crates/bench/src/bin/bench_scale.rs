@@ -30,7 +30,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sc_bench::{env_usize, host_threads, write_artifact};
 use sc_datagen::ScaleProfile;
-use sc_influence::{arena::SEG_BYTES, PoolMemStats, PropagationModel, RrrPool};
+use sc_influence::{arena::SEG_BYTES, PoolMemStats, RrrPool};
 use sc_stats::{peak_rss_bytes, reset_peak_rss};
 use sc_topics::{LdaParams, StreamingLda};
 use std::time::Instant;
@@ -116,22 +116,10 @@ fn main() {
 
     // Phase 2 — chunked cold start at 1 and N threads, bit-identical.
     let mut pool1 = timed("cold_start_chunked_t1", &mut phases, || {
-        RrrPool::generate_sharded(
-            &net,
-            n_sets,
-            PropagationModel::WeightedCascade,
-            master_seed,
-            1,
-        )
+        RrrPool::generate_sharded(&net, n_sets, master_seed, 1)
     });
     let mut pool = timed("cold_start_chunked_tn", &mut phases, || {
-        RrrPool::generate_sharded(
-            &net,
-            n_sets,
-            PropagationModel::WeightedCascade,
-            master_seed,
-            max_threads,
-        )
+        RrrPool::generate_sharded(&net, n_sets, master_seed, max_threads)
     });
     let fingerprint = pool.fingerprint();
     assert_eq!(

@@ -100,7 +100,6 @@ impl Default for DitaConfig {
                 epsilon: 0.1,
                 o: 1.0,
                 max_sets: 400_000,
-                model: sc_influence::PropagationModel::WeightedCascade,
                 threads: Parallelism::Auto,
             },
             online: OnlineConfig::default(),

@@ -20,8 +20,10 @@ use sc_types::{History, HistoryStore, Location, Task, VenueId, WorkerId};
 /// LDA `φ`, the per-worker topic distributions (LDA's `θ`, held only
 /// here), willingness fits, venue entropies, and the live RRR pool with
 /// its epoch window — so a restored model scores bit-identically to the
-/// original.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// original. Restore refuses a topic row that affinity could not read:
+/// each row holds LDA's `n_topics` values, or none (the padding a
+/// fold-in writes for workers trained without category check-ins).
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct InfluenceModel {
     config: DitaConfig,
     lda: LdaModel,
@@ -33,6 +35,32 @@ pub struct InfluenceModel {
     pool: RrrPool,
     rpo_stats: RpoStats,
     n_workers: usize,
+}
+
+impl serde::Deserialize for InfluenceModel {
+    fn from_value(value: &serde::json::Value) -> Result<Self, serde::Error> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("influence model object", value))?;
+        let model = InfluenceModel {
+            config: serde::get_field(obj, "config")?,
+            lda: serde::get_field(obj, "lda")?,
+            worker_topics: serde::get_field(obj, "worker_topics")?,
+            willingness: serde::get_field(obj, "willingness")?,
+            entropy: serde::get_field(obj, "entropy")?,
+            pool: serde::get_field(obj, "pool")?,
+            rpo_stats: serde::get_field(obj, "rpo_stats")?,
+            n_workers: serde::get_field(obj, "n_workers")?,
+        };
+        let (rows, k) = (&model.worker_topics, model.lda.n_topics());
+        if let Some(w) = rows.iter().position(|r| !r.is_empty() && r.len() != k) {
+            return Err(serde::Error::custom(format!(
+                "worker {w}'s topic row is {} long, not 0 or the model's {k} topics",
+                rows[w].len()
+            )));
+        }
+        Ok(model)
+    }
 }
 
 impl InfluenceModel {

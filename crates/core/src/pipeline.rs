@@ -487,38 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_runs_under_linear_threshold_model() {
-        // The propagation component is pluggable: switching RPO to the
-        // Linear Threshold model trains and assigns end-to-end.
-        let social = SocialNetwork::from_undirected_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mut store = HistoryStore::with_workers(4);
-        for w in 0..4u32 {
-            for i in 0..6 {
-                store.push(CheckIn::at(
-                    WorkerId::new(w),
-                    sc_types::VenueId::new(w * 10 + i),
-                    Location::new(w as f64, i as f64 * 0.2),
-                    TimeInstant::from_seconds((w * 10 + i) as i64),
-                    vec![CategoryId::new(w % 2)],
-                ));
-            }
-        }
-        let p = DitaBuilder::new()
-            .topics(3)
-            .seed(5)
-            .rpo(sc_influence::RpoParams {
-                max_sets: 5_000,
-                model: sc_influence::PropagationModel::LinearThreshold,
-                ..Default::default()
-            })
-            .build(&social, &store)
-            .unwrap();
-        let (a, _) = p.assign(&instance(), None, AlgorithmKind::Ia);
-        assert_eq!(a.len(), 3);
-        assert!(a.pairs().iter().all(|pair| pair.influence >= 0.0));
-    }
-
-    #[test]
     fn warm_round_equals_cold_round() {
         let p = tiny_pipeline();
         let inst = instance();

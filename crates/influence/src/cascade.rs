@@ -79,82 +79,6 @@ impl<'a> IndependentCascade<'a> {
     }
 }
 
-/// Forward Linear Threshold simulation (Kempe et al.), provided as an
-/// alternative propagation model: every worker draws a uniform threshold
-/// `θ_v`, and becomes informed once the summed weight of informed
-/// in-neighbours (`1/indeg(v)` each) reaches `θ_v`. With these weights
-/// the live-edge equivalent is "each worker listens to exactly one
-/// uniformly chosen in-neighbour", which is what the LT RRR sampler in
-/// [`crate::rrr`] exploits.
-#[derive(Debug, Clone, Copy)]
-pub struct LinearThreshold<'a> {
-    net: &'a SocialNetwork,
-}
-
-impl<'a> LinearThreshold<'a> {
-    /// Creates a simulator.
-    pub fn new(net: &'a SocialNetwork) -> Self {
-        LinearThreshold { net }
-    }
-
-    /// Simulates one LT diffusion from `seed`; returns the informed mask.
-    pub fn simulate<R: Rng + ?Sized>(&self, seed: u32, rng: &mut R) -> Vec<bool> {
-        let n = self.net.n_workers();
-        let mut informed = vec![false; n];
-        if (seed as usize) >= n {
-            return informed;
-        }
-        let thresholds: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
-        let mut weight_in = vec![0.0f64; n];
-        informed[seed as usize] = true;
-        let mut frontier = vec![seed];
-        let mut next = Vec::new();
-        while !frontier.is_empty() {
-            next.clear();
-            for &u in &frontier {
-                for &v in self.net.informs(u) {
-                    if informed[v as usize] {
-                        continue;
-                    }
-                    weight_in[v as usize] += self.net.inform_probability(v);
-                    if weight_in[v as usize] >= thresholds[v as usize] {
-                        informed[v as usize] = true;
-                        next.push(v);
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        informed
-    }
-
-    /// Monte-Carlo spread estimate under LT.
-    pub fn estimate_spread<R: Rng + ?Sized>(&self, seed: u32, trials: usize, rng: &mut R) -> f64 {
-        let mut total = 0usize;
-        for _ in 0..trials {
-            total += self.simulate(seed, rng).iter().filter(|&&b| b).count();
-        }
-        total as f64 / trials.max(1) as f64
-    }
-
-    /// Monte-Carlo pairwise probability under LT.
-    pub fn estimate_pair_probability<R: Rng + ?Sized>(
-        &self,
-        seed: u32,
-        target: u32,
-        trials: usize,
-        rng: &mut R,
-    ) -> f64 {
-        let mut hits = 0usize;
-        for _ in 0..trials {
-            if self.simulate(seed, rng)[target as usize] {
-                hits += 1;
-            }
-        }
-        hits as f64 / trials.max(1) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,41 +155,5 @@ mod tests {
         let ic = IndependentCascade::new(&net);
         let mut rng = SmallRng::seed_from_u64(6);
         assert!(ic.simulate(9, &mut rng).iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn lt_chain_is_deterministic() {
-        // indeg 1 everywhere → weight 1 ≥ any threshold → full chain.
-        let net = SocialNetwork::from_directed_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let lt = LinearThreshold::new(&net);
-        let mut rng = SmallRng::seed_from_u64(7);
-        for _ in 0..20 {
-            assert!(lt.simulate(0, &mut rng).iter().all(|&b| b));
-        }
-    }
-
-    #[test]
-    fn lt_converging_paths_certainly_inform() {
-        // 0→1, 0→2, 1→2: both of 2's in-neighbours end up informed, so
-        // the summed weight reaches 1 ≥ θ — LT informs 2 with prob 1
-        // (whereas IC only reaches 3/4).
-        let net = SocialNetwork::from_directed_edges(3, &[(0, 1), (0, 2), (1, 2)]);
-        let lt = LinearThreshold::new(&net);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let p = lt.estimate_pair_probability(0, 2, 2_000, &mut rng);
-        assert!(
-            (p - 1.0).abs() < 1e-9,
-            "LT should certainly inform 2, got {p}"
-        );
-    }
-
-    #[test]
-    fn lt_respects_reachability_and_direction() {
-        let net = SocialNetwork::from_directed_edges(4, &[(0, 1), (2, 3)]);
-        let lt = LinearThreshold::new(&net);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let informed = lt.simulate(0, &mut rng);
-        assert!(!informed[2] && !informed[3]);
-        assert!(lt.simulate(9, &mut rng).iter().all(|&b| !b));
     }
 }

@@ -4,6 +4,8 @@
 //! that worker `w_i` learns about a task known to worker `w_s` — under the
 //! Independent Cascade model with in-degree edge probabilities
 //! (`P_j(w_j, w_i) = 1 / indeg(w_i)`, the classic weighted cascade).
+//! It is the one diffusion model here: the RRR sampler, the pool's
+//! worker fold-in and the forward simulator all follow it.
 //!
 //! Enumerating cascades is infeasible, so the paper samples **Random
 //! Reverse Reachable (RRR) sets** (Definition 5) and estimates
@@ -57,10 +59,10 @@ pub mod rpo;
 pub mod rrr;
 
 pub use arena::RunArena;
-pub use cascade::{IndependentCascade, LinearThreshold};
+pub use cascade::IndependentCascade;
 pub use membership::{MembershipIndex, SetIds};
 pub use network::SocialNetwork;
 pub use parallel::Parallelism;
-pub use pool::{PoolMemStats, PropagationModel, RrrPool};
+pub use pool::{PoolMemStats, RrrPool};
 pub use rpo::{Rpo, RpoParams, RpoStats};
-pub use rrr::{sample_rrr_set, sample_rrr_set_lt};
+pub use rrr::sample_rrr_set;

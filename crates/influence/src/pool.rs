@@ -64,21 +64,10 @@
 use crate::arena::RunArena;
 use crate::membership::{MembershipIndex, SetIds};
 use crate::network::SocialNetwork;
-use crate::rrr::{sample_rrr_set, sample_rrr_set_lt};
+use crate::rrr::sample_rrr_set;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{RngExt, SeedableRng};
 use serde::json::Value;
-
-/// Which diffusion model the RRR sets are sampled under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum PropagationModel {
-    /// Weighted-cascade Independent Cascade (the paper's model):
-    /// each informed neighbour succeeds with probability `1/indeg`.
-    #[default]
-    WeightedCascade,
-    /// Linear Threshold with in-weights `1/indeg` (live-edge sampled).
-    LinearThreshold,
-}
 
 /// Deterministic byte accounting of a pool's storage (all `u32`
 /// arenas). `peak_bytes` is sampled at every mutation checkpoint —
@@ -115,7 +104,6 @@ pub struct RrrPool {
     /// Seed every set's RNG stream derives from; [`RrrPool::extend_to`]
     /// continues the same stream family.
     master_seed: u64,
-    model: PropagationModel,
     /// Stream index of live set 0 — equivalently, the number of sets
     /// evicted over the pool's lifetime. Live set `j` was seeded from
     /// `(master_seed, stream_base + j)`.
@@ -145,7 +133,6 @@ pub struct RrrPool {
 /// its epoch counting on across every set.
 fn sample_stream_range(
     net: &SocialNetwork,
-    model: PropagationModel,
     master_seed: u64,
     lo: usize,
     hi: usize,
@@ -158,14 +145,7 @@ fn sample_stream_range(
         let mut rng = SmallRng::seed_from_stream(master_seed, j as u64);
         let root = rng.random_range(0..n) as u32;
         let epoch = (j - lo + 1) as u32;
-        match model {
-            PropagationModel::WeightedCascade => {
-                sample_rrr_set(net, root, &mut rng, &mut visited, epoch, &mut buf)
-            }
-            PropagationModel::LinearThreshold => {
-                sample_rrr_set_lt(net, root, &mut rng, &mut visited, epoch, &mut buf)
-            }
-        }
+        sample_rrr_set(net, root, &mut rng, &mut visited, epoch, &mut buf);
         emit(root, &buf);
     }
 }
@@ -183,34 +163,8 @@ impl RrrPool {
     pub const MIN_SETS_PER_SHARD: usize = 1024;
 
     /// Samples a pool of `n_sets` RRR sets with uniformly random roots
-    /// under the paper's weighted-cascade IC model.
-    ///
-    /// The caller's RNG contributes one `u64` (the master seed); the
-    /// actual sampling runs on the sharded engine at
-    /// [`Parallelism::Auto`](crate::Parallelism) width, which produces
-    /// the same bytes at any thread count.
-    pub fn generate<R: Rng + ?Sized>(net: &SocialNetwork, n_sets: usize, rng: &mut R) -> Self {
-        Self::generate_with_model(net, n_sets, PropagationModel::WeightedCascade, rng)
-    }
-
-    /// Samples a pool under an explicit diffusion model (see
-    /// [`RrrPool::generate`] for the seeding contract).
-    pub fn generate_with_model<R: Rng + ?Sized>(
-        net: &SocialNetwork,
-        n_sets: usize,
-        model: PropagationModel,
-        rng: &mut R,
-    ) -> Self {
-        Self::generate_sharded(
-            net,
-            n_sets,
-            model,
-            rng.next_u64(),
-            crate::Parallelism::Auto.resolve(),
-        )
-    }
-
-    /// Samples a pool of `n_sets` sets on up to `threads` shards.
+    /// under the paper's weighted-cascade IC model, on up to `threads`
+    /// shards.
     ///
     /// The pool is **bit-identical for a fixed `master_seed` regardless
     /// of `threads`**: set `j`'s RNG is
@@ -219,14 +173,12 @@ impl RrrPool {
     pub fn generate_sharded(
         net: &SocialNetwork,
         n_sets: usize,
-        model: PropagationModel,
         master_seed: u64,
         threads: usize,
     ) -> Self {
         let mut pool = RrrPool {
             n_workers: net.n_workers(),
             master_seed,
-            model,
             stream_base: 0,
             epoch: 0,
             roots: Vec::new(),
@@ -276,14 +228,14 @@ impl RrrPool {
         // with one visited buffer and seals every block into its own
         // mini-arena, and the pool adopts the segments in block order —
         // the same segments as a single-threaded pass.
-        let (model, seed) = (self.model, self.master_seed);
+        let seed = self.master_seed;
         let outs: Vec<(Vec<u32>, RunArena)> =
             sc_stats::par::map_shards(n_blocks, threads, |b_lo, b_hi| {
                 let (lo, hi) = (b_lo * block, (b_hi * block).min(count));
                 let mut roots = Vec::with_capacity(hi - lo);
                 let mut sets = RunArena::new();
                 let (mut data, mut lens) = (Vec::new(), Vec::with_capacity(block));
-                sample_stream_range(net, model, seed, s_lo + lo, s_lo + hi, |root, set| {
+                sample_stream_range(net, seed, s_lo + lo, s_lo + hi, |root, set| {
                     roots.push(root);
                     data.extend_from_slice(set);
                     lens.push(set.len() as u32);
@@ -519,12 +471,6 @@ impl RrrPool {
         self.master_seed
     }
 
-    /// The diffusion model the sets were sampled under.
-    #[inline]
-    pub fn model(&self) -> PropagationModel {
-        self.model
-    }
-
     /// The chunked set arena (run `j` = members of set `j`, root
     /// first). Arena equality is logical (run-for-run), so two pools
     /// built through different shard counts or growth histories
@@ -711,7 +657,6 @@ impl serde::Serialize for RrrPool {
         Value::Object(vec![
             ("n_workers".to_string(), self.n_workers.to_value()),
             ("master_seed".to_string(), self.master_seed.to_value()),
-            ("model".to_string(), self.model.to_value()),
             ("stream_base".to_string(), self.stream_base.to_value()),
             ("epoch".to_string(), self.epoch.to_value()),
             ("set_epochs".to_string(), self.set_epochs.to_value()),
@@ -728,7 +673,6 @@ impl serde::Deserialize for RrrPool {
         let mut pool = RrrPool {
             n_workers: serde::get_field(obj, "n_workers")?,
             master_seed: serde::get_field(obj, "master_seed")?,
-            model: serde::get_field(obj, "model")?,
             stream_base: serde::get_field(obj, "stream_base")?,
             epoch: serde::get_field(obj, "epoch")?,
             set_epochs: serde::get_field(obj, "set_epochs")?,
@@ -783,7 +727,7 @@ mod tests {
     use super::*;
     use crate::cascade::IndependentCascade;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn diamond_net() -> SocialNetwork {
         // 0 -> 1 -> 3, 0 -> 2 -> 3 (indegrees: 1:1, 2:1, 3:2).
@@ -794,7 +738,7 @@ mod tests {
     fn pool_counts_and_indexing_agree() {
         let net = diamond_net();
         let mut rng = SmallRng::seed_from_u64(1);
-        let pool = RrrPool::generate(&net, 500, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 500, rng.next_u64(), 2);
         assert_eq!(pool.n_sets(), 500);
         assert_eq!(pool.n_workers(), 4);
         // Membership index must agree with raw sets.
@@ -813,7 +757,7 @@ mod tests {
     fn sigma_matches_forward_simulation() {
         let net = diamond_net();
         let mut rng = SmallRng::seed_from_u64(2);
-        let pool = RrrPool::generate(&net, 60_000, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 60_000, rng.next_u64(), 2);
         let ic = IndependentCascade::new(&net);
         let mut rng2 = SmallRng::seed_from_u64(3);
         for seed in 0..4u32 {
@@ -828,18 +772,25 @@ mod tests {
 
     #[test]
     fn pair_probability_matches_forward_simulation() {
-        let net = diamond_net();
+        // On 0→1, 0→2, 1→2, worker 0 informs 1 surely, and 0 and 1 each
+        // inform 2 with probability 1/2, so P_pro(0, 2) = 3/4.
+        let triangle = SocialNetwork::from_directed_edges(3, &[(0, 1), (0, 2), (1, 2)]);
         let mut rng = SmallRng::seed_from_u64(4);
-        let pool = RrrPool::generate(&net, 120_000, &mut rng);
-        let ic = IndependentCascade::new(&net);
         let mut rng2 = SmallRng::seed_from_u64(5);
-        for (src, dst) in [(0u32, 3u32), (0, 1), (1, 3), (2, 3)] {
-            let truth = ic.estimate_pair_probability(src, dst, 30_000, &mut rng2);
-            let est = pool.propagation_probability(src, dst);
-            assert!(
-                (est - truth).abs() < 0.03,
-                "({src}->{dst}): pool {est} vs forward {truth}"
-            );
+        for (net, pairs) in [
+            (diamond_net(), &[(0u32, 3u32), (0, 1), (1, 3), (2, 3)][..]),
+            (triangle, &[(0, 2)]),
+        ] {
+            let pool = RrrPool::generate_sharded(&net, 120_000, rng.next_u64(), 2);
+            let ic = IndependentCascade::new(&net);
+            for &(src, dst) in pairs {
+                let truth = ic.estimate_pair_probability(src, dst, 30_000, &mut rng2);
+                let est = pool.propagation_probability(src, dst);
+                assert!(
+                    (est - truth).abs() < 0.03,
+                    "({src}->{dst}): pool {est} vs forward {truth}"
+                );
+            }
         }
     }
 
@@ -847,7 +798,7 @@ mod tests {
     fn self_propagation_is_zero() {
         let net = diamond_net();
         let mut rng = SmallRng::seed_from_u64(6);
-        let pool = RrrPool::generate(&net, 1_000, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 1_000, rng.next_u64(), 2);
         for w in 0..4 {
             assert_eq!(pool.propagation_probability(w, w), 0.0);
         }
@@ -857,7 +808,7 @@ mod tests {
     fn total_propagation_excludes_self_rooted_sets() {
         let net = diamond_net();
         let mut rng = SmallRng::seed_from_u64(7);
-        let pool = RrrPool::generate(&net, 5_000, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 5_000, rng.next_u64(), 2);
         for w in 0..4u32 {
             let total = pool.total_propagation(w);
             let pairwise: f64 = (0..4u32)
@@ -874,7 +825,7 @@ mod tests {
     fn weighted_propagation_with_unit_weights_is_total() {
         let net = diamond_net();
         let mut rng = SmallRng::seed_from_u64(8);
-        let pool = RrrPool::generate(&net, 3_000, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 3_000, rng.next_u64(), 2);
         let ones = vec![1.0; 4];
         for w in 0..4 {
             assert!((pool.weighted_propagation(w, &ones) - pool.total_propagation(w)).abs() < 1e-9);
@@ -885,7 +836,7 @@ mod tests {
     fn weighted_propagation_is_linear_in_weights() {
         let net = diamond_net();
         let mut rng = SmallRng::seed_from_u64(9);
-        let pool = RrrPool::generate(&net, 3_000, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 3_000, rng.next_u64(), 2);
         let w1 = vec![0.3, 0.5, 0.1, 0.9];
         let w2: Vec<f64> = w1.iter().map(|x| x * 2.0).collect();
         for w in 0..4 {
@@ -900,7 +851,7 @@ mod tests {
         // Worker 0 reaches everyone; it must cover the most sets.
         let net = diamond_net();
         let mut rng = SmallRng::seed_from_u64(10);
-        let pool = RrrPool::generate(&net, 20_000, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 20_000, rng.next_u64(), 2);
         let (best, n_opt) = pool.greedy_informed_worker().unwrap();
         assert_eq!(best, 0);
         assert!(n_opt > 0.0);
@@ -911,7 +862,7 @@ mod tests {
     fn empty_pool_behaviour() {
         let net = diamond_net();
         let mut rng = SmallRng::seed_from_u64(11);
-        let pool = RrrPool::generate(&net, 0, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 0, rng.next_u64(), 2);
         assert_eq!(pool.n_sets(), 0);
         assert_eq!(pool.scale(), 0.0);
         assert!(pool.greedy_informed_worker().is_none());
@@ -924,15 +875,16 @@ mod tests {
     fn empty_network_behaviour() {
         let net = SocialNetwork::from_directed_edges(0, &[]);
         let mut rng = SmallRng::seed_from_u64(12);
-        let pool = RrrPool::generate(&net, 100, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, 100, rng.next_u64(), 2);
         assert_eq!(pool.n_sets(), 0, "no roots can be drawn");
     }
 
     #[test]
     fn generation_is_deterministic() {
         let net = diamond_net();
-        let a = RrrPool::generate(&net, 100, &mut SmallRng::seed_from_u64(13));
-        let b = RrrPool::generate(&net, 100, &mut SmallRng::seed_from_u64(13));
+        let seed = SmallRng::seed_from_u64(13).next_u64();
+        let a = RrrPool::generate_sharded(&net, 100, seed, 2);
+        let b = RrrPool::generate_sharded(&net, 100, seed, 2);
         assert_eq!(a.roots, b.roots);
         assert_eq!(a.sets, b.sets);
         assert_eq!(a.membership, b.membership);
@@ -941,8 +893,7 @@ mod tests {
     #[test]
     fn eviction_drops_prefix_and_reindexes() {
         let net = diamond_net();
-        let mut pool =
-            RrrPool::generate_sharded(&net, 2_000, PropagationModel::WeightedCascade, 21, 2);
+        let mut pool = RrrPool::generate_sharded(&net, 2_000, 21, 2);
         assert_eq!(pool.current_epoch(), 0);
         pool.advance_epoch();
         pool.extend_to(&net, 2_500, 2);
@@ -969,8 +920,7 @@ mod tests {
     #[test]
     fn evicting_nothing_is_a_noop() {
         let net = diamond_net();
-        let mut pool =
-            RrrPool::generate_sharded(&net, 500, PropagationModel::WeightedCascade, 22, 1);
+        let mut pool = RrrPool::generate_sharded(&net, 500, 22, 1);
         let before = pool.fingerprint();
         assert_eq!(pool.evict_before_epoch(0, usize::MAX), 0);
         assert_eq!(pool.evict_before_epoch(5, 0), 0);
@@ -986,14 +936,12 @@ mod tests {
         let net = diamond_net();
         let seed = 23u64;
 
-        let mut maintained =
-            RrrPool::generate_sharded(&net, 1_000, PropagationModel::WeightedCascade, seed, 2);
+        let mut maintained = RrrPool::generate_sharded(&net, 1_000, seed, 2);
         maintained.advance_epoch();
         maintained.evict_before_epoch(1, 200); // live window [200, 1000)
         maintained.extend_to(&net, 1_100, 3); // live window [200, 1300)
 
-        let mut fresh =
-            RrrPool::generate_sharded(&net, 1_300, PropagationModel::WeightedCascade, seed, 1);
+        let mut fresh = RrrPool::generate_sharded(&net, 1_300, seed, 1);
         fresh.advance_epoch();
         fresh.evict_before_epoch(1, 200); // live window [200, 1300)
 
@@ -1007,8 +955,7 @@ mod tests {
     #[test]
     fn eviction_can_empty_the_pool_and_recover() {
         let net = diamond_net();
-        let mut pool =
-            RrrPool::generate_sharded(&net, 400, PropagationModel::WeightedCascade, 24, 1);
+        let mut pool = RrrPool::generate_sharded(&net, 400, 24, 1);
         pool.advance_epoch();
         assert_eq!(pool.evict_before_epoch(1, usize::MAX), 400);
         assert_eq!(pool.n_sets(), 0);
@@ -1020,8 +967,7 @@ mod tests {
         pool.extend_to(&net, 100, 1);
         assert_eq!(pool.n_sets(), 100);
         assert_eq!(pool.stream_base(), 400);
-        let mut fresh =
-            RrrPool::generate_sharded(&net, 500, PropagationModel::WeightedCascade, 24, 1);
+        let mut fresh = RrrPool::generate_sharded(&net, 500, 24, 1);
         fresh.advance_epoch();
         fresh.evict_before_epoch(1, 400);
         assert_eq!(pool.fingerprint(), fresh.fingerprint());
@@ -1030,8 +976,7 @@ mod tests {
     #[test]
     fn snapshot_with_a_tail_restores_equal() {
         let net = diamond_net();
-        let model = PropagationModel::WeightedCascade;
-        let mut pool = RrrPool::generate_sharded(&net, 2_000, model, 27, 2);
+        let mut pool = RrrPool::generate_sharded(&net, 2_000, 27, 2);
         pool.advance_epoch();
         pool.evict_before_epoch(1, 200);
         pool.extend_to(&net, 2_000, 2);
@@ -1068,7 +1013,7 @@ mod tests {
     fn restore_refuses_sets_the_pool_could_not_hold() {
         use serde::Serialize;
         let net = diamond_net();
-        let pool = RrrPool::generate_sharded(&net, 50, PropagationModel::WeightedCascade, 28, 1);
+        let pool = RrrPool::generate_sharded(&net, 50, 28, 1);
         let refusal = |key: &str, value: Value| {
             let Value::Object(mut fields) = pool.to_value() else {
                 unreachable!("a pool serializes as an object");
@@ -1112,8 +1057,7 @@ mod tests {
     #[test]
     fn mem_stats_track_live_and_peak() {
         let net = diamond_net();
-        let mut pool =
-            RrrPool::generate_sharded(&net, 2_000, PropagationModel::WeightedCascade, 25, 2);
+        let mut pool = RrrPool::generate_sharded(&net, 2_000, 25, 2);
         let after_gen = pool.mem_stats();
         assert!(after_gen.live_bytes > 0);
         assert!(after_gen.capacity_bytes >= after_gen.live_bytes);
@@ -1135,13 +1079,7 @@ mod tests {
         // thread budget.
         let net = diamond_net();
         let run = |threads: usize| {
-            let mut pool = RrrPool::generate_sharded(
-                &net,
-                3_000,
-                PropagationModel::WeightedCascade,
-                26,
-                threads,
-            );
+            let mut pool = RrrPool::generate_sharded(&net, 3_000, 26, threads);
             pool.advance_epoch();
             pool.evict_before_epoch(1, 1_100);
             pool.extend_to(&net, 3_500, threads);
@@ -1150,66 +1088,6 @@ mod tests {
         let one = run(1);
         for threads in [2, 3, 4] {
             assert_eq!(run(threads), one, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn lt_pool_sigma_matches_forward_lt_simulation() {
-        use crate::cascade::LinearThreshold;
-        let net = diamond_net();
-        let mut rng = SmallRng::seed_from_u64(14);
-        let pool =
-            RrrPool::generate_with_model(&net, 60_000, PropagationModel::LinearThreshold, &mut rng);
-        let lt = LinearThreshold::new(&net);
-        let mut rng2 = SmallRng::seed_from_u64(15);
-        for seed in 0..4u32 {
-            let truth = lt.estimate_spread(seed, 20_000, &mut rng2);
-            let est = pool.sigma(seed);
-            assert!(
-                (est - truth).abs() < 0.08,
-                "LT σ({seed}): pool {est} vs forward {truth}"
-            );
-        }
-    }
-
-    #[test]
-    fn lt_pool_pairwise_matches_forward_lt() {
-        use crate::cascade::LinearThreshold;
-        // 0→1, 0→2, 1→2: LT informs 2 from 0 with probability 1
-        // (IC only reaches 3/4) — the models must measurably differ.
-        let net = SocialNetwork::from_directed_edges(3, &[(0, 1), (0, 2), (1, 2)]);
-        let mut rng = SmallRng::seed_from_u64(16);
-        let lt_pool =
-            RrrPool::generate_with_model(&net, 90_000, PropagationModel::LinearThreshold, &mut rng);
-        let ic_pool = RrrPool::generate(&net, 90_000, &mut rng);
-        let lt = LinearThreshold::new(&net);
-        let mut rng2 = SmallRng::seed_from_u64(17);
-        let truth = lt.estimate_pair_probability(0, 2, 20_000, &mut rng2);
-        assert!((truth - 1.0).abs() < 1e-9);
-        let est = lt_pool.propagation_probability(0, 2);
-        assert!((est - 1.0).abs() < 0.03, "LT pool estimate {est}");
-        let ic_est = ic_pool.propagation_probability(0, 2);
-        assert!(
-            (ic_est - 0.75).abs() < 0.03,
-            "IC pool must stay at 3/4, got {ic_est}"
-        );
-    }
-
-    #[test]
-    fn lt_sets_are_paths() {
-        use crate::rrr::sample_rrr_set_lt_alloc;
-        // In a DAG, the LT reverse walk is a simple path: strictly fewer
-        // members than the IC set can have, never duplicated.
-        let net = diamond_net();
-        let mut rng = SmallRng::seed_from_u64(18);
-        for _ in 0..200 {
-            let set = sample_rrr_set_lt_alloc(&net, 3, &mut rng);
-            assert!(!set.is_empty() && set[0] == 3);
-            let mut sorted = set.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), set.len(), "LT path must not repeat nodes");
-            assert!(set.len() <= 3, "longest reverse path in the diamond is 3");
         }
     }
 }

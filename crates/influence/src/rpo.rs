@@ -19,11 +19,12 @@
 
 use crate::network::SocialNetwork;
 use crate::parallel::Parallelism;
-use crate::pool::{PropagationModel, RrrPool};
-use rand::Rng;
+use crate::pool::RrrPool;
 use std::time::Instant;
 
-/// Parameters of the RPO estimator.
+/// Parameters of the RPO estimator, which samples every RRR set under
+/// the paper's weighted cascade. Serde reads the fields by name and
+/// skips other keys, such as the `model` key of older snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RpoParams {
     /// Approximation slack `ε` (paper default 0.1).
@@ -40,10 +41,6 @@ pub struct RpoParams {
     /// note that the extra sets are sampled at full [`RpoParams::threads`]
     /// width.
     pub max_sets: usize,
-    /// Diffusion model the RRR sets are sampled under (the paper uses
-    /// weighted-cascade IC; Linear Threshold is provided as an
-    /// extension).
-    pub model: PropagationModel,
     /// Sampling thread budget. Results are bit-identical at any value —
     /// sets are seeded per index — so this knob trades wall time only.
     pub threads: Parallelism,
@@ -55,7 +52,6 @@ impl Default for RpoParams {
             epsilon: 0.1,
             o: 1.0,
             max_sets: 1_000_000,
-            model: PropagationModel::WeightedCascade,
             threads: Parallelism::Auto,
         }
     }
@@ -208,18 +204,6 @@ impl Rpo {
         &self.params
     }
 
-    /// Runs Algorithm 1, drawing the master seed from `rng`.
-    ///
-    /// Compatibility wrapper: the caller's RNG contributes exactly one
-    /// `u64`, then [`Rpo::build_pool_seeded`] does the work.
-    pub fn build_pool<R: Rng + ?Sized>(
-        &self,
-        net: &SocialNetwork,
-        rng: &mut R,
-    ) -> (RrrPool, RpoStats) {
-        self.build_pool_seeded(net, rng.next_u64())
-    }
-
     /// Runs Algorithm 1 with an explicit master seed and returns the
     /// pool plus diagnostics.
     ///
@@ -244,7 +228,7 @@ impl Rpo {
         if n < 2 {
             // Degenerate networks: a handful of sets is exact.
             let t0 = Instant::now();
-            let pool = RrrPool::generate_sharded(net, n, self.params.model, master_seed, 1);
+            let pool = RrrPool::generate_sharded(net, n, master_seed, 1);
             return (
                 pool,
                 RpoStats {
@@ -269,7 +253,7 @@ impl Rpo {
         let mut rounds = 0usize;
         let mut capped = false;
         let mut sets_sampled = 0usize;
-        let mut pool = RrrPool::generate_sharded(net, 0, p.model, master_seed, threads);
+        let mut pool = RrrPool::generate_sharded(net, 0, master_seed, threads);
 
         let search_start = Instant::now();
         let (sigma_lb, test_passed) = loop {
@@ -328,7 +312,7 @@ impl Rpo {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn ring_net(n: usize) -> SocialNetwork {
         // Directed ring: every node has indegree 1 → deterministic
@@ -389,7 +373,7 @@ mod tests {
         // immediately and a single round suffices.
         let net = ring_net(64);
         let mut rng = SmallRng::seed_from_u64(1);
-        let (pool, stats) = Rpo::new(RpoParams::default()).build_pool(&net, &mut rng);
+        let (pool, stats) = Rpo::new(RpoParams::default()).build_pool_seeded(&net, rng.next_u64());
         assert!(stats.test_passed);
         assert_eq!(stats.rounds, 1);
         assert!(stats.sigma_lower_bound > 16.0);
@@ -404,7 +388,7 @@ mod tests {
             max_sets: 200_000,
             ..Default::default()
         })
-        .build_pool(&net, &mut rng);
+        .build_pool_seeded(&net, rng.next_u64());
         assert!(stats.rounds >= 1);
         assert!(pool.n_sets() > 0);
         assert!(stats.sigma_lower_bound >= 1.0);
@@ -421,7 +405,7 @@ mod tests {
             max_sets: 500,
             ..Default::default()
         })
-        .build_pool(&net, &mut rng);
+        .build_pool_seeded(&net, rng.next_u64());
         assert!(pool.n_sets() <= 500);
         assert!(stats.capped);
     }
@@ -430,12 +414,12 @@ mod tests {
     fn degenerate_networks() {
         let mut rng = SmallRng::seed_from_u64(4);
         let empty = SocialNetwork::from_directed_edges(0, &[]);
-        let (pool, stats) = Rpo::default().build_pool(&empty, &mut rng);
+        let (pool, stats) = Rpo::default().build_pool_seeded(&empty, rng.next_u64());
         assert_eq!(pool.n_sets(), 0);
         assert!(stats.test_passed);
 
         let single = SocialNetwork::from_directed_edges(1, &[]);
-        let (pool, _) = Rpo::default().build_pool(&single, &mut rng);
+        let (pool, _) = Rpo::default().build_pool_seeded(&single, rng.next_u64());
         assert_eq!(pool.n_sets(), 1);
     }
 
@@ -450,7 +434,7 @@ mod tests {
             max_sets: 400_000,
             ..Default::default()
         })
-        .build_pool(&net, &mut rng);
+        .build_pool_seeded(&net, rng.next_u64());
 
         let ic = IndependentCascade::new(&net);
         let mut rng2 = SmallRng::seed_from_u64(6);
@@ -469,50 +453,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let net = sparse_net(64, 13);
-        let (a, sa) = Rpo::default().build_pool(&net, &mut SmallRng::seed_from_u64(7));
-        let (b, sb) = Rpo::default().build_pool(&net, &mut SmallRng::seed_from_u64(7));
+        let seed = SmallRng::seed_from_u64(7).next_u64();
+        let (a, sa) = Rpo::default().build_pool_seeded(&net, seed);
+        let (b, sb) = Rpo::default().build_pool_seeded(&net, seed);
         assert_eq!(sa, sb);
         assert_eq!(a.n_sets(), b.n_sets());
-    }
-}
-
-#[cfg(test)]
-mod lt_tests {
-    use super::*;
-    use crate::cascade::LinearThreshold;
-    use crate::pool::PropagationModel;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn rpo_builds_linear_threshold_pools() {
-        use rand::RngExt;
-        let mut rng = SmallRng::seed_from_u64(31);
-        let mut edges = Vec::new();
-        for v in 1..64u32 {
-            edges.push((rng.random_range(0..v), v));
-        }
-        let net = SocialNetwork::from_directed_edges(64, &edges);
-        let (pool, stats) = Rpo::new(RpoParams {
-            max_sets: 100_000,
-            model: PropagationModel::LinearThreshold,
-            ..Default::default()
-        })
-        .build_pool(&net, &mut rng);
-        assert!(pool.n_sets() > 100);
-        assert!(stats.sigma_lower_bound >= 1.0);
-
-        // σ estimates from the LT pool track forward LT simulation.
-        let lt = LinearThreshold::new(&net);
-        let mut rng2 = SmallRng::seed_from_u64(32);
-        for seed in [0u32, 5, 20] {
-            let truth = lt.estimate_spread(seed, 6_000, &mut rng2);
-            let est = pool.sigma(seed);
-            let tol = (0.15 * truth).max(0.5);
-            assert!(
-                (est - truth).abs() < tol,
-                "LT σ({seed}): pool {est} vs forward {truth}"
-            );
-        }
     }
 }

@@ -68,62 +68,6 @@ pub fn sample_rrr_set_alloc<R: Rng + ?Sized>(
     out
 }
 
-/// Samples one RRR set under the **Linear Threshold** model.
-///
-/// By the live-edge equivalence (Kempe et al.), LT with in-weights
-/// `1/indeg(v)` corresponds to every node keeping exactly one uniformly
-/// chosen incoming edge; the reverse-reachable set of a root is then the
-/// single reverse path obtained by repeatedly hopping to one uniformly
-/// chosen in-neighbour until a node with no in-edges or an already
-/// visited node is reached.
-///
-/// Shares [`sample_rrr_set`]'s contract: an out-of-range `root` panics.
-pub fn sample_rrr_set_lt<R: Rng + ?Sized>(
-    net: &SocialNetwork,
-    root: u32,
-    rng: &mut R,
-    visited_epoch: &mut [u32],
-    epoch: u32,
-    out: &mut Vec<u32>,
-) {
-    use rand::RngExt;
-    out.clear();
-    debug_assert_eq!(visited_epoch.len(), net.n_workers());
-    debug_assert!(
-        (root as usize) < net.n_workers(),
-        "RRR root {root} out of range (|W| = {})",
-        net.n_workers()
-    );
-    let mut current = root;
-    visited_epoch[root as usize] = epoch;
-    out.push(root);
-    loop {
-        let preds = net.informed_by(current);
-        if preds.is_empty() {
-            return;
-        }
-        let next = preds[rng.random_range(0..preds.len())];
-        if visited_epoch[next as usize] == epoch {
-            return; // walked into the path: a cycle in the live-edge graph
-        }
-        visited_epoch[next as usize] = epoch;
-        out.push(next);
-        current = next;
-    }
-}
-
-/// Allocating wrapper for [`sample_rrr_set_lt`].
-pub fn sample_rrr_set_lt_alloc<R: Rng + ?Sized>(
-    net: &SocialNetwork,
-    root: u32,
-    rng: &mut R,
-) -> Vec<u32> {
-    let mut visited = vec![0u32; net.n_workers()];
-    let mut out = Vec::new();
-    sample_rrr_set_lt(net, root, rng, &mut visited, 1, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! index in flat passes, exactly the kind of code whose bugs only
 //! surface under optimizations.
 
-use sc_influence::{PropagationModel, RrrPool, SocialNetwork};
+use sc_influence::{RrrPool, SocialNetwork};
 
 /// A 6-worker world: two triangles bridged by the 2–3 edge.
 fn bridged() -> SocialNetwork {
@@ -17,13 +17,7 @@ fn bridged() -> SocialNetwork {
 }
 
 fn pool_of(net: &SocialNetwork, n_sets: usize, seed: u64, threads: usize) -> RrrPool {
-    RrrPool::generate_sharded(
-        net,
-        n_sets,
-        PropagationModel::WeightedCascade,
-        seed,
-        threads,
-    )
+    RrrPool::generate_sharded(net, n_sets, seed, threads)
 }
 
 /// Membership index and set arena must agree both ways after any

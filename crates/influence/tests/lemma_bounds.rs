@@ -5,7 +5,7 @@
 //! independent pools and check it stays below λ with slack.
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sc_influence::{RrrPool, SocialNetwork};
 
 fn test_graph() -> SocialNetwork {
@@ -26,7 +26,7 @@ fn test_graph() -> SocialNetwork {
 /// validated against forward IC elsewhere).
 fn sigma_truth(net: &SocialNetwork, worker: u32) -> f64 {
     let mut rng = SmallRng::seed_from_u64(999);
-    let pool = RrrPool::generate(net, 400_000, &mut rng);
+    let pool = RrrPool::generate_sharded(net, 400_000, rng.next_u64(), 2);
     pool.sigma(worker)
 }
 
@@ -46,7 +46,7 @@ fn lemma4_failure_rate_is_below_lambda() {
     let mut failures = 0;
     for rep in 0..reps {
         let mut rng = SmallRng::seed_from_u64(1_000 + rep);
-        let pool = RrrPool::generate(&net, n_prime, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, n_prime, rng.next_u64(), 2);
         let np = pool.sigma(worker); // N_p(w) = |W| · f_R(w)
         if np < (1.0 - epsilon) * sigma {
             failures += 1;
@@ -74,7 +74,7 @@ fn undersampling_visibly_degrades_the_guarantee() {
     let mut failures = 0;
     for rep in 0..reps {
         let mut rng = SmallRng::seed_from_u64(5_000 + rep);
-        let pool = RrrPool::generate(&net, tiny, &mut rng);
+        let pool = RrrPool::generate_sharded(&net, tiny, rng.next_u64(), 2);
         if pool.sigma(worker) < (1.0 - epsilon) * sigma {
             failures += 1;
         }

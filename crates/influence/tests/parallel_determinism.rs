@@ -5,11 +5,11 @@
 //! `(master_seed, set_index)`), and (2) an incremental top-up
 //! ([`RrrPool::extend_to`]) produces byte-for-byte the pool — arena *and*
 //! membership index — that a from-scratch generation of the larger size
-//! would. RPO inherits both. These properties hold for both diffusion
-//! models and are exercised over arbitrary sparse topologies.
+//! would. RPO inherits both. These properties are exercised over
+//! arbitrary sparse topologies.
 
 use proptest::prelude::*;
-use sc_influence::{Parallelism, PropagationModel, Rpo, RpoParams, RrrPool, SocialNetwork};
+use sc_influence::{Parallelism, Rpo, RpoParams, RrrPool, SocialNetwork};
 
 fn arb_edges(n: u32) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..n, 0..n), 0..(n as usize * 4)).prop_map(|mut e| {
@@ -38,10 +38,9 @@ proptest! {
         n_sets in 0usize..600,
     ) {
         let net = SocialNetwork::from_directed_edges(20, &edges);
-        let model = PropagationModel::WeightedCascade;
-        let single = RrrPool::generate_sharded(&net, n_sets, model, master_seed, 1);
+        let single = RrrPool::generate_sharded(&net, n_sets, master_seed, 1);
         for threads in [2, 3, 4, 8] {
-            let sharded = RrrPool::generate_sharded(&net, n_sets, model, master_seed, threads);
+            let sharded = RrrPool::generate_sharded(&net, n_sets, master_seed, threads);
             prop_assert_eq!(single.roots(), sharded.roots(), "roots differ at {} threads", threads);
             prop_assert_eq!(single.set_arena(), sharded.set_arena());
             prop_assert_eq!(single.membership(), sharded.membership());
@@ -54,19 +53,6 @@ proptest! {
     }
 
     #[test]
-    fn lt_generation_is_bit_identical_across_thread_counts(
-        edges in arb_edges(16),
-        master_seed in 0u64..1_000_000,
-    ) {
-        let net = SocialNetwork::from_directed_edges(16, &edges);
-        let model = PropagationModel::LinearThreshold;
-        let single = RrrPool::generate_sharded(&net, 400, model, master_seed, 1);
-        let sharded = RrrPool::generate_sharded(&net, 400, model, master_seed, 5);
-        prop_assert_eq!(single.fingerprint(), sharded.fingerprint());
-        prop_assert_eq!(single.membership(), sharded.membership());
-    }
-
-    #[test]
     fn incremental_topup_equals_from_scratch(
         edges in arb_edges(20),
         master_seed in 0u64..1_000_000,
@@ -74,11 +60,10 @@ proptest! {
         extra in 0usize..300,
     ) {
         let net = SocialNetwork::from_directed_edges(20, &edges);
-        let model = PropagationModel::WeightedCascade;
         let target = first + extra;
 
-        let scratch = RrrPool::generate_sharded(&net, target, model, master_seed, 3);
-        let mut grown = RrrPool::generate_sharded(&net, first, model, master_seed, 2);
+        let scratch = RrrPool::generate_sharded(&net, target, master_seed, 3);
+        let mut grown = RrrPool::generate_sharded(&net, first, master_seed, 2);
         grown.extend_to(&net, target, 4);
 
         prop_assert_eq!(scratch.roots(), grown.roots());
@@ -128,18 +113,11 @@ fn multi_shard_generation_is_bit_identical() {
         .filter(|(u, v)| u != v)
         .collect();
     let net = SocialNetwork::from_directed_edges(50, &edges);
-    let single =
-        RrrPool::generate_sharded(&net, n_sets, PropagationModel::WeightedCascade, 0xABCD, 1);
+    let single = RrrPool::generate_sharded(&net, n_sets, 0xABCD, 1);
     for threads in [2usize, 4, 8] {
         // Precondition: the clamp must actually grant this many shards.
         assert!(n_sets.div_ceil(RrrPool::MIN_SETS_PER_SHARD) >= threads);
-        let sharded = RrrPool::generate_sharded(
-            &net,
-            n_sets,
-            PropagationModel::WeightedCascade,
-            0xABCD,
-            threads,
-        );
+        let sharded = RrrPool::generate_sharded(&net, n_sets, 0xABCD, threads);
         assert_pools_identical(&single, &sharded);
     }
 }
@@ -150,9 +128,8 @@ fn multi_shard_topup_equals_from_scratch() {
     let (first, target) = (2 * floor + 11, 7 * floor + 5);
     let edges: Vec<(u32, u32)> = (0..40u32).map(|i| (i, (i + 3) % 40)).collect();
     let net = SocialNetwork::from_directed_edges(40, &edges);
-    let model = PropagationModel::LinearThreshold;
-    let scratch = RrrPool::generate_sharded(&net, target, model, 0x5EED, 4);
-    let mut grown = RrrPool::generate_sharded(&net, first, model, 0x5EED, 2);
+    let scratch = RrrPool::generate_sharded(&net, target, 0x5EED, 4);
+    let mut grown = RrrPool::generate_sharded(&net, first, 0x5EED, 2);
     assert!(
         (target - first).div_ceil(floor) >= 4,
         "top-up must multi-shard"
@@ -164,7 +141,7 @@ fn multi_shard_topup_equals_from_scratch() {
 #[test]
 fn extend_to_is_noop_at_or_below_current_size() {
     let net = SocialNetwork::from_directed_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
-    let mut pool = RrrPool::generate_sharded(&net, 100, PropagationModel::WeightedCascade, 7, 2);
+    let mut pool = RrrPool::generate_sharded(&net, 100, 7, 2);
     let before = pool.fingerprint();
     pool.extend_to(&net, 50, 4);
     pool.extend_to(&net, 100, 4);
@@ -188,22 +165,11 @@ fn repeated_small_topups_equal_one_big_generation() {
             (2, 5),
         ],
     );
-    let model = PropagationModel::WeightedCascade;
-    let scratch = RrrPool::generate_sharded(&net, 777, model, 0xFEED, 1);
-    let mut grown = RrrPool::generate_sharded(&net, 0, model, 0xFEED, 3);
+    let scratch = RrrPool::generate_sharded(&net, 777, 0xFEED, 1);
+    let mut grown = RrrPool::generate_sharded(&net, 0, 0xFEED, 3);
     for target in [1usize, 2, 10, 11, 64, 300, 301, 777] {
         grown.extend_to(&net, target, 3);
         assert_eq!(grown.n_sets(), target);
     }
     assert_pools_identical(&scratch, &grown);
-}
-
-#[test]
-fn legacy_rng_entry_points_remain_deterministic() {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    let net = SocialNetwork::from_directed_edges(8, &[(0, 1), (1, 2), (3, 4), (6, 7)]);
-    let a = RrrPool::generate(&net, 250, &mut SmallRng::seed_from_u64(13));
-    let b = RrrPool::generate(&net, 250, &mut SmallRng::seed_from_u64(13));
-    assert_pools_identical(&a, &b);
 }

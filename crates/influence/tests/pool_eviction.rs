@@ -14,7 +14,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use sc_influence::{PropagationModel, RrrPool, SocialNetwork};
+use sc_influence::{RrrPool, SocialNetwork};
 
 fn sparse_net(n: usize, seed: u64) -> SocialNetwork {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -69,7 +69,7 @@ fn assert_invariants(pool: &RrrPool) {
 #[test]
 fn evict_extend_round_trip_preserves_invariants() {
     let net = sparse_net(200, 5);
-    let mut pool = RrrPool::generate_sharded(&net, 4_000, PropagationModel::WeightedCascade, 9, 4);
+    let mut pool = RrrPool::generate_sharded(&net, 4_000, 9, 4);
     assert_invariants(&pool);
 
     // Ten maintenance rounds: horizon 3 epochs, quantum 512.
@@ -90,8 +90,7 @@ fn evict_extend_round_trip_preserves_invariants() {
 fn rotation_is_thread_count_independent() {
     let net = sparse_net(150, 6);
     let script = |threads: usize| {
-        let mut pool =
-            RrrPool::generate_sharded(&net, 3_000, PropagationModel::WeightedCascade, 11, threads);
+        let mut pool = RrrPool::generate_sharded(&net, 3_000, 11, threads);
         for _ in 0..6 {
             let epoch = pool.advance_epoch();
             if epoch > 2 {
@@ -116,8 +115,7 @@ fn rotated_window_equals_from_scratch_window() {
     let seed = 13u64;
 
     // Rotate incrementally: 2k warm-up, then 4 × (evict 250, add 250).
-    let mut rotated =
-        RrrPool::generate_sharded(&net, 2_000, PropagationModel::WeightedCascade, seed, 3);
+    let mut rotated = RrrPool::generate_sharded(&net, 2_000, seed, 3);
     for _ in 0..4 {
         let epoch = rotated.advance_epoch();
         rotated.evict_before_epoch(epoch, 250);
@@ -127,8 +125,7 @@ fn rotated_window_equals_from_scratch_window() {
     assert_eq!(rotated.n_sets(), 2_000);
 
     // From scratch: sample the whole stream, evict the same prefix.
-    let mut fresh =
-        RrrPool::generate_sharded(&net, 3_000, PropagationModel::WeightedCascade, seed, 1);
+    let mut fresh = RrrPool::generate_sharded(&net, 3_000, seed, 1);
     fresh.advance_epoch();
     fresh.evict_before_epoch(1, 1_000);
 
@@ -147,7 +144,7 @@ fn rotated_window_equals_from_scratch_window() {
 #[test]
 fn estimator_identities_survive_rotation() {
     let net = sparse_net(80, 8);
-    let mut pool = RrrPool::generate_sharded(&net, 5_000, PropagationModel::WeightedCascade, 17, 2);
+    let mut pool = RrrPool::generate_sharded(&net, 5_000, 17, 2);
     for _ in 0..3 {
         let epoch = pool.advance_epoch();
         pool.evict_before_epoch(epoch, 1_000);

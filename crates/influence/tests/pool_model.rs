@@ -12,14 +12,13 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use sc_influence::rrr::{sample_rrr_set_alloc, sample_rrr_set_lt_alloc};
-use sc_influence::{PropagationModel, RrrPool, SocialNetwork};
+use sc_influence::rrr::sample_rrr_set_alloc;
+use sc_influence::{RrrPool, SocialNetwork};
 
 /// A pool's live window as plain vectors.
 #[derive(Default)]
 struct Model {
     seed: u64,
-    kind: PropagationModel,
     n_workers: usize,
     /// Stream index of live set 0.
     base: usize,
@@ -35,10 +34,7 @@ impl Model {
             let mut rng = SmallRng::seed_from_stream(self.seed, j as u64);
             let root = rng.random_range(0..net.n_workers()) as u32;
             self.roots.push(root);
-            self.sets.push(match self.kind {
-                PropagationModel::WeightedCascade => sample_rrr_set_alloc(net, root, &mut rng),
-                PropagationModel::LinearThreshold => sample_rrr_set_lt_alloc(net, root, &mut rng),
-            });
+            self.sets.push(sample_rrr_set_alloc(net, root, &mut rng));
         }
     }
 
@@ -95,17 +91,10 @@ struct Lockstep {
 }
 
 impl Lockstep {
-    fn new(
-        net: SocialNetwork,
-        n_sets: usize,
-        kind: PropagationModel,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
-        let pool = RrrPool::generate_sharded(&net, n_sets, kind, seed, threads);
+    fn new(net: SocialNetwork, n_sets: usize, seed: u64, threads: usize) -> Self {
+        let pool = RrrPool::generate_sharded(&net, n_sets, seed, threads);
         let model = Model {
             seed,
-            kind,
             n_workers: net.n_workers(),
             ..Model::default()
         };
@@ -175,8 +164,6 @@ fn sparse_net(n: usize, seed: u64) -> SocialNetwork {
     SocialNetwork::from_directed_edges(n, &edges)
 }
 
-const WC: PropagationModel = PropagationModel::WeightedCascade;
-
 #[test]
 fn generation_matches_the_model_at_any_thread_count() {
     // Far more workers than a block's sets touch, so a visited mark can
@@ -184,23 +171,15 @@ fn generation_matches_the_model_at_any_thread_count() {
     // epochs per block would skip live in-neighbours.
     for n_sets in [0usize, 1, 500, 3_000] {
         for threads in [1usize, 4] {
-            Lockstep::new(sparse_net(10_000, 3), n_sets, WC, 0xC0FFEE, threads);
+            Lockstep::new(sparse_net(10_000, 3), n_sets, 0xC0FFEE, threads);
         }
-    }
-}
-
-#[test]
-fn lt_generation_matches_the_model() {
-    for threads in [1usize, 3] {
-        let lt = PropagationModel::LinearThreshold;
-        Lockstep::new(sparse_net(60, 4), 2_000, lt, 0xBEEF, threads);
     }
 }
 
 #[test]
 fn rotation_matches_the_model() {
     // Evict + extend cycles at a thread count that changes every round.
-    let mut s = Lockstep::new(sparse_net(90, 5), 4_000, WC, 0xAB, 4);
+    let mut s = Lockstep::new(sparse_net(90, 5), 4_000, 0xAB, 4);
     for round in 0..6 {
         let epoch = s.pool.advance_epoch();
         if epoch > 2 {
@@ -218,7 +197,7 @@ fn long_rotation_with_fold_ins_matches_the_model() {
     // compacts every few rounds. Workers fold in before the first
     // eviction, between an eviction and the next extension (the
     // engine's order), and right after a compaction.
-    let mut s = Lockstep::new(sparse_net(90, 8), 3_000, WC, 0x10C, 2);
+    let mut s = Lockstep::new(sparse_net(90, 8), 3_000, 0x10C, 2);
     s.fold_in(&[1, 7, 20]);
     let (mut mid_round, mut after_compaction) = (false, false);
     for round in 0..40 {
@@ -242,7 +221,7 @@ fn long_rotation_with_fold_ins_matches_the_model() {
 
 #[test]
 fn fold_in_then_rotation_matches_the_model() {
-    let mut s = Lockstep::new(sparse_net(40, 6), 3_000, WC, 0xF0, 2);
+    let mut s = Lockstep::new(sparse_net(40, 6), 3_000, 0xF0, 2);
     s.fold_in(&[1, 7, 20]);
     s.pool.advance_epoch();
     s.evict(1, 800, "eviction after the fold-in");
@@ -254,7 +233,7 @@ fn fold_in_after_partial_eviction_matches_the_model() {
     // The online engine's real order: rotate, leaving a dead prefix in
     // the head segment (700 sets is no block multiple), then fold a
     // worker in — the splice must drain from the live cursor.
-    let mut s = Lockstep::new(sparse_net(40, 6), 3_000, WC, 0xF1, 2);
+    let mut s = Lockstep::new(sparse_net(40, 6), 3_000, 0xF1, 2);
     s.pool.advance_epoch();
     s.evict(1, 700, "partial eviction");
     s.fold_in(&[2, 9, 31]);
@@ -265,7 +244,7 @@ fn fold_in_after_partial_eviction_matches_the_model() {
 fn chunked_transients_are_additive() {
     // Growth overhead above the live data is a few fixed-size segments.
     use sc_influence::arena::SEG_BYTES;
-    let mut s = Lockstep::new(sparse_net(200, 7), 2_000, WC, 0x5CA1E, 2);
+    let mut s = Lockstep::new(sparse_net(200, 7), 2_000, 0x5CA1E, 2);
     for target in [4_000usize, 8_000, 16_000] {
         s.extend(target, 2);
     }

@@ -21,13 +21,17 @@
 //! [`SnapshotError::Parse`] rather than panicking later: CSR offsets
 //! that do not rise from 0 to the target count or a target past the
 //! population, an empty RRR set or one holding a worker past the
-//! population, set epochs that do not match the sets, and a pool whose
-//! population differs from the network's.
+//! population, set epochs that do not match the sets, a pool whose
+//! population differs from the network's, an LDA model with no topics
+//! or a `φ` of any size but `n_topics × n_words`, and a worker topic
+//! row of any length but 0 or `n_topics`.
 //!
 //! Version 1 files, which also carried each set's root, the membership
 //! index, the pool's peak bytes, LDA's training `θ` and document count,
 //! and the network's in-degrees, still restore: those keys are not
-//! read. Any other version is refused outright instead of guessing at
+//! read. Nor is the `model` key that older files carry in the pool and
+//! the RPO parameters, from when RRR sets had a choice of diffusion
+//! model. Any other version is refused outright instead of guessing at
 //! field layouts. Restored engines own their pipeline and network
 //! handles and emit **bit-identical** [`RoundReport`]s to the
 //! uninterrupted original at any thread count, and write the same

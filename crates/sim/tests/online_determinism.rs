@@ -5,7 +5,7 @@
 use sc_assign::AlgorithmKind;
 use sc_core::{DitaBuilder, DitaConfig, DitaPipeline, OnlineConfig, Parallelism};
 use sc_datagen::{DatasetProfile, InstanceOptions, SyntheticDataset};
-use sc_influence::{PropagationModel, RpoParams, RrrPool};
+use sc_influence::{RpoParams, RrrPool};
 use sc_sim::{EngineBuilder, EventKind, NetworkMode, PipelineMode, RoundReport};
 use sc_types::{Duration, Task, TaskId, TimeInstant, VenueId};
 
@@ -180,13 +180,7 @@ fn maintained_pool_equals_fresh_pool_of_same_stream_window() {
     }
     let pool = engine.pipeline().model().pool();
     let total = pool.stream_base() + pool.n_sets();
-    let mut fresh = RrrPool::generate_sharded(
-        &data.social,
-        total,
-        PropagationModel::WeightedCascade,
-        pool.master_seed(),
-        1,
-    );
+    let mut fresh = RrrPool::generate_sharded(&data.social, total, pool.master_seed(), 1);
     fresh.advance_epoch();
     fresh.evict_before_epoch(1, pool.stream_base());
     assert_eq!(fresh.fingerprint(), pool.fingerprint());

@@ -332,7 +332,22 @@ fn put(envelope: &mut Value, path: &[&str], key: &str, value: Value) {
 
 const POOL: [&str; 4] = ["engine", "pipeline", "model", "pool"];
 const LDA: [&str; 4] = ["engine", "pipeline", "model", "lda"];
+const RPO: [&str; 5] = ["engine", "pipeline", "model", "config", "rpo"];
+const TOPICS: [&str; 4] = ["engine", "pipeline", "model", "worker_topics"];
 const FORWARD: [&str; 3] = ["engine", "network", "forward"];
+
+/// Puts back the `model` key that the pool and the RPO parameters
+/// carried while RRR sets had a choice of diffusion model.
+fn put_model_keys(envelope: &mut Value) {
+    for path in [&POOL[..], &RPO[..]] {
+        put(
+            envelope,
+            path,
+            "model",
+            Value::Str("WeightedCascade".into()),
+        );
+    }
+}
 
 /// The engine at the scripted fold-in (the state `run_day` interrupts
 /// at) and its snapshot as an editable tree.
@@ -355,6 +370,7 @@ fn engine_at_the_fold_in(data: &SyntheticDataset) -> (OnlineEngine<'static>, Val
 /// it wrote it.
 fn as_version_1(mut envelope: Value) -> Value {
     *member_mut(&mut envelope, "version") = Value::Int(1);
+    put_model_keys(&mut envelope);
 
     // Each set's root is its first member; the membership index listed
     // each worker's sets by live position, as `{data, ends}` runs.
@@ -392,10 +408,7 @@ fn as_version_1(mut envelope: Value) -> Value {
     put(&mut envelope, &POOL, "peak_bytes", Value::Int(8_621_324));
 
     // LDA kept θ of its training documents: the workers' topics.
-    let topics: Vec<Vec<f64>> = read(
-        &mut envelope,
-        &["engine", "pipeline", "model", "worker_topics"],
-    );
+    let topics: Vec<Vec<f64>> = read(&mut envelope, &TOPICS);
     put(&mut envelope, &LDA, "theta", topics.concat().to_value());
     put(&mut envelope, &LDA, "n_docs", topics.len().to_value());
 
@@ -406,6 +419,28 @@ fn as_version_1(mut envelope: Value) -> Value {
     targets.iter().for_each(|&v| in_degrees[v as usize] += 1);
     put(&mut envelope, &FORWARD, "in_degrees", in_degrees.to_value());
     envelope
+}
+
+#[test]
+fn snapshot_with_the_retired_model_keys_still_restores() {
+    // Snapshots written while RRR sets could be sampled under a second
+    // diffusion model carry `"model": "WeightedCascade"` in the pool
+    // and in the RPO parameters. Neither key is read, so such a
+    // snapshot restores, serves the rest of the day alike and ends it
+    // with the same bytes.
+    let data = dataset();
+    let (mut engine, mut tree) = engine_at_the_fold_in(&data);
+    put_model_keys(&mut tree);
+    let mut restored =
+        snapshot_from_str(&tree.to_json_string()).expect("an older snapshot restores");
+    assert_eq!(
+        finish_day(&mut restored, &data),
+        finish_day(&mut engine, &data)
+    );
+    assert_same_snapshot(
+        &snapshot_to_string(&restored).unwrap(),
+        &snapshot_to_string(&engine).unwrap(),
+    );
 }
 
 #[test]
@@ -513,4 +548,34 @@ fn a_pool_and_a_network_of_different_populations_are_refused() {
     let (_, mut tree) = engine_at_the_fold_in(&dataset());
     *at(&mut tree, &[&POOL[..], &["n_workers"]].concat()) = Value::Int(122);
     assert_refused(&tree, "the RRR pool covers 122 workers but the network 121");
+}
+
+#[test]
+fn topic_rows_of_the_wrong_length_are_refused() {
+    // The first round would panic in `topic_affinity` on rows shorter
+    // than the task's topic distribution.
+    let tree = edited_snapshot(&TOPICS, |rows| {
+        for row in rows {
+            let Value::Array(values) = row else {
+                panic!("a topic row is an array");
+            };
+            values.truncate(1);
+        }
+    });
+    assert_refused(
+        &tree,
+        "worker 0's topic row is 1 long, not 0 or the model's 5",
+    );
+}
+
+#[test]
+fn an_lda_phi_of_the_wrong_size_or_no_topics_are_refused() {
+    // Inference would index past a short φ; with no topics it has no
+    // distribution to draw from, even when φ is as empty as it should be.
+    let phi = [&LDA[..], &["phi"]].concat();
+    let tree = edited_snapshot(&phi, |values| values.truncate(3));
+    assert_refused(&tree, "LDA φ holds 3 values for 5 topics");
+    let mut tree = edited_snapshot(&phi, Vec::clear);
+    *at(&mut tree, &[&LDA[..], &["n_topics"]].concat()) = Value::Int(0);
+    assert_refused(&tree, "LDA φ holds 0 values for 0 topics");
 }

@@ -146,7 +146,10 @@ impl LdaTrainer {
 /// A trained LDA model: the frozen `φ` and the priors that inference
 /// reads. The training documents' `θ` is not part of it: the trainers
 /// return it beside the model, and the caller keeps it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+///
+/// Restore refuses a model with no topics, or whose `φ` does not hold
+/// `n_topics × n_words` values, which inference would index past.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct LdaModel {
     n_topics: usize,
     n_words: usize,
@@ -154,6 +157,32 @@ pub struct LdaModel {
     beta: f64,
     /// Row-major `n_topics × n_words` topic-word distribution.
     phi: Vec<f64>,
+}
+
+impl serde::Deserialize for LdaModel {
+    fn from_value(value: &serde::json::Value) -> Result<Self, serde::Error> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("LDA model object", value))?;
+        let model = LdaModel {
+            n_topics: serde::get_field(obj, "n_topics")?,
+            n_words: serde::get_field(obj, "n_words")?,
+            alpha: serde::get_field(obj, "alpha")?,
+            beta: serde::get_field(obj, "beta")?,
+            phi: serde::get_field(obj, "phi")?,
+        };
+        let cells = model.n_topics.checked_mul(model.n_words);
+        if model.n_topics == 0 || cells != Some(model.phi.len()) {
+            return Err(serde::Error::custom(format!(
+                "LDA φ holds {} values for {} topics × {} words; it needs one per \
+                 topic-word pair and at least one topic",
+                model.phi.len(),
+                model.n_topics,
+                model.n_words
+            )));
+        }
+        Ok(model)
+    }
 }
 
 impl LdaModel {

@@ -247,6 +247,55 @@ fn profile_of(flags: &HashMap<String, String>) -> Result<DatasetProfile, String>
     }
 }
 
+/// `--round-hours`, which every mode that reads it needs at least 1.
+fn round_hours_of(flags: &HashMap<String, String>) -> Result<i64, String> {
+    match num(flags, "round-hours", 1)? {
+        h if h < 1 => Err("--round-hours must be at least 1".into()),
+        h => Ok(h),
+    }
+}
+
+/// The online engine's maintenance flags (`online`, `replay`, `serve`).
+fn online_of(flags: &HashMap<String, String>) -> Result<OnlineConfig, String> {
+    Ok(OnlineConfig {
+        round_hours: round_hours_of(flags)?,
+        growth_cap: num(flags, "growth-cap", 1_024)?,
+        eviction_horizon: num(flags, "horizon", 24)?,
+        target_sets: num(flags, "target-sets", 0)?,
+        incremental: incremental_of(flags),
+    })
+}
+
+/// How a trace day becomes rounds of events (`replay`, `post-replay`).
+fn replay_options_of(flags: &HashMap<String, String>) -> Result<ReplayOptions, String> {
+    Ok(ReplayOptions {
+        round_hours: round_hours_of(flags)?,
+        task_every: num(flags, "task-every", 2)?,
+        valid_hours: num(flags, "phi", 3.0)?,
+        radius_km: num(flags, "radius", 25.0)?,
+        linger_hours: num(flags, "linger", 4)?,
+        max_rounds: num(flags, "rounds", 0)?,
+        ..Default::default()
+    })
+}
+
+/// The trace `--edges` and `--checkins` name, loaded with `--seed`
+/// (`replay`, `serve`, `post-replay`).
+fn trace_of(flags: &HashMap<String, String>, mode: &str) -> Result<LoadedDataset, String> {
+    let path = |flag: &str, format: &str| {
+        flags
+            .get(flag)
+            .map(std::path::Path::new)
+            .ok_or_else(|| format!("{mode} needs --{flag} <path> ({format})"))
+    };
+    LoadedDataset::from_tsv(
+        path("edges", "TSV: src\\tdst per line")?,
+        path("checkins", "the io::write_checkins_tsv format")?,
+        num(flags, "seed", 42)?,
+    )
+    .map_err(|e| e.to_string())
+}
+
 fn num<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     key: &str,
@@ -483,17 +532,7 @@ fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
     let phi: f64 = num(flags, "phi", 3.0)?;
     let algorithm = algorithm_of(flags)?;
     let threads = threads_of(flags)?;
-    let round_hours: i64 = num(flags, "round-hours", 1)?;
-    if round_hours < 1 {
-        return Err("--round-hours must be at least 1".into());
-    }
-    let online = OnlineConfig {
-        round_hours,
-        growth_cap: num(flags, "growth-cap", 1_024)?,
-        eviction_horizon: num(flags, "horizon", 24)?,
-        target_sets: num(flags, "target-sets", 0)?,
-        incremental: incremental_of(flags),
-    };
+    let online = online_of(flags)?;
 
     eprintln!(
         "training DITA on '{}' ({} workers, {} sampling thread(s))…",
@@ -583,43 +622,14 @@ fn cmd_online(flags: &HashMap<String, String>) -> Result<(), String> {
 /// influence, no retrain); per-round reports and a fold-in summary are
 /// printed.
 fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
-    let edges = flags
-        .get("edges")
-        .ok_or("replay needs --edges <path> (TSV: src\\tdst per line)")?;
-    let checkins = flags
-        .get("checkins")
-        .ok_or("replay needs --checkins <path> (the io::write_checkins_tsv format)")?;
     let day: i64 = num(flags, "day", 1)?;
     let seed: u64 = num(flags, "seed", 42)?;
     let threads = threads_of(flags)?;
     let algorithm = algorithm_of(flags)?;
-    let round_hours: i64 = num(flags, "round-hours", 1)?;
-    if round_hours < 1 {
-        return Err("--round-hours must be at least 1".into());
-    }
-    let opts = ReplayOptions {
-        round_hours,
-        task_every: num(flags, "task-every", 2)?,
-        valid_hours: num(flags, "phi", 3.0)?,
-        radius_km: num(flags, "radius", 25.0)?,
-        linger_hours: num(flags, "linger", 4)?,
-        max_rounds: num(flags, "rounds", 0)?,
-        ..Default::default()
-    };
-    let online = OnlineConfig {
-        round_hours,
-        growth_cap: num(flags, "growth-cap", 1_024)?,
-        eviction_horizon: num(flags, "horizon", 24)?,
-        target_sets: num(flags, "target-sets", 0)?,
-        incremental: incremental_of(flags),
-    };
+    let opts = replay_options_of(flags)?;
+    let online = online_of(flags)?;
 
-    let data = LoadedDataset::from_tsv(
-        std::path::Path::new(edges),
-        std::path::Path::new(checkins),
-        seed,
-    )
-    .map_err(|e| e.to_string())?;
+    let data = trace_of(flags, "replay")?;
     eprintln!(
         "loaded trace: {} workers, {} venues, {} check-ins; training on days < {day} \
          ({} sampling thread(s))…",
@@ -711,24 +721,10 @@ fn serve_engine(flags: &HashMap<String, String>) -> Result<OnlineEngine<'static>
     }
     let seed: u64 = num(flags, "seed", 42)?;
     let threads = threads_of(flags)?;
-    let online = OnlineConfig {
-        round_hours: num(flags, "round-hours", 1)?,
-        growth_cap: num(flags, "growth-cap", 1_024)?,
-        eviction_horizon: num(flags, "horizon", 24)?,
-        target_sets: num(flags, "target-sets", 0)?,
-        incremental: incremental_of(flags),
-    };
-    let (pipeline, social) = if let Some(edges) = flags.get("edges") {
-        let checkins = flags
-            .get("checkins")
-            .ok_or("serve with --edges needs --checkins")?;
+    let online = online_of(flags)?;
+    let (pipeline, social) = if flags.contains_key("edges") {
         let day: i64 = num(flags, "day", 1)?;
-        let data = LoadedDataset::from_tsv(
-            std::path::Path::new(edges),
-            std::path::Path::new(checkins),
-            seed,
-        )
-        .map_err(|e| e.to_string())?;
+        let data = trace_of(flags, "serve")?;
         let slice = data.training_slice(day).map_err(|e| e.to_string())?;
         eprintln!(
             "training on trace days < {day}: {} workers, {} check-ins \
@@ -808,31 +804,13 @@ fn cmd_post_replay(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7117".to_string());
-    let edges = flags.get("edges").ok_or("post-replay needs --edges")?;
-    let checkins = flags
-        .get("checkins")
-        .ok_or("post-replay needs --checkins")?;
     let day: i64 = num(flags, "day", 1)?;
-    let seed: u64 = num(flags, "seed", 42)?;
-    let opts = ReplayOptions {
-        round_hours: num(flags, "round-hours", 1)?,
-        task_every: num(flags, "task-every", 2)?,
-        valid_hours: num(flags, "phi", 3.0)?,
-        radius_km: num(flags, "radius", 25.0)?,
-        linger_hours: num(flags, "linger", 4)?,
-        max_rounds: num(flags, "rounds", 0)?,
-        ..Default::default()
-    };
+    let opts = replay_options_of(flags)?;
     // Rounds before `--skip-rounds` are translated (the dense-id
     // mapping must advance through their fold-ins) but not posted —
     // the tool that resumes a day against a snapshot-restored server.
     let skip: usize = num(flags, "skip-rounds", 0)?;
-    let data = LoadedDataset::from_tsv(
-        std::path::Path::new(edges),
-        std::path::Path::new(checkins),
-        seed,
-    )
-    .map_err(|e| e.to_string())?;
+    let data = trace_of(flags, "post-replay")?;
     let slice = data.training_slice(day).map_err(|e| e.to_string())?;
     let stream = ReplayStream::from_dataset(&data, day, &opts).map_err(|e| e.to_string())?;
 
@@ -945,6 +923,31 @@ mod tests {
         ] {
             let err = parse(&args(line)).expect_err(line);
             assert!(err.contains(flag), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn round_hours_below_one_are_refused_in_every_mode() {
+        // The check comes before training, loading the trace or
+        // contacting a server, so these missing files are never read.
+        let trace = "--edges no/edges.tsv --checkins no/checkins.tsv";
+        type Mode = fn(&HashMap<String, String>) -> Result<(), String>;
+        let modes: [(&str, Mode); 4] = [
+            ("online", cmd_online),
+            ("replay", cmd_replay),
+            ("serve", |flags| serve_engine(flags).map(drop)),
+            ("post-replay", cmd_post_replay),
+        ];
+        for (mode, run) in modes {
+            for hours in ["0", "-2"] {
+                let line = format!("{mode} {trace} --round-hours {hours}");
+                let (_, flags) = parse(&args(&line)).unwrap();
+                let err = run(&flags).expect_err(&line);
+                assert!(
+                    err.contains("--round-hours must be at least 1"),
+                    "{line}: {err}"
+                );
+            }
         }
     }
 

@@ -8,7 +8,7 @@ use dita::influence::{IndependentCascade, Rpo, RpoParams, RrrPool, SocialNetwork
 use dita::mobility::WillingnessModel;
 use dita::types::{Location, WorkerId};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn pool_sigma_tracks_forward_cascades_on_ba_graph() {
@@ -16,7 +16,7 @@ fn pool_sigma_tracks_forward_cascades_on_ba_graph() {
     let mut rng = SmallRng::seed_from_u64(1);
     let edges = generate_social_edges(n, 3, &mut rng);
     let net = SocialNetwork::from_undirected_edges(n, &edges);
-    let pool = RrrPool::generate(&net, 120_000, &mut rng);
+    let pool = RrrPool::generate_sharded(&net, 120_000, rng.next_u64(), 2);
 
     let ic = IndependentCascade::new(&net);
     let mut rng2 = SmallRng::seed_from_u64(2);
@@ -43,7 +43,7 @@ fn rpo_pool_estimates_pairwise_propagation() {
         max_sets: 300_000,
         ..Default::default()
     })
-    .build_pool(&net, &mut rng);
+    .build_pool_seeded(&net, rng.next_u64());
     assert!(pool.n_sets() > 1_000, "RPO must sample a real pool");
     assert!(stats.sigma_lower_bound >= 1.0);
 
