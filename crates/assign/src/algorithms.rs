@@ -5,6 +5,7 @@ use crate::oracle::InfluenceOracle;
 use sc_graph::{HopcroftKarp, MinCostMaxFlow};
 use sc_types::{Assignment, AssignmentPair, Instance};
 use std::fmt;
+use std::str::FromStr;
 
 /// Which algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,6 +35,31 @@ impl AlgorithmKind {
         AlgorithmKind::Dia,
         AlgorithmKind::Mi,
     ];
+
+    /// Every algorithm: the comparison set and the greedy strawman.
+    const ALL: [AlgorithmKind; 6] = [
+        AlgorithmKind::Mta,
+        AlgorithmKind::Ia,
+        AlgorithmKind::Eia,
+        AlgorithmKind::Dia,
+        AlgorithmKind::Mi,
+        AlgorithmKind::GreedyNearest,
+    ];
+}
+
+/// Parses an algorithm's [`Display`](fmt::Display) label (`MTA`, `IA`,
+/// `EIA`, `DIA`, `MI`, `Greedy`) in any letter case, as the `dita` CLI
+/// and the serving front read it. The error reads
+/// `unknown algorithm '<name>'`.
+impl FromStr for AlgorithmKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        AlgorithmKind::ALL
+            .into_iter()
+            .find(|kind| kind.to_string().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown algorithm '{name}'"))
+    }
 }
 
 impl fmt::Display for AlgorithmKind {
@@ -388,6 +414,33 @@ mod tests {
     use super::*;
     use crate::oracle::{InfluenceFn, ZeroInfluence};
     use sc_types::{CategoryId, Duration, Location, Task, TaskId, TimeInstant, Worker, WorkerId};
+
+    #[test]
+    fn every_label_parses_back_in_any_case() {
+        for kind in AlgorithmKind::ALL {
+            let label = kind.to_string();
+            let mixed: String = label
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_lowercase()
+                    } else {
+                        c.to_ascii_uppercase()
+                    }
+                })
+                .collect();
+            for name in [label.to_lowercase(), label.to_uppercase(), mixed] {
+                assert_eq!(name.parse::<AlgorithmKind>(), Ok(kind), "{name}");
+            }
+        }
+        for name in ["", "IAX", "greedy-nearest", "Dinic"] {
+            assert_eq!(
+                name.parse::<AlgorithmKind>(),
+                Err(format!("unknown algorithm '{name}'"))
+            );
+        }
+    }
 
     /// Eligibility, scoring and the solve, in order.
     fn run(kind: AlgorithmKind, input: &AssignInput<'_>) -> Assignment {

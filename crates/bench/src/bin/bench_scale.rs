@@ -28,7 +28,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sc_bench::{env_usize, host_threads, write_artifact};
+use sc_bench::{env_or, host_threads, write_artifact};
 use sc_datagen::ScaleProfile;
 use sc_influence::{arena::SEG_BYTES, PoolMemStats, RrrPool};
 use sc_stats::{peak_rss_bytes, reset_peak_rss};
@@ -84,7 +84,7 @@ fn mem_json(m: &PoolMemStats) -> String {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let n_workers = env_usize("DITA_SCALE_WORKERS", if smoke { 10_000 } else { 100_000 });
+    let n_workers = env_or("DITA_SCALE_WORKERS", if smoke { 10_000 } else { 100_000 });
     let n_sets = n_workers * 2;
     let n_topics: usize = 16;
     let sweeps: usize = 3;

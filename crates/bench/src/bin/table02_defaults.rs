@@ -1,9 +1,9 @@
 //! Table II: the default parameter settings every experiment starts from.
 
 #![forbid(unsafe_code)]
-use sc_sim::{ExperimentScale, SweepValues};
+use sc_sim::SweepValues;
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = sc_bench::scale_from_env();
     let d = scale.defaults();
     let paper = SweepValues::paper_defaults();
     println!("== Table II: parameter settings ==");

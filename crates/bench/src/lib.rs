@@ -11,12 +11,15 @@
 //! (minutes instead of hours). Each binary prints the series as aligned
 //! tables and writes a CSV next to the repository root under `results/`.
 //!
-//! The perf binaries (`bench_pool`, `bench_online`, `bench_round`,
-//! `bench_replay`, `bench_scale`) each write one committed
-//! `BENCH_<name>.json` at the repository root through
-//! [`write_artifact`]. Their sizes are fixed in the source; [`env_usize`]
-//! reads the two overrides that remain, `DITA_SCALE_WORKERS`
-//! (`bench_scale`'s 10⁶-worker run) and `DITA_THREADS` (`bench_replay`).
+//! The perf binaries (`bench_pool`, `bench_scale`) each write one
+//! committed `BENCH_<name>.json` at the repository root through
+//! [`write_artifact`]. Their sizes are fixed in the source; the one
+//! override left is `DITA_SCALE_WORKERS` (`bench_scale`'s 10⁶-worker
+//! run). The serving engine is measured by servebench (`servebench/`).
+//!
+//! Every environment override is read through [`env_or`]: an unset
+//! variable keeps its default, and a value that does not parse stops
+//! the binary with a message naming the variable and the value.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -28,7 +31,9 @@ use sc_sim::{
     render_table, to_csv, AblationPoint, ComparisonPoint, ExperimentRunner, ExperimentScale,
     SweepAxis,
 };
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Which Table II axis a figure sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,13 +77,22 @@ pub fn config_for(scale: ExperimentScale) -> DitaConfig {
     }
 }
 
+/// The sweep scale `DITA_SCALE` names: `paper` or `small` in any
+/// letter case, small when unset.
+pub fn scale_from_env() -> ExperimentScale {
+    env_or("DITA_SCALE", ExperimentScale::Small)
+}
+
 /// Builds the trained runner for a dataset family at the env scale.
 ///
 /// The sampling thread budget comes from `DITA_THREADS` (unset/`0` =
 /// one shard per core); results are bit-identical at any setting.
 pub fn runner_for(family: &str) -> (ExperimentRunner, ExperimentScale) {
-    let scale = ExperimentScale::from_env();
-    let threads = sc_influence::Parallelism::from_env();
+    let scale = scale_from_env();
+    let threads = match env_or("DITA_THREADS", 0) {
+        0 => sc_influence::Parallelism::Auto,
+        n => sc_influence::Parallelism::Fixed(n),
+    };
     let profile = scale.profile(family);
     eprintln!(
         "[sc-bench] dataset {} ({} workers, {} venues), scale {:?}, threads {} — training DITA…",
@@ -115,13 +129,31 @@ fn results_dir() -> PathBuf {
     dir
 }
 
-/// `key` read from the environment as a `usize`, or `default` when it
-/// is unset or does not parse.
-pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Environment variable `key` parsed as a `T`, or `default` when it is
+/// unset. A value that does not parse stops the binary with a message
+/// that names the variable and the value.
+pub fn env_or<T: FromStr>(key: &str, default: T) -> T
+where
+    T::Err: Display,
+{
+    let value = std::env::var_os(key).map(|v| v.to_string_lossy().into_owned());
+    parse_env(key, value.as_deref(), default).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(1)
+    })
+}
+
+/// [`env_or`]'s reading of `value`, the variable's value if it is set.
+fn parse_env<T: FromStr>(key: &str, value: Option<&str>, default: T) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|e| format!("{key}={v:?} does not parse: {e}")),
+    }
 }
 
 /// The threads the host offers (1 when it cannot tell).
@@ -324,6 +356,33 @@ mod tests {
     fn format_x_drops_trailing_zero_for_integers() {
         assert_eq!(format_x(1500.0), "1500");
         assert_eq!(format_x(2.5), "2.5");
+    }
+
+    #[test]
+    fn unset_overrides_keep_their_default_and_bad_ones_are_refused_by_name() {
+        assert_eq!(parse_env("DITA_SCALE_WORKERS", None, 7usize), Ok(7));
+        assert_eq!(
+            parse_env("DITA_SCALE_WORKERS", Some("1000000"), 7usize),
+            Ok(1_000_000)
+        );
+        assert_eq!(
+            parse_env("DITA_SCALE", Some("Paper"), ExperimentScale::Small),
+            Ok(ExperimentScale::Paper)
+        );
+        for (key, value) in [
+            ("DITA_SCALE_WORKERS", "1e6"),
+            ("DITA_SCALE_WORKERS", "1_000_000"),
+            ("DITA_SCALE_WORKERS", ""),
+            ("DITA_THREADS", "four"),
+        ] {
+            let err = parse_env(key, Some(value), 0usize).unwrap_err();
+            assert!(
+                err.contains(key) && err.contains(&format!("{value:?}")),
+                "{err}"
+            );
+        }
+        let err = parse_env("DITA_SCALE", Some("medium"), ExperimentScale::Small).unwrap_err();
+        assert!(err.contains("DITA_SCALE=\"medium\""), "{err}");
     }
 
     #[test]

@@ -32,11 +32,10 @@ pub struct OnlineConfig {
     pub target_sets: usize,
     /// Score through the engine pipeline's persistent scorer cache,
     /// which carries entries from round to round. `false` clears the
-    /// cache before every round, so each round scores cold: the A/B
-    /// baseline (`--no-incremental`). Both modes build eligibility
-    /// from scratch every round. Reports are bit-identical either way
-    /// (the determinism suites pin this); the flag trades wall time
-    /// only.
+    /// cache before every round, so each round scores cold: the
+    /// reference the determinism suites compare the warm cache with.
+    /// Both modes build eligibility from scratch every round. Reports
+    /// are bit-identical either way; the flag trades wall time only.
     pub incremental: bool,
 }
 

@@ -140,15 +140,6 @@ impl InfluenceModel {
         &self.config
     }
 
-    /// Re-targets the thread budget without retraining. Every result —
-    /// training pools, assignments, round reports — is bit-identical
-    /// at any budget, so this changes only the wall time of subsequent
-    /// scoring and pool maintenance. Used by serving deployments (and
-    /// `bench_round`) to scale one trained model across machines.
-    pub fn set_threads(&mut self, threads: sc_influence::Parallelism) {
-        self.config.rpo.threads = threads;
-    }
-
     /// RPO diagnostics (pool size, bounds, rounds).
     #[inline]
     pub fn rpo_stats(&self) -> &RpoStats {
@@ -168,7 +159,8 @@ impl InfluenceModel {
     /// assignment rounds. Any scorer is created per round, so a pool
     /// mutated here is consistently visible to the next round's
     /// scoring. Replacing the pool wholesale (e.g. with a freshly
-    /// retrained one) is the retrain-oracle path of `bench_online`.
+    /// retrained one) is the retrain-every-round oracle of
+    /// `crates/sim/tests/rotation_oracle.rs`.
     #[inline]
     pub fn pool_mut(&mut self) -> &mut RrrPool {
         &mut self.pool
@@ -195,9 +187,8 @@ impl InfluenceModel {
     ///
     /// Location entropy is venue-keyed and stays frozen. The result is
     /// a late arrival that scores **non-zero influence immediately**,
-    /// at a per-worker cost orders of magnitude below a retrain
-    /// (measured in `bench_replay`); subsequent pool rotation replaces
-    /// the approximated memberships with exactly-sampled ones.
+    /// without a retrain; subsequent pool rotation replaces the
+    /// approximated memberships with exactly-sampled ones.
     pub fn fold_in_worker(&mut self, net: &SocialNetwork, history: &History) -> WorkerId {
         let id = WorkerId::from(self.n_workers);
         debug_assert_eq!(

@@ -246,13 +246,6 @@ impl DitaPipeline {
         &mut self.model
     }
 
-    /// Re-targets the thread budget of this trained pipeline (see
-    /// [`InfluenceModel::set_threads`]): scoring and maintenance wall
-    /// time changes, results never do.
-    pub fn set_threads(&mut self, threads: sc_influence::Parallelism) {
-        self.model.set_threads(threads);
-    }
-
     /// Folds a previously-unseen worker into the trained model without
     /// retraining (see [`InfluenceModel::fold_in_worker`]): topic
     /// fold-in for affinity, a fitted willingness entry, and an

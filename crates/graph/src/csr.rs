@@ -19,65 +19,14 @@ impl CsrGraph {
     /// Builds a graph with `n` nodes from directed `(src, dst)` edges.
     /// Panics when an endpoint is out of range.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut counts = vec![0u32; n + 1];
-        let mut in_degrees = vec![0u32; n];
-        for &(s, d) in edges {
-            assert!((s as usize) < n && (d as usize) < n, "edge out of range");
-            counts[s as usize + 1] += 1;
-            in_degrees[d as usize] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![0u32; edges.len()];
-        for &(s, d) in edges {
-            targets[cursor[s as usize] as usize] = d;
-            cursor[s as usize] += 1;
-        }
-        CsrGraph {
-            offsets,
-            targets,
-            in_degrees,
-        }
+        CsrBuilder::new_directed(n).extend(edges).finish()
     }
 
-    /// Builds an undirected graph: every `(u, v)` edge is inserted in both
-    /// directions.
-    ///
-    /// Both directions are scattered straight from the input — the
-    /// doubled edge list the old implementation materialized (8 bytes ×
-    /// 2 × edges, transiently) is never built. The scatter visits
-    /// `(u, v)` then `(v, u)` per input edge, which is exactly the
-    /// order the doubled list had, so the graph is bit-identical.
+    /// Builds an undirected graph: every `(u, v)` edge is inserted in
+    /// both directions, `(u, v)` then `(v, u)`. Panics when an endpoint
+    /// is out of range.
     pub fn from_undirected_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut counts = vec![0u32; n + 1];
-        let mut in_degrees = vec![0u32; n];
-        for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge out of range");
-            counts[u as usize + 1] += 1;
-            counts[v as usize + 1] += 1;
-            in_degrees[u as usize] += 1;
-            in_degrees[v as usize] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![0u32; edges.len() * 2];
-        for &(u, v) in edges {
-            targets[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
-        }
-        CsrGraph {
-            offsets,
-            targets,
-            in_degrees,
-        }
+        CsrBuilder::new_undirected(n).extend(edges).finish()
     }
 
     /// Number of nodes.
@@ -225,13 +174,12 @@ const EDGE_CHUNK: usize = 1 << 20;
 /// chunk as it is consumed**. Peak footprint is therefore
 /// `pairs + targets` falling to `targets` during the scatter — the
 /// million-edge generators stream straight into this instead of
-/// materializing an edge `Vec` (with doubling slack) that
-/// [`CsrGraph::from_edges`] would copy out of.
+/// materializing an edge `Vec` (with doubling slack).
 ///
-/// Pushing the same edge sequence produces a graph bit-identical to
-/// [`CsrGraph::from_edges`] (directed) or
-/// [`CsrGraph::from_undirected_edges`] (undirected) on that sequence:
-/// the scatter order is the push order.
+/// The scatter order is the push order: each node's out-neighbours are
+/// the edges pushed from it, in push order (in undirected mode a pushed
+/// `(u, v)` also appends `u` to `v`'s). [`CsrGraph::from_edges`] and
+/// [`CsrGraph::from_undirected_edges`] push their slice through here.
 #[derive(Debug)]
 pub struct CsrBuilder {
     n: usize,
@@ -270,6 +218,14 @@ impl CsrBuilder {
     #[inline]
     pub fn n_pushed(&self) -> usize {
         self.n_pushed
+    }
+
+    /// Buffers every edge of `edges`, in order (see [`Self::push`]).
+    fn extend(mut self, edges: &[(u32, u32)]) -> Self {
+        for &(u, v) in edges {
+            self.push(u, v);
+        }
+        self
     }
 
     /// Buffers one edge. Panics when an endpoint is out of range.
@@ -454,6 +410,28 @@ mod tests {
         }
     }
 
+    /// `g` against a plain adjacency list filled in edge order: the
+    /// offsets, the targets and the in-degrees.
+    fn assert_matches_adjacency(g: &CsrGraph, n: usize, edges: &[(u32, u32)], undirected: bool) {
+        let mut adjacency = vec![Vec::new(); n];
+        let mut in_degrees = vec![0u32; n];
+        for &(u, v) in edges {
+            adjacency[u as usize].push(v);
+            in_degrees[v as usize] += 1;
+            if undirected {
+                adjacency[v as usize].push(u);
+                in_degrees[u as usize] += 1;
+            }
+        }
+        let mut offsets = vec![0u32];
+        for list in &adjacency {
+            offsets.push(offsets.last().unwrap() + list.len() as u32);
+        }
+        assert_eq!(g.offsets, offsets);
+        assert_eq!(g.targets, adjacency.concat());
+        assert_eq!(g.in_degrees, in_degrees);
+    }
+
     #[test]
     fn builder_matches_from_edges() {
         let edges = [(0u32, 1u32), (2, 0), (1, 2), (0, 1), (2, 2)];
@@ -462,17 +440,20 @@ mod tests {
             b.push(u, v);
         }
         assert_eq!(b.n_pushed(), edges.len());
-        assert_eq!(b.finish(), CsrGraph::from_edges(3, &edges));
+        assert_matches_adjacency(&b.finish(), 3, &edges, false);
+        assert_matches_adjacency(&CsrGraph::from_edges(3, &edges), 3, &edges, false);
     }
 
     #[test]
     fn undirected_builder_matches_from_undirected_edges() {
-        let edges = [(0u32, 1u32), (1, 2), (0, 3), (2, 3), (1, 3)];
+        let edges = [(0u32, 1u32), (1, 2), (0, 3), (2, 3), (1, 3), (2, 2)];
         let mut b = CsrBuilder::new_undirected(4);
         for &(u, v) in &edges {
             b.push(u, v);
         }
-        assert_eq!(b.finish(), CsrGraph::from_undirected_edges(4, &edges));
+        assert_eq!(b.n_pushed(), edges.len());
+        assert_matches_adjacency(&b.finish(), 4, &edges, true);
+        assert_matches_adjacency(&CsrGraph::from_undirected_edges(4, &edges), 4, &edges, true);
     }
 
     #[test]
@@ -483,11 +464,8 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..40_000u32)
             .map(|i| (i % n as u32, (i * 7 + 3) % n as u32))
             .collect();
-        let mut b = CsrBuilder::new_directed(n);
-        for &(u, v) in &edges {
-            b.push(u, v);
-        }
-        assert_eq!(b.finish(), CsrGraph::from_edges(n, &edges));
+        assert_matches_adjacency(&CsrGraph::from_edges(n, &edges), n, &edges, false);
+        assert_matches_adjacency(&CsrGraph::from_undirected_edges(n, &edges), n, &edges, true);
     }
 
     #[test]

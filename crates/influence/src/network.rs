@@ -112,8 +112,7 @@ impl SocialNetwork {
     /// weighted-cascade edge probabilities `1/indeg`) of the friends
     /// are updated accordingly. The rebuild is `O(|W| + |E|)`; callers
     /// folding in whole cohorts should batch them or accept the linear
-    /// cost per arrival (see `bench_replay` for the measured cost
-    /// against a full retrain). Edges stream through a
+    /// cost per arrival. Edges stream through a
     /// [`CsrBuilder`](sc_graph::CsrBuilder) in the same order the old
     /// collect-then-rebuild path enumerated them — bit-identical
     /// result, without the doubling edge `Vec` it materialized.

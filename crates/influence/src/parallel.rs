@@ -28,20 +28,6 @@ impl Parallelism {
             Parallelism::Fixed(n) => n.max(1),
         }
     }
-
-    /// Reads the `DITA_THREADS` environment variable: unset or `0` means
-    /// [`Parallelism::Auto`], any other number is a fixed count. Used by
-    /// the bench/figure binaries so perf runs can pin thread counts
-    /// without recompiling.
-    pub fn from_env() -> Self {
-        match std::env::var("DITA_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            None | Some(0) => Parallelism::Auto,
-            Some(n) => Parallelism::Fixed(n),
-        }
-    }
 }
 
 impl std::fmt::Display for Parallelism {

@@ -347,8 +347,7 @@ impl RrrPool {
     /// rotation ([`RrrPool::evict_before_epoch`] +
     /// [`RrrPool::extend_to`]) replaces approximated sets with sets
     /// sampled exactly on the grown network — fold-in buys *immediate*
-    /// non-zero propagation for a late arrival at a tiny fraction of a
-    /// full retrain (`bench_replay` measures the ratio).
+    /// non-zero propagation for a late arrival without a full retrain.
     ///
     /// The join coins are deterministic: set `j` draws from an RNG
     /// seeded by `(master_seed, worker, stream_base + j)`, so folding

@@ -27,4 +27,4 @@ pub mod http;
 pub mod server;
 
 pub use http::{read_request, write_response, Request, MAX_BODY_BYTES};
-pub use server::{decode_events, decode_events_via_tree, parse_algorithm, ServeConfig, Server};
+pub use server::{decode_events, decode_events_via_tree, ServeConfig, Server};

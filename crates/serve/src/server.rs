@@ -569,9 +569,9 @@ fn post_round(shared: &Shared, body: &str) -> (u16, String) {
     };
     let algorithm = match obj.iter().find(|(k, _)| k == "algorithm") {
         None => shared.algorithm,
-        Some((_, Value::Str(name))) => match parse_algorithm(name) {
-            Some(a) => a,
-            None => return (400, error_body(&format!("unknown algorithm '{name}'"))),
+        Some((_, Value::Str(name))) => match name.parse::<AlgorithmKind>() {
+            Ok(a) => a,
+            Err(msg) => return (400, error_body(&msg)),
         },
         Some((_, other)) => {
             return (
@@ -703,19 +703,6 @@ fn snapshot_target(
             requested.display(),
             dir(configured).display()
         ))
-    }
-}
-
-/// Parses the wire name of an assignment algorithm.
-pub fn parse_algorithm(name: &str) -> Option<AlgorithmKind> {
-    match name.to_uppercase().as_str() {
-        "MTA" => Some(AlgorithmKind::Mta),
-        "IA" => Some(AlgorithmKind::Ia),
-        "EIA" => Some(AlgorithmKind::Eia),
-        "DIA" => Some(AlgorithmKind::Dia),
-        "MI" => Some(AlgorithmKind::Mi),
-        "GREEDY" => Some(AlgorithmKind::GreedyNearest),
-        _ => None,
     }
 }
 

@@ -202,7 +202,7 @@ fn snapshot_overrides_stay_in_the_configured_directory() {
         400
     );
     assert_eq!(std::fs::read(&notes).unwrap(), b"not a snapshot");
-    assert!(!b.join("notes.tmp").exists());
+    assert!(!b.join("notes.txt.tmp").exists());
 
     // A file beside the configured one: written.
     let other = a.join("other.json");

@@ -54,8 +54,7 @@
 //! streaming round exploits all cores, not just batch sweeps. The
 //! sharded passes merge in index order, which is why the bit-identity
 //! above survives intra-round parallelism
-//! (`crates/sim/tests/round_parallel_determinism.rs` pins it;
-//! `bench_round` measures the speedup).
+//! (`crates/sim/tests/round_parallel_determinism.rs` pins it).
 //!
 //! Every round builds its eligibility matrix from scratch: tasks turn
 //! over from one round to the next, so there is little to carry.
@@ -63,9 +62,9 @@
 //! in what they score through: the pipeline's persistent content-keyed
 //! scorer cache, whose entries a worker fold-in extends rather than
 //! drops. The cache is exact, so a round's [`RoundReport`] is
-//! bit-identical to the `--no-incremental` cold-cache baseline at any
+//! bit-identical to a cold-cache round (`incremental: false`) at any
 //! thread count (`crates/sim/tests/incremental_round_determinism.rs`
-//! pins it; `bench_round` measures the steady-state speedup). The
+//! pins it; servebench's `core.warm_ms` span times the warm phase). The
 //! report's telemetry fields (`cache_hits`, `elig_*`, the `*_ms` phase
 //! split) describe how the round was served and are excluded from
 //! equality.
@@ -84,9 +83,9 @@ use std::time::Instant;
 /// deterministic venue pick (via [`rand::mix_stream`], the same
 /// primitive that seeds RRR sets) and a `phi`-hour task published at
 /// `now` from that venue, as an [`EventKind::TaskArrival`] ready for
-/// [`OnlineEngine::ingest`]. Shared by the `dita online` CLI driver and
-/// the `bench_online` / `bench_round` perf binaries so their arrival
-/// streams cannot silently diverge — and routed through the same
+/// [`OnlineEngine::ingest`]. Shared by the `dita online` CLI driver,
+/// servebench and the determinism suites so their arrival streams
+/// cannot silently diverge — and routed through the same
 /// `apply(Event)` path as wire events, so scripted and served streams
 /// share one expiry-unified code path.
 pub fn scripted_event(
@@ -816,10 +815,7 @@ impl<'a> OnlineEngine<'a> {
         let net = self.net.get();
         let (pool, threads) = match &mut self.pipeline {
             PipelineMode::Owned(p) => {
-                // Resolved per round, not cached at construction, so a
-                // live re-budget (`pipeline_mut().set_threads(..)`)
-                // reaches maintenance top-ups too — one knob governs
-                // scoring *and* maintenance at all times.
+                // One knob governs scoring *and* maintenance top-ups.
                 let threads = p.scoring_threads();
                 (p.model_mut().pool_mut(), threads)
             }
@@ -859,8 +855,9 @@ impl<'a> OnlineEngine<'a> {
     }
 
     /// Mutable access to the live pipeline — used by the
-    /// retrain-every-round oracle in `bench_online`; normal drivers
-    /// never need it.
+    /// retrain-every-round oracle in
+    /// `crates/sim/tests/rotation_oracle.rs`; normal drivers never need
+    /// it.
     ///
     /// # Panics
     /// On a borrowed-pipeline engine ([`PipelineMode::Frozen`]), which

@@ -30,7 +30,7 @@
 //! replays of the same trace and configuration produce equal
 //! [`ReplayReport`]s even at different `--threads` settings
 //! (`crates/sim/tests/replay_determinism.rs` pins this in release CI;
-//! `bench_replay` measures rounds/s and the fold-in cost).
+//! servebench's `churn` workload times replayed rounds with fold-ins).
 
 use crate::event::{EventKind, Outcome};
 use crate::online::{

@@ -45,7 +45,7 @@ use crate::online::OnlineEngine;
 use serde::json::Value;
 use std::fmt;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The snapshot format version this build writes.
 pub const SNAPSHOT_VERSION: u64 = 2;
@@ -117,14 +117,14 @@ pub fn snapshot_from_str(text: &str) -> Result<OnlineEngine<'static>, SnapshotEr
 }
 
 /// Writes an engine snapshot to `path` durably: the bytes go to a
-/// sibling `.tmp` file, which is flushed to disk before it is renamed
-/// over `path`, and then the directory holding the rename is flushed
-/// too. After a crash or power cut, `path` holds either the previous
-/// snapshot or the whole new one, never a renamed file whose data did
-/// not reach the disk.
+/// sibling file, `path` with `.tmp` appended, which is flushed to disk
+/// before it is renamed over `path`, and then the directory holding the
+/// rename is flushed too. After a crash or power cut, `path` holds
+/// either the previous snapshot or the whole new one, never a renamed
+/// file whose data did not reach the disk.
 pub fn save_snapshot(engine: &OnlineEngine<'_>, path: &Path) -> Result<(), SnapshotError> {
     let text = snapshot_to_string(engine)?;
-    let tmp = path.with_extension("tmp");
+    let tmp = temp_path(path);
     let mut file = std::fs::File::create(&tmp)?;
     file.write_all(text.as_bytes())?;
     file.sync_all()?;
@@ -138,6 +138,14 @@ pub fn save_snapshot(engine: &OnlineEngine<'_>, path: &Path) -> Result<(), Snaps
     Ok(())
 }
 
+/// `path` with `.tmp` appended to its file name: never `path` itself,
+/// whatever extension `path` has.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
 /// Restores an engine from a snapshot file written by [`save_snapshot`].
 pub fn load_snapshot(path: &Path) -> Result<OnlineEngine<'static>, SnapshotError> {
     let text = std::fs::read_to_string(path)?;
@@ -147,6 +155,17 @@ pub fn load_snapshot(path: &Path) -> Result<OnlineEngine<'static>, SnapshotError
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_temp_file_is_never_the_snapshot() {
+        for (target, temp) in [
+            ("state.tmp", "state.tmp.tmp"),
+            ("dir/snap", "dir/snap.tmp"),
+            ("dir/snap.json", "dir/snap.json.tmp"),
+        ] {
+            assert_eq!(temp_path(Path::new(target)), Path::new(temp));
+        }
+    }
 
     #[test]
     fn unknown_version_is_rejected() {

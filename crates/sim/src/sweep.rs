@@ -90,16 +90,22 @@ pub enum ExperimentScale {
     Small,
 }
 
-impl ExperimentScale {
-    /// Reads the scale from the `DITA_SCALE` environment variable
-    /// (`paper` or `small`, default small so casual runs stay quick).
-    pub fn from_env() -> Self {
-        match std::env::var("DITA_SCALE").as_deref() {
-            Ok("paper") | Ok("PAPER") => ExperimentScale::Paper,
-            _ => ExperimentScale::Small,
+/// Parses `paper` or `small`, in any letter case.
+impl std::str::FromStr for ExperimentScale {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        if name.eq_ignore_ascii_case("paper") {
+            Ok(ExperimentScale::Paper)
+        } else if name.eq_ignore_ascii_case("small") {
+            Ok(ExperimentScale::Small)
+        } else {
+            Err("the scale is `paper` or `small`".to_string())
         }
     }
+}
 
+impl ExperimentScale {
     /// The dataset profile of the given family at this scale.
     pub fn profile(&self, family: &str) -> DatasetProfile {
         match (self, family) {
@@ -154,6 +160,19 @@ impl ExperimentScale {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_parse_in_any_case() {
+        for name in ["paper", "Paper", "PAPER"] {
+            assert_eq!(name.parse(), Ok(ExperimentScale::Paper), "{name}");
+        }
+        for name in ["small", "Small", "SMALL"] {
+            assert_eq!(name.parse(), Ok(ExperimentScale::Small), "{name}");
+        }
+        for name in ["", "medium", "paper ", "1"] {
+            assert!(name.parse::<ExperimentScale>().is_err(), "{name:?}");
+        }
+    }
 
     #[test]
     fn paper_defaults_match_table_ii() {

@@ -121,10 +121,6 @@ FLAGS                 applies to            meaning (default)
   --horizon R         online                rounds before a set becomes
                                             eviction-eligible (24; 0 = never)
   --target-sets N     online                live-set target (0 = trained size)
-  --no-incremental    online, replay        score through a cold cache every
-                                            round instead of the persistent
-                                            one (A/B baseline; reports are
-                                            identical either way)
   --edges PATH        replay                social edge TSV (src\\tdst per line)
   --checkins PATH     replay                check-in TSV (the dita generate /
                                             io::write_checkins_tsv format)
@@ -169,7 +165,7 @@ FLAGS                 applies to            meaning (default)
 
 ENVIRONMENT
   DITA_SCALE=paper|small   sweep scale for the sc-bench figure binaries
-  DITA_THREADS=N           thread budget for the sc-bench perf binaries";
+  DITA_THREADS=N           thread budget for the sc-bench figure binaries";
 
 /// Splits `args` into the mode and its `--flag value` pairs. Only the
 /// flags `USAGE` lists are accepted, so a misspelt or retired flag is
@@ -222,17 +218,6 @@ fn verbose_of(flags: &HashMap<String, String>) -> bool {
     matches!(flags.get("verbose").map(String::as_str), Some("true" | "1"))
 }
 
-/// `--no-incremental` opts a streaming run out of the persistent
-/// scorer cache: every round scores through a cold cache. Reports are
-/// bit-identical either way; this is the A/B baseline the benches
-/// compare against.
-fn incremental_of(flags: &HashMap<String, String>) -> bool {
-    !matches!(
-        flags.get("no-incremental").map(String::as_str),
-        Some("true" | "1")
-    )
-}
-
 fn profile_of(flags: &HashMap<String, String>) -> Result<DatasetProfile, String> {
     match flags
         .get("profile")
@@ -262,7 +247,7 @@ fn online_of(flags: &HashMap<String, String>) -> Result<OnlineConfig, String> {
         growth_cap: num(flags, "growth-cap", 1_024)?,
         eviction_horizon: num(flags, "horizon", 24)?,
         target_sets: num(flags, "target-sets", 0)?,
-        incremental: incremental_of(flags),
+        incremental: true,
     })
 }
 
@@ -307,21 +292,11 @@ fn num<T: std::str::FromStr>(
     }
 }
 
+/// `--algorithm`, IA when unset. An unknown name is echoed upper-cased.
 fn algorithm_of(flags: &HashMap<String, String>) -> Result<AlgorithmKind, String> {
-    match flags
+    flags
         .get("algorithm")
-        .map(|s| s.to_uppercase())
-        .as_deref()
-        .unwrap_or("IA")
-    {
-        "MTA" => Ok(AlgorithmKind::Mta),
-        "IA" => Ok(AlgorithmKind::Ia),
-        "EIA" => Ok(AlgorithmKind::Eia),
-        "DIA" => Ok(AlgorithmKind::Dia),
-        "MI" => Ok(AlgorithmKind::Mi),
-        "GREEDY" => Ok(AlgorithmKind::GreedyNearest),
-        other => Err(format!("unknown algorithm '{other}'")),
-    }
+        .map_or(Ok(AlgorithmKind::Ia), |name| name.to_uppercase().parse())
 }
 
 fn cli_config(n_workers: usize, seed: u64, threads: Parallelism) -> DitaConfig {
@@ -920,6 +895,7 @@ mod tests {
             ("assign --solver spfa", "--solver"),
             ("assign --thread 4", "--thread"),
             ("serve --verbose --no-such-flag", "--no-such-flag"),
+            ("online --no-incremental", "--no-incremental"),
         ] {
             let err = parse(&args(line)).expect_err(line);
             assert!(err.contains(flag), "{line}: {err}");
@@ -966,9 +942,11 @@ mod tests {
             let (_, flags) = parse(&args(&line)).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert!(!flags.is_empty(), "{line}");
         }
-        let (command, flags) = parse(&args("online --no-incremental --verbose")).unwrap();
-        assert_eq!(command, "online");
-        assert_eq!(flags["no-incremental"], "true");
-        assert_eq!(flags["verbose"], "true");
+        for line in ["online --verbose --days 3", "online --days 3 --verbose"] {
+            let (command, flags) = parse(&args(line)).unwrap();
+            assert_eq!(command, "online");
+            assert_eq!(flags["verbose"], "true", "{line}");
+            assert_eq!(flags["days"], "3", "{line}");
+        }
     }
 }
