@@ -71,7 +71,7 @@ impl InfluenceModel {
         // Affinity: one document per worker (paper Section III-A),
         // streamed straight out of the history store into Gibbs state —
         // no corpus copy of every check-in. A cheap max pre-pass sizes
-        // the vocabulary (what `Corpus::from_documents` inferred).
+        // the vocabulary: the largest category id seen, plus one.
         let vocab = (0..n_workers)
             .map(|w| {
                 histories
@@ -298,11 +298,6 @@ impl InfluenceModel {
             .flatten()
     }
 
-    /// Location entropy `s.e` of a venue.
-    pub fn entropy_of_venue(&self, venue: VenueId) -> f64 {
-        self.entropy.entropy_of(venue)
-    }
-
     /// Entropies for a task-aligned venue list.
     pub fn task_entropies(&self, task_venues: &[VenueId]) -> Vec<f64> {
         task_venues
@@ -452,7 +447,6 @@ mod tests {
         let (social, store) = tiny_world();
         let model = InfluenceModel::train(&small_config(), &social, &store);
         // Every venue in the tiny world is visited by exactly one worker.
-        assert_eq!(model.entropy_of_venue(VenueId::new(0)), 0.0);
         let es = model.task_entropies(&[VenueId::new(0), VenueId::new(999)]);
         assert_eq!(es, vec![0.0, 0.0]);
     }

@@ -119,11 +119,6 @@ impl DatasetProfile {
         }
     }
 
-    /// Expected number of undirected friendships (`≈ m · n`).
-    pub fn expected_edges(&self) -> usize {
-        self.edges_per_node * self.n_workers
-    }
-
     /// Sanity-checks the profile; panics on inconsistent parameters.
     pub fn validate(&self) {
         assert!(self.n_workers >= 2, "need at least two workers");
@@ -157,12 +152,6 @@ mod tests {
         assert!(bk.n_workers > fs.n_workers);
         assert!(bk.world_km > fs.world_km);
         assert!(bk.checkins_per_worker < fs.checkins_per_worker);
-    }
-
-    #[test]
-    fn expected_edges_scale_with_m() {
-        let bk = DatasetProfile::brightkite();
-        assert_eq!(bk.expected_edges(), 16_000);
     }
 
     #[test]

@@ -100,15 +100,6 @@ impl CsrGraph {
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         (0..self.n_nodes() as u32).flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
-
-    /// Sum of all out-degrees divided by n — the average degree.
-    pub fn average_degree(&self) -> f64 {
-        if self.n_nodes() == 0 {
-            0.0
-        } else {
-            self.n_edges() as f64 / self.n_nodes() as f64
-        }
-    }
 }
 
 /// Snapshot serde: only `offsets` and `targets` travel. The in-degrees
@@ -338,11 +329,9 @@ mod tests {
         assert_eq!(g.n_nodes(), 3);
         assert_eq!(g.n_edges(), 0);
         assert_eq!(g.neighbors(1), &[] as &[u32]);
-        assert_eq!(g.average_degree(), 0.0);
 
         let empty = CsrGraph::from_edges(0, &[]);
         assert_eq!(empty.n_nodes(), 0);
-        assert_eq!(empty.average_degree(), 0.0);
     }
 
     #[test]
@@ -368,12 +357,6 @@ mod tests {
     #[should_panic(expected = "edge out of range")]
     fn out_of_range_edge_panics() {
         let _ = CsrGraph::from_edges(2, &[(0, 2)]);
-    }
-
-    #[test]
-    fn average_degree() {
-        let g = diamond();
-        assert!((g.average_degree() - 1.0).abs() < 1e-12);
     }
 
     #[test]

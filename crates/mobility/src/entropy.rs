@@ -54,12 +54,6 @@ impl LocationEntropy {
     pub fn n_venues(&self) -> usize {
         self.per_venue.len()
     }
-
-    /// Largest entropy over all venues (0 when empty).
-    pub fn max_entropy(&self) -> f64 {
-        // lint:allow(D001, reason = "a max-fold gives the same value in any order")
-        self.per_venue.values().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Snapshot serde: the venue map is written as a `(venue, entropy)`
@@ -142,7 +136,6 @@ mod tests {
         let le = LocationEntropy::from_history(&HistoryStore::with_workers(0));
         assert_eq!(le.entropy_of(VenueId::new(99)), 0.0);
         assert_eq!(le.n_venues(), 0);
-        assert_eq!(le.max_entropy(), 0.0);
     }
 
     #[test]
@@ -174,6 +167,5 @@ mod tests {
         assert_eq!(le.entropy_of(VenueId::new(0)), 0.0);
         assert!((le.entropy_of(VenueId::new(1)) - (3.0f64).ln()).abs() < 1e-12);
         assert_eq!(le.n_venues(), 2);
-        assert!((le.max_entropy() - (3.0f64).ln()).abs() < 1e-12);
     }
 }

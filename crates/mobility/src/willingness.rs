@@ -28,12 +28,6 @@ impl WorkerWillingness {
         }
     }
 
-    /// Whether the worker has any usable history.
-    #[inline]
-    pub fn has_history(&self) -> bool {
-        self.visits.is_some()
-    }
-
     /// The fitted movement model.
     #[inline]
     pub fn movement(&self) -> &MovementModel {
@@ -131,7 +125,6 @@ mod tests {
     fn no_history_means_zero_willingness() {
         let model = WillingnessModel::fit(&HistoryStore::with_workers(2));
         assert_eq!(model.willingness(WorkerId::new(0), &Location::ORIGIN), 0.0);
-        assert!(!model.worker(WorkerId::new(1)).unwrap().has_history());
     }
 
     #[test]

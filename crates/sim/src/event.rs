@@ -404,15 +404,6 @@ impl Outcome {
         )
     }
 
-    /// Whether the event added something that was not there before (a
-    /// new open task or a newly online worker).
-    pub fn is_new(self) -> bool {
-        matches!(
-            self,
-            Outcome::TaskPublished | Outcome::WorkerJoined | Outcome::WorkerFoldedIn
-        )
-    }
-
     /// The wire label of this outcome.
     pub fn label(self) -> &'static str {
         match self {
@@ -688,12 +679,9 @@ mod tests {
     #[test]
     fn outcome_helpers_classify() {
         assert!(Outcome::WorkerFoldedIn.is_online());
-        assert!(Outcome::WorkerFoldedIn.is_new());
-        assert!(!Outcome::WorkerRefreshed.is_new());
-        assert!(Outcome::TaskPublished.is_new());
         assert!(!Outcome::TaskPublished.is_online());
         let r = Outcome::Rejected(RejectReason::NoUsableFriends);
-        assert!(r.is_rejected() && !r.is_online() && !r.is_new());
+        assert!(r.is_rejected() && !r.is_online());
         assert_eq!(r.rejected_reason(), Some(RejectReason::NoUsableFriends));
         assert_eq!(Outcome::WorkerDeparted.rejected_reason(), None);
         assert_eq!(

@@ -66,16 +66,6 @@ impl BoundingBox {
         (self.max.y - self.min.y).max(0.0)
     }
 
-    /// Whether this box intersects the circle centred at `c` with radius `r`.
-    /// Used to prune grid cells during range queries.
-    pub fn intersects_circle(&self, c: &Location, r: f64) -> bool {
-        let nearest = Location::new(
-            c.x.clamp(self.min.x, self.max.x),
-            c.y.clamp(self.min.y, self.max.y),
-        );
-        nearest.distance_sq(c) <= r * r
-    }
-
     /// Minimum distance from `p` to any point of the box (zero if inside).
     pub fn min_distance(&self, p: &Location) -> f64 {
         let nearest = Location::new(
@@ -120,17 +110,6 @@ mod tests {
             assert!(bb.contains(p));
         }
         assert!(BoundingBox::of_points(std::iter::empty()).is_none());
-    }
-
-    #[test]
-    fn circle_intersection() {
-        let bb = BoundingBox::new(Location::ORIGIN, Location::new(1.0, 1.0));
-        // circle centre inside
-        assert!(bb.intersects_circle(&Location::new(0.5, 0.5), 0.1));
-        // circle touching the corner diagonally
-        assert!(bb.intersects_circle(&Location::new(2.0, 2.0), std::f64::consts::SQRT_2 + 1e-9));
-        // circle too far
-        assert!(!bb.intersects_circle(&Location::new(2.0, 2.0), 1.0));
     }
 
     #[test]

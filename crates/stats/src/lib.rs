@@ -10,8 +10,8 @@
 //! * [`AliasTable`] — O(1) weighted sampling (Walker's alias method),
 //!   used by the dataset generators and the cascade simulator.
 //! * [`entropy`] — Shannon entropy (location entropy, paper Section IV-B).
-//! * [`OnlineMoments`] / [`Summary`] — streaming mean/variance for the
-//!   experiment harness.
+//! * [`OnlineMoments`] — streaming (Welford) means for the experiment
+//!   harness.
 //! * [`power_iteration`] — stationary distributions of row-stochastic
 //!   matrices (the RWR model of Section III-B1).
 //! * [`rss`] — peak/current resident-set-size probes (`/proc` on
@@ -38,7 +38,7 @@ pub mod zipf;
 
 pub use alias::AliasTable;
 pub use entropy::{entropy_from_counts, entropy_from_probs};
-pub use moments::{OnlineMoments, Summary};
+pub use moments::OnlineMoments;
 pub use par::{chunk_bounds, map_chunked, map_shards};
 pub use pareto::Pareto;
 pub use power_iter::{power_iteration, PowerIterationResult};

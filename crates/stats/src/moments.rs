@@ -1,25 +1,16 @@
-//! Streaming moments (Welford) and summaries for the experiment harness.
+//! Streaming means (Welford) for the experiment harness.
 
-/// Numerically stable online mean/variance accumulator.
+/// Numerically stable online mean accumulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineMoments {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineMoments {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        OnlineMoments {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        OnlineMoments { n: 0, mean: 0.0 }
     }
 
     /// Adds one observation.
@@ -27,9 +18,6 @@ impl OnlineMoments {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -40,80 +28,8 @@ impl OnlineMoments {
 
     /// Sample mean (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
+        self.mean
     }
-
-    /// Unbiased sample variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator (parallel Welford combination).
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Snapshot of the current statistics.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.n,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: self.min().unwrap_or(0.0),
-            max: self.max().unwrap_or(0.0),
-        }
-    }
-}
-
-/// A finished summary of observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
 }
 
 #[cfg(test)]
@@ -129,67 +45,13 @@ mod tests {
         }
         assert_eq!(acc.count(), 8);
         assert!((acc.mean() - 5.0).abs() < 1e-12);
-        // population variance is 4.0 → sample variance 32/7
-        assert!((acc.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(acc.min(), Some(2.0));
-        assert_eq!(acc.max(), Some(9.0));
     }
 
     #[test]
     fn empty_and_single() {
         let mut acc = OnlineMoments::new();
         assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.variance(), 0.0);
-        assert_eq!(acc.min(), None);
         acc.push(3.5);
         assert_eq!(acc.mean(), 3.5);
-        assert_eq!(acc.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineMoments::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = OnlineMoments::new();
-        let mut b = OnlineMoments::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineMoments::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&OnlineMoments::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineMoments::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn summary_snapshot() {
-        let mut acc = OnlineMoments::new();
-        acc.push(1.0);
-        acc.push(3.0);
-        let s = acc.summary();
-        assert_eq!(s.count, 2);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
     }
 }

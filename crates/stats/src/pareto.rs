@@ -45,15 +45,6 @@ impl Pareto {
         self.scale
     }
 
-    /// Probability density `f(x) = π ωᵖ / x^{π+1}` (zero below the scale).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < self.scale {
-            0.0
-        } else {
-            self.shape * self.scale.powf(self.shape) / x.powf(self.shape + 1.0)
-        }
-    }
-
     /// Cumulative distribution `F(x) = 1 − (ω/x)ᵖ`.
     pub fn cdf(&self, x: f64) -> f64 {
         if x < self.scale {
@@ -128,19 +119,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn pdf_integrates_to_one_numerically() {
-        let p = Pareto::unit_scale(2.0);
-        let mut integral = 0.0;
-        let dx = 1e-3;
-        let mut x = 1.0;
-        while x < 1_000.0 {
-            integral += p.pdf(x) * dx;
-            x += dx;
-        }
-        assert!((integral - 1.0).abs() < 1e-2, "integral {integral}");
-    }
 
     #[test]
     fn cdf_and_survival_are_complements() {

@@ -78,10 +78,6 @@ proptest! {
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
         prop_assert!((acc.mean() - mean).abs() < 1e-6);
-        if xs.len() > 1 {
-            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-            prop_assert!((acc.variance() - var).abs() < 1e-4 * var.max(1.0));
-        }
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! Collapsed Gibbs sampling for LDA.
+//! Collapsed Gibbs sampling for LDA: the model and its priors.
 //!
-//! The sampler maintains the standard count matrices and resamples every
-//! token's topic from
+//! [`StreamingLda`](crate::StreamingLda) maintains the standard count
+//! matrices and resamples every token's topic from
 //!
 //! `P(z = k | rest) ∝ (n_dk + α) · (n_kw + β) / (n_k + Vβ)`
 //!
 //! where `n_dk` counts tokens of document `d` in topic `k`, `n_kw` counts
 //! word `w` in topic `k`, and `n_k` is the size of topic `k`. After the
-//! configured sweeps the trainer freezes `φ` (topic-word) into the
-//! [`LdaModel`] and returns the `θ` (document-topic) point estimates
-//! beside it.
+//! configured sweeps it freezes `φ` (topic-word) into the [`LdaModel`]
+//! and returns the `θ` (document-topic) point estimates beside it.
 
-use crate::corpus::Corpus;
 use rand::{Rng, RngExt};
 
 /// Hyper-parameters of the trainer.
@@ -56,96 +54,9 @@ impl LdaParams {
     }
 }
 
-/// The collapsed Gibbs trainer.
-#[derive(Debug, Clone)]
-pub struct LdaTrainer {
-    params: LdaParams,
-}
-
-impl LdaTrainer {
-    /// Creates a trainer.
-    pub fn new(params: LdaParams) -> Self {
-        LdaTrainer { params }
-    }
-
-    /// Trains a model on `corpus`, returning it with `θ`: one row of
-    /// `n_topics` probabilities per document. Deterministic given the
-    /// RNG state.
-    pub fn train<R: Rng + ?Sized>(
-        &self,
-        corpus: &Corpus,
-        rng: &mut R,
-    ) -> (LdaModel, Vec<Vec<f64>>) {
-        let k = self.params.n_topics;
-        let v = corpus.n_words().max(1);
-        let d = corpus.n_docs();
-        let alpha = self.params.alpha;
-        let beta = self.params.beta;
-
-        // Count matrices.
-        let mut doc_topic = vec![0u32; d * k]; // n_dk
-        let mut topic_word = vec![0u32; k * v]; // n_kw
-        let mut topic_total = vec![0u32; k]; // n_k
-        let mut assignments: Vec<Vec<u32>> = Vec::with_capacity(d);
-
-        // Random initialization.
-        for (di, doc) in corpus.documents().iter().enumerate() {
-            let mut z = Vec::with_capacity(doc.len());
-            for &w in doc {
-                let t = rng.random_range(0..k);
-                z.push(t as u32);
-                doc_topic[di * k + t] += 1;
-                topic_word[t * v + w as usize] += 1;
-                topic_total[t] += 1;
-            }
-            assignments.push(z);
-        }
-
-        // Gibbs sweeps.
-        let mut weights = vec![0.0f64; k];
-        for _sweep in 0..self.params.sweeps {
-            for (di, doc) in corpus.documents().iter().enumerate() {
-                for (ti, &w) in doc.iter().enumerate() {
-                    let old = assignments[di][ti] as usize;
-                    // Remove the token from the counts.
-                    doc_topic[di * k + old] -= 1;
-                    topic_word[old * v + w as usize] -= 1;
-                    topic_total[old] -= 1;
-
-                    // Conditional distribution.
-                    let mut total = 0.0;
-                    for t in 0..k {
-                        let wgt = (doc_topic[di * k + t] as f64 + alpha)
-                            * (topic_word[t * v + w as usize] as f64 + beta)
-                            / (topic_total[t] as f64 + v as f64 * beta);
-                        weights[t] = wgt;
-                        total += wgt;
-                    }
-                    let mut u = rng.random::<f64>() * total;
-                    let mut new = k - 1;
-                    for (t, &wgt) in weights.iter().enumerate() {
-                        u -= wgt;
-                        if u <= 0.0 {
-                            new = t;
-                            break;
-                        }
-                    }
-
-                    assignments[di][ti] = new as u32;
-                    doc_topic[di * k + new] += 1;
-                    topic_word[new * v + w as usize] += 1;
-                    topic_total[new] += 1;
-                }
-            }
-        }
-
-        LdaModel::freeze(&self.params, v, &topic_word, &topic_total, &doc_topic, d)
-    }
-}
-
 /// A trained LDA model: the frozen `φ` and the priors that inference
-/// reads. The training documents' `θ` is not part of it: the trainers
-/// return it beside the model, and the caller keeps it.
+/// reads. The training documents' `θ` is not part of it: the trainer
+/// returns it beside the model, and the caller keeps it.
 ///
 /// Restore refuses a model with no topics, or whose `φ` does not hold
 /// `n_topics × n_words` values, which inference would index past.
@@ -186,10 +97,10 @@ impl serde::Deserialize for LdaModel {
 }
 
 impl LdaModel {
-    /// Freezes the point estimates of finished Gibbs counts, as both
-    /// trainers do: the model, with `φ` from the topic-word counts
-    /// `n_kw` and topic sizes `n_k`, and `θ` of each of the `n_docs`
-    /// documents from their row-major counts `n_dk`.
+    /// Freezes the point estimates of finished Gibbs counts: the model,
+    /// with `φ` from the topic-word counts `n_kw` and topic sizes `n_k`,
+    /// and `θ` of each of the `n_docs` documents from their row-major
+    /// counts `n_dk`.
     pub(crate) fn freeze(
         params: &LdaParams,
         v: usize,
@@ -300,31 +211,36 @@ impl LdaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamingLda;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// Two cleanly separated "themes": words 0-4 and words 5-9. Documents
-    /// draw exclusively from one theme.
-    fn themed_corpus() -> Corpus {
-        let mut docs = Vec::new();
-        for i in 0..30 {
-            let base = if i % 2 == 0 { 0u32 } else { 5u32 };
-            docs.push((0..40).map(|j| base + (j % 5) as u32).collect());
-        }
-        Corpus::from_documents(docs)
+    /// Two cleanly separated "themes" over a vocabulary of ten words:
+    /// words 0-4 and words 5-9. Documents draw exclusively from one theme.
+    fn themed_docs() -> Vec<Vec<u32>> {
+        (0..30)
+            .map(|i| {
+                let base = if i % 2 == 0 { 0u32 } else { 5u32 };
+                (0..40).map(|j| base + (j % 5) as u32).collect()
+            })
+            .collect()
     }
 
-    fn train(corpus: &Corpus, k: usize, seed: u64) -> (LdaModel, Vec<Vec<f64>>) {
+    fn train(docs: &[Vec<u32>], k: usize, seed: u64) -> (LdaModel, Vec<Vec<f64>>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         // The 50/k heuristic is tuned for ~50 topics; with the tiny k used
         // in tests it over-smooths θ, so pin a small α here.
-        LdaTrainer::new(LdaParams::with_topics(k).priors(0.5, 0.01).sweeps(150))
-            .train(corpus, &mut rng)
+        let params = LdaParams::with_topics(k).priors(0.5, 0.01).sweeps(150);
+        let mut lda = StreamingLda::new(params, 10);
+        for doc in docs {
+            lda.feed_doc(doc.iter().copied(), &mut rng);
+        }
+        lda.finish(&mut rng)
     }
 
     #[test]
     fn phi_rows_are_distributions() {
-        let (model, _) = train(&themed_corpus(), 4, 1);
+        let (model, _) = train(&themed_docs(), 4, 1);
         for t in 0..model.n_topics() {
             let sum: f64 = (0..model.n_words()).map(|w| model.topic_word(t, w)).sum();
             assert!((sum - 1.0).abs() < 1e-9, "topic {t} sums to {sum}");
@@ -333,7 +249,7 @@ mod tests {
 
     #[test]
     fn theta_rows_are_distributions() {
-        let (_, theta) = train(&themed_corpus(), 4, 1);
+        let (_, theta) = train(&themed_docs(), 4, 1);
         assert_eq!(theta.len(), 30);
         for row in &theta {
             assert_eq!(row.len(), 4);
@@ -346,8 +262,8 @@ mod tests {
     fn recovers_two_themes() {
         // With 2 topics on the themed corpus, same-theme documents must be
         // much more similar than cross-theme ones.
-        let corpus = themed_corpus();
-        let (_, theta) = train(&corpus, 2, 7);
+        let docs = themed_docs();
+        let (_, theta) = train(&docs, 2, 7);
         let d0 = &theta[0]; // theme A
         let d2 = &theta[2]; // theme A
         let d1 = &theta[1]; // theme B
@@ -362,16 +278,16 @@ mod tests {
 
     #[test]
     fn training_is_deterministic_given_seed() {
-        let corpus = themed_corpus();
-        let a = train(&corpus, 3, 42);
-        let b = train(&corpus, 3, 42);
+        let docs = themed_docs();
+        let a = train(&docs, 3, 42);
+        let b = train(&docs, 3, 42);
         assert_eq!(a, b);
     }
 
     #[test]
     fn inference_assigns_theme_topic() {
-        let corpus = themed_corpus();
-        let (model, trained) = train(&corpus, 2, 7);
+        let docs = themed_docs();
+        let (model, trained) = train(&docs, 2, 7);
         let mut rng = SmallRng::seed_from_u64(3);
         // A fresh theme-A document should look like training theme-A docs.
         let theta = model.infer(&[0, 1, 2, 3, 4, 0, 1, 2, 3, 4], 50, &mut rng);
@@ -387,7 +303,7 @@ mod tests {
 
     #[test]
     fn inference_on_empty_doc_is_uniform() {
-        let (model, _) = train(&themed_corpus(), 4, 2);
+        let (model, _) = train(&themed_docs(), 4, 2);
         let mut rng = SmallRng::seed_from_u64(0);
         let theta = model.infer(&[], 10, &mut rng);
         for &p in &theta {
@@ -397,7 +313,7 @@ mod tests {
 
     #[test]
     fn inference_skips_out_of_vocab_words() {
-        let (model, _) = train(&themed_corpus(), 2, 2);
+        let (model, _) = train(&themed_docs(), 2, 2);
         let mut rng = SmallRng::seed_from_u64(0);
         let theta = model.infer(&[999, 1000], 10, &mut rng);
         assert!((theta[0] - 0.5).abs() < 1e-12, "OOV-only doc is uniform");
@@ -407,7 +323,7 @@ mod tests {
 
     #[test]
     fn single_topic_degenerates_gracefully() {
-        let (model, theta) = train(&themed_corpus(), 1, 5);
+        let (model, theta) = train(&themed_docs(), 1, 5);
         assert_eq!(theta[0], [1.0]);
         let mut rng = SmallRng::seed_from_u64(0);
         assert_eq!(model.infer(&[1, 2], 5, &mut rng), vec![1.0]);
@@ -415,8 +331,7 @@ mod tests {
 
     #[test]
     fn handles_empty_corpus() {
-        let corpus = Corpus::from_documents(vec![]);
-        let (model, theta) = train(&corpus, 3, 0);
+        let (model, theta) = train(&[], 3, 0);
         assert!(theta.is_empty());
         // Inference still works against the prior.
         let mut rng = SmallRng::seed_from_u64(0);

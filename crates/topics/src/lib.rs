@@ -12,24 +12,24 @@
 //! (`P_aff(w, s) = Σ_t P(w|t) · P(s|t)`, paper's notation; operationally
 //! both factors are the inferred document-topic proportions).
 //!
-//! The model is a from-scratch collapsed Gibbs sampler ([`LdaTrainer`])
-//! with symmetric Dirichlet priors, plus fold-in inference for unseen
-//! documents ([`LdaModel::infer`]) so that tasks appearing at assignment
-//! time can be scored online. [`StreamingLda`] trains the identical
-//! model without materializing a corpus — documents are folded into
-//! Gibbs state as they arrive, which is how the million-worker training
-//! path stays inside its memory budget.
+//! The model is trained by a from-scratch collapsed Gibbs sampler
+//! ([`StreamingLda`]) with symmetric Dirichlet priors, plus fold-in
+//! inference for unseen documents ([`LdaModel::infer`]) so that tasks
+//! appearing at assignment time can be scored online. The sampler never
+//! materializes a corpus — documents are folded into Gibbs state as
+//! they arrive, which is how the million-worker training path stays
+//! inside its memory budget. Its equivalence contract (see
+//! [`streaming`]) pins it bit for bit against a plain batch sampler that
+//! `tests/streaming_equality.rs` keeps as the reference model.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
 
 pub mod affinity;
-pub mod corpus;
 pub mod gibbs;
 pub mod streaming;
 
 pub use affinity::topic_affinity;
-pub use corpus::Corpus;
-pub use gibbs::{LdaModel, LdaParams, LdaTrainer};
+pub use gibbs::{LdaModel, LdaParams};
 pub use streaming::StreamingLda;

@@ -1,25 +1,24 @@
 //! Streaming collapsed Gibbs LDA.
 //!
-//! [`StreamingLda`] trains the same model as [`LdaTrainer`](crate::LdaTrainer) without a
-//! [`Corpus`](crate::Corpus): check-in batches are folded straight into
-//! Gibbs state via [`StreamingLda::feed_doc`], which draws each token's
-//! initial topic **at feed time** and stores token + assignment in
-//! fixed-capacity blocks (never a doubling reallocation over the full
-//! token stream, and none of the per-document `Vec` headers a nested
-//! corpus carries — the million-worker training path's corpus copy is
-//! gone entirely). [`StreamingLda::finish`] then runs the configured
-//! sweeps and freezes `φ` into the model and `θ` beside it.
+//! [`StreamingLda`] trains the model without a corpus: check-in batches
+//! are folded straight into Gibbs state via [`StreamingLda::feed_doc`],
+//! which draws each token's initial topic **at feed time** and stores
+//! token + assignment in fixed-capacity blocks (never a doubling
+//! reallocation over the full token stream, and none of the
+//! per-document `Vec` headers a nested corpus carries).
+//! [`StreamingLda::finish`] then runs the configured sweeps and freezes
+//! `φ` into the model and `θ` beside it.
 //!
 //! # Equivalence contract
 //!
 //! Feeding documents in corpus order with RNG state `r`, then finishing
-//! with the same RNG, performs **exactly the operation sequence** of
-//! `LdaTrainer::train` on that corpus with `r`: the batch trainer also
-//! draws every token's init topic in document order before its first
-//! sweep, and the sweep arithmetic here is token-for-token identical.
-//! The resulting [`LdaModel`]s and `θ`s compare equal to the last
-//! bit — the `streaming_equality` suite pins this against the
-//! independent batch sweeps at several shapes. The dense
+//! with the same RNG, performs **exactly the operation sequence** of the
+//! plain batch sampler that `tests/streaming_equality.rs` keeps as its
+//! reference model: nested per-document vectors, every token's init
+//! topic drawn in document order before the first sweep, and
+//! token-for-token identical sweep arithmetic. The reference freezes
+//! its own `φ` and `θ`, and the suite requires both to equal this
+//! trainer's to the last bit at several shapes. The dense
 //! `n_docs × n_topics` counts and `θ` are unavoidable (`θ` *is* the
 //! output); what streaming removes is the second, corpus-shaped copy of
 //! every token.
@@ -63,8 +62,7 @@ impl BlockVec {
 #[derive(Debug, Clone)]
 pub struct StreamingLda {
     params: LdaParams,
-    /// Vocabulary size `V` (like the batch trainer, an empty vocabulary
-    /// is clamped to 1).
+    /// Vocabulary size `V` (an empty vocabulary is clamped to 1).
     v: usize,
     /// Token word ids, in feed order.
     tokens: BlockVec,
@@ -83,8 +81,7 @@ pub struct StreamingLda {
 impl StreamingLda {
     /// Creates a streaming trainer over a vocabulary of `n_words` words.
     ///
-    /// Unlike [`Corpus::from_documents`](crate::Corpus::from_documents),
-    /// the vocabulary is declared up front — a streaming pass cannot
+    /// The vocabulary is declared up front — a streaming pass cannot
     /// infer it after the fact. Callers typically take a cheap max over
     /// their word source first.
     pub fn new(params: LdaParams, n_words: usize) -> Self {
@@ -115,8 +112,7 @@ impl StreamingLda {
     }
 
     /// Folds one document into the Gibbs state, drawing each token's
-    /// initial topic from `rng` — the same draws, in the same order,
-    /// that `LdaTrainer::train`'s initialization loop would make.
+    /// initial topic from `rng` in feed order, before any sweep.
     ///
     /// # Panics
     /// When a word id is outside the declared vocabulary.
@@ -140,9 +136,9 @@ impl StreamingLda {
         self.doc_ends.push(self.tokens.len as u32);
     }
 
-    /// Runs the configured Gibbs sweeps over everything fed and freezes
-    /// the point estimates — arithmetic identical to the batch trainer.
-    /// Returns the model and `θ`, one row per fed document.
+    /// Runs the configured Gibbs sweeps over everything fed, in feed
+    /// order, and freezes the point estimates. Returns the model and
+    /// `θ`, one row per fed document.
     pub fn finish<R: Rng + ?Sized>(self, rng: &mut R) -> (LdaModel, Vec<Vec<f64>>) {
         let StreamingLda {
             params,
@@ -205,90 +201,8 @@ impl StreamingLda {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::Corpus;
-    use crate::gibbs::LdaTrainer;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    fn themed_docs() -> Vec<Vec<u32>> {
-        (0..20)
-            .map(|i| {
-                let base = if i % 2 == 0 { 0u32 } else { 5u32 };
-                (0..30).map(|j| base + (j % 5) as u32).collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn streaming_equals_batch_bit_for_bit() {
-        let docs = themed_docs();
-        let params = LdaParams::with_topics(3).priors(0.5, 0.01).sweeps(40);
-
-        let corpus = Corpus::from_documents(docs.clone());
-        let mut batch_rng = SmallRng::seed_from_u64(9);
-        let batch = LdaTrainer::new(params).train(&corpus, &mut batch_rng);
-
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut s = StreamingLda::new(params, corpus.n_words());
-        for doc in &docs {
-            s.feed_doc(doc.iter().copied(), &mut rng);
-        }
-        assert_eq!(s.n_docs(), docs.len());
-        assert_eq!(s.n_tokens(), corpus.n_tokens());
-        let streamed = s.finish(&mut rng);
-
-        assert_eq!(streamed, batch, "models must match to the last bit");
-    }
-
-    #[test]
-    fn docs_spanning_blocks_stay_equal() {
-        // One document larger than a storage block forces tokens to
-        // straddle block boundaries mid-document.
-        let docs = vec![
-            (0..(BLOCK + 123) as u32).map(|i| i % 7).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4],
-        ];
-        let params = LdaParams::with_topics(2).sweeps(2);
-        let corpus = Corpus::from_documents(docs.clone());
-        let mut batch_rng = SmallRng::seed_from_u64(5);
-        let batch = LdaTrainer::new(params).train(&corpus, &mut batch_rng);
-
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut s = StreamingLda::new(params, corpus.n_words());
-        for doc in &docs {
-            s.feed_doc(doc.iter().copied(), &mut rng);
-        }
-        assert_eq!(s.finish(&mut rng), batch);
-    }
-
-    #[test]
-    fn empty_stream_matches_empty_corpus() {
-        let params = LdaParams::with_topics(4);
-        let mut batch_rng = SmallRng::seed_from_u64(1);
-        let batch = LdaTrainer::new(params).train(&Corpus::new(1), &mut batch_rng);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let streamed = StreamingLda::new(params, 0).finish(&mut rng);
-        assert_eq!(streamed, batch);
-        assert!(streamed.1.is_empty());
-        assert_eq!(streamed.0.n_words(), 1, "vocabulary clamps to 1");
-    }
-
-    #[test]
-    fn empty_documents_are_preserved() {
-        let docs = vec![vec![], vec![0, 1, 0], vec![]];
-        let params = LdaParams::with_topics(2).sweeps(3);
-        let corpus = Corpus::from_documents(docs.clone());
-        let mut batch_rng = SmallRng::seed_from_u64(2);
-        let batch = LdaTrainer::new(params).train(&corpus, &mut batch_rng);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut s = StreamingLda::new(params, corpus.n_words());
-        for doc in &docs {
-            s.feed_doc(doc.iter().copied(), &mut rng);
-        }
-        let streamed = s.finish(&mut rng);
-        assert_eq!(streamed, batch);
-        assert_eq!(streamed.1.len(), 3);
-    }
 
     #[test]
     #[should_panic(expected = "out of vocabulary")]

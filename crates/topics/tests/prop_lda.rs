@@ -5,11 +5,20 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sc_topics::{Corpus, LdaParams, LdaTrainer};
+use sc_topics::{LdaModel, LdaParams, StreamingLda};
 
-fn arb_corpus() -> impl Strategy<Value = Corpus> {
+/// Between one and eleven documents over the vocabulary `0..40`.
+fn arb_corpus() -> impl Strategy<Value = Vec<Vec<u32>>> {
     prop::collection::vec(prop::collection::vec(0u32..40, 0..30), 1..12)
-        .prop_map(Corpus::from_documents)
+}
+
+/// Trains on `docs`, returning the model and `θ`.
+fn train(docs: &[Vec<u32>], params: LdaParams, rng: &mut SmallRng) -> (LdaModel, Vec<Vec<f64>>) {
+    let mut lda = StreamingLda::new(params, 40);
+    for doc in docs {
+        lda.feed_doc(doc.iter().copied(), rng);
+    }
+    lda.finish(rng)
 }
 
 proptest! {
@@ -18,8 +27,7 @@ proptest! {
     #[test]
     fn phi_and_theta_are_distributions(corpus in arb_corpus(), k in 1usize..6, seed in 0u64..1000) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let (model, theta) =
-            LdaTrainer::new(LdaParams::with_topics(k).sweeps(5)).train(&corpus, &mut rng);
+        let (model, theta) = train(&corpus, LdaParams::with_topics(k).sweeps(5), &mut rng);
         for t in 0..model.n_topics() {
             let sum: f64 = (0..model.n_words()).map(|w| model.topic_word(t, w)).sum();
             prop_assert!((sum - 1.0).abs() < 1e-9, "phi row {t} sums to {sum}");
@@ -27,7 +35,7 @@ proptest! {
                 prop_assert!(model.topic_word(t, w) > 0.0, "beta smoothing keeps phi positive");
             }
         }
-        prop_assert_eq!(theta.len(), corpus.n_docs());
+        prop_assert_eq!(theta.len(), corpus.len());
         for (d, row) in theta.iter().enumerate() {
             let sum: f64 = row.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-9, "theta row {d} sums to {sum}");
@@ -42,7 +50,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let (model, _) = LdaTrainer::new(LdaParams::with_topics(k).sweeps(4)).train(&corpus, &mut rng);
+        let (model, _) = train(&corpus, LdaParams::with_topics(k).sweeps(4), &mut rng);
         let theta = model.infer(&doc, 5, &mut rng);
         prop_assert_eq!(theta.len(), k);
         let sum: f64 = theta.iter().sum();

@@ -110,16 +110,6 @@ impl History {
             .map(|w| w[0].location.distance_km(&w[1].location))
             .collect()
     }
-
-    /// Distinct venues visited, with visit counts.
-    pub fn venue_visits(&self) -> Vec<(VenueId, u32)> {
-        let mut counts: std::collections::BTreeMap<VenueId, u32> =
-            std::collections::BTreeMap::new();
-        for r in &self.records {
-            *counts.entry(r.venue).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
-    }
 }
 
 /// Histories of an entire worker population, indexed by dense [`WorkerId`].
@@ -223,16 +213,6 @@ mod tests {
         h.push(rec(0, 2, 7.0, 3, 0));
         assert_eq!(h.displacements_km(), vec![3.0, 4.0]);
         assert!(History::new().displacements_km().is_empty());
-    }
-
-    #[test]
-    fn venue_visits_count_duplicates() {
-        let mut h = History::new();
-        h.push(rec(0, 5, 0.0, 1, 0));
-        h.push(rec(0, 5, 0.0, 2, 0));
-        h.push(rec(0, 6, 1.0, 3, 0));
-        let visits = h.venue_visits();
-        assert_eq!(visits, vec![(VenueId::new(5), 2), (VenueId::new(6), 1)]);
     }
 
     #[test]

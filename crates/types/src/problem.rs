@@ -52,15 +52,6 @@ impl Instance {
         self.tasks.iter().find(|t| t.id == id)
     }
 
-    /// Drops tasks that are already expired at `self.now`. Returns the
-    /// number removed.
-    pub fn prune_expired(&mut self) -> usize {
-        let before = self.tasks.len();
-        let now = self.now;
-        self.tasks.retain(|t| !t.is_expired_at(now));
-        before - self.tasks.len()
-    }
-
     /// Upper bound on `|A|`: no assignment can exceed
     /// `min(|W|, |S|)` under the at-most-once constraints.
     #[inline]
@@ -98,18 +89,6 @@ mod tests {
         assert_eq!(inst.n_workers(), 3);
         assert_eq!(inst.n_tasks(), 2);
         assert_eq!(inst.assignment_upper_bound(), 2);
-    }
-
-    #[test]
-    fn prune_removes_only_expired() {
-        let mut inst = Instance::new(
-            TimeInstant::at(0, 20),
-            vec![worker(0)],
-            vec![task(0, 9, 5), task(1, 18, 5)], // first expires 14:00, second 23:00
-        );
-        assert_eq!(inst.prune_expired(), 1);
-        assert_eq!(inst.tasks.len(), 1);
-        assert_eq!(inst.tasks[0].id, TaskId::new(1));
     }
 
     #[test]

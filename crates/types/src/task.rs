@@ -66,12 +66,6 @@ impl Task {
     pub fn is_expired_at(&self, t: TimeInstant) -> bool {
         t > self.deadline()
     }
-
-    /// Remaining valid time at `t` (zero once expired).
-    #[inline]
-    pub fn remaining_at(&self, t: TimeInstant) -> Duration {
-        self.deadline().since(t)
-    }
 }
 
 #[cfg(test)]
@@ -99,16 +93,6 @@ mod tests {
         assert!(!task.is_expired_at(task.deadline()));
         assert!(task.is_expired_at(task.deadline() + Duration::seconds(1)));
         assert!(!task.is_expired_at(task.published));
-    }
-
-    #[test]
-    fn remaining_time_saturates() {
-        let task = sample();
-        assert_eq!(task.remaining_at(task.published), Duration::hours(5));
-        assert_eq!(
-            task.remaining_at(task.deadline() + Duration::hours(1)),
-            Duration::ZERO
-        );
     }
 
     #[test]

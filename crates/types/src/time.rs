@@ -66,12 +66,6 @@ impl Duration {
         self.0
     }
 
-    /// Total length in fractional hours.
-    #[inline]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_HOUR as f64
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: Duration) -> Duration {
@@ -218,12 +212,6 @@ mod tests {
         assert_eq!(Duration::minutes(60), Duration::hours(1));
         assert_eq!(Duration::hours(24), Duration::days(1));
         assert_eq!(Duration::hours_f64(0.5), Duration::minutes(30));
-    }
-
-    #[test]
-    fn duration_as_hours_roundtrips() {
-        let d = Duration::hours(5);
-        assert!((d.as_hours_f64() - 5.0).abs() < 1e-12);
     }
 
     #[test]

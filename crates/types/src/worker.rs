@@ -1,6 +1,6 @@
 //! Workers (paper Definition 2).
 
-use crate::{Location, TimeInstant, WorkerId};
+use crate::{Location, WorkerId};
 use serde::{Deserialize, Serialize};
 
 /// Default worker travel speed in km/h (paper Section V-A).
@@ -40,41 +40,19 @@ impl Worker {
         self
     }
 
-    /// Whether `target` lies inside the worker's reachable circle
-    /// (condition (i) of the assignment-graph construction).
-    #[inline]
-    pub fn can_reach(&self, target: &Location) -> bool {
-        self.location.distance_km(target) <= self.radius_km
-    }
-
     /// Travel time to `target` in seconds (`t(w.l, s.l)`).
     #[inline]
     pub fn travel_seconds(&self, target: &Location) -> f64 {
         self.location.distance_km(target) / self.speed_kmh * 3_600.0
-    }
-
-    /// Earliest arrival instant at `target` when departing at `now`.
-    #[inline]
-    pub fn arrival_at(&self, target: &Location, now: TimeInstant) -> TimeInstant {
-        now + crate::Duration::seconds(self.travel_seconds(target).ceil() as i64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Duration;
 
     fn sample() -> Worker {
         Worker::new(WorkerId::new(0), Location::new(0.0, 0.0), 10.0)
-    }
-
-    #[test]
-    fn reachability_is_inclusive() {
-        let w = sample();
-        assert!(w.can_reach(&Location::new(10.0, 0.0)));
-        assert!(w.can_reach(&Location::new(0.0, 0.0)));
-        assert!(!w.can_reach(&Location::new(10.0001, 0.0)));
     }
 
     #[test]
@@ -85,15 +63,6 @@ mod tests {
 
         let fast = sample().with_speed(10.0);
         assert!((fast.travel_seconds(&Location::new(5.0, 0.0)) - 1_800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn arrival_rounds_up_to_whole_seconds() {
-        let w = sample().with_speed(7.0);
-        let now = TimeInstant::EPOCH;
-        let arrive = w.arrival_at(&Location::new(1.0, 0.0), now);
-        let exact: f64 = 1.0 / 7.0 * 3_600.0;
-        assert_eq!(arrive.since(now), Duration::seconds(exact.ceil() as i64));
     }
 
     #[test]
