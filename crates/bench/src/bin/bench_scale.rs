@@ -5,7 +5,9 @@
 //! [`RrrPool`] generation at several thread counts, growth/eviction
 //! rotation, and corpus-free [`StreamingLda`] training — and records
 //! peak memory (both the deterministic arena-capacity accounting and
-//! the OS's `VmHWM` view) plus cold-start wall time per phase.
+//! the OS's `VmHWM` view) plus cold-start wall time per phase. The
+//! trained `θ` is digested into `lda_fingerprint`, which, like the
+//! pool `fingerprint`, depends on neither the host nor the clock.
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin bench_scale            # 10⁵ workers
@@ -69,6 +71,23 @@ fn timed<T>(name: &'static str, phases: &mut Vec<Phase>, f: impl FnOnce() -> T) 
 /// O(segments), never a second copy of the live bytes.
 fn additive_slack(live_bytes: usize, n_workers: usize) -> usize {
     live_bytes / 8 + 12 * n_workers + 8 * SEG_BYTES
+}
+
+/// FNV-1a over every `θ` row: its length, then each value's bits, so
+/// a Gibbs sweep that moves one draw changes the digest.
+fn theta_fingerprint(theta: &[Vec<f64>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    };
+    for row in theta {
+        eat(row.len() as u64);
+        for p in row {
+            eat(p.to_bits());
+        }
+    }
+    h
 }
 
 fn json_opt(v: Option<u64>) -> String {
@@ -169,7 +188,7 @@ fn main() {
 
     // Phase 4 — streaming LDA over per-worker documents, no corpus.
     let docs = profile.documents(master_seed);
-    let n_tokens = timed("streaming_lda", &mut phases, || {
+    let (n_tokens, theta) = timed("streaming_lda", &mut phases, || {
         let params = LdaParams::with_topics(n_topics).sweeps(sweeps);
         let mut rng = SmallRng::seed_from_u64(master_seed);
         let mut lda = StreamingLda::new(params, docs.n_words());
@@ -181,8 +200,9 @@ fn main() {
         }
         let (_, theta) = lda.finish(&mut rng);
         assert_eq!(theta.len(), n_workers);
-        tokens
+        (tokens, theta)
     });
+    let lda_fingerprint = theta_fingerprint(&theta);
 
     let total_wall_ms = whole_run_t0.elapsed().as_secs_f64() * 1e3;
     let rss_whole = peak_rss_bytes();
@@ -218,7 +238,7 @@ fn main() {
         .collect();
     let host_threads = host_threads();
     let json = format!(
-        "{{\n  \"bench\": \"scale_cold_start\",\n  \"profile\": \"{}\",\n  \"n_workers\": {n_workers},\n  \"n_edges\": {},\n  \"n_sets\": {n_sets},\n  \"n_topics\": {n_topics},\n  \"lda_sweeps\": {sweeps},\n  \"lda_tokens\": {n_tokens},\n  \"host_threads\": {host_threads},\n  \"bench_threads\": {max_threads},\n  \"master_seed\": {master_seed},\n  \"fingerprint\": \"{fingerprint:#018x}\",\n  \"identical_across_threads\": true,\n  \"pool_chunked\": {},\n  \"pool_rotated\": {},\n  \"rss_ceiling_mb\": {ceiling_mb},\n  \"rss_ceiling_checked\": {rss_ceiling_ok},\n  \"rss_whole_run_bytes\": {},\n  \"total_wall_ms\": {total_wall_ms:.3},\n  \"phases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"scale_cold_start\",\n  \"profile\": \"{}\",\n  \"n_workers\": {n_workers},\n  \"n_edges\": {},\n  \"n_sets\": {n_sets},\n  \"n_topics\": {n_topics},\n  \"lda_sweeps\": {sweeps},\n  \"lda_tokens\": {n_tokens},\n  \"host_threads\": {host_threads},\n  \"bench_threads\": {max_threads},\n  \"master_seed\": {master_seed},\n  \"fingerprint\": \"{fingerprint:#018x}\",\n  \"lda_fingerprint\": \"{lda_fingerprint:#018x}\",\n  \"identical_across_threads\": true,\n  \"pool_chunked\": {},\n  \"pool_rotated\": {},\n  \"rss_ceiling_mb\": {ceiling_mb},\n  \"rss_ceiling_checked\": {rss_ceiling_ok},\n  \"rss_whole_run_bytes\": {},\n  \"total_wall_ms\": {total_wall_ms:.3},\n  \"phases\": [\n{}\n  ]\n}}\n",
         profile.name,
         net.n_edges(),
         mem_json(&cold),

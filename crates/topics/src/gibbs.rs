@@ -100,7 +100,10 @@ impl LdaModel {
     /// Freezes the point estimates of finished Gibbs counts: the model,
     /// with `φ` from the topic-word counts `n_kw` and topic sizes `n_k`,
     /// and `θ` of each of the `n_docs` documents from their row-major
-    /// counts `n_dk`.
+    /// counts `n_dk`. `n_kw` comes word-major, as the sampler keeps it
+    /// (word `w`'s counts at `w * n_topics..`); `φ` is written
+    /// row-major per topic, the layout the model and its serialized
+    /// form hold.
     pub(crate) fn freeze(
         params: &LdaParams,
         v: usize,
@@ -114,7 +117,7 @@ impl LdaModel {
         for t in 0..k {
             let denom = topic_total[t] as f64 + v as f64 * beta;
             for w in 0..v {
-                phi[t * v + w] = (topic_word[t * v + w] as f64 + beta) / denom;
+                phi[t * v + w] = (topic_word[w * k + t] as f64 + beta) / denom;
             }
         }
         let theta = (0..n_docs)

@@ -18,10 +18,12 @@
 //! topic drawn in document order before the first sweep, and
 //! token-for-token identical sweep arithmetic. The reference freezes
 //! its own `φ` and `θ`, and the suite requires both to equal this
-//! trainer's to the last bit at several shapes. The dense
-//! `n_docs × n_topics` counts and `θ` are unavoidable (`θ` *is* the
-//! output); what streaming removes is the second, corpus-shaped copy of
-//! every token.
+//! trainer's to the last bit at several shapes. The sweep's layout
+//! (word-major `n_kw`, `f64` mirrors of the weight factors, see
+//! [`StreamingLda::finish`]) moves where the operands live, not what
+//! is computed from them. The dense `n_docs × n_topics` counts and `θ`
+//! are unavoidable (`θ` *is* the output); what streaming removes is the
+//! second, corpus-shaped copy of every token.
 
 use crate::gibbs::{LdaModel, LdaParams};
 use rand::{Rng, RngExt};
@@ -72,7 +74,9 @@ pub struct StreamingLda {
     doc_ends: Vec<u32>,
     /// `n_dk`, row-major per fed document.
     doc_topic: Vec<u32>,
-    /// `n_kw`, row-major `n_topics × V`.
+    /// `n_kw`, word-major `V × n_topics`: word `w`'s counts are the
+    /// contiguous `w * n_topics..(w + 1) * n_topics`, the row a token
+    /// of `w` weighs every topic against.
     topic_word: Vec<u32>,
     /// `n_k`.
     topic_total: Vec<u32>,
@@ -130,7 +134,7 @@ impl StreamingLda {
             self.tokens.push(w);
             self.z.push(t as u32);
             self.doc_topic[di * k + t] += 1;
-            self.topic_word[t * self.v + w as usize] += 1;
+            self.topic_word[w as usize * k + t] += 1;
             self.topic_total[t] += 1;
         }
         self.doc_ends.push(self.tokens.len as u32);
@@ -139,6 +143,18 @@ impl StreamingLda {
     /// Runs the configured Gibbs sweeps over everything fed, in feed
     /// order, and freezes the point estimates. Returns the model and
     /// `θ`, one row per fed document.
+    ///
+    /// A token's weight for topic `k` is `a · b / c` with `a = n_dk + α`,
+    /// `b = n_kw + β` and `c = n_k + Vβ`. Each factor has an `f64`
+    /// mirror beside its `u32` count: `a` for the current document's
+    /// row, `b` word-major like `n_kw`, `c` per topic. A mirror value
+    /// is recomputed from its count, by the same expression, only where
+    /// the count moves: at the topic a token leaves and the one it
+    /// enters, and `a`'s row at each new document. The weights then
+    /// come from contiguous slices in a loop of their own, which
+    /// vectorizes, while their sum and the draw stay the ordered
+    /// scalar loops of the reference. Every operand and operation is
+    /// the reference's, so every draw, count and frozen value is too.
     pub fn finish<R: Rng + ?Sized>(self, rng: &mut R) -> (LdaModel, Vec<Vec<f64>>) {
         let StreamingLda {
             params,
@@ -154,25 +170,37 @@ impl StreamingLda {
         let d = doc_ends.len();
         let alpha = params.alpha;
         let beta = params.beta;
+        let v_beta = v as f64 * beta;
 
+        let mut doc_f = vec![0.0f64; k];
+        let mut word_f: Vec<f64> = topic_word.iter().map(|&n| n as f64 + beta).collect();
+        let mut total_f: Vec<f64> = topic_total.iter().map(|&n| n as f64 + v_beta).collect();
         let mut weights = vec![0.0f64; k];
         for _sweep in 0..params.sweeps {
             let mut pos = 0usize;
-            for di in 0..d {
-                let end = doc_ends[di] as usize;
-                while pos < end {
-                    let w = tokens.get(pos) as usize;
+            for (di, &end) in doc_ends.iter().enumerate() {
+                let counts = &mut doc_topic[di * k..(di + 1) * k];
+                for (a, &n) in doc_f.iter_mut().zip(counts.iter()) {
+                    *a = n as f64 + alpha;
+                }
+                while pos < end as usize {
+                    let row = tokens.get(pos) as usize * k;
                     let old = z.get(pos) as usize;
-                    doc_topic[di * k + old] -= 1;
-                    topic_word[old * v + w] -= 1;
+                    counts[old] -= 1;
+                    topic_word[row + old] -= 1;
                     topic_total[old] -= 1;
+                    doc_f[old] = counts[old] as f64 + alpha;
+                    word_f[row + old] = topic_word[row + old] as f64 + beta;
+                    total_f[old] = topic_total[old] as f64 + v_beta;
 
+                    let word_row = &word_f[row..row + k];
+                    for (((wgt, &a), &b), &c) in
+                        weights.iter_mut().zip(&doc_f).zip(word_row).zip(&total_f)
+                    {
+                        *wgt = a * b / c;
+                    }
                     let mut total = 0.0;
-                    for t in 0..k {
-                        let wgt = (doc_topic[di * k + t] as f64 + alpha)
-                            * (topic_word[t * v + w] as f64 + beta)
-                            / (topic_total[t] as f64 + v as f64 * beta);
-                        weights[t] = wgt;
+                    for &wgt in &weights {
                         total += wgt;
                     }
                     let mut u = rng.random::<f64>() * total;
@@ -186,9 +214,12 @@ impl StreamingLda {
                     }
 
                     z.set(pos, new as u32);
-                    doc_topic[di * k + new] += 1;
-                    topic_word[new * v + w] += 1;
+                    counts[new] += 1;
+                    topic_word[row + new] += 1;
                     topic_total[new] += 1;
+                    doc_f[new] = counts[new] as f64 + alpha;
+                    word_f[row + new] = topic_word[row + new] as f64 + beta;
+                    total_f[new] = topic_total[new] as f64 + v_beta;
                     pos += 1;
                 }
             }

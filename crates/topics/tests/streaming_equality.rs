@@ -212,6 +212,87 @@ fn paper_shaped_params_match() {
     reference.assert_equals(&streamed, "paper-shaped");
 }
 
+/// `n_docs` documents of lengths drawn from `lens`, over words
+/// `0..n_words`, the last word placed once so the vocabulary is exactly
+/// `n_words`.
+fn random_docs(
+    gen: &mut SmallRng,
+    n_docs: usize,
+    lens: std::ops::Range<usize>,
+    n_words: u32,
+) -> Vec<Vec<u32>> {
+    let mut docs: Vec<Vec<u32>> = (0..n_docs)
+        .map(|_| {
+            let len = gen.random_range(lens.clone());
+            (0..len).map(|_| gen.random_range(0..n_words)).collect()
+        })
+        .collect();
+    docs[0].push(n_words - 1);
+    docs
+}
+
+#[test]
+fn topic_counts_off_every_vector_width_match() {
+    // A token's weights run over its word's `n_topics` contiguous
+    // counts, at offset `w * n_topics`. K = 3 and 7 leave a remainder
+    // at every vector width and start every other word's row off a
+    // width boundary, K = 1 is all remainder, and K = 50 leaves one at
+    // widths 4 and 8. An odd V makes no word-major table a multiple of
+    // a width.
+    let mut gen = SmallRng::seed_from_u64(0x5EED);
+    for (k, v) in [(1usize, 13u32), (3, 29), (7, 61), (50, 61)] {
+        let docs = random_docs(&mut gen, 40, 0..30, v);
+        let params = LdaParams::with_topics(k).sweeps(6);
+        let (streamed, reference) = train_both(&docs, params, 40 + k as u64);
+        assert_eq!(streamed.0.n_words(), v as usize);
+        reference.assert_equals(&streamed, &format!("K = {k}, V = {v}"));
+    }
+}
+
+#[test]
+fn one_word_repeated_matches() {
+    // Consecutive tokens of one word: the counts the first token leaves
+    // and enters must be current when the next token weighs the same
+    // word, in the same document.
+    let docs = vec![
+        vec![4u32; 300],
+        vec![0, 4, 4, 4, 1, 4, 4],
+        vec![2; 50],
+        vec![4],
+    ];
+    for k in [1, 3, 50] {
+        let params = LdaParams::with_topics(k).sweeps(5);
+        let (streamed, reference) = train_both(&docs, params, 60 + k as u64);
+        reference.assert_equals(&streamed, &format!("repeated word, K = {k}"));
+    }
+}
+
+#[test]
+fn single_token_documents_match() {
+    // A one-token document's count row is all zeros while its token is
+    // resampled, and every token starts a new document.
+    let docs: Vec<Vec<u32>> = (0..60u32).map(|d| vec![(d * 7) % 11]).collect();
+    for k in [1, 7, 50] {
+        let params = LdaParams::with_topics(k).sweeps(5);
+        let (streamed, reference) = train_both(&docs, params, 80 + k as u64);
+        reference.assert_equals(&streamed, &format!("one-token documents, K = {k}"));
+    }
+}
+
+#[test]
+fn servebench_shaped_corpus_matches() {
+    // The serving benchmark's training shape: |Top| = 50 with the
+    // default priors (α = 50 / 50 = 1, β = 0.01), 60 categories and a
+    // few hundred 12-token documents, at a few sweeps.
+    let mut gen = SmallRng::seed_from_u64(0x5E7);
+    let docs = random_docs(&mut gen, 300, 12..13, 60);
+    let params = LdaParams::with_topics(50).sweeps(4);
+    assert_eq!((params.alpha, params.beta), (1.0, 0.01));
+    let (streamed, reference) = train_both(&docs, params, 12);
+    assert_eq!(streamed.0.n_words(), 60);
+    reference.assert_equals(&streamed, "servebench-shaped");
+}
+
 #[test]
 fn docs_spanning_blocks_stay_equal() {
     // The streaming trainer stores tokens in blocks of 65,536. Over
